@@ -150,16 +150,6 @@ def check_stages(params=None, n=20, n_grid=32, tol=1e-12):
     return [_result("stage_equivalence_max_abs_diff", worst, tol)]
 
 
-def _mollifier(x, lo, hi):
-    x = np.asarray(x, dtype=float)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    xi = (x - mid) / half
-    out = np.zeros_like(x)
-    inside = np.abs(xi) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - xi[inside] ** 2))
-    return out
-
-
 def interior_variation(gr, scale=1.0):
     """Compactly supported smooth variation used by the variational check.
 

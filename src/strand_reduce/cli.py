@@ -74,8 +74,7 @@ def cmd_simulate(args):
                 f"inertia I={mat(p.inertia_body)} K={mat(p.inertia_rotor)}",
                 f"potential C={mat(p.pot_C)} D={mat(p.pot_D)} "
                 f"kappa={p.pot_kappa:.17g} c0={p.pot_c0:.17g}",
-                f"scheme {cfg.scheme} reortho_every={cfg.reortho_every} "
-                f"preset={cfg.preset}",
+                f"scheme {cfg.scheme} preset={cfg.preset}",
                 f"timing seconds={time.perf_counter() - t0:.3f}"]
     text = write_report(f"{args.out}/report.txt", "simulate", results, preamble)
     sys.stdout.write(text)

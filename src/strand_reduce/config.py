@@ -22,9 +22,8 @@ The file format is INI-like sections of ``key = value`` pairs:
     [init]
     preset = twistpulse          # or: file = initial.csv
 
-    [scheme]                     # optional; defaults rk4 / 16
+    [scheme]                     # optional; default rk4
     name = rk4
-    reortho_every = 16
 
 Every key outside [scheme] is mandatory; unknown sections or keys are
 errors, reported with their line number.
@@ -45,7 +44,7 @@ _SCHEMA = {
     "inertia": {"I", "K"},
     "potential": {"C", "D", "kappa", "c0"},
     "init": {"preset", "file"},
-    "scheme": {"name", "reortho_every"},
+    "scheme": {"name"},
 }
 
 
@@ -179,11 +178,9 @@ def parse_config(text, source="<config>", base_dir="."):
 
     scheme = sections.get("scheme", {})
     name = scheme.get("name", ("rk4", None))[0].lower()
-    reortho = (_as_int(scheme["reortho_every"], "scheme.reortho_every",
-                       minimum=1) if "reortho_every" in scheme else 16)
 
-    cfg = SimConfig(grid=grid, params=params, scheme=name,
-                    reortho_every=reortho, preset=preset, init=state)
+    cfg = SimConfig(grid=grid, params=params, scheme=name, preset=preset,
+                    init=state)
     cfg.validate()
     return cfg
 

@@ -19,6 +19,12 @@ The potential energy is fixed to
 
 the simplest smooth form that exercises every derivative slot appearing in
 the reduced equations.
+
+This module is the only place the density, E, its derivatives and the fiber
+derivatives are written down (``density``, ``potential_E``, ``dE``,
+``density_derivatives``, ``fiber_derivatives_stage1``).  All of them act on
+single points and on whole (..., 3) fields alike; the residuals, currents
+and the time stepper call them rather than restating the formulas.
 """
 
 import dataclasses
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import vee
+from .so3 import cross, hat, vee
 
 _SYM_TOL = 1e-12
 
@@ -139,32 +145,50 @@ class UnreducedPoint:
 SLOTS = ("rho", "rho_t", "theta_s", "theta_t", "Omega", "omega")
 
 
+def _dot(a, b):
+    """Inner product over the last axis of (..., 3) arrays."""
+    return np.sum(a * b, axis=-1)
+
+
 def potential_E(Omega, a, c, p):
     """Potential energy E(Omega, a, c) with c = <rho, rho>."""
-    Omega = np.asarray(Omega, dtype=float)
-    a = np.asarray(a, dtype=float)
-    return float(0.5 * Omega @ (p.pot_C @ Omega)
-                 + 0.5 * a @ (p.pot_D @ a)
-                 + 0.25 * p.pot_kappa * (c - p.pot_c0) ** 2)
+    return (0.5 * _dot(Omega, Omega @ p.pot_C.T)
+            + 0.5 * _dot(a, a @ p.pot_D.T)
+            + 0.25 * p.pot_kappa * (c - p.pot_c0) ** 2)
 
 
 def dE(Omega, a, c, p):
     """Partial derivatives of :func:`potential_E` in its three slots."""
-    Omega = np.asarray(Omega, dtype=float)
-    a = np.asarray(a, dtype=float)
-    return (p.pot_C @ Omega,
-            p.pot_D @ a,
+    return (Omega @ p.pot_C.T,
+            a @ p.pot_D.T,
             0.5 * p.pot_kappa * (c - p.pot_c0))
 
 
+def density(v, c, a, b, Omega, omega, p):
+    """The Lagrangian density common to the unreduced and both reduced forms.
+
+    ``v`` is the translational velocity (body-frame ``rho_t + omega x rho``
+    or spatial ``r_t``; only its length enters), ``c = <rho, rho> = <r, r>``
+    and ``(a, b)`` are the rotor rates (theta_s, theta_t).
+    """
+    wk = omega + b
+    return (0.5 * _dot(v, v)
+            + 0.5 * _dot(omega, omega @ p.inertia_body.T)
+            + 0.5 * _dot(wk, wk @ p.inertia_rotor.T)
+            - potential_E(Omega, a, c, p))
+
+
+def density_derivatives(v, c, a, b, Omega, omega, p):
+    """Partial derivatives of :func:`density` in its six slots, in order."""
+    E_Omega, E_a, E_c = dE(Omega, a, c, p)
+    Kwk = (omega + b) @ p.inertia_rotor.T
+    return v, -E_c, -E_a, Kwk, -E_Omega, omega @ p.inertia_body.T + Kwk
+
+
 def lagrangian_stage1(pt, p):
-    """First reduced Lagrangian density at a point."""
-    u = pt.rho_t + np.cross(pt.omega, pt.rho)
-    wk = pt.omega + pt.theta_t
-    return float(0.5 * u @ u
-                 + 0.5 * pt.omega @ (p.inertia_body @ pt.omega)
-                 + 0.5 * wk @ (p.inertia_rotor @ wk)
-                 - potential_E(pt.Omega, pt.theta_s, float(pt.rho @ pt.rho), p))
+    """First reduced Lagrangian density; ``pt`` is a point or a field bundle."""
+    return density(pt.rho_t + cross(pt.omega, pt.rho), _dot(pt.rho, pt.rho),
+                   pt.theta_s, pt.theta_t, pt.Omega, pt.omega, p)
 
 
 def lagrangian_stage2(rho, rho_t, a, b, Omega, omega, p):
@@ -183,12 +207,9 @@ def lagrangian_unreduced(pt, p, tangency_tol=1e-6):
     Lam = np.asarray(pt.Lambda, dtype=float)
     Omega = vee(Lam.T @ np.asarray(pt.Lambda_s, dtype=float), tol=tangency_tol)
     omega = vee(Lam.T @ np.asarray(pt.Lambda_t, dtype=float), tol=tangency_tol)
-    wk = omega + pt.theta_t
-    r_t = np.asarray(pt.r_t, dtype=float)
-    return float(0.5 * r_t @ r_t
-                 + 0.5 * omega @ (p.inertia_body @ omega)
-                 + 0.5 * wk @ (p.inertia_rotor @ wk)
-                 - potential_E(Omega, pt.theta_s, float(np.dot(pt.r, pt.r)), p))
+    r = np.asarray(pt.r, dtype=float)
+    return density(np.asarray(pt.r_t, dtype=float), _dot(r, r),
+                   pt.theta_s, pt.theta_t, Omega, omega, p)
 
 
 def lift_stage1(pt, Lam, r_s=None):
@@ -198,14 +219,13 @@ def lift_stage1(pt, Lam, r_s=None):
     r_t = Lam (rho_t + omega x rho); ``r_s`` is free (unused by the
     Lagrangian) and defaults to zero.
     """
-    from .so3 import hat
     Lam = np.asarray(Lam, dtype=float)
     if r_s is None:
         r_s = np.zeros(3)
     return UnreducedPoint(
         r=Lam @ pt.rho,
         r_s=r_s,
-        r_t=Lam @ (pt.rho_t + np.cross(pt.omega, pt.rho)),
+        r_t=Lam @ (pt.rho_t + cross(pt.omega, pt.rho)),
         Lambda=Lam,
         Lambda_s=Lam @ hat(pt.Omega),
         Lambda_t=Lam @ hat(pt.omega),
@@ -227,21 +247,23 @@ class FiberDerivatives:
 def fiber_derivatives_stage1(pt, p):
     """Analytic partial derivatives of the stage-1 Lagrangian in all six slots.
 
+    ``pt`` is a point or a field bundle with the same six slots, such as
+    :class:`residuals.DerivativeFields`.  The density derivatives are
+    chained through ``u = rho_t + omega x rho`` and ``c = <rho, rho>``.
     With the flat (Maurer-Cartan-style) trivialization used throughout, the
     horizontal correction terms vanish and ``dl_drho`` is the plain partial
     derivative.
     """
-    u = pt.rho_t + np.cross(pt.omega, pt.rho)
-    wk = pt.omega + pt.theta_t
-    E_Omega, E_a, E_c = dE(pt.Omega, pt.theta_s, float(pt.rho @ pt.rho), p)
+    u = pt.rho_t + cross(pt.omega, pt.rho)
+    d_u, d_c, d_a, d_b, d_Omega, d_omega = density_derivatives(
+        u, _dot(pt.rho, pt.rho), pt.theta_s, pt.theta_t, pt.Omega, pt.omega, p)
     return FiberDerivatives(
-        dl_drho=np.cross(u, pt.omega) - 2.0 * E_c * pt.rho,
-        dl_drho_t=u,
-        dl_dtheta_s=-E_a,
-        dl_dtheta_t=p.inertia_rotor @ wk,
-        dl_dOmega=-E_Omega,
-        dl_domega=np.cross(pt.rho, u) + p.inertia_body @ pt.omega
-                  + p.inertia_rotor @ wk,
+        dl_drho=cross(u, pt.omega) + 2.0 * np.expand_dims(d_c, -1) * pt.rho,
+        dl_drho_t=d_u,
+        dl_dtheta_s=d_a,
+        dl_dtheta_t=d_b,
+        dl_dOmega=d_Omega,
+        dl_domega=cross(pt.rho, u) + d_omega,
     )
 
 

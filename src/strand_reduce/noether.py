@@ -6,6 +6,10 @@ rotor-shift symmetry produces ``(dl_dtheta_s, dl_dtheta_t) = (-D a,
 K (omega + b))``.  On solutions both currents are divergence free, so their
 s-integrated t-components are constants of the motion (up to discretization
 error) on periodic strands.
+
+The currents are exactly the fiber derivatives of the stage-1 Lagrangian,
+so they are taken from :func:`model.fiber_derivatives_stage1` and not
+restated here.
 """
 
 from dataclasses import dataclass
@@ -13,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as g
+from .model import fiber_derivatives_stage1
 from .so3 import cross
-from .residuals import _mat, _rot, stage1_derivative_fields
+from .residuals import (_rot, stage1_derivative_fields,
+                        stage2_derivative_fields)
 
 
 @dataclass
@@ -26,15 +32,6 @@ class CurrentPair:
     J_t: np.ndarray
 
 
-def _momentum_fields(f, p):
-    """Body-frame current components (dl_dOmega, dl_domega) from a bundle."""
-    N = -f.dE_dOmega
-    M = (cross(f.rho, f.rho_t + cross(f.omega, f.rho))
-         + _mat(p.inertia_body, f.omega)
-         + _mat(p.inertia_rotor, f.omega + f.theta_t))
-    return N, M
-
-
 def so3_current(s1, Lam, p, fields=None):
     """Spatial angular-momentum current densities of a stage-1 section.
 
@@ -42,22 +39,19 @@ def so3_current(s1, Lam, p, fields=None):
     projection pair); the body-frame fiber derivatives are pushed to the
     spatial frame by it.
     """
-    f = fields or stage1_derivative_fields(s1, p)
-    N, M = _momentum_fields(f, p)
-    return CurrentPair(grid=s1.grid, J_s=_rot(Lam, N), J_t=_rot(Lam, M))
+    d = fiber_derivatives_stage1(fields or stage1_derivative_fields(s1, p), p)
+    return CurrentPair(grid=s1.grid, J_s=_rot(Lam, d.dl_dOmega),
+                       J_t=_rot(Lam, d.dl_domega))
 
 
 def rotor_current(section, p, fields=None):
     """Rotor-shift current (-D a, K (omega + b)); accepts stage-1 or stage-2."""
     if fields is None:
-        if hasattr(section, "a"):
-            from .residuals import stage2_derivative_fields
-            fields = stage2_derivative_fields(section, p)
-        else:
-            fields = stage1_derivative_fields(section, p)
-    return CurrentPair(grid=section.grid,
-                       J_s=-fields.dE_da,
-                       J_t=_mat(p.inertia_rotor, fields.omega + fields.theta_t))
+        derive = (stage2_derivative_fields if hasattr(section, "a")
+                  else stage1_derivative_fields)
+        fields = derive(section, p)
+    d = fiber_derivatives_stage1(fields, p)
+    return CurrentPair(grid=section.grid, J_s=d.dl_dtheta_s, J_t=d.dl_dtheta_t)
 
 
 def divergence(c):
@@ -67,7 +61,7 @@ def divergence(c):
 
 def totals_over_time(c):
     """s-integral of J_t at every time level: the conserved totals."""
-    return np.stack([g.integrate_s(c.grid, c.J_t, i) for i in range(c.grid.n_t)])
+    return g.integrate_s(c.grid, c.J_t)
 
 
 def drift_rhs(s1, fields, p):
@@ -101,13 +95,15 @@ def drift_residual(s1, Lam, p, fields=None):
     *is* the vertical field equation.
     """
     f = fields or stage1_derivative_fields(s1, p)
-    N, M = _momentum_fields(f, p)
+    d = fiber_derivatives_stage1(f, p)
+    N, M = d.dl_dOmega, d.dl_domega
+    u = d.dl_drho_t                      # rho_t + omega x rho
+    del d  # free the unused slots before the large temporaries below
     dN_s = -f.dE_dOmega_s
-    u = f.rho_t + cross(f.omega, f.rho)
     dM_t = (cross(f.rho_t, u)
             + cross(f.rho, f.rho_tt + cross(f.omega_t, f.rho)
                        + cross(f.omega, f.rho_t))
-            + _mat(p.inertia_body + p.inertia_rotor, f.omega_t)
-            + _mat(p.inertia_rotor, f.theta_tt))
+            + f.omega_t @ (p.inertia_body + p.inertia_rotor).T
+            + f.theta_tt @ p.inertia_rotor.T)
     cov_div = dN_s + cross(f.Omega, N) + dM_t + cross(f.omega, M)
     return _rot(Lam, cov_div) + drift_rhs(s1, f, p)

@@ -131,19 +131,17 @@ def flatness_residual_rotor(s2):
     return g.d_t(s2.grid, s2.a) - g.d_s(s2.grid, s2.b)
 
 
-def _sweep(Lam_prev, rate_mid, h, reortho):
-    """One reconstruction step: right-multiply by the midpoint exponential."""
+def _sweep(Lam_prev, rate_mid, h):
+    """One reconstruction step: midpoint exponential, then reorthonormalize."""
     step = h * rate_mid
     angle = np.max(np.linalg.norm(step, axis=-1))
     if angle >= np.pi / 2.0:
         raise NearAnglePiError(
             f"reconstruction step angle {angle:.3f} >= pi/2; grid too coarse")
-    nxt = Lam_prev @ exp_so3(step)
-    return reorthonormalize(nxt) if reortho else nxt
+    return reorthonormalize(Lam_prev @ exp_so3(step))
 
 
-def reconstruct_rotation(grid, Omega, omega, Lambda0, tol,
-                         sweep="st", reortho_every=1):
+def reconstruct_rotation(grid, Omega, omega, Lambda0, tol, sweep="st"):
     """Integrate a flat (Omega, omega) pair back to a rotation field.
 
     The flatness residual must stay below ``tol`` in the max norm, else
@@ -168,22 +166,18 @@ def reconstruct_rotation(grid, Omega, omega, Lambda0, tol,
         Lam[0, 0] = np.asarray(Lambda0, dtype=float)
         for j in range(n_s - 1):
             mid = 0.5 * (Omega[0, j] + Omega[0, j + 1])
-            Lam[0, j + 1] = _sweep(Lam[0, j], mid, grid.ds,
-                                   (j + 1) % reortho_every == 0)
+            Lam[0, j + 1] = _sweep(Lam[0, j], mid, grid.ds)
         for i in range(n_t - 1):
             mid = 0.5 * (omega[i] + omega[i + 1])
-            Lam[i + 1] = _sweep(Lam[i], mid, grid.dt,
-                                (i + 1) % reortho_every == 0)
+            Lam[i + 1] = _sweep(Lam[i], mid, grid.dt)
     elif sweep == "ts":
         Lam[0, 0] = np.asarray(Lambda0, dtype=float)
         for i in range(n_t - 1):
             mid = 0.5 * (omega[i, 0] + omega[i + 1, 0])
-            Lam[i + 1, 0] = _sweep(Lam[i, 0], mid, grid.dt,
-                                   (i + 1) % reortho_every == 0)
+            Lam[i + 1, 0] = _sweep(Lam[i, 0], mid, grid.dt)
         for j in range(n_s - 1):
             mid = 0.5 * (Omega[:, j] + Omega[:, j + 1])
-            Lam[:, j + 1] = _sweep(Lam[:, j], mid, grid.ds,
-                                   (j + 1) % reortho_every == 0)
+            Lam[:, j + 1] = _sweep(Lam[:, j], mid, grid.ds)
     else:
         raise ValueError(f"unknown sweep order '{sweep}'")
     return Lam

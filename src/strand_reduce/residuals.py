@@ -22,6 +22,10 @@ The second reduction renames (theta_s, theta_t) -> (a, b) and reclassifies
 the rotor balance as vertical, but the numerical expressions are identical;
 both evaluators share one kernel.
 
+The Lagrangian density, E and their derivatives are not restated here: the
+evaluators take them from :mod:`strand_reduce.model`, which is their only
+home.
+
 ``el_unreduced_residual`` is different in kind: it is the exact gradient of
 the discrete action with respect to free compactly supported variations of
 (r, Lambda, theta), computed through the transposed difference stencils, so
@@ -33,21 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as g
+from . import model
+from .model import _dot
 from .so3 import cross, hat, vee_skew
-
-
-def _mat(M, f):
-    """Apply a constant 3x3 matrix to a (..., 3) field."""
-    return np.einsum("ij,...j->...i", M, f)
 
 
 def _rot(R, f):
     """Apply a (..., 3, 3) rotation field to a (..., 3) field."""
     return np.einsum("...ij,...j->...i", R, f)
-
-
-def _dot(a, b):
-    return np.sum(a * b, axis=-1)
 
 
 @dataclass
@@ -76,17 +73,18 @@ class DerivativeFields:
 
 def _finish_fields(gr, p, rho, Omega, omega, theta_s, theta_t, theta_tt):
     rho_t = g.d_t(gr, rho)
+    E_Omega, E_a, E_c = model.dE(Omega, theta_s, _dot(rho, rho), p)
     return DerivativeFields(
         rho=rho, Omega=Omega, omega=omega,
         theta_s=theta_s, theta_t=theta_t, theta_tt=theta_tt,
         rho_t=rho_t,
         rho_tt=g.d_t(gr, rho_t),
         omega_t=g.d_t(gr, omega),
-        dE_dOmega=_mat(p.pot_C, Omega),
-        dE_dOmega_s=g.d_s(gr, _mat(p.pot_C, Omega)),
-        dE_da=_mat(p.pot_D, theta_s),
-        dE_da_s=g.d_s(gr, _mat(p.pot_D, theta_s)),
-        dE_dc=0.5 * p.pot_kappa * (_dot(rho, rho) - p.pot_c0),
+        dE_dOmega=E_Omega,
+        dE_dOmega_s=g.d_s(gr, E_Omega),
+        dE_da=E_a,
+        dE_da_s=g.d_s(gr, E_a),
+        dE_dc=E_c,
     )
 
 
@@ -108,8 +106,19 @@ def stage2_derivative_fields(s2, p):
                           np.asarray(s2.a, float), b, g.d_t(gr, b))
 
 
+class _InteriorNorms:
+    """Norms of the residual fields named in ``_fields``, rim excluded."""
+
+    def interior_norms(self, width=None, kind="l2"):
+        width = self.boundary_width if width is None else width
+        mask = self.grid.interior_mask(width)
+        fn = (lambda f: g.norm_l2(self.grid, f, mask)) if kind == "l2" \
+            else (lambda f: g.norm_max(f, mask))
+        return {name: fn(getattr(self, name)) for name in self._fields}
+
+
 @dataclass
-class Stage1Residuals:
+class Stage1Residuals(_InteriorNorms):
     """The three residual fields plus the width of the stencil-touched rim.
 
     Nodes within ``boundary_width`` of a non-periodic edge were produced by
@@ -121,35 +130,25 @@ class Stage1Residuals:
     horizontal_rho: np.ndarray
     horizontal_theta: np.ndarray
     boundary_width: int = 2
-
-    def interior_norms(self, width=None, kind="l2"):
-        width = self.boundary_width if width is None else width
-        mask = self.grid.interior_mask(width)
-        fn = (lambda f: g.norm_l2(self.grid, f, mask)) if kind == "l2" \
-            else (lambda f: g.norm_max(f, mask))
-        return {
-            "vertical": fn(self.vertical),
-            "horizontal_rho": fn(self.horizontal_rho),
-            "horizontal_theta": fn(self.horizontal_theta),
-        }
+    _fields = ("vertical", "horizontal_rho", "horizontal_theta")
 
 
 def _residual_kernel(f, p):
     I = p.inertia_body
     K = p.inertia_rotor
     IK = I + K
-    m = _mat(IK, f.omega) + _mat(K, f.theta_t)
+    m = f.omega @ IK.T + f.theta_t @ K.T
     vertical = (cross(f.rho,
                          f.rho_tt + 2.0 * cross(f.omega, f.rho_t)
                          + cross(f.omega_t, f.rho)
                          + _dot(f.omega, f.rho)[..., None] * f.omega)
-                + _mat(IK, f.omega_t) + _mat(K, f.theta_tt)
+                + f.omega_t @ IK.T + f.theta_tt @ K.T
                 + cross(f.omega, m)
                 - f.dE_dOmega_s - cross(f.Omega, f.dE_dOmega))
     horizontal_rho = (cross(f.omega, cross(f.rho, f.omega) - 2.0 * f.rho_t)
                       - f.rho_tt - cross(f.omega_t, f.rho)
                       - 2.0 * f.dE_dc[..., None] * f.rho)
-    horizontal_theta = _mat(K, f.omega_t + f.theta_tt) - f.dE_da_s
+    horizontal_theta = (f.omega_t + f.theta_tt) @ K.T - f.dE_da_s
     return vertical, horizontal_rho, horizontal_theta
 
 
@@ -174,39 +173,6 @@ def stage2_residuals(s2, p, fields=None):
                            horizontal_rho=hor_rho, horizontal_theta=hor_theta)
 
 
-def _stage1_density(f, p):
-    u = f.rho_t + cross(f.omega, f.rho)
-    wk = f.omega + f.theta_t
-    c = _dot(f.rho, f.rho)
-    E = (0.5 * _dot(f.Omega, _mat(p.pot_C, f.Omega))
-         + 0.5 * _dot(f.theta_s, _mat(p.pot_D, f.theta_s))
-         + 0.25 * p.pot_kappa * (c - p.pot_c0) ** 2)
-    return (0.5 * _dot(u, u)
-            + 0.5 * _dot(f.omega, _mat(p.inertia_body, f.omega))
-            + 0.5 * _dot(wk, _mat(p.inertia_rotor, wk))
-            - E)
-
-
-def _unreduced_density(u_sec, p):
-    gr = u_sec.grid
-    Lam = np.asarray(u_sec.Lambda, float)
-    LamT = np.swapaxes(Lam, -1, -2)
-    r_t = g.d_t(gr, u_sec.r)
-    omega = vee_skew(LamT @ g.d_t(gr, Lam))
-    Omega = vee_skew(LamT @ g.d_s(gr, Lam))
-    theta_s = g.d_s(gr, u_sec.theta)
-    theta_t = g.d_t(gr, u_sec.theta)
-    wk = omega + theta_t
-    c = _dot(u_sec.r, u_sec.r)
-    E = (0.5 * _dot(Omega, _mat(p.pot_C, Omega))
-         + 0.5 * _dot(theta_s, _mat(p.pot_D, theta_s))
-         + 0.25 * p.pot_kappa * (c - p.pot_c0) ** 2)
-    return (0.5 * _dot(r_t, r_t)
-            + 0.5 * _dot(omega, _mat(p.inertia_body, omega))
-            + 0.5 * _dot(wk, _mat(p.inertia_rotor, wk))
-            - E)
-
-
 def discrete_action(section, p):
     """Discrete action: nodal Lagrangian density summed times ds dt.
 
@@ -215,9 +181,15 @@ def discrete_action(section, p):
     """
     gr = section.grid
     if hasattr(section, "Lambda"):
-        dens = _unreduced_density(section, p)
+        Lam = np.asarray(section.Lambda, float)
+        LamT = np.swapaxes(Lam, -1, -2)
+        r = np.asarray(section.r, float)
+        dens = model.density(g.d_t(gr, r), _dot(r, r),
+                             g.d_s(gr, section.theta), g.d_t(gr, section.theta),
+                             vee_skew(LamT @ g.d_s(gr, Lam)),
+                             vee_skew(LamT @ g.d_t(gr, Lam)), p)
     else:
-        dens = _stage1_density(stage1_derivative_fields(section, p), p)
+        dens = model.lagrangian_stage1(stage1_derivative_fields(section, p), p)
     return float(np.sum(dens) * gr.ds * gr.dt)
 
 
@@ -287,7 +259,7 @@ def action_gradient_check(s1, var, p, eps=1e-5):
 
 
 @dataclass
-class UnreducedResiduals:
+class UnreducedResiduals(_InteriorNorms):
     """Exact discrete-action gradient of a full section (spatial frame)."""
 
     grid: g.Grid2
@@ -295,14 +267,7 @@ class UnreducedResiduals:
     res_Lambda: np.ndarray
     res_theta: np.ndarray
     boundary_width: int = 3
-
-    def interior_norms(self, width=None, kind="l2"):
-        width = self.boundary_width if width is None else width
-        mask = self.grid.interior_mask(width)
-        fn = (lambda f: g.norm_l2(self.grid, f, mask)) if kind == "l2" \
-            else (lambda f: g.norm_max(f, mask))
-        return {"res_r": fn(self.res_r), "res_Lambda": fn(self.res_Lambda),
-                "res_theta": fn(self.res_theta)}
+    _fields = ("res_r", "res_Lambda", "res_theta")
 
 
 def el_unreduced_residual(u_sec, p):
@@ -323,21 +288,17 @@ def el_unreduced_residual(u_sec, p):
     Lam = np.asarray(u_sec.Lambda, float)
     LamT = np.swapaxes(Lam, -1, -2)
     r = np.asarray(u_sec.r, float)
-    r_t = g.d_t(gr, r)
     M_t = LamT @ g.d_t(gr, Lam)
     M_s = LamT @ g.d_s(gr, Lam)
-    omega = vee_skew(M_t)
-    Omega = vee_skew(M_s)
-    theta_t = g.d_t(gr, u_sec.theta)
-    theta_s = g.d_s(gr, u_sec.theta)
-    E_c = 0.5 * p.pot_kappa * (_dot(r, r) - p.pot_c0)
+    # gradient of the density in its own slots (r_t, c, theta_s, theta_t,
+    # Omega, omega)
+    g_r_t, g_c, g_theta_s, g_theta_t, g_Omega, g_omega = \
+        model.density_derivatives(g.d_t(gr, r), _dot(r, r),
+                                  g.d_s(gr, u_sec.theta),
+                                  g.d_t(gr, u_sec.theta),
+                                  vee_skew(M_s), vee_skew(M_t), p)
 
-    g_omega = _mat(p.inertia_body, omega) + _mat(p.inertia_rotor, omega + theta_t)
-    g_Omega = -_mat(p.pot_C, Omega)
-    g_theta_t = _mat(p.inertia_rotor, omega + theta_t)
-    g_theta_s = -_mat(p.pot_D, theta_s)
-
-    res_r = 2.0 * E_c[..., None] * r - g.d_t_adjoint(gr, r_t)
+    res_r = -2.0 * g_c[..., None] * r - g.d_t_adjoint(gr, g_r_t)
     res_theta = -(g.d_t_adjoint(gr, g_theta_t) + g.d_s_adjoint(gr, g_theta_s))
 
     # Body-frame gradient in eta; each rate term contributes a local piece

@@ -28,7 +28,7 @@ import numpy as np
 from . import grid as g
 from .so3 import cross
 from .errors import BlowupError, ConfigError, SingularInertiaError, UnknownPresetError
-from .model import ModelParams, default_params
+from .model import ModelParams, dE, default_params
 from .reduction import Stage1Section, flatness_residual_rotation
 from .residuals import stage1_residuals
 
@@ -76,16 +76,12 @@ class SimConfig:
     grid: g.Grid2
     params: ModelParams = field(default_factory=default_params)
     scheme: str = "rk4"
-    reortho_every: int = 16
     preset: str = "static"
     init: StateSlice = None   # overrides preset when given
 
     def validate(self):
         if self.scheme not in ("rk4", "midpoint"):
             raise ConfigError(f"unknown scheme '{self.scheme}'", key="scheme.name")
-        if self.reortho_every < 1:
-            raise ConfigError("reortho_every must be >= 1",
-                              key="scheme.reortho_every")
         limit = cfl_limit(self.params, self.grid.ds)
         if self.grid.dt > limit:
             raise ConfigError(
@@ -145,14 +141,11 @@ def presets(name, grid, params):
 def _rhs_packed(y, params, ds, periodic, I_inv, K_inv):
     """Time derivative of a packed state array (see the module docstring)."""
     rho, u, _theta, a, v, Omega, omega = y
-    C, D = params.pot_C, params.pot_D
     I, K = params.inertia_body, params.inertia_rotor
     if not np.all(np.isfinite(rho)):
         raise SingularInertiaError("state is not finite")
 
-    E_c = 0.5 * params.pot_kappa * (np.sum(rho * rho, axis=-1) - params.pot_c0)
-    CW = Omega @ C.T
-    Da = a @ D.T
+    CW, Da, E_c = dE(Omega, a, np.sum(rho * rho, axis=-1), params)
     ds_CW = g.d_s_slice(CW, ds, periodic)
     ds_Da = g.d_s_slice(Da, ds, periodic)
 
@@ -164,12 +157,6 @@ def _rhs_packed(y, params, ds, periodic, I_inv, K_inv):
     Omega_t = g.d_s_slice(omega, ds, periodic) + cross(Omega, omega)
     a_t = g.d_s_slice(v, ds, periodic)
     return np.stack([u, u_t, v, a_t, v_t, Omega_t, omega_t])
-
-
-def rhs(state, params, ds, periodic, I_inv, K_inv):
-    """:func:`_rhs_packed` on a :class:`StateSlice`."""
-    return StateSlice.unpack(
-        _rhs_packed(state.pack(), params, ds, periodic, I_inv, K_inv))
 
 
 def _step_rk4(y, h, f):
@@ -233,7 +220,7 @@ def run(cfg):
         worst = float(np.max(np.abs(y)))
         if not np.isfinite(worst) or worst > BLOWUP_GUARD:
             raise BlowupError(i, worst)
-        rotor_total = _slice_integral((y[6] + y[4]) @ K.T, gr)
+        rotor_total = g.integrate_s(gr, (y[6] + y[4])[None] @ K.T, 0)
         rows[i] = (i, i * gr.dt, worst, *rotor_total)
         if i < gr.n_t - 1:
             y = step(y, gr.dt, f)
@@ -243,14 +230,6 @@ def run(cfg):
     summary = run_summary(section, p, rows)
     return RunResult(section=section, steps=rows, summary=summary,
                      final_state=StateSlice.unpack(y))
-
-
-def _slice_integral(values, gr):
-    if gr.periodic_s:
-        return gr.ds * np.sum(values, axis=0)
-    w = np.ones(gr.n_s)
-    w[0] = w[-1] = 0.5
-    return gr.ds * np.sum(values * w[:, None], axis=0)
 
 
 def run_summary(section, p, rows):

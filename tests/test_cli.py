@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -181,7 +182,9 @@ class TestModuleEntry:
         assert proc.returncode == 2
 
     def test_thread_cap_env(self, tmp_path):
-        env = {"STRAND_THREADS": "1", "PATH": "/usr/bin:/bin"}
+        env = {k: v for k, v in os.environ.items()
+               if not k.endswith("_NUM_THREADS")}
+        env["STRAND_THREADS"] = "1"
         proc = subprocess.run(
             [sys.executable, "-c",
              "import strand_reduce, os; print(os.environ['OMP_NUM_THREADS'])"],

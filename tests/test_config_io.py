@@ -39,7 +39,7 @@ class TestConfig:
         assert cfg.grid.bc_s == g.PERIODIC
         assert cfg.grid.ds == pytest.approx(1.0 / 16)
         assert cfg.grid.dt == pytest.approx(0.1 / 19)
-        assert cfg.scheme == "rk4" and cfg.reortho_every == 16  # defaults
+        assert cfg.scheme == "rk4"  # default
         assert np.allclose(cfg.params.inertia_body, np.diag([1.8, 1.4, 1.1]))
         assert cfg.params.inertia_rotor[0, 1] == pytest.approx(0.1)
 
@@ -48,8 +48,16 @@ class TestConfig:
         assert cfg.grid.ds == pytest.approx(1.0 / 15)
 
     def test_scheme_section(self):
-        cfg = parse_config(GOOD + "\n[scheme]\nname = midpoint\nreortho_every = 4\n")
-        assert cfg.scheme == "midpoint" and cfg.reortho_every == 4
+        cfg = parse_config(GOOD + "\n[scheme]\nname = midpoint\n")
+        assert cfg.scheme == "midpoint"
+
+    def test_reortho_every_rejected(self):
+        bad = GOOD + "\n[scheme]\nname = rk4\nreortho_every = 4\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        lineno = bad.splitlines().index("reortho_every = 4") + 1
+        assert "scheme.reortho_every" in str(err.value)
+        assert f"(line {lineno})" in str(err.value)
 
     def test_negative_kappa_names_key(self):
         bad = GOOD.replace("kappa = 1.0", "kappa = -2.0")

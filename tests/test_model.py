@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from strand_reduce import model, so3
+from strand_reduce import residuals as rs
 from strand_reduce.errors import NotAntisymmetricError
-from tests.conftest import random_stage1_point
+from tests.conftest import random_stage1_point, small_grid, smooth_stage1_section
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -180,6 +181,29 @@ class TestFiberDerivatives:
                                                slot, 1e-6, params)
                 want = getattr(d, name)
                 assert np.linalg.norm(fd - want) <= 1e-7 * (1 + np.linalg.norm(want))
+
+    def test_batched_bundle_matches_pointwise(self, params):
+        # a whole (n_t, n_s, 3) derivative bundle goes through the same
+        # formulas as a single point
+        gr = small_grid(n_t=6, n_s=8)
+        f = rs.stage1_derivative_fields(smooth_stage1_section(gr), params)
+        lag = model.lagrangian_stage1(f, params)
+        der = model.fiber_derivatives_stage1(f, params)
+        assert lag.shape == (gr.n_t, gr.n_s)
+        names = ("dl_drho", "dl_drho_t", "dl_dtheta_s", "dl_dtheta_t",
+                 "dl_dOmega", "dl_domega")
+        for i in range(gr.n_t):
+            for j in range(gr.n_s):
+                pt = model.Stage1Point(*(getattr(f, slot)[i, j]
+                                         for slot in model.SLOTS))
+                np.testing.assert_allclose(
+                    lag[i, j], model.lagrangian_stage1(pt, params),
+                    rtol=1e-14, atol=0)
+                d = model.fiber_derivatives_stage1(pt, params)
+                for name in names:
+                    np.testing.assert_allclose(
+                        getattr(der, name)[i, j], getattr(d, name),
+                        rtol=1e-14, atol=0)
 
 
 class TestFdOracle:

@@ -131,8 +131,8 @@ class TestDiscreteAction:
         doubled = dataclasses.replace(f, rho_t=2.0 * f.rho_t,
                                       theta_t=2.0 * f.theta_t,
                                       omega=2.0 * f.omega)
-        a0 = np.sum(rs._stage1_density(f, params_free)) * gr.ds * gr.dt
-        a1 = np.sum(rs._stage1_density(doubled, params_free)) * gr.ds * gr.dt
+        a0 = np.sum(model.lagrangian_stage1(f, params_free)) * gr.ds * gr.dt
+        a1 = np.sum(model.lagrangian_stage1(doubled, params_free)) * gr.ds * gr.dt
         assert a1 == pytest.approx(4.0 * a0, rel=1e-12)
 
 

@@ -32,8 +32,8 @@ class TestPresets:
         state = sim.presets("static", gr, params)
         I_inv = np.linalg.inv(params.inertia_body)
         K_inv = np.linalg.inv(params.inertia_rotor)
-        rates = sim.rhs(state, params, gr.ds, True, I_inv, K_inv)
-        assert np.max(np.abs(rates.pack())) == 0.0
+        rates = sim._rhs_packed(state.pack(), params, gr.ds, True, I_inv, K_inv)
+        assert np.max(np.abs(rates)) == 0.0
 
     def test_twistpulse_shape(self, params):
         gr = make_grid()
@@ -86,7 +86,8 @@ class TestRhs:
             omega=smooth(0.2, -0.3, 0.25))
         I_inv = np.linalg.inv(params.inertia_body)
         K_inv = np.linalg.inv(params.inertia_rotor)
-        r = sim.rhs(state, params, gr.ds, True, I_inv, K_inv)
+        r = sim.StateSlice.unpack(
+            sim._rhs_packed(state.pack(), params, gr.ds, True, I_inv, K_inv))
         I = params.inertia_body
         K = params.inertia_rotor
         C, D = params.pot_C, params.pot_D
@@ -114,7 +115,8 @@ class TestRhs:
                                 0.2 * np.ones(gr.n_s)], axis=-1)
         I_inv = np.linalg.inv(params.inertia_body)
         K_inv = np.linalg.inv(params.inertia_rotor)
-        r = sim.rhs(state, params, gr.ds, True, I_inv, K_inv)
+        r = sim.StateSlice.unpack(
+            sim._rhs_packed(state.pack(), params, gr.ds, True, I_inv, K_inv))
         want = (g.d_s_slice(state.omega, gr.ds, True)
                 + np.cross(state.Omega, state.omega))
         assert np.allclose(r.Omega, want, atol=1e-14)
