@@ -144,7 +144,10 @@ def parse_config(text, source="<config>", base_dir="."):
                           key="grid.bc", line=bc_line)
     ds = length / n_s if bc == PERIODIC else length / (n_s - 1)
     dt = duration / (n_t - 1)
-    grid = Grid2(n_t=n_t, n_s=n_s, dt=dt, ds=ds, bc_s=bc)
+    try:
+        grid = Grid2(n_t=n_t, n_s=n_s, dt=dt, ds=ds, bc_s=bc)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="grid") from None
 
     try:
         params = ModelParams(

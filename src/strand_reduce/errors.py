@@ -31,10 +31,13 @@ class SingularInertiaError(StrandError):
 class BlowupError(StrandError):
     """A field norm exceeded the blow-up guard during time stepping."""
 
-    def __init__(self, step, norm):
-        super().__init__(f"solution norm {norm:.3e} exceeded guard at step {step}")
+    def __init__(self, step, norm, field, node):
+        super().__init__(f"solution norm {norm:.3e} exceeded guard at step "
+                         f"{step} (field {field}, node {node})")
         self.step = step
         self.norm = norm
+        self.field = field
+        self.node = node
 
 
 class ConfigError(StrandError):

@@ -28,8 +28,8 @@ def _fmt(x):
 def write_fields(outdir, grid, fields):
     """Write ``{name: array}`` plus ``manifest.txt``; returns the file map."""
     os.makedirs(outdir, exist_ok=True)
-    t = grid.t_coords()
-    s = grid.s_coords()
+    t = [_fmt(x) for x in grid.t_coords().tolist()]
+    s = [_fmt(x) for x in grid.s_coords().tolist()]
     written = {}
     for name in sorted(fields):
         values = np.asarray(fields[name], dtype=float)
@@ -38,25 +38,28 @@ def write_fields(outdir, grid, fields):
             raise ValueError(f"field '{name}' does not match the grid")
         width = _WIDTH[kind]
         flat = values.reshape(grid.n_t, grid.n_s, width)
+        # One format per row and one write per time level; tolist() per
+        # level keeps the Python floats to a single slice.
+        row_fmt = "%s," + ",".join([FMT] * width) + "\n"
         path = os.path.join(outdir, f"{name}.csv")
         with open(path, "w", newline="\n") as fh:
             fh.write("t_index,s_index,t,s," +
                      ",".join(f"c{k + 1}" for k in range(width)) + "\n")
-            for i in range(grid.n_t):
-                ti = _fmt(t[i])
-                for j in range(grid.n_s):
-                    row = flat[i, j]
-                    fh.write(f"{i},{j},{ti},{_fmt(s[j])},"
-                             + ",".join(_fmt(v) for v in row) + "\n")
+            for i, ti in enumerate(t):
+                level = zip(s, flat[i].tolist())
+                fh.write("".join([row_fmt % (f"{i},{j},{ti},{sj}", *row)
+                                  for j, (sj, row) in enumerate(level)]))
         written[name] = (path, kind)
     _write_manifest(outdir, grid, written)
     return written
 
 
 def _sha256(path):
+    """Hex digest of a file, streamed in 1 MiB blocks."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
     return h.hexdigest()
 
 
@@ -72,33 +75,50 @@ def _write_manifest(outdir, grid, written):
 
 
 def read_fields(indir, names=None):
-    """Read fields written by :func:`write_fields`; bit-exact round trip."""
+    """Read fields written by :func:`write_fields`; bit-exact round trip.
+
+    Each field file is checked against its manifest sha256 and row count
+    before use; a mismatch or a malformed manifest raises ConfigError.
+    """
     manifest = os.path.join(indir, "manifest.txt")
     if not os.path.exists(manifest):
         raise ConfigError(f"no manifest.txt in {indir}")
     grid = None
     entries = {}
     with open(manifest) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
-            kv = dict(p.split("=", 1) for p in parts[1:])
-            if parts[0] == "grid":
-                grid = Grid2(n_t=int(kv["n_t"]), n_s=int(kv["n_s"]),
-                             dt=float(kv["dt"]), ds=float(kv["ds"]),
-                             bc_s=kv["bc"])
-            elif parts[0] == "field":
-                entries[kv["name"]] = (kv["file"], kv["kind"])
+            try:
+                kv = dict(p.split("=", 1) for p in parts[1:])
+                if parts[0] == "grid":
+                    grid = Grid2(n_t=int(kv["n_t"]), n_s=int(kv["n_s"]),
+                                 dt=float(kv["dt"]), ds=float(kv["ds"]),
+                                 bc_s=kv["bc"])
+                elif parts[0] == "field":
+                    entries[kv["name"]] = (kv["file"], kv["kind"],
+                                           _WIDTH[kv["kind"]], kv["sha256"])
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"malformed manifest in {indir}: {exc}",
+                                  line=lineno) from None
     if grid is None:
         raise ConfigError(f"manifest in {indir} has no grid line")
     fields = {}
-    for name, (fname, kind) in entries.items():
+    rows = grid.n_t * grid.n_s
+    for name, (fname, kind, width, digest) in entries.items():
         if names is not None and name not in names:
             continue
-        width = _WIDTH[kind]
-        data = np.loadtxt(os.path.join(indir, fname), delimiter=",",
-                          skiprows=1, ndmin=2)
+        path = os.path.join(indir, fname)
+        if _sha256(path) != digest:
+            raise ConfigError(f"{path}: sha256 differs from manifest.txt")
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        if data.shape[0] != rows:
+            raise ConfigError(f"{path} has {data.shape[0]} rows, expected "
+                              f"{rows} (n_t={grid.n_t} x n_s={grid.n_s})")
         values = data[:, 4:4 + width].reshape(grid.n_t, grid.n_s, width)
         if kind == "scalar":
             values = values[..., 0]

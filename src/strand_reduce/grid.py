@@ -92,21 +92,24 @@ def _diff(values, h, periodic, axis):
     """Second-order first derivative along ``axis``.
 
     Centered in the interior; periodic wrap when requested, otherwise
-    one-sided three-point stencils at the two edges.
+    one-sided three-point stencils at the two edges.  Both policies are
+    assembled from slices of ``values`` with ``axis`` swapped to the front.
     """
-    f = np.asarray(values, dtype=float)
-    if periodic:
-        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
+    f = np.asarray(values, dtype=float).swapaxes(axis, 0)
     out = np.empty_like(f)
-    n = f.shape[axis]
-    sl = lambda i: tuple(i if a == axis else slice(None) for a in range(f.ndim))
-    mid = tuple(slice(1, n - 1) if a == axis else slice(None) for a in range(f.ndim))
-    lo = tuple(slice(0, n - 2) if a == axis else slice(None) for a in range(f.ndim))
-    hi = tuple(slice(2, n) if a == axis else slice(None) for a in range(f.ndim))
-    out[mid] = (f[hi] - f[lo]) / (2.0 * h)
-    out[sl(0)] = (-3.0 * f[sl(0)] + 4.0 * f[sl(1)] - f[sl(2)]) / (2.0 * h)
-    out[sl(n - 1)] = (3.0 * f[sl(n - 1)] - 4.0 * f[sl(n - 2)] + f[sl(n - 3)]) / (2.0 * h)
-    return out
+    n = f.shape[0]
+    # In place: same rounding as (f[2:] - f[:-2]) / 2h, no full-size temporaries.
+    mid = out[1:n - 1]
+    np.subtract(f[2:], f[:n - 2], out=mid)
+    mid /= 2.0 * h
+    if periodic:
+        # The modulo keeps size-1 and size-2 axes on the wrapped neighbours.
+        out[0] = (f[1 % n] - f[n - 1]) / (2.0 * h)
+        out[n - 1] = (f[0] - f[(n - 2) % n]) / (2.0 * h)
+    else:
+        out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+        out[n - 1] = (3.0 * f[n - 1] - 4.0 * f[n - 2] + f[n - 3]) / (2.0 * h)
+    return out.swapaxes(0, axis)
 
 
 def _diff_adjoint(values, h, periodic, axis):
@@ -157,8 +160,9 @@ def d_t_adjoint(grid, values):
 
 
 def d_s_slice(values, ds, periodic):
-    """Arclength derivative of a single time slice (axis 0 runs over s)."""
-    return _diff(values, ds, periodic, axis=0)
+    """Arclength derivative of a time slice ``(n_s, 3)``, or of a stack of
+    slices ``(..., n_s, 3)``: the s axis is the second to last."""
+    return _diff(values, ds, periodic, axis=-2)
 
 
 def integrate_s(grid, values, i_t=None):

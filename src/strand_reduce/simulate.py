@@ -7,8 +7,8 @@ equation into the vertical one annihilates the whole ``rho x (...)`` block
 (a cross-product identity), and the rotor equation then isolates
 ``I omega_t``:
 
-    omega_t = I^-1 [ -omega x ((I+K) omega + K v)
-                     + d_s(C Omega) + Omega x (C Omega) - d_s(D a) ]
+    omega_t = I^-1 [ d_s(C Omega) + Omega x (C Omega) - d_s(D a)
+                     - omega x ((I+K) omega + K v) ]
     v_t     = K^-1 d_s(D a) - omega_t
     u_t     = F - omega_t x rho,   F = omega x (rho x omega - 2u) - 2 E_c rho
 
@@ -16,6 +16,15 @@ The rotation rate Omega and the rotor gradient a are advanced with the
 zero-curvature relations ``Omega_t = d_s(omega) + Omega x omega`` and
 ``a_t = d_s(v)``, so no rotation matrices are carried during the march;
 ``Lambda`` is reconstructed post hoc when a full section is wanted.
+
+The march (RK4 or explicit midpoint) evaluates these rates as one stacked
+kernel per call, because at small n_s numpy's per-call cost outweighs the
+algebra: the four s-derivatives (of C Omega, D a, omega and v) come from a
+single stencil call on a (4, n_s, 3) block, the six cross products from two
+calls on stacked operands, and each rate is written straight into the
+packed output.  The arithmetic per entry is exactly that of the formulas
+above, summed in the order written, so results do not depend on the
+stacking.
 
 theta itself is carried alongside (rate v) purely so the assembled output is
 a complete stage-1 section; it does not feed back into the dynamics.
@@ -146,17 +155,20 @@ def _rhs_packed(y, params, ds, periodic, I_inv, K_inv):
         raise SingularInertiaError("state is not finite")
 
     CW, Da, E_c = dE(Omega, a, np.sum(rho * rho, axis=-1), params)
-    ds_CW = g.d_s_slice(CW, ds, periodic)
-    ds_Da = g.d_s_slice(Da, ds, periodic)
-
+    ds_CW, ds_Da, ds_omega, ds_v = g.d_s_slice(np.array([CW, Da, omega, v]),
+                                               ds, periodic)
     m = omega @ (I + K).T + v @ K.T
-    omega_t = (ds_CW + cross(Omega, CW) - ds_Da - cross(omega, m)) @ I_inv.T
-    v_t = ds_Da @ K_inv.T - omega_t
-    F = cross(omega, cross(rho, omega) - 2.0 * u) - 2.0 * E_c[:, None] * rho
-    u_t = F - cross(omega_t, rho)
-    Omega_t = g.d_s_slice(omega, ds, periodic) + cross(Omega, omega)
-    a_t = g.d_s_slice(v, ds, periodic)
-    return np.stack([u, u_t, v, a_t, v_t, Omega_t, omega_t])
+    OxCW, wxm, rxw, Oxw = cross(np.array([Omega, omega, rho, Omega]),
+                                np.array([CW, m, omega, omega]))
+
+    out = np.empty_like(y)
+    out[0], out[2], out[3] = u, v, ds_v
+    out[6] = omega_t = (ds_CW + OxCW - ds_Da - wxm) @ I_inv.T
+    out[4] = ds_Da @ K_inv.T - omega_t
+    wxF, wtxr = cross(np.array([omega, omega_t]), np.array([rxw - 2.0 * u, rho]))
+    out[1] = wxF - 2.0 * E_c[:, None] * rho - wtxr
+    out[5] = ds_omega + Oxw
+    return out
 
 
 def _step_rk4(y, h, f):
@@ -219,7 +231,8 @@ def run(cfg):
         rho[i], theta[i], Omega[i], omega[i] = y[0], y[2], y[5], y[6]
         worst = float(np.max(np.abs(y)))
         if not np.isfinite(worst) or worst > BLOWUP_GUARD:
-            raise BlowupError(i, worst)
+            k, j, _ = np.unravel_index(np.argmax(np.abs(y)), y.shape)
+            raise BlowupError(i, worst, COMPONENTS[k], int(j))
         rotor_total = g.integrate_s(gr, (y[6] + y[4])[None] @ K.T, 0)
         rows[i] = (i, i * gr.dt, worst, *rotor_total)
         if i < gr.n_t - 1:

@@ -32,7 +32,8 @@ def cross(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
+    out = np.empty(shape)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     out[..., 0] = a1 * b2 - a2 * b1

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -86,6 +87,59 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "o")])
         assert code == 5
+
+
+class TestMalformedInputs:
+    """Bad configs and tampered stored runs: exit 2 and one stderr line."""
+
+    def assert_config_exit(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        return err
+
+    def test_infinite_length(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(CONFIG.replace("length = 1.0", "length = inf"))
+        err = self.assert_config_exit(["simulate", "--config", str(cfg),
+                                       "--out", str(tmp_path / "o")], capsys)
+        assert "[grid]" in err
+
+    def test_grid_over_memory_guard(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(CONFIG.replace("n_s = 32", "n_s = 100000")
+                       .replace("n_t = 40", "n_t = 10000"))
+        err = self.assert_config_exit(["simulate", "--config", str(cfg),
+                                       "--out", str(tmp_path / "o")], capsys)
+        assert "memory guard" in err
+
+    def test_tampered_field_fails_checksum(self, tmp_path, config_file, capsys):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        lines = (out / "Omega.csv").read_text().splitlines(keepends=True)
+        row = lines[5].rstrip("\n")
+        lines[5] = row[:-1] + ("1" if row[-1] != "1" else "2") + "\n"
+        (out / "Omega.csv").write_text("".join(lines))
+        capsys.readouterr()
+        err = self.assert_config_exit(["residuals", "--in", str(out)], capsys)
+        assert "Omega.csv" in err and "sha256" in err
+
+    def test_truncated_field_names_row_counts(self, tmp_path, config_file,
+                                              capsys):
+        # the manifest is rewritten to match, so the row count is what fails
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        path = out / "Omega.csv"
+        old = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-7]))
+        new = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest = out / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(old, new))
+        capsys.readouterr()
+        err = self.assert_config_exit(["residuals", "--in", str(out)], capsys)
+        assert "Omega.csv" in err
+        assert f"has {32 * 40 - 7} rows, expected {32 * 40}" in err
 
 
 class TestResiduals:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,26 @@ class TestFieldsIO:
         assert lines[1] == "0,0,0,0,0,0,0"
         assert lines[2].startswith("0,1,0,0.5,")  # t-major, then s
 
+    def test_bytes_match_per_value_reference(self, rng, tmp_path):
+        # the row-format writer against one "%.17g" per value
+        gr = g.Grid2(n_t=3, n_s=4, dt=0.1, ds=0.25, bc_s=g.PERIODIC)
+        rho = rng.normal(size=(3, 4, 3))
+        rho[0, 0] = (-0.0, 5e-324, 1e300)
+        rho[2, 3] = (-1e300, -5e-324, 0.1)
+        energy = rho[..., 0].copy()
+        write_fields(tmp_path, gr, {"rho": rho, "energy": energy})
+        t, s = gr.t_coords(), gr.s_coords()
+        for name, flat, width in (("rho", rho, 3), ("energy", energy[..., None], 1)):
+            want = "t_index,s_index,t,s," + ",".join(
+                f"c{k + 1}" for k in range(width)) + "\n"
+            for i in range(gr.n_t):
+                for j in range(gr.n_s):
+                    want += (f"{i},{j},{'%.17g' % t[i]},{'%.17g' % s[j]},"
+                             + ",".join("%.17g" % x for x in flat[i, j]) + "\n")
+            assert (tmp_path / f"{name}.csv").read_bytes() == want.encode(), name
+        assert (tmp_path / "rho.csv").read_text().splitlines()[1] == \
+            "0,0,0,0,-0,4.9406564584124654e-324,1.0000000000000001e+300"
+
     def test_manifest_checksum_tracks_values(self, rng, tmp_path):
         gr = small_grid(n_t=5, n_s=7)
         rho = rng.normal(size=(5, 7, 3))
@@ -158,6 +180,27 @@ class TestFieldsIO:
         write_fields(tmp_path, gr, {"rho": rng.normal(size=(5, 7, 3))})
         with pytest.raises(ConfigError):
             read_fields(tmp_path, names=("rho", "omega"))
+
+    @pytest.mark.parametrize("edit", ["grid_value", "field_kind", "csv_cell"])
+    def test_malformed_stored_run_rejected(self, rng, tmp_path, edit):
+        gr = small_grid(n_t=5, n_s=7)
+        write_fields(tmp_path, gr, {"rho": rng.normal(size=(5, 7, 3))})
+        manifest = tmp_path / "manifest.txt"
+        text = manifest.read_text()
+        if edit == "grid_value":
+            text = text.replace("n_s=7", "n_s=seven")
+        elif edit == "field_kind":
+            text = text.replace("kind=vec3", "kind=tensor")
+        else:
+            csv = tmp_path / "rho.csv"
+            old = hashlib.sha256(csv.read_bytes()).hexdigest()
+            lines = csv.read_text().splitlines(keepends=True)
+            lines[3] = lines[3].rsplit(",", 1)[0] + ",x\n"
+            csv.write_text("".join(lines))
+            text = text.replace(old, hashlib.sha256(csv.read_bytes()).hexdigest())
+        manifest.write_text(text)
+        with pytest.raises(ConfigError):
+            read_fields(tmp_path)
 
     def test_initial_slice_round_trip(self, rng, tmp_path, params):
         gr = small_grid(n_s=9, n_t=5)

@@ -132,6 +132,25 @@ class TestProperties:
                 assert np.sum(d(gr, f) * h) == pytest.approx(
                     np.sum(f * dT(gr, h)), rel=1e-12, abs=1e-12)
 
+    def test_periodic_matches_roll_formula(self, rng):
+        # the slice-built periodic stencil against the np.roll formula,
+        # including size-1 and size-2 periodic axes
+        h = 0.3
+        for shape in ((1, 6, 3), (2, 6, 3), (5, 1, 3), (5, 2, 3), (7, 9, 3),
+                      (4, 5, 2, 3)):
+            f = rng.normal(size=shape)
+            for axis in (0, 1, -2):
+                want = (np.roll(f, -1, axis=axis)
+                        - np.roll(f, 1, axis=axis)) / (2.0 * h)
+                assert np.array_equal(g._diff(f, h, True, axis), want), (shape, axis)
+
+    def test_slice_derivative_of_a_stack(self, rng):
+        f = rng.normal(size=(4, 9, 3))
+        for periodic in (True, False):
+            stacked = g.d_s_slice(f, 0.1, periodic)
+            for k in range(4):
+                assert np.array_equal(stacked[k], g.d_s_slice(f[k], 0.1, periodic))
+
     def test_slice_derivative_matches_field_rows(self, rng):
         gr = small_grid()
         f = rng.normal(size=(gr.n_t, gr.n_s, 3))

@@ -106,6 +106,32 @@ class TestRhs:
         assert np.max(np.abs(hor_rho)) <= 1e-10
         assert np.max(np.abs(hor_theta)) <= 1e-10
 
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("n_s", [3, 8, 64])
+    @pytest.mark.parametrize("free", [False, True])
+    def test_stacked_kernel_matches_per_equation_oracle(self, rng, periodic,
+                                                        n_s, free):
+        # the module docstring's equations, one stencil call per field and
+        # np.cross, summed in the order written: equal to the last bit
+        p = model.free_params() if free else model.default_params()
+        I, K = p.inertia_body, p.inertia_rotor
+        I_inv, K_inv = np.linalg.inv(I), np.linalg.inv(K)
+        ds = 1.0 / n_s
+        d_s = lambda f: g.d_s_slice(f, ds, periodic)
+        y = rng.normal(size=(len(sim.COMPONENTS), n_s, 3))
+        rho, u, _theta, a, v, Om, om = y
+        CW, Da = Om @ p.pot_C.T, a @ p.pot_D.T
+        E_c = 0.5 * p.pot_kappa * (np.sum(rho * rho, axis=-1) - p.pot_c0)
+        m = om @ (I + K).T + v @ K.T
+        om_t = (d_s(CW) + np.cross(Om, CW) - d_s(Da) - np.cross(om, m)) @ I_inv.T
+        v_t = d_s(Da) @ K_inv.T - om_t
+        F = np.cross(om, np.cross(rho, om) - 2.0 * u) - 2.0 * E_c[:, None] * rho
+        u_t = F - np.cross(om_t, rho)
+        Om_t = d_s(om) + np.cross(Om, om)
+        want = np.stack([u, u_t, v, d_s(v), v_t, Om_t, om_t])
+        got = sim._rhs_packed(y, p, ds, periodic, I_inv, K_inv)
+        assert np.array_equal(got, want)
+
     def test_flatness_rate_consistency(self, params):
         # Omega_t equals d_s(omega) + Omega x omega by construction
         gr = make_grid()
@@ -184,6 +210,9 @@ class TestRun:
         with pytest.raises(BlowupError) as err:
             sim.run(cfg)
         assert err.value.step == 0
+        assert err.value.field == "u"
+        assert err.value.node == 0
+        assert err.value.norm == 1e9
 
     def test_cfl_guard(self, params):
         gr = g.Grid2(n_t=4, n_s=64, dt=0.5, ds=1.0 / 64, bc_s=g.PERIODIC)
