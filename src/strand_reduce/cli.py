@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 reconstruction gate failed
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -17,8 +18,8 @@ from . import reduction as red
 from . import residuals as rs
 from .config import load_config
 from .errors import BlowupError, ConfigError, NotFlatError, StrandError
-from .fields_io import (format_report, read_fields, write_fields, write_report,
-                        write_steps)
+from .fields_io import (format_report, read_fields, read_model, write_fields,
+                        write_report, write_steps)
 from .model import default_params
 from .reduction import Stage1Section
 from .simulate import SimConfig, run
@@ -46,9 +47,11 @@ def _add_grid_options(sp):
 
 
 def _section_from_dir(indir):
+    """The stored stage-1 section and the model it was simulated with."""
+    params = read_model(indir)
     gr, fields = read_fields(indir, names=("rho", "theta", "Omega", "omega"))
     return Stage1Section(grid=gr, rho=fields["rho"], theta=fields["theta"],
-                         Omega=fields["Omega"], omega=fields["omega"])
+                         Omega=fields["Omega"], omega=fields["omega"]), params
 
 
 def _print_checks(title, results, preamble=()):
@@ -62,7 +65,8 @@ def cmd_simulate(args):
     out = run(cfg)
     sec = out.section
     write_fields(args.out, sec.grid, {"rho": sec.rho, "theta": sec.theta,
-                                      "Omega": sec.Omega, "omega": sec.omega})
+                                      "Omega": sec.Omega, "omega": sec.omega},
+                 model=cfg.params)
     write_steps(args.out, out.steps)
     results = [checks.CheckResult(k, v, None, True)
                for k, v in out.summary.items()]
@@ -82,10 +86,10 @@ def cmd_simulate(args):
 
 
 def cmd_residuals(args):
-    params = default_params()
     if args.indir:
-        sec = _section_from_dir(args.indir)
+        sec, params = _section_from_dir(args.indir)
     else:
+        params = default_params()
         cfg = SimConfig(grid=_default_grid(args), params=params,
                         preset=args.preset)
         sec = run(cfg).section
@@ -112,14 +116,15 @@ def cmd_reconstruct(args):
     Lam = red.reconstruct_rotation(gr, fields["Omega"], fields["omega"],
                                    Lambda0.reshape(3, 3), tol=args.tol)
     outdir = args.out or args.indir
-    write_fields(outdir, gr, {"Lambda": Lam})
+    # writing into the input run adds Lambda to its manifest
+    same = os.path.realpath(outdir) == os.path.realpath(args.indir)
+    write_fields(outdir, gr, {"Lambda": Lam}, merge=same)
     sys.stdout.write(f"reconstructed Lambda written to {outdir}/Lambda.csv\n")
     return EXIT_OK
 
 
 def cmd_noether(args):
-    params = default_params()
-    sec = _section_from_dir(args.indir)
+    sec, params = _section_from_dir(args.indir)
     flat = g.norm_max(red.flatness_residual_rotation(sec))
     tol = args.tol if args.tol is not None else 10.0 * flat + 1e-6
     Lam = red.reconstruct_rotation(sec.grid, sec.Omega, sec.omega, np.eye(3),

@@ -41,6 +41,8 @@ def _check_symmetric(M, name):
     M = np.asarray(M, dtype=float)
     if M.shape != (3, 3):
         raise ValueError(f"{name} must be a 3x3 matrix")
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{name} must be finite")
     defect = float(np.max(np.abs(M - M.T)))
     if defect > _SYM_TOL:
         raise ValueError(f"{name} symmetry defect {defect:.3e} exceeds {_SYM_TOL}")

@@ -21,6 +21,11 @@ MAX_LOG_ANGLE = np.pi - 1e-6
 # Frobenius trust radius of the polar projection.
 POLAR_TRUST_RADIUS = 0.1
 
+# Newton-Schulz polar iteration: step cap, and the orthogonality defect
+# below which one more step reaches roundoff.
+POLAR_MAX_STEPS = 8
+POLAR_SETTLED = 1e-8
+
 IDENTITY = np.eye(3)
 
 
@@ -137,20 +142,38 @@ def rotation_angle(R):
 
 
 def reorthonormalize(M):
-    """Nearest rotation matrix in the Frobenius sense (polar factor via SVD).
+    """Nearest rotation matrix in the Frobenius sense (polar factor).
 
+    Newton-Schulz iteration ``R <- R (3 Id - R^T R) / 2``: it keeps the
+    singular vectors and drives every singular value in (0, sqrt 3) to 1
+    quadratically, so it needs one step for a product of rotations and at
+    most five within the trust radius (singular values in [0.9, 1.1]).
     Raises :class:`TooFarFromGroupError` when the input is more than
-    ``POLAR_TRUST_RADIUS`` away from SO(3).
+    ``POLAR_TRUST_RADIUS`` away from SO(3): when the iteration does not
+    settle, when the polar factor is a reflection (``det M <= 0``), or when
+    it lies too far from ``M``.
     """
     M = np.asarray(M, dtype=float)
-    u, _, vt = np.linalg.svd(M)
-    det = np.linalg.det(u @ vt)
-    flip = np.ones(M.shape[:-2] + (3,))
-    flip[..., 2] = np.sign(det)
-    R = (u * flip[..., None, :]) @ vt
-    dist = np.sqrt(np.sum((M - R) ** 2, axis=(-2, -1)))
-    worst = float(np.max(dist))
-    if worst > POLAR_TRUST_RADIUS:
+    R = M
+    for _ in range(POLAR_MAX_STEPS):
+        # a contiguous transpose makes the batched product ~2x faster
+        gram = np.ascontiguousarray(np.swapaxes(R, -1, -2)) @ R
+        defect = float(np.abs(gram - IDENTITY).max())
+        R = R @ (1.5 * IDENTITY - 0.5 * gram)
+        # the next defect is about 3/4 of this one squared: roundoff
+        if defect <= POLAR_SETTLED:
+            break
+    else:
+        raise TooFarFromGroupError(
+            f"polar iteration did not settle (orthogonality defect "
+            f"{defect:.3e}); input is beyond trust radius {POLAR_TRUST_RADIUS}")
+    # R is orthogonal now, with the sign of det M unless M is out of reach
+    if not np.all(np.linalg.det(R) > 0.0):
+        raise TooFarFromGroupError(
+            "det <= 0: the nearest orthogonal matrix is a reflection, beyond "
+            f"trust radius {POLAR_TRUST_RADIUS} of SO(3)")
+    worst = float(np.sqrt(((M - R) ** 2).sum(axis=(-2, -1)).max()))
+    if not worst <= POLAR_TRUST_RADIUS:
         raise TooFarFromGroupError(
             f"distance to SO(3) is {worst:.3e}, beyond trust radius "
             f"{POLAR_TRUST_RADIUS}")

@@ -26,6 +26,14 @@ def params_free():
     return model.free_params()
 
 
+def svd_polar(M):
+    """Polar factor from an independent SVD computation (batched)."""
+    u, _, vt = np.linalg.svd(M)
+    flip = np.ones(M.shape[:-2] + (3,))
+    flip[..., 2] = np.linalg.det(u @ vt)
+    return (u * flip[..., None, :]) @ vt
+
+
 def random_stage1_point(rng, scale=1.0):
     return model.Stage1Point(*(scale * rng.normal(size=3) for _ in range(6)))
 

@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strand_reduce.cli import main
 
@@ -142,6 +148,105 @@ class TestMalformedInputs:
         assert f"has {32 * 40 - 7} rows, expected {32 * 40}" in err
 
 
+    def test_missing_field_file(self, tmp_path, config_file, capsys):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        (out / "theta.csv").unlink()
+        capsys.readouterr()
+        err = self.assert_config_exit(["residuals", "--in", str(out)], capsys)
+        assert "theta.csv" in err
+
+    def test_manifest_without_model_line(self, tmp_path, config_file, capsys):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        manifest = out / "manifest.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        assert lines[-1].startswith("model ")
+        manifest.write_text("".join(lines[:-1]))
+        capsys.readouterr()
+        for command in ("residuals", "noether"):
+            err = self.assert_config_exit([command, "--in", str(out)], capsys)
+            assert "model line" in err
+        # reconstruct does not need the model
+        assert main(["reconstruct", "--in", str(out), "--tol", "0.1",
+                     "--out", str(tmp_path / "rec")]) == 0
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small_run")
+    cfg = root / "run.cfg"
+    cfg.write_text(CONFIG.replace("n_s = 32", "n_s = 8").replace("n_t = 40", "n_t = 10"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(cfg), "--out", str(root / "out")]) == 0
+    return root / "out"
+
+
+def mutate_run(run, action, line_i, token_i, text, keep_key):
+    """Apply one edit to a stored run: a manifest token, a kind or a file."""
+    manifest = run / "manifest.txt"
+    lines = [line.split() for line in manifest.read_text().splitlines()]
+    if action == "delete_file":
+        (run / ("Omega.csv", "omega.csv", "rho.csv", "theta.csv")[line_i % 4]).unlink()
+        return
+    if action == "kind":
+        fields = [parts for parts in lines if parts[0] == "field"]
+        parts = fields[line_i % len(fields)]
+        parts[3] = "kind=" + ("scalar", "vec3", "rot3", "tensor")[token_i % 4]
+    else:
+        parts = lines[line_i % len(lines)]
+        j = token_i % len(parts)
+        if action == "drop":
+            del parts[j]
+        elif action == "duplicate":
+            parts.insert(j, parts[j])
+        else:
+            key = parts[j].split("=", 1)[0] + "=" if keep_key and "=" in parts[j] else ""
+            parts[j] = key + text
+    manifest.write_text("".join(" ".join(parts) + "\n" for parts in lines))
+
+
+class TestExitCodeContract:
+    """Whatever one edit does to a stored run, the CLI keeps its exit codes."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(action=st.sampled_from(["drop", "duplicate", "garble", "delete_file",
+                                   "kind"]),
+           line_i=st.integers(0, 1000), token_i=st.integers(0, 1000),
+           text=st.text(alphabet="0123456789.-+=,eainfx/", max_size=8),
+           keep_key=st.booleans())
+    def test_mutated_stored_run(self, small_run, action, line_i, token_i, text,
+                                keep_key):
+        with tempfile.TemporaryDirectory() as tmp:
+            run = Path(tmp) / "run"
+            shutil.copytree(small_run, run)
+            mutate_run(run, action, line_i, token_i, text, keep_key)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["residuals", "--in", str(run)])
+        assert code in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err.getvalue()
+
+
+def report_values(text):
+    return {parts[0]: float(parts[1]) for parts in map(str.split, text.splitlines())
+            if len(parts) == 4 and parts[3] in ("PASS", "FAIL")}
+
+
+class TestStoredModel:
+    def test_stored_run_evaluated_with_its_own_model(self, tmp_path, capsys):
+        cfg = tmp_path / "stiff.cfg"
+        cfg.write_text(CONFIG.replace("kappa = 1.0", "kappa = 2.0")
+                       .replace("C = diag 1 0.8 0.6", "C = diag 2.5 2 1.5"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        want = report_values(capsys.readouterr().out)["residual_vertical_l2"]
+        assert main(["residuals", "--in", str(out)]) == 0
+        got = report_values(capsys.readouterr().out)["stage1_vertical_l2"]
+        assert abs(got - want) <= 1e-12 * want
+
+
 class TestResiduals:
     def test_static_preset_norms_tiny(self, capsys):
         assert main(["residuals", "--preset", "static", "--n-s", "16",
@@ -166,6 +271,21 @@ class TestReconstruct:
                      "--out", str(tmp_path / "rec")])
         assert code == 0
         assert (tmp_path / "rec" / "Lambda.csv").exists()
+
+    def test_in_place_keeps_manifest(self, tmp_path, config_file, capsys):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["residuals", "--in", str(out)]) == 0
+        before = capsys.readouterr().out
+        assert main(["reconstruct", "--in", str(out), "--tol", "1e-2"]) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert [ln.split()[1] for ln in lines if ln.startswith("field ")] == [
+            "name=Lambda", "name=Omega", "name=omega", "name=rho", "name=theta"]
+        assert lines[-1].startswith("model ")
+        capsys.readouterr()
+        assert main(["residuals", "--in", str(out)]) == 0
+        assert capsys.readouterr().out == before
 
     def test_not_flat_exit_code(self, tmp_path, capsys):
         from strand_reduce.fields_io import write_fields

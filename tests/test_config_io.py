@@ -8,7 +8,8 @@ from strand_reduce import simulate as sim
 from strand_reduce.config import parse_config
 from strand_reduce.errors import ConfigError
 from strand_reduce.fields_io import (read_fields, read_initial_slice,
-                                     write_fields, write_initial_slice)
+                                     read_model, write_fields,
+                                     write_initial_slice)
 from tests.conftest import small_grid
 
 GOOD = """
@@ -89,6 +90,11 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(bad)
         assert "inertia.I" in str(err.value)
+
+    def test_non_finite_matrix_rejected(self):
+        bad = GOOD.replace("C = diag 1 0.8 0.6", "C = diag nan 0.8 0.6")
+        with pytest.raises(ConfigError, match="pot_C must be finite"):
+            parse_config(bad)
 
     def test_cfl_guard_rejected(self):
         bad = GOOD.replace("n_t = 20", "n_t = 3")  # dt = 0.05 > guard
@@ -201,6 +207,58 @@ class TestFieldsIO:
         manifest.write_text(text)
         with pytest.raises(ConfigError):
             read_fields(tmp_path)
+
+    def test_vec3_entry_with_rot3_header_rejected(self, rng, tmp_path):
+        gr = small_grid(n_t=5, n_s=7)
+        write_fields(tmp_path, gr, {"Lambda": rng.normal(size=(5, 7, 3, 3))})
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("kind=rot3", "kind=vec3"))
+        with pytest.raises(ConfigError, match="header"):
+            read_fields(tmp_path)
+
+    def test_model_line_round_trip(self, rng, tmp_path, params):
+        gr = small_grid(n_t=5, n_s=7)
+        rho = rng.normal(size=(5, 7, 3))
+        write_fields(tmp_path / "m", gr, {"rho": rho}, model=params)
+        back = read_model(tmp_path / "m")
+        for name in ("inertia_body", "inertia_rotor", "pot_C", "pot_D",
+                     "pot_kappa", "pot_c0"):
+            assert np.array_equal(getattr(back, name), getattr(params, name))
+        # the model line is the last one, and the only difference
+        write_fields(tmp_path / "plain", gr, {"rho": rho})
+        lines = (tmp_path / "m" / "manifest.txt").read_text().splitlines(True)
+        assert lines[-1].startswith("model I=")
+        assert "".join(lines[:-1]) == (tmp_path / "plain" / "manifest.txt").read_text()
+        with pytest.raises(ConfigError, match="model line"):
+            read_model(tmp_path / "plain")
+
+    @pytest.mark.parametrize("edit", [("I=", "I=x,"), ("C=1,", "C=nan,"),
+                                      ("c0=1", "c0=-1"), (" kappa=1", "")])
+    def test_malformed_model_line_rejected(self, tmp_path, params, edit):
+        gr = small_grid(n_t=5, n_s=7)
+        write_fields(tmp_path, gr, {"rho": np.zeros((5, 7, 3))}, model=params)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(*edit))
+        with pytest.raises(ConfigError):
+            read_model(tmp_path)
+
+    def test_merge_keeps_fields_and_model(self, rng, tmp_path, params):
+        gr = small_grid(n_t=5, n_s=7)
+        rho = rng.normal(size=(5, 7, 3))
+        write_fields(tmp_path, gr, {"rho": rho}, model=params)
+        before = (tmp_path / "manifest.txt").read_text().splitlines(True)
+        lam = rng.normal(size=(5, 7, 3, 3))
+        write_fields(tmp_path, gr, {"Lambda": lam}, merge=True)
+        after = (tmp_path / "manifest.txt").read_text().splitlines(True)
+        assert after[0] == before[0] and after[2:] == before[1:]
+        assert after[1].startswith("field name=Lambda ")
+        _, back = read_fields(tmp_path)
+        assert np.array_equal(back["rho"], rho)
+        assert np.array_equal(back["Lambda"], lam)
+        other = small_grid(n_t=5, n_s=8)
+        with pytest.raises(ConfigError, match="another grid"):
+            write_fields(tmp_path, other, {"Lambda": rng.normal(size=(5, 8, 3, 3))},
+                         merge=True)
 
     def test_initial_slice_round_trip(self, rng, tmp_path, params):
         gr = small_grid(n_s=9, n_t=5)

@@ -5,7 +5,7 @@ from strand_reduce import grid as g
 from strand_reduce import reduction as red
 from strand_reduce import so3
 from strand_reduce.errors import NotFlatError
-from tests.conftest import small_grid
+from tests.conftest import small_grid, svd_polar
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -317,3 +317,34 @@ class TestReconstructTheta:
         a = np.stack([t + 0.0 * gr.s_coords()[None, :]] * 3, axis=-1)
         with pytest.raises(NotFlatError):
             red.reconstruct_theta(gr, a, np.zeros_like(a), np.zeros(3), tol=1e-6)
+
+
+def svd_sweep_reconstruction(gr, Omega, omega, Lambda0, sweep):
+    """reconstruct_rotation's two sweep orders with an SVD polar factor."""
+    def step(L, rate, h):
+        return svd_polar(L @ so3.exp_so3(h * rate))
+
+    Lam = np.empty((gr.n_t, gr.n_s, 3, 3))
+    Lam[0, 0] = Lambda0
+    if sweep == "st":
+        for j in range(gr.n_s - 1):
+            Lam[0, j + 1] = step(Lam[0, j], 0.5 * (Omega[0, j] + Omega[0, j + 1]), gr.ds)
+        for i in range(gr.n_t - 1):
+            Lam[i + 1] = step(Lam[i], 0.5 * (omega[i] + omega[i + 1]), gr.dt)
+    else:
+        for i in range(gr.n_t - 1):
+            Lam[i + 1, 0] = step(Lam[i, 0], 0.5 * (omega[i, 0] + omega[i + 1, 0]), gr.dt)
+        for j in range(gr.n_s - 1):
+            Lam[:, j + 1] = step(Lam[:, j], 0.5 * (Omega[:, j] + Omega[:, j + 1]), gr.ds)
+    return Lam
+
+
+@pytest.mark.parametrize("sweep", ["st", "ts"])
+def test_reconstruction_matches_svd_sweep(rng, sweep):
+    gr = small_grid(n_t=24, n_s=40, bc=g.CLAMPED)
+    _, Omega, omega = separable_flat_lift(gr)
+    Lambda0 = so3.random_rotation(rng)
+    Lam = red.reconstruct_rotation(gr, Omega, omega, Lambda0, tol=1e-2,
+                                   sweep=sweep)
+    want = svd_sweep_reconstruction(gr, Omega, omega, Lambda0, sweep)
+    assert np.allclose(Lam, want, rtol=0.0, atol=1e-13)

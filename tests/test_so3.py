@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from strand_reduce import so3
 from strand_reduce.errors import (NearAnglePiError, NotAntisymmetricError,
                                   TooFarFromGroupError)
+from tests.conftest import svd_polar
 
 E1, E2, E3 = np.eye(3)
 
@@ -149,3 +150,52 @@ class TestReorthonormalize:
         d = np.linalg.det(u @ vt)
         want = u @ np.diag([1.0, 1.0, d]) @ vt
         assert np.allclose(so3.reorthonormalize(M), want, atol=1e-12)
+
+
+def extended_polar(M):
+    """Polar factor by Newton-Schulz in extended precision (np.longdouble)."""
+    X = np.asarray(M, dtype=np.longdouble)
+    eye = np.eye(3, dtype=np.longdouble)
+    for _ in range(8):
+        X = X @ (1.5 * eye - 0.5 * np.swapaxes(X, -1, -2) @ X)
+    return X
+
+
+class TestNewtonSchulzPolar:
+    def sweep_batch(self, rng, n=256):
+        R = np.array([so3.random_rotation(rng) for _ in range(n)])
+        return R @ so3.exp_so3(0.01 * rng.normal(size=(n, 3)))
+
+    def test_sweep_inputs_match_svd(self, rng):
+        M = self.sweep_batch(rng)
+        R = so3.reorthonormalize(M)
+        # the SVD oracle carries about 1e-15 of its own roundoff; against
+        # the extended-precision polar factor the iteration is within 1e-15
+        assert np.max(np.abs(R - extended_polar(M))) <= 1e-15
+        assert np.max(np.abs(R - svd_polar(M))) <= 2e-15
+
+    def test_perturbed_inputs_match_svd(self, rng):
+        R = np.array([so3.random_rotation(rng) for _ in range(256)])
+        P = rng.normal(size=(256, 3, 3))
+        P *= (rng.uniform(0.0, 0.099, size=256)
+              / np.linalg.norm(P, axis=(1, 2)))[:, None, None]
+        P[0] *= 0.099 / np.linalg.norm(P[0])
+        M = R + P
+        assert np.max(np.linalg.norm(M - svd_polar(M), axis=(1, 2))) <= 0.099
+        assert np.max(np.abs(so3.reorthonormalize(M) - svd_polar(M))) <= 1e-14
+
+    @pytest.mark.parametrize("M", [
+        np.diag([1.0, 1.0, -1.0]),
+        np.diag([1.0, 1.0, 0.0]),
+        -2.0 * np.eye(3),
+        -np.eye(3),
+        1.2 * np.eye(3),
+        np.full((3, 3), np.nan),
+    ], ids=["reflection", "singular", "minus_2I", "minus_I", "1.2I", "nan"])
+    def test_outside_trust_region_raises(self, rng, M):
+        with pytest.raises(TooFarFromGroupError):
+            so3.reorthonormalize(M)
+        batch = self.sweep_batch(rng, n=8)
+        batch[5] = M
+        with pytest.raises(TooFarFromGroupError):
+            so3.reorthonormalize(batch)
