@@ -192,6 +192,6 @@ def load_config(path):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     return parse_config(text, source=path, base_dir=os.path.dirname(path) or ".")

@@ -2,13 +2,15 @@
 
 One CSV per field, rows in t-major then s order, reals printed with 17
 significant digits (lossless for doubles), LF line endings.  A manifest file
-records the grid metadata, a sha256 checksum per field file (so any change
-in any value changes the manifest) and, for simulated runs, the model the
-fields were computed with.
+records the grid metadata, a sha256 checksum per field file, hashed from the
+bytes as they are written (so any change in any value changes the manifest)
+and, for simulated runs, the model the fields were computed with.
 """
 
 import hashlib
+import itertools
 import os
+import warnings
 
 import numpy as np
 
@@ -22,20 +24,13 @@ FMT = "%.17g"
 _KINDS = {(): "scalar", (3,): "vec3", (3, 3): "rot3"}
 _SHAPES = {kind: shape for shape, kind in _KINDS.items()}
 _WIDTH = {"scalar": 1, "vec3": 3, "rot3": 9}
+_HEADER = {kind: "t_index,s_index,t,s," + ",".join(f"c{k + 1}" for k in range(w))
+           + "\n" for kind, w in _WIDTH.items()}
 
 # Tokens of the manifest's ``model`` line and the ModelParams fields they hold.
 _MODEL_TOKENS = (("I", "inertia_body"), ("K", "inertia_rotor"),
                  ("C", "pot_C"), ("D", "pot_D"),
                  ("kappa", "pot_kappa"), ("c0", "pot_c0"))
-
-
-def _fmt(x):
-    return FMT % x
-
-
-def _header(width):
-    return ("t_index,s_index,t,s," +
-            ",".join(f"c{k + 1}" for k in range(width)) + "\n")
 
 
 def write_fields(outdir, grid, fields, model=None, merge=False):
@@ -53,12 +48,12 @@ def write_fields(outdir, grid, fields, model=None, merge=False):
             raise ConfigError(f"manifest.txt in {outdir} is for another grid "
                               f"({old_grid}); not merging")
     if model is not None:
-        model_kv = {token: ",".join(_fmt(x) for x in
+        model_kv = {token: ",".join(FMT % x for x in
                                     np.ravel(getattr(model, attr)).tolist())
                     for token, attr in _MODEL_TOKENS}
     os.makedirs(outdir, exist_ok=True)
-    t = [_fmt(x) for x in grid.t_coords().tolist()]
-    s = [_fmt(x) for x in grid.s_coords().tolist()]
+    t = [FMT % x for x in grid.t_coords().tolist()]
+    s = [FMT % x for x in grid.s_coords().tolist()]
     written = {}
     for name in sorted(fields):
         values = np.asarray(fields[name], dtype=float)
@@ -66,19 +61,17 @@ def write_fields(outdir, grid, fields, model=None, merge=False):
         if kind is None or values.shape[:2] != (grid.n_t, grid.n_s):
             raise ValueError(f"field '{name}' does not match the grid")
         width = _WIDTH[kind]
-        flat = values.reshape(grid.n_t, grid.n_s, width)
-        # One format per row and one write per time level; tolist() per
-        # level keeps the Python floats to a single slice.
-        row_fmt = "%s," + ",".join([FMT] * width) + "\n"
+        flat = values.reshape(grid.n_t, grid.n_s * width)
+        # One template per field and one % per time level: only the tokens
+        # <i> and <t> change from level to level.
+        vals = ",".join([FMT] * width) + "\n"
+        level = "".join([f"<i>,{j},<t>,{sj}," + vals for j, sj in enumerate(s)])
         path = os.path.join(outdir, f"{name}.csv")
-        with open(path, "w", newline="\n") as fh:
-            fh.write(_header(width))
-            for i, ti in enumerate(t):
-                level = zip(s, flat[i].tolist())
-                fh.write("".join([row_fmt % (f"{i},{j},{ti},{sj}", *row)
-                                  for j, (sj, row) in enumerate(level)]))
+        digest = _write_stream(path, _HEADER[kind], (
+            level.replace("<i>", str(i)).replace("<t>", ti) % tuple(flat[i].tolist())
+            for i, ti in enumerate(t)))
         written[name] = (path, kind)
-        entries[name] = (os.path.basename(path), kind, _sha256(path))
+        entries[name] = (os.path.basename(path), kind, digest)
     _write_manifest(outdir, grid, entries, model_kv)
     return written
 
@@ -92,18 +85,25 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _write_stream(path, head, chunks=()):
+    """Write text ``head`` then ``chunks``; sha256 hex of the bytes written."""
+    h = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in itertools.chain((head,), chunks):
+            data = text.encode()
+            h.update(data)
+            fh.write(data)
+    return h.hexdigest()
+
+
 def _write_manifest(outdir, grid, entries, model_kv):
-    path = os.path.join(outdir, "manifest.txt")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"grid n_t={grid.n_t} n_s={grid.n_s} dt={_fmt(grid.dt)} "
-                 f"ds={_fmt(grid.ds)} bc={grid.bc_s}\n")
-        for name in sorted(entries):
-            fname, kind, digest = entries[name]
-            fh.write(f"field name={name} file={fname} kind={kind} "
-                     f"sha256={digest}\n")
-        if model_kv is not None:
-            fh.write("model " + " ".join(f"{k}={v}" for k, v in model_kv.items())
-                     + "\n")
+    lines = [f"grid n_t={grid.n_t} n_s={grid.n_s} dt={FMT % grid.dt} "
+             f"ds={FMT % grid.ds} bc={grid.bc_s}"]
+    lines += [f"field name={name} file={fname} kind={kind} sha256={digest}"
+              for name, (fname, kind, digest) in sorted(entries.items())]
+    if model_kv is not None:
+        lines.append("model " + " ".join(f"{k}={v}" for k, v in model_kv.items()))
+    _write_stream(os.path.join(outdir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
 def _read_manifest(indir):
@@ -111,9 +111,7 @@ def _read_manifest(indir):
     manifest = os.path.join(indir, "manifest.txt")
     if not os.path.exists(manifest):
         raise ConfigError(f"no manifest.txt in {indir}")
-    grid = None
-    entries = {}
-    model_kv = None
+    grid, entries, model_kv = None, {}, None
     with open(manifest) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -172,64 +170,66 @@ def read_fields(indir, names=None):
         try:
             if _sha256(path) != digest:
                 raise ConfigError(f"{path}: sha256 differs from manifest.txt")
+            with open(path) as fh:
+                if fh.readline() != _HEADER[kind]:
+                    raise ConfigError(f"{path}: header does not match "
+                                      f"kind={kind} in manifest.txt")
+                data = _loadtxt(fh, usecols=range(4, 4 + _WIDTH[kind]))
         except OSError as exc:
             raise ConfigError(f"{path}: {exc.strerror or exc} (listed in "
                               "manifest.txt)") from None
-        width = _WIDTH[kind]
-        try:
-            with open(path) as fh:
-                if fh.readline() != _header(width):
-                    raise ConfigError(f"{path}: header does not match "
-                                      f"kind={kind} in manifest.txt")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2,
-                                  usecols=range(4, 4 + width))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
         if data.shape[0] != rows:
             raise ConfigError(f"{path} has {data.shape[0]} rows, expected "
                               f"{rows} (n_t={grid.n_t} x n_s={grid.n_s})")
         fields[name] = data.reshape((grid.n_t, grid.n_s) + _SHAPES[kind])
-    if names is not None:
-        missing = set(names) - set(fields)
-        if missing:
-            raise ConfigError(f"fields {sorted(missing)} not found in {indir}")
+    missing = set(names or ()) - set(fields)
+    if missing:
+        raise ConfigError(f"fields {sorted(missing)} not found in {indir}")
     return grid, fields
 
 
 def write_steps(outdir, rows):
     """Per-step diagnostics CSV."""
+    rows = np.asarray(rows, dtype=float)
     path = os.path.join(outdir, "diagnostics.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("step,t,max_state,rotor_total_1,rotor_total_2,rotor_total_3\n")
-        for row in np.asarray(rows):
-            fh.write(f"{int(row[0])}," + ",".join(_fmt(v) for v in row[1:]) + "\n")
+    row = "%d," + ",".join([FMT] * (rows.shape[1] - 1)) + "\n"
+    _write_stream(path, "step,t,max_state,rotor_total_1,rotor_total_2,rotor_total_3\n",
+                  [row * len(rows) % tuple(rows.ravel().tolist())])
     return path
 
 
 def write_initial_slice(path, state):
     """One-row-per-node CSV holding a full initial state slice."""
-    arrays = [getattr(state, name) for name in COMPONENTS]
-    n_s = arrays[0].shape[0]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("s_index," + ",".join(f"{name}{k + 1}" for name in COMPONENTS
-                                       for k in range(3)) + "\n")
-        for j in range(n_s):
-            vals = [a[j, k] for a in arrays for k in range(3)]
-            fh.write(f"{j}," + ",".join(_fmt(v) for v in vals) + "\n")
+    values = np.concatenate([getattr(state, name) for name in COMPONENTS], axis=1)
+    row = "," + ",".join([FMT] * values.shape[1]) + "\n"
+    head = ",".join(f"{name}{k + 1}" for name in COMPONENTS for k in range(3))
+    _write_stream(path, f"s_index,{head}\n",
+                  ["".join([f"{j}{row}" for j in range(len(values))])
+                   % tuple(values.ravel().tolist())])
     return path
 
 
+def _loadtxt(source, **kwargs):
+    """``np.loadtxt`` of a CSV body; an empty one is left to the shape checks."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(source, delimiter=",", ndmin=2, **kwargs)
+
+
 def read_initial_slice(path, n_s):
-    if not os.path.exists(path):
-        raise ConfigError(f"initial state file not found: {path}", key="init.file")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = _loadtxt(path, skiprows=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"initial state file {path}: {exc}",
+                          key="init.file") from None
     if data.shape != (n_s, 1 + 3 * len(COMPONENTS)):
         raise ConfigError(
             f"initial state file {path} has shape {data.shape}, "
             f"expected ({n_s}, {1 + 3 * len(COMPONENTS)})", key="init.file")
-    parts = {name: data[:, 1 + 3 * i:4 + 3 * i]
-             for i, name in enumerate(COMPONENTS)}
-    return StateSlice(**parts)
+    return StateSlice(**{name: data[:, 1 + 3 * i:4 + 3 * i]
+                         for i, name in enumerate(COMPONENTS)})
 
 
 def format_report(title, checks, preamble=()):
@@ -237,14 +237,13 @@ def format_report(title, checks, preamble=()):
     lines = [title]
     lines.extend(preamble)
     for c in checks:
-        tol = "-" if c.tol is None else _fmt(c.tol)
-        lines.append(f"{c.name} {_fmt(c.value)} {tol} "
+        tol = "-" if c.tol is None else FMT % c.tol
+        lines.append(f"{c.name} {FMT % c.value} {tol} "
                      f"{'PASS' if c.passed else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
 
 def write_report(path, title, checks, preamble=()):
     text = format_report(title, checks, preamble)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    _write_stream(path, text)
     return text

@@ -30,6 +30,7 @@ theta itself is carried alongside (rate v) purely so the assembled output is
 a complete stage-1 section; it does not feed back into the dynamics.
 """
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,16 +191,19 @@ class RunResult:
     steps: np.ndarray        # per-step rows: step, t, max|state|, rotor total (3)
     summary: dict
     final_state: StateSlice = None
+    seconds: dict = field(default_factory=dict)  # wall s: march, summary
 
 
 def run(cfg):
     """March the reduced system over the configured grid.
 
-    Returns the assembled stage-1 section, per-step diagnostics and a
+    Returns the assembled stage-1 section, per-step diagnostics, a
     post-hoc summary (interior residual norms, flatness defects, drift of
-    the conserved rotor total).  Raises :class:`BlowupError` when any state
-    norm exceeds the guard.
+    the conserved rotor total) and the wall seconds of the march and of the
+    summary.  Raises :class:`BlowupError` when any state norm exceeds the
+    guard.
     """
+    t_march = time.perf_counter()
     cfg.validate()
     gr = cfg.grid
     p = cfg.params
@@ -240,9 +244,12 @@ def run(cfg):
 
     section = Stage1Section(grid=gr, rho=rho, theta=theta, Omega=Omega,
                             omega=omega)
+    t_summary = time.perf_counter()
     summary = run_summary(section, p, rows)
+    seconds = {"march": t_summary - t_march,
+               "summary": time.perf_counter() - t_summary}
     return RunResult(section=section, steps=rows, summary=summary,
-                     final_state=StateSlice.unpack(y))
+                     final_state=StateSlice.unpack(y), seconds=seconds)
 
 
 def run_summary(section, p, rows):

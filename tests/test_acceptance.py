@@ -266,7 +266,7 @@ def test_criterion_9_determinism(tmp_path, report):
     same = all(
         (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         for name in ("rho.csv", "theta.csv", "Omega.csv", "omega.csv",
-                     "manifest.txt", "diagnostics.csv"))
+                     "manifest.txt", "diagnostics.csv", "report.txt"))
     report(9, "determinism", same,
             "two runs byte-identical; battery time asserted at session end")
     assert same

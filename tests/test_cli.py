@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -14,6 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strand_reduce.cli import main
+from strand_reduce.config import parse_config
+from strand_reduce.fields_io import write_initial_slice
+from strand_reduce.simulate import presets
 
 CONFIG = """
 [grid]
@@ -60,6 +64,11 @@ class TestSimulate:
         assert (out / "diagnostics.csv").exists()
         report = (out / "report.txt").read_text()
         assert "residual_vertical_l2" in report
+        assert "timing" not in report
+        timings = json.loads((out / "timings.json").read_text())
+        assert sorted(timings) == ["march_s", "parse_s", "summary_s", "total_s",
+                                   "write_s"]
+        assert all(v >= 0.0 for v in timings.values())
 
     def test_determinism_byte_identical(self, tmp_path, config_file):
         a = tmp_path / "a"
@@ -111,6 +120,13 @@ class TestMalformedInputs:
                                        "--out", str(tmp_path / "o")], capsys)
         assert "[grid]" in err
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(CONFIG.encode() + b"# \xe9\n")
+        err = self.assert_config_exit(["simulate", "--config", str(cfg),
+                                       "--out", str(tmp_path / "o")], capsys)
+        assert "cannot read config file" in err
+
     def test_grid_over_memory_guard(self, tmp_path, capsys):
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(CONFIG.replace("n_s = 32", "n_s = 100000")
@@ -135,17 +151,37 @@ class TestMalformedInputs:
         # the manifest is rewritten to match, so the row count is what fails
         out = tmp_path / "out"
         main(["simulate", "--config", str(config_file), "--out", str(out)])
-        path = out / "Omega.csv"
-        old = hashlib.sha256(path.read_bytes()).hexdigest()
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:-7]))
-        new = hashlib.sha256(path.read_bytes()).hexdigest()
-        manifest = out / "manifest.txt"
-        manifest.write_text(manifest.read_text().replace(old, new))
+        rewrite_rehashed(out, "Omega.csv", lambda lines: lines[:-7])
         capsys.readouterr()
         err = self.assert_config_exit(["residuals", "--in", str(out)], capsys)
         assert "Omega.csv" in err
         assert f"has {32 * 40 - 7} rows, expected {32 * 40}" in err
+
+    def test_header_only_field_csv(self, tmp_path, config_file):
+        # a fresh process, so that numpy's "input contained no data" warning
+        # would reach stderr instead of pytest's warning capture
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["simulate", "--config", str(config_file), "--out", str(out)])
+        rewrite_rehashed(out, "rho.csv", lambda lines: lines[:1])
+        proc = subprocess.run([sys.executable, "-m", "strand_reduce", "residuals",
+                               "--in", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert "rho.csv has 0 rows" in proc.stderr
+
+    @pytest.mark.parametrize("body", ["0,x\n", "", None])
+    def test_unreadable_init_csv(self, tmp_path, capsys, body):
+        init = tmp_path / "init_bad.csv"
+        if body is None:
+            init.mkdir()
+        else:
+            init.write_text("s_index,rho1\n" + body)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.replace("preset = twistpulse", "file = init_bad.csv"))
+        err = self.assert_config_exit(["simulate", "--config", str(cfg),
+                                       "--out", str(tmp_path / "o")], capsys)
+        assert "init_bad.csv" in err and "[init.file]" in err
 
 
     def test_missing_field_file(self, tmp_path, config_file, capsys):
@@ -182,6 +218,16 @@ def small_run(tmp_path_factory):
     return root / "out"
 
 
+def rewrite_rehashed(run, fname, edit):
+    """Replace a field file's lines by ``edit(lines)`` and re-hash the manifest."""
+    path = run / fname
+    old = hashlib.sha256(path.read_bytes()).hexdigest()
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    manifest = run / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(
+        old, hashlib.sha256(path.read_bytes()).hexdigest()))
+
+
 def mutate_run(run, action, line_i, token_i, text, keep_key):
     """Apply one edit to a stored run: a manifest token, a kind or a file."""
     manifest = run / "manifest.txt"
@@ -206,6 +252,33 @@ def mutate_run(run, action, line_i, token_i, text, keep_key):
     manifest.write_text("".join(" ".join(parts) + "\n" for parts in lines))
 
 
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """A tiny config whose initial state comes from ``init.csv``."""
+    root = tmp_path_factory.mktemp("small_inputs")
+    text = (CONFIG.replace("n_s = 32", "n_s = 8").replace("n_t = 40", "n_t = 10")
+            .replace("preset = twistpulse", "file = init.csv"))
+    (root / "run.cfg").write_text(text)
+    cfg = parse_config(text.replace("file = init.csv", "preset = twistpulse"))
+    write_initial_slice(root / "init.csv", presets("twistpulse", cfg.grid, cfg.params))
+    return root
+
+
+def mutate_tokens(path, sep, action, line_i, token_i, text):
+    """Drop, duplicate or garble one ``sep``-separated token of a text file."""
+    lines = [line.split(sep) for line in path.read_text().splitlines()
+             if line.strip()]
+    parts = lines[line_i % len(lines)]
+    j = token_i % len(parts)
+    if action == "drop":
+        del parts[j]
+    elif action == "duplicate":
+        parts.insert(j, parts[j])
+    else:
+        parts[j] = text
+    path.write_text("".join((sep or " ").join(parts) + "\n" for parts in lines))
+
+
 class TestExitCodeContract:
     """Whatever one edit does to a stored run, the CLI keeps its exit codes."""
 
@@ -225,6 +298,30 @@ class TestExitCodeContract:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
                 code = main(["residuals", "--in", str(run)])
+        assert code in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err.getvalue()
+
+    # Garbles are at most 3 characters, so a mutated grid stays small: n_t
+    # tops out at 999 and a larger n_s fails the step guard or the init shape.
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(target=st.sampled_from(["config", "init"]),
+           action=st.sampled_from(["drop", "duplicate", "garble"]),
+           line_i=st.integers(0, 1000), token_i=st.integers(0, 1000),
+           text=st.text(alphabet="0123456789.-+=,eainfx/", max_size=3))
+    def test_mutated_config_and_init_csv(self, small_inputs, target, action,
+                                         line_i, token_i, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name in ("run.cfg", "init.csv"):
+                shutil.copy(small_inputs / name, root / name)
+            mutate_tokens(root / ("run.cfg" if target == "config" else "init.csv"),
+                          None if target == "config" else ",",
+                          action, line_i, token_i, text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["simulate", "--config", str(root / "run.cfg"),
+                             "--out", str(root / "out")])
         assert code in (0, 2, 3, 4, 5)
         assert "Traceback" not in err.getvalue()
 

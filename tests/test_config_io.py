@@ -9,7 +9,7 @@ from strand_reduce.config import parse_config
 from strand_reduce.errors import ConfigError
 from strand_reduce.fields_io import (read_fields, read_initial_slice,
                                      read_model, write_fields,
-                                     write_initial_slice)
+                                     write_initial_slice, write_steps)
 from tests.conftest import small_grid
 
 GOOD = """
@@ -149,15 +149,19 @@ class TestFieldsIO:
         assert lines[2].startswith("0,1,0,0.5,")  # t-major, then s
 
     def test_bytes_match_per_value_reference(self, rng, tmp_path):
-        # the row-format writer against one "%.17g" per value
+        # the level-template writer against one "%.17g" per value
         gr = g.Grid2(n_t=3, n_s=4, dt=0.1, ds=0.25, bc_s=g.PERIODIC)
         rho = rng.normal(size=(3, 4, 3))
         rho[0, 0] = (-0.0, 5e-324, 1e300)
         rho[2, 3] = (-1e300, -5e-324, 0.1)
+        rho[1, 2] = (np.nan, np.inf, -np.inf)
         energy = rho[..., 0].copy()
-        write_fields(tmp_path, gr, {"rho": rho, "energy": energy})
+        Lambda = rng.normal(size=(3, 4, 3, 3))
+        Lambda[1, 1, 2] = (np.inf, -0.0, np.nan)
+        write_fields(tmp_path, gr, {"rho": rho, "energy": energy, "Lambda": Lambda})
         t, s = gr.t_coords(), gr.s_coords()
-        for name, flat, width in (("rho", rho, 3), ("energy", energy[..., None], 1)):
+        for name, flat, width in (("rho", rho, 3), ("energy", energy[..., None], 1),
+                                  ("Lambda", Lambda.reshape(3, 4, 9), 9)):
             want = "t_index,s_index,t,s," + ",".join(
                 f"c{k + 1}" for k in range(width)) + "\n"
             for i in range(gr.n_t):
@@ -167,6 +171,40 @@ class TestFieldsIO:
             assert (tmp_path / f"{name}.csv").read_bytes() == want.encode(), name
         assert (tmp_path / "rho.csv").read_text().splitlines()[1] == \
             "0,0,0,0,-0,4.9406564584124654e-324,1.0000000000000001e+300"
+        assert "1,2,0.10000000000000001,0.5,nan,inf,-inf" in \
+            (tmp_path / "rho.csv").read_text().splitlines()
+        # the digests are taken from the stream; they must be those of the files
+        digests = {}
+        for line in (tmp_path / "manifest.txt").read_text().splitlines()[1:]:
+            kv = dict(p.split("=", 1) for p in line.split()[1:])
+            digests[kv["file"]] = kv["sha256"]
+        assert sorted(digests) == ["Lambda.csv", "energy.csv", "rho.csv"]
+        for fname, digest in digests.items():
+            assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() \
+                == digest, fname
+
+    def test_steps_bytes_match_per_value_reference(self, rng, tmp_path):
+        rows = rng.normal(size=(5, 6))
+        rows[:, 0] = np.arange(5)
+        rows[1, 1:] = (-0.0, 5e-324, np.nan, np.inf, -np.inf)
+        write_steps(tmp_path, rows)
+        want = "step,t,max_state,rotor_total_1,rotor_total_2,rotor_total_3\n"
+        for row in rows:
+            want += f"{int(row[0])}," + ",".join("%.17g" % v for v in row[1:]) + "\n"
+        assert (tmp_path / "diagnostics.csv").read_bytes() == want.encode()
+
+    def test_initial_slice_bytes_match_per_value_reference(self, rng, tmp_path):
+        state = sim.StateSlice(**{name: rng.normal(size=(6, 3))
+                                  for name in sim.COMPONENTS})
+        state.theta[2] = (np.nan, -0.0, 1e-310)
+        write_initial_slice(tmp_path / "init.csv", state)
+        want = "s_index," + ",".join(f"{name}{k + 1}" for name in sim.COMPONENTS
+                                     for k in range(3)) + "\n"
+        for j in range(6):
+            want += f"{j}," + ",".join("%.17g" % getattr(state, name)[j, k]
+                                       for name in sim.COMPONENTS
+                                       for k in range(3)) + "\n"
+        assert (tmp_path / "init.csv").read_bytes() == want.encode()
 
     def test_manifest_checksum_tracks_values(self, rng, tmp_path):
         gr = small_grid(n_t=5, n_s=7)
