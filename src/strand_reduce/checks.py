@@ -6,6 +6,7 @@ the CLI and the test suite cannot drift apart.
 """
 
 import dataclasses
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from . import reduction as red
 from . import residuals as rs
 from . import so3
 from .errors import NotFlatError
+from .fields_io import write_csv
 from .simulate import SimConfig, run
 
 
@@ -300,27 +302,26 @@ def convergence_table(preset="twistpulse", levels=3, base_n_s=32, base_n_t=100,
 
 def write_noether_totals(outdir, s1, Lam, params):
     """Write the per-time-level conserved totals of both currents as CSV."""
-    import os
     os.makedirs(outdir, exist_ok=True)
-    f = rs.stage1_derivative_fields(s1, params)
-    rot = noether.totals_over_time(noether.rotor_current(s1, params, fields=f))
-    so3t = noether.totals_over_time(noether.so3_current(s1, Lam, params,
-                                                        fields=f))
-    t = s1.grid.t_coords()
+    d = model.fiber_derivatives_stage1(rs.stage1_derivative_fields(s1, params),
+                                       params)
+    rot = noether.totals_over_time(noether.rotor_current(s1, params, fiber=d))
+    so3t = noether.totals_over_time(noether.so3_current(s1, Lam, params, fiber=d))
     path = os.path.join(outdir, "totals.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t_index,t,rotor_1,rotor_2,rotor_3,so3_1,so3_2,so3_3\n")
-        for i in range(s1.grid.n_t):
-            vals = ",".join("%.17g" % v for v in (*rot[i], *so3t[i]))
-            fh.write(f"{i},{'%.17g' % t[i]},{vals}\n")
+    write_csv(path, "t_index,t,rotor_1,rotor_2,rotor_3,so3_1,so3_2,so3_3\n",
+              np.column_stack([np.arange(s1.grid.n_t), s1.grid.t_coords(),
+                               rot, so3t]))
     return path
 
 
 def noether_report(s1, Lam, params):
     """Current totals drift, divergence norms, and the divergence identity."""
     f = rs.stage1_derivative_fields(s1, params)
-    rot = noether.rotor_current(s1, params, fields=f)
-    so3c = noether.so3_current(s1, Lam, params, fields=f)
+    d = model.fiber_derivatives_stage1(f, params)
+    rot = noether.rotor_current(s1, params, fiber=d)
+    so3c = noether.so3_current(s1, Lam, params, fiber=d)
+    balance = noether.drift_residual(s1, Lam, params, fields=f, fiber=d)
+    del d  # rot keeps two of its slots; the rest go before the loop below
     if s1.grid.periodic_s:
         # the rotation field may carry loop holonomy, in which case the
         # spatial current jumps at the seam; differentiate it on the cut
@@ -336,8 +337,7 @@ def noether_report(s1, Lam, params):
             f"{name}_divergence_interior_l2",
             g.norm_l2(cur.grid, div, cur.grid.interior_mask(2)), None, True))
     ident = g.norm_max(
-        noether.drift_residual(s1, Lam, params, fields=f)
-        - np.einsum("tsij,tsj->tsi", Lam,
-                    rs.stage1_residuals(s1, params, fields=f).vertical))
+        balance - np.einsum("tsij,tsj->tsi", Lam,
+                            rs.stage1_residuals(s1, params, fields=f).vertical))
     out.append(_result("current_vertical_identity_max_err", ident, 1e-12))
     return out

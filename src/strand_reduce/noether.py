@@ -32,25 +32,27 @@ class CurrentPair:
     J_t: np.ndarray
 
 
-def so3_current(s1, Lam, p, fields=None):
+def so3_current(s1, Lam, p, fields=None, fiber=None):
     """Spatial angular-momentum current densities of a stage-1 section.
 
     ``Lam`` must be a rotation field consistent with the section (a
     projection pair); the body-frame fiber derivatives are pushed to the
-    spatial frame by it.
+    spatial frame by it.  ``fiber`` is the section's fiber-derivative
+    record, when the caller already holds it.
     """
-    d = fiber_derivatives_stage1(fields or stage1_derivative_fields(s1, p), p)
+    d = fiber or fiber_derivatives_stage1(
+        fields or stage1_derivative_fields(s1, p), p)
     return CurrentPair(grid=s1.grid, J_s=_rot(Lam, d.dl_dOmega),
                        J_t=_rot(Lam, d.dl_domega))
 
 
-def rotor_current(section, p, fields=None):
+def rotor_current(section, p, fields=None, fiber=None):
     """Rotor-shift current (-D a, K (omega + b)); accepts stage-1 or stage-2."""
-    if fields is None:
+    if fiber is None and fields is None:
         derive = (stage2_derivative_fields if hasattr(section, "a")
                   else stage1_derivative_fields)
         fields = derive(section, p)
-    d = fiber_derivatives_stage1(fields, p)
+    d = fiber or fiber_derivatives_stage1(fields, p)
     return CurrentPair(grid=section.grid, J_s=d.dl_dtheta_s, J_t=d.dl_dtheta_t)
 
 
@@ -78,7 +80,7 @@ def drift_rhs(s1, fields, p):
     return np.zeros_like(s1.rho)
 
 
-def drift_residual(s1, Lam, p, fields=None):
+def drift_residual(s1, Lam, p, fields=None, fiber=None):
     """Divergence of the angular-momentum current plus the (zero) drift source.
 
     The divergence is evaluated in covariant form,
@@ -95,7 +97,7 @@ def drift_residual(s1, Lam, p, fields=None):
     *is* the vertical field equation.
     """
     f = fields or stage1_derivative_fields(s1, p)
-    d = fiber_derivatives_stage1(f, p)
+    d = fiber or fiber_derivatives_stage1(f, p)
     N, M = d.dl_dOmega, d.dl_domega
     u = d.dl_drho_t                      # rho_t + omega x rho
     del d  # free the unused slots before the large temporaries below

@@ -103,6 +103,23 @@ class TestSimulate:
                      str(tmp_path / "o")])
         assert code == 5
 
+    def test_overflow_within_one_step_exits_5(self, tmp_path):
+        # level 0 is finite and far below the guard, but with I = 1e-300 the
+        # first RK4 step overflows in its stages; the next level's guard must
+        # report a blow-up, in one stderr line (a fresh process, so that
+        # numpy's RuntimeWarnings would show on stderr)
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(CONFIG.replace("I = diag 1.8 1.4 1.1",
+                                      "I = diag 1e-300 1e-300 1e-300"))
+        proc = subprocess.run([sys.executable, "-m", "strand_reduce", "simulate",
+                               "--config", str(cfg), "--out", str(tmp_path / "o")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 5
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("blow-up: solution norm nan exceeded guard "
+                                   "at step 1 (field ")
+
 
 class TestMalformedInputs:
     """Bad configs and tampered stored runs: exit 2 and one stderr line."""

@@ -2,7 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strand_reduce import fields_io
 from strand_reduce import grid as g
 from strand_reduce import simulate as sim
 from strand_reduce.config import parse_config
@@ -183,6 +186,24 @@ class TestFieldsIO:
             assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() \
                 == digest, fname
 
+    def test_chunked_bytes_match_per_value_reference(self, rng, tmp_path):
+        # a level wider than one kernel block (split by nodes) and a field of
+        # many short levels (several levels per block)
+        for n_t, n_s, shape in ((3, 1500, (3, 3)), (700, 7, ())):
+            gr = g.Grid2(n_t=n_t, n_s=n_s, dt=0.01, ds=1.0 / n_s, bc_s=g.PERIODIC)
+            values = rng.normal(size=(n_t, n_s) + shape) * 10.0 ** rng.integers(
+                -8, 8, size=(n_t, n_s) + shape)
+            out = tmp_path / f"{n_t}x{n_s}"
+            write_fields(out, gr, {"f": values})
+            flat = values.reshape(n_t, n_s, -1)
+            t, s = gr.t_coords(), gr.s_coords()
+            want = "t_index,s_index,t,s," + ",".join(
+                f"c{k + 1}" for k in range(flat.shape[2])) + "\n"
+            want += "".join(f"{i},{j},{'%.17g' % t[i]},{'%.17g' % s[j]},"
+                            + ",".join("%.17g" % x for x in flat[i, j]) + "\n"
+                            for i in range(n_t) for j in range(n_s))
+            assert (out / "f.csv").read_bytes() == want.encode()
+
     def test_steps_bytes_match_per_value_reference(self, rng, tmp_path):
         rows = rng.normal(size=(5, 6))
         rows[:, 0] = np.arange(5)
@@ -305,3 +326,60 @@ class TestFieldsIO:
         back = read_initial_slice(path, gr.n_s)
         for name in sim.COMPONENTS:
             assert np.array_equal(getattr(back, name), getattr(state, name))
+
+
+def assert_kernel_matches_percent(x, sep):
+    """The digit kernel's slot of every value is ``'%.17g' % v`` + separator.
+
+    ``sep`` (byte values) broadcasts against ``x``.  A slot is the value's
+    text padded with NUL bytes; the ``S`` view drops the trailing NULs, so
+    any other byte, or a NUL inside the text, shows.
+    """
+    x = np.asarray(x, dtype=float)
+    sep = np.broadcast_to(np.asarray(sep, np.uint8), x.shape)
+    slots = fields_io._slots(x, sep)
+    have = slots.view(f"S{slots.shape[-1]}").ravel().tolist()
+    want = [b"%.17g%c" % (v, c) for v, c in zip(x.ravel().tolist(),
+                                                sep.ravel().tolist())]
+    bad = [(v, h, w) for v, h, w in zip(x.ravel().tolist(), have, want) if h != w]
+    assert not bad, bad[:5]
+
+
+def decade_edges():
+    """Powers of ten and of two, each with its one-ulp neighbours, and more."""
+    pows = [float(f"1e{p}") for p in range(-320, 309)]
+    pows += [2.0 ** e for e in range(-1074, 1024)]
+    pows = np.array(pows)
+    edges = np.concatenate([pows, np.nextafter(pows, 0), np.nextafter(pows, np.inf)])
+    special = [0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1e-300, np.nan,
+               np.inf, 1000000000000000.25, 1000000000000000.75]
+    ties = 1e15 + np.arange(200) + 0.25        # 17 digits end in an exact 5
+    near = [np.nextafter(c, c * k) for c in (1e17, 1e-4, 9.99999999999999999e16,
+                                             9.99999999999999999e-5)
+            for k in (0, 2)]
+    walks = [c * (1 + np.arange(-40, 41) * 2.0 ** -53) for c in (1e17, 1e-4, 1e22, 1e23)]
+    x = np.concatenate([edges, special, ties, near, *walks])
+    return np.concatenate([x, -x])
+
+
+class TestDigitKernel:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 2 ** 64 - 1), st.sampled_from(b",\n")),
+                    min_size=1, max_size=64))
+    def test_bit_patterns_match_percent(self, cells):
+        bits, seps = zip(*cells)
+        assert_kernel_matches_percent(np.array(bits, np.uint64).view(np.float64),
+                                      seps)
+
+    def test_million_random_bit_patterns(self):
+        rng = np.random.default_rng(20261018)
+        bits = rng.integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64)
+        for block in np.split(bits.view(np.float64), 250):    # 4000 values
+            assert_kernel_matches_percent(block.reshape(-1, 2), (44, 10))
+
+    def test_edge_values(self):
+        x = decade_edges()
+        for i in range(0, len(x), 4096):
+            assert_kernel_matches_percent(x[i:i + 4096], 44)
+        text = fields_io._slots(np.array([1000000000000000.25, -0.0]), 44).tobytes()
+        assert text.replace(b"\0", b"") == b"1000000000000000.2,-0,"

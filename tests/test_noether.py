@@ -154,3 +154,31 @@ class TestConservation:
                 drifts[name].append(np.max(np.linalg.norm(tot - tot[0], axis=-1)))
         for name in drifts:
             assert 3.0 < drifts[name][0] / drifts[name][1] < 5.0, (name, drifts)
+
+
+class TestTotalsFile:
+    def test_totals_bytes_match_per_value_reference(self, rng, params, tmp_path):
+        from strand_reduce import checks
+        gr = small_grid(n_t=8, n_s=8)
+        sec = smooth_stage1_section(gr)
+        Lam = random_rotation_field(gr, rng)
+        path = checks.write_noether_totals(tmp_path / "out", sec, Lam, params)
+        # the currents built from one shared fiber-derivative record are
+        # those each function builds for itself
+        d = model.fiber_derivatives_stage1(
+            rs.stage1_derivative_fields(sec, params), params)
+        rot = noether.totals_over_time(noether.rotor_current(sec, params))
+        so3t = noether.totals_over_time(noether.so3_current(sec, Lam, params))
+        assert np.array_equal(
+            rot, noether.totals_over_time(noether.rotor_current(sec, params, fiber=d)))
+        assert np.array_equal(
+            so3t, noether.totals_over_time(noether.so3_current(sec, Lam, params,
+                                                               fiber=d)))
+        assert np.array_equal(noether.drift_residual(sec, Lam, params),
+                              noether.drift_residual(sec, Lam, params, fiber=d))
+        t = gr.t_coords()
+        want = "t_index,t,rotor_1,rotor_2,rotor_3,so3_1,so3_2,so3_3\n"
+        for i in range(gr.n_t):
+            want += (f"{i},{'%.17g' % t[i]},"
+                     + ",".join("%.17g" % v for v in (*rot[i], *so3t[i])) + "\n")
+        assert open(path, "rb").read() == want.encode()
