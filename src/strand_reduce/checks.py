@@ -6,7 +6,6 @@ the CLI and the test suite cannot drift apart.
 """
 
 import dataclasses
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ from . import reduction as red
 from . import residuals as rs
 from . import so3
 from .errors import NotFlatError
-from .fields_io import write_csv
 from .simulate import SimConfig, run
 
 
@@ -135,9 +133,7 @@ def check_stages(params=None, n=20, n_grid=32, tol=1e-12):
     """Once-reduced and twice-reduced residuals agree on matched sections."""
     params = params or model.default_params()
     rng = _default_rng()
-    dt = 0.4 / (n_grid - 1)
-    ds = 1.0 / n_grid
-    gr = g.Grid2(n_t=n_grid, n_s=n_grid, dt=dt, ds=ds, bc_s=g.PERIODIC)
+    gr = g.Grid2.uniform(n_grid, n_grid, 0.4, 1.0, g.PERIODIC)
     mask = gr.interior_mask(2)
     worst = 0.0
     for _ in range(n):
@@ -193,8 +189,7 @@ def check_variational(params=None, levels=(16, 32, 64), duration=0.3,
     params = params or model.default_params()
     gaps, hs = [], []
     for n in levels:
-        gr = g.Grid2(n_t=n, n_s=n, dt=duration / (n - 1), ds=1.0 / n,
-                     bc_s=g.PERIODIC)
+        gr = g.Grid2.uniform(n, n, duration, 1.0, g.PERIODIC)
         out = run(SimConfig(grid=gr, params=params, preset="twistpulse"))
         var = interior_variation(gr)
         fd, pairing = rs.action_gradient_check(out.section, var, params)
@@ -233,8 +228,7 @@ def check_roundtrip(levels=(16, 32, 64), duration=0.4,
     """Reconstruction round trip, path independence, and the flatness gate."""
     errs, hs, defects, flats = [], [], [], []
     for n in levels:
-        gr = g.Grid2(n_t=n, n_s=n, dt=duration / (n - 1), ds=1.0 / n,
-                     bc_s=g.PERIODIC)
+        gr = g.Grid2.uniform(n, n, duration, 1.0, g.PERIODIC)
         Lam0, Omega, omega = flat_pair(gr)
         Lam = red.reconstruct_rotation(gr, Omega, omega, Lam0[0, 0], tol=1.0)
         u = red.UnreducedSection(grid=gr, r=np.zeros((gr.n_t, gr.n_s, 3)),
@@ -272,72 +266,63 @@ def check_roundtrip(levels=(16, 32, 64), duration=0.4,
     return results
 
 
+_RESIDUALS = ("vertical", "horizontal_rho", "horizontal_theta")
+
+
 def convergence_table(preset="twistpulse", levels=3, base_n_s=32, base_n_t=100,
                       duration=0.5, length=1.0, bc=g.PERIODIC, params=None,
                       order_band=(1.7, 2.3)):
-    """Residual norms of a preset run over a refinement ladder, with orders."""
+    """Residual norms of a preset run over a refinement ladder, with orders.
+
+    Each level halves both spacings of the one before (:meth:`Grid2.refined`)
+    and reads its norms from the run's own summary.
+    """
     params = params or model.default_params()
-    rows = []
-    for k in range(levels):
-        n_s = base_n_s * 2 ** k
-        n_t = (base_n_t - 1) * 2 ** k + 1
-        ds = length / n_s if bc == g.PERIODIC else length / (n_s - 1)
-        gr = g.Grid2(n_t=n_t, n_s=n_s, dt=duration / (n_t - 1), ds=ds, bc_s=bc)
-        out = run(SimConfig(grid=gr, params=params, preset=preset))
-        res = rs.stage1_residuals(out.section, params)
-        norms = res.interior_norms()
-        sec = out.section
-        flat = g.norm_max(red.flatness_residual_rotation(sec),
-                          gr.interior_mask(2))
-        rows.append({"n_s": n_s, "n_t": n_t, **norms, "flatness": flat})
+    gr = g.Grid2.uniform(base_n_t, base_n_s, duration, length, bc)
+    rows, hs = [], []
+    for _ in range(levels):
+        summary = run(SimConfig(grid=gr, params=params, preset=preset)).summary
+        rows.append({"n_s": gr.n_s, "n_t": gr.n_t,
+                     **{key: summary[f"residual_{key}_l2"] for key in _RESIDUALS},
+                     "flatness": summary["flatness_rotation_max"]})
+        hs.append(gr.ds)
+        gr = gr.refined()
     results = []
-    for key in ("vertical", "horizontal_rho", "horizontal_theta", "flatness"):
-        errs = [row[key] for row in rows]
-        hs = [length / row["n_s"] for row in rows]
-        order = _ls_order(hs, errs)
+    for key in _RESIDUALS + ("flatness",):
+        order = _ls_order(hs, [row[key] for row in rows])
         results.append(CheckResult(f"order_{key}", order, None,
                                    order_band[0] <= order <= order_band[1]))
     return rows, results
 
 
-def write_noether_totals(outdir, s1, Lam, params):
-    """Write the per-time-level conserved totals of both currents as CSV."""
-    os.makedirs(outdir, exist_ok=True)
-    d = model.fiber_derivatives_stage1(rs.stage1_derivative_fields(s1, params),
-                                       params)
-    rot = noether.totals_over_time(noether.rotor_current(s1, params, fiber=d))
-    so3t = noether.totals_over_time(noether.so3_current(s1, Lam, params, fiber=d))
-    path = os.path.join(outdir, "totals.csv")
-    write_csv(path, "t_index,t,rotor_1,rotor_2,rotor_3,so3_1,so3_2,so3_3\n",
-              np.column_stack([np.arange(s1.grid.n_t), s1.grid.t_coords(),
-                               rot, so3t]))
-    return path
-
-
 def noether_report(s1, Lam, params):
-    """Current totals drift, divergence norms, and the divergence identity."""
+    """Current totals drift, divergence norms, and the divergence identity.
+
+    Returns the check rows and the ``(n_t, 6)`` rotor|so3 totals they measure,
+    integrated over the run's own grid (the whole loop when periodic).
+    """
+    gr = s1.grid
     f = rs.stage1_derivative_fields(s1, params)
     d = model.fiber_derivatives_stage1(f, params)
-    rot = noether.rotor_current(s1, params, fiber=d)
-    so3c = noether.so3_current(s1, Lam, params, fiber=d)
-    balance = noether.drift_residual(s1, Lam, params, fields=f, fiber=d)
+    rot = noether.rotor_current(gr, d)
+    so3c = noether.so3_current(gr, Lam, d)
+    balance = noether.drift_residual(Lam, f, d, params)
     del d  # rot keeps two of its slots; the rest go before the loop below
-    if s1.grid.periodic_s:
-        # the rotation field may carry loop holonomy, in which case the
-        # spatial current jumps at the seam; differentiate it on the cut
-        so3c = dataclasses.replace(
-            so3c, grid=dataclasses.replace(s1.grid, bc_s=g.CLAMPED))
-    out = []
-    for name, cur in (("rotor", rot), ("so3", so3c)):
+    # the rotation field may carry loop holonomy, in which case the spatial
+    # current jumps at the seam; differentiate it on the cut
+    cut = dataclasses.replace(gr, bc_s=g.CLAMPED)
+    out, totals = [], []
+    for name, cur, div_grid in (("rotor", rot, gr), ("so3", so3c, cut)):
         tot = noether.totals_over_time(cur)
+        totals.append(tot)
         drift = float(np.max(np.linalg.norm(tot - tot[0], axis=-1)))
         out.append(CheckResult(f"{name}_total_drift", drift, None, True))
-        div = noether.divergence(cur)
+        div = noether.divergence(dataclasses.replace(cur, grid=div_grid))
         out.append(CheckResult(
             f"{name}_divergence_interior_l2",
-            g.norm_l2(cur.grid, div, cur.grid.interior_mask(2)), None, True))
+            g.norm_l2(div_grid, div, div_grid.interior_mask(2)), None, True))
     ident = g.norm_max(
         balance - np.einsum("tsij,tsj->tsi", Lam,
                             rs.stage1_residuals(s1, params, fields=f).vertical))
     out.append(_result("current_vertical_identity_max_err", ident, 1e-12))
-    return out
+    return out, np.hstack(totals)

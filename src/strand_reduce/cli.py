@@ -14,13 +14,12 @@ import numpy as np
 
 from . import checks
 from . import grid as g
-from . import noether
 from . import reduction as red
 from . import residuals as rs
 from .config import load_config
 from .errors import BlowupError, ConfigError, NotFlatError, StrandError
 from .fields_io import (format_report, read_fields, read_model, write_fields,
-                        write_report, write_steps)
+                        write_report, write_steps, write_totals)
 from .model import default_params
 from .reduction import Stage1Section
 from .simulate import SimConfig, run
@@ -30,13 +29,6 @@ EXIT_CONFIG = 2
 EXIT_NOT_FLAT = 3
 EXIT_CHECK_FAILED = 4
 EXIT_BLOWUP = 5
-
-
-def _default_grid(args):
-    ds = (args.length / args.n_s if args.bc == g.PERIODIC
-          else args.length / (args.n_s - 1))
-    return g.Grid2(n_t=args.n_t, n_s=args.n_s, dt=args.duration / (args.n_t - 1),
-                   ds=ds, bc_s=args.bc)
 
 
 def _add_grid_options(sp):
@@ -100,8 +92,9 @@ def cmd_residuals(args):
         sec, params = _section_from_dir(args.indir)
     else:
         params = default_params()
-        cfg = SimConfig(grid=_default_grid(args), params=params,
-                        preset=args.preset)
+        gr = g.Grid2.uniform(args.n_t, args.n_s, args.duration, args.length,
+                             args.bc)
+        cfg = SimConfig(grid=gr, params=params, preset=args.preset)
         sec = run(cfg).section
     res = rs.stage1_residuals(sec, params)
     s2 = red.project_stage2(sec)
@@ -139,9 +132,9 @@ def cmd_noether(args):
     tol = args.tol if args.tol is not None else 10.0 * flat + 1e-6
     Lam = red.reconstruct_rotation(sec.grid, sec.Omega, sec.omega, np.eye(3),
                                    tol=tol)
-    results = checks.noether_report(sec, Lam, params)
+    results, totals = checks.noether_report(sec, Lam, params)
     if args.out:
-        path = checks.write_noether_totals(args.out, sec, Lam, params)
+        path = write_totals(args.out, sec.grid, totals)
         sys.stdout.write(f"totals written to {path}\n")
     return _print_checks("noether", results)
 

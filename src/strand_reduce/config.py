@@ -142,10 +142,8 @@ def parse_config(text, source="<config>", base_dir="."):
     if bc not in (PERIODIC, CLAMPED):
         raise ConfigError("bc must be 'periodic' or 'clamped'",
                           key="grid.bc", line=bc_line)
-    ds = length / n_s if bc == PERIODIC else length / (n_s - 1)
-    dt = duration / (n_t - 1)
     try:
-        grid = Grid2(n_t=n_t, n_s=n_s, dt=dt, ds=ds, bc_s=bc)
+        grid = Grid2.uniform(n_t, n_s, duration, length, bc)
     except ValueError as exc:
         raise ConfigError(str(exc), key="grid") from None
 

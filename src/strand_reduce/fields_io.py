@@ -395,6 +395,15 @@ def write_steps(outdir, rows):
     return path
 
 
+def write_totals(outdir, grid, totals):
+    """Per-time-level conserved totals, ``(n_t, 6)`` rotor|so3, as CSV."""
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, "totals.csv")
+    write_csv(path, "t_index,t,rotor_1,rotor_2,rotor_3,so3_1,so3_2,so3_3\n",
+              np.column_stack([np.arange(grid.n_t), grid.t_coords(), totals]))
+    return path
+
+
 def write_initial_slice(path, state):
     """One-row-per-node CSV holding a full initial state slice."""
     values = np.concatenate([getattr(state, name) for name in COMPONENTS], axis=1)

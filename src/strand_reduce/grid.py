@@ -45,6 +45,13 @@ class Grid2:
         if self.bc_s not in (PERIODIC, CLAMPED):
             raise ValueError(f"unknown boundary policy '{self.bc_s}'")
 
+    @classmethod
+    def uniform(cls, n_t, n_s, duration, length, bc_s):
+        """``n_t`` levels over ``[0, duration]``, ``n_s`` nodes over ``length``."""
+        cells = n_s if bc_s == PERIODIC else n_s - 1
+        return cls(n_t=n_t, n_s=n_s, dt=duration / (n_t - 1), ds=length / cells,
+                   bc_s=bc_s)
+
     @property
     def periodic_s(self):
         return self.bc_s == PERIODIC

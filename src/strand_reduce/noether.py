@@ -8,8 +8,8 @@ s-integrated t-components are constants of the motion (up to discretization
 error) on periodic strands.
 
 The currents are exactly the fiber derivatives of the stage-1 Lagrangian,
-so they are taken from :func:`model.fiber_derivatives_stage1` and not
-restated here.
+so every evaluator takes the record ``d`` of
+:func:`model.fiber_derivatives_stage1` and none restates them.
 """
 
 from dataclasses import dataclass
@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as g
-from .model import fiber_derivatives_stage1
 from .so3 import cross
-from .residuals import (_rot, stage1_derivative_fields,
-                        stage2_derivative_fields)
+from .residuals import _rot
 
 
 @dataclass
@@ -32,28 +30,20 @@ class CurrentPair:
     J_t: np.ndarray
 
 
-def so3_current(s1, Lam, p, fields=None, fiber=None):
-    """Spatial angular-momentum current densities of a stage-1 section.
+def so3_current(grid, Lam, d):
+    """Spatial angular-momentum current densities from the fiber record ``d``.
 
-    ``Lam`` must be a rotation field consistent with the section (a
-    projection pair); the body-frame fiber derivatives are pushed to the
-    spatial frame by it.  ``fiber`` is the section's fiber-derivative
-    record, when the caller already holds it.
+    ``Lam`` must be a rotation field consistent with the section that ``d``
+    was taken from (a projection pair); the body-frame fiber derivatives are
+    pushed to the spatial frame by it.
     """
-    d = fiber or fiber_derivatives_stage1(
-        fields or stage1_derivative_fields(s1, p), p)
-    return CurrentPair(grid=s1.grid, J_s=_rot(Lam, d.dl_dOmega),
+    return CurrentPair(grid=grid, J_s=_rot(Lam, d.dl_dOmega),
                        J_t=_rot(Lam, d.dl_domega))
 
 
-def rotor_current(section, p, fields=None, fiber=None):
-    """Rotor-shift current (-D a, K (omega + b)); accepts stage-1 or stage-2."""
-    if fiber is None and fields is None:
-        derive = (stage2_derivative_fields if hasattr(section, "a")
-                  else stage1_derivative_fields)
-        fields = derive(section, p)
-    d = fiber or fiber_derivatives_stage1(fields, p)
-    return CurrentPair(grid=section.grid, J_s=d.dl_dtheta_s, J_t=d.dl_dtheta_t)
+def rotor_current(grid, d):
+    """Rotor-shift current (-D a, K (omega + b)) from the fiber record ``d``."""
+    return CurrentPair(grid=grid, J_s=d.dl_dtheta_s, J_t=d.dl_dtheta_t)
 
 
 def divergence(c):
@@ -66,7 +56,7 @@ def totals_over_time(c):
     return g.integrate_s(c.grid, c.J_t)
 
 
-def drift_rhs(s1, fields, p):
+def drift_rhs(f, p):
     """Drift source of the angular-momentum balance; identically zero here.
 
     In general the divergence of a symmetry current is driven by a pairing
@@ -77,10 +67,10 @@ def drift_rhs(s1, fields, p):
     therefore zero.  It is kept as an explicit named contribution so the
     conservation statement is asserted rather than assumed.
     """
-    return np.zeros_like(s1.rho)
+    return np.zeros_like(f.rho)
 
 
-def drift_residual(s1, Lam, p, fields=None, fiber=None):
+def drift_residual(Lam, f, d, p):
     """Divergence of the angular-momentum current plus the (zero) drift source.
 
     The divergence is evaluated in covariant form,
@@ -92,15 +82,13 @@ def drift_residual(s1, Lam, p, fields=None, fiber=None):
 
         drift_residual == Lambda . (stage-1 vertical residual)
 
-    hold to roundoff whenever both evaluators consume the same bundle, which
-    is the discrete form of the statement that the angular-momentum balance
-    *is* the vertical field equation.
+    hold to roundoff whenever both evaluators consume the same bundle ``f``
+    (with ``d`` its fiber record), which is the discrete form of the
+    statement that the angular-momentum balance *is* the vertical field
+    equation.
     """
-    f = fields or stage1_derivative_fields(s1, p)
-    d = fiber or fiber_derivatives_stage1(f, p)
     N, M = d.dl_dOmega, d.dl_domega
     u = d.dl_drho_t                      # rho_t + omega x rho
-    del d  # free the unused slots before the large temporaries below
     dN_s = -f.dE_dOmega_s
     dM_t = (cross(f.rho_t, u)
             + cross(f.rho, f.rho_tt + cross(f.omega_t, f.rho)
@@ -108,4 +96,4 @@ def drift_residual(s1, Lam, p, fields=None, fiber=None):
             + f.omega_t @ (p.inertia_body + p.inertia_rotor).T
             + f.theta_tt @ p.inertia_rotor.T)
     cov_div = dN_s + cross(f.Omega, N) + dM_t + cross(f.omega, M)
-    return _rot(Lam, cov_div) + drift_rhs(s1, f, p)
+    return _rot(Lam, cov_div) + drift_rhs(f, p)

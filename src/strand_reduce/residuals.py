@@ -107,14 +107,13 @@ def stage2_derivative_fields(s2, p):
 
 
 class _InteriorNorms:
-    """Norms of the residual fields named in ``_fields``, rim excluded."""
+    """Grid L2 norms of the residual fields named in ``_fields``, rim excluded."""
 
-    def interior_norms(self, width=None, kind="l2"):
+    def interior_norms(self, width=None):
         width = self.boundary_width if width is None else width
         mask = self.grid.interior_mask(width)
-        fn = (lambda f: g.norm_l2(self.grid, f, mask)) if kind == "l2" \
-            else (lambda f: g.norm_max(f, mask))
-        return {name: fn(getattr(self, name)) for name in self._fields}
+        return {name: g.norm_l2(self.grid, getattr(self, name), mask)
+                for name in self._fields}
 
 
 @dataclass

@@ -180,22 +180,6 @@ def reorthonormalize(M):
     return R
 
 
-def rotation_defect(R):
-    """Frobenius orthogonality defect ``||R^T R - Id||_F`` (batched max)."""
-    R = np.asarray(R, dtype=float)
-    g = np.swapaxes(R, -1, -2) @ R - IDENTITY
-    return float(np.max(np.sqrt(np.sum(g * g, axis=(-2, -1)))))
-
-
-def is_rotation(R, tol=1e-9):
-    """Check the orthogonality and determinant invariants of a rotation."""
-    R = np.asarray(R, dtype=float)
-    if rotation_defect(R) > tol:
-        return False
-    det = np.linalg.det(R)
-    return bool(np.max(np.abs(det - 1.0)) <= tol)
-
-
 def random_rotation(rng):
     """Uniform-ish random rotation (exp of a random vector with norm < pi)."""
     v = rng.normal(size=3)

@@ -73,6 +73,4 @@ def smooth_stage1_section(gr, amp=0.3, c0=1.0):
 
 
 def small_grid(n_t=24, n_s=32, bc=g.PERIODIC, duration=0.4, length=1.0):
-    dt = duration / (n_t - 1)
-    ds = length / n_s if bc == g.PERIODIC else length / (n_s - 1)
-    return g.Grid2(n_t=n_t, n_s=n_s, dt=dt, ds=ds, bc_s=bc)
+    return g.Grid2.uniform(n_t, n_s, duration, length, bc)

@@ -169,16 +169,15 @@ def test_criterion_7_noether_conservation(params, report):
         Lam = red.reconstruct_rotation(gr, sec.Omega, sec.omega, np.eye(3),
                                        tol=10.0 * flat + 1e-6)
         fields = rs.stage1_derivative_fields(sec, params)
-        for name, cur in (("rotor", noether.rotor_current(sec, params,
-                                                          fields=fields)),
-                          ("so3", noether.so3_current(sec, Lam, params,
-                                                      fields=fields))):
+        d = model.fiber_derivatives_stage1(fields, params)
+        for name, cur in (("rotor", noether.rotor_current(gr, d)),
+                          ("so3", noether.so3_current(gr, Lam, d))):
             tot = noether.totals_over_time(cur)
             drifts[name].append(
                 float(np.max(np.linalg.norm(tot - tot[0], axis=-1))))
         bounds.append(1.0 * (gr.dt ** 2 + gr.ds ** 2) * duration)
         if n_s == 64:
-            drift = noether.drift_residual(sec, Lam, params, fields=fields)
+            drift = noether.drift_residual(Lam, fields, d, params)
             vert = rs.stage1_residuals(sec, params, fields=fields).vertical
             want = np.einsum("tsij,tsj->tsi", Lam, vert)
             identity_err = g.norm_max(drift - want) / (1.0 + g.norm_max(want))

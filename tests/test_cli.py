@@ -14,6 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strand_reduce import checks
+from strand_reduce import grid as g
+from strand_reduce import model
+from strand_reduce import reduction as red
+from strand_reduce import residuals as rs
 from strand_reduce.cli import main
 from strand_reduce.config import parse_config
 from strand_reduce.fields_io import write_initial_slice
@@ -436,6 +441,34 @@ class TestNoether:
         assert lines[0].startswith("t_index,t,rotor_1")
         assert len(lines) == 1 + 40  # one row per time level
 
+    def test_printed_so3_drift_is_that_of_totals_csv(self, tmp_path,
+                                                      config_file, capsys):
+        # periodic twist pulse: the report and the file both integrate over
+        # the whole loop
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["noether", "--in", str(out), "--out",
+                     str(tmp_path / "tot")]) == 0
+        printed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("so3_total_drift ")]
+        rows = (tmp_path / "tot" / "totals.csv").read_text().splitlines()[1:]
+        so3 = np.array([[float(x) for x in row.split(",")[5:8]] for row in rows])
+        drift = np.max(np.linalg.norm(so3 - so3[0], axis=-1))
+        assert printed == ["%.17g" % drift]
+
+    def test_out_builds_the_derivative_bundle_once(self, tmp_path, config_file,
+                                                   monkeypatch):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        calls = []
+        build = rs.stage1_derivative_fields
+        monkeypatch.setattr(rs, "stage1_derivative_fields",
+                            lambda *args: calls.append(args) or build(*args))
+        assert main(["noether", "--in", str(out), "--out",
+                     str(tmp_path / "tot")]) == 0
+        assert len(calls) == 1
+
 
 class TestCheckAndConvergence:
     def test_check_exit_codes(self, capsys):
@@ -455,6 +488,49 @@ class TestCheckAndConvergence:
                      "--base-n-t", "41", "--duration", "0.2"]) == 0
         text = capsys.readouterr().out
         assert "order_vertical" in text
+
+    @staticmethod
+    def _ladder(monkeypatch, **kwargs):
+        """``convergence_table`` output and the run of each level."""
+        outs = []
+        real_run = checks.run
+        monkeypatch.setattr(checks, "run",
+                            lambda cfg: outs.append(real_run(cfg)) or outs[-1])
+        rows, results = checks.convergence_table(**kwargs)
+        return rows, results, outs
+
+    def test_clamped_ladder_nests(self, monkeypatch):
+        rows, _, outs = self._ladder(monkeypatch, levels=3, base_n_s=9,
+                                     base_n_t=11, duration=0.05, bc=g.CLAMPED)
+        grids = [out.section.grid for out in outs]
+        for coarse, fine in zip(grids, grids[1:]):
+            assert fine.ds == coarse.ds / 2 and fine.dt == coarse.dt / 2
+            assert fine.n_s == 2 * (coarse.n_s - 1) + 1
+            assert fine.n_t == 2 * (coarse.n_t - 1) + 1
+        assert [row["n_s"] for row in rows] == [9, 17, 33]
+
+    @pytest.mark.parametrize("bc", [g.PERIODIC, g.CLAMPED])
+    def test_ladder_norms_are_the_run_summary(self, monkeypatch, bc):
+        rows, results, outs = self._ladder(monkeypatch, levels=2, base_n_s=16,
+                                           base_n_t=21, duration=0.05, bc=bc)
+        params = model.default_params()
+        for row, out in zip(rows, outs):
+            sec = out.section
+            want = rs.stage1_residuals(sec, params).interior_norms()
+            want["flatness"] = g.norm_max(red.flatness_residual_rotation(sec),
+                                          sec.grid.interior_mask(2))
+            assert row == {"n_s": sec.grid.n_s, "n_t": sec.grid.n_t, **want}
+        if bc == g.PERIODIC:
+            # periodic levels keep n_s = base 2^k and the fit h = length / n_s,
+            # bit for bit
+            assert [out.section.grid for out in outs] == [
+                g.Grid2(n_t=20 * 2 ** k + 1, n_s=16 * 2 ** k,
+                        dt=0.05 / (20 * 2 ** k), ds=1.0 / (16 * 2 ** k))
+                for k in range(2)]
+            hs = [1.0 / row["n_s"] for row in rows]
+            assert [r.value for r in results] == [
+                checks._ls_order(hs, [row[key] for row in rows]) for key in
+                ("vertical", "horizontal_rho", "horizontal_theta", "flatness")]
 
 
 class TestModuleEntry:

@@ -136,7 +136,8 @@ class TestReorthonormalize:
     def test_small_perturbation(self):
         M = np.eye(3) + 1e-6 * so3.hat(E3)
         R = so3.reorthonormalize(M)
-        assert so3.is_rotation(R)
+        assert np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-9
+        assert abs(np.linalg.det(R) - 1.0) <= 1e-9
         assert np.linalg.norm(M - R) <= 2e-6
 
     def test_rejects_far_matrices(self):
