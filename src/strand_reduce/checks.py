@@ -1,8 +1,8 @@
 """Verification harnesses behind the ``check`` and ``convergence`` commands.
 
 Each suite returns a list of :class:`CheckResult`; a suite passes when every
-entry does.  These are the same computations the acceptance tests run, so
-the CLI and the test suite cannot drift apart.
+entry does.  The suites take no arguments: their sample counts, tolerances and
+bands are constants, so the CLI and the acceptance tests run the same checks.
 """
 
 import dataclasses
@@ -28,34 +28,37 @@ class CheckResult:
     passed: bool
 
 
-def _result(name, value, tol, ok=None):
-    return CheckResult(name, float(value),
-                       None if tol is None else float(tol),
-                       bool(value <= tol if ok is None else ok))
+# Both observed-order fits pass within this band around the scheme's order 2.
+ORDER_BAND = (1.7, 2.3)
+_SEED = 20260810
 
 
-def _default_rng(seed=20260810):
-    return np.random.default_rng(seed)
+def _result(name, value, tol):
+    return CheckResult(name, float(value), float(tol), bool(value <= tol))
+
+
+def _order_result(name, order):
+    return CheckResult(name, order, None,
+                       ORDER_BAND[0] <= order <= ORDER_BAND[1])
 
 
 def _random_point(rng):
     return model.Stage1Point(*(rng.normal(size=3) for _ in range(6)))
 
 
-def check_derivatives(params=None, n=100, step=1e-6, tol=1e-7):
+def check_derivatives():
     """Analytic fiber derivatives against central finite differences."""
-    params = params or model.default_params()
-    rng = _default_rng()
+    params = model.default_params()
+    n, step, tol = 100, 1e-6, 1e-7
+    rng = np.random.default_rng(_SEED)
     worst = 0.0
-    names = ("dl_drho", "dl_drho_t", "dl_dtheta_s", "dl_dtheta_t",
-             "dl_dOmega", "dl_domega")
     for _ in range(n):
         pt = _random_point(rng)
         want = model.fiber_derivatives_stage1(pt, params)
-        for slot, name in zip(model.SLOTS, names):
+        for slot in model.SLOTS:
             fd = model.fd_fiber_derivative(model.lagrangian_stage1, pt, slot,
                                            step, params)
-            have = getattr(want, name)
+            have = getattr(want, f"dl_d{slot}")
             rel = np.linalg.norm(fd - have) / (1.0 + np.linalg.norm(have))
             worst = max(worst, rel)
     worst_dE = 0.0
@@ -64,8 +67,7 @@ def check_derivatives(params=None, n=100, step=1e-6, tol=1e-7):
         c = float(rng.uniform(0.2, 3.0))
         dW, da, dc = model.dE(W, a, c, params)
         for i in range(3):
-            e = np.zeros(3)
-            e[i] = step
+            e = step * np.eye(3)[i]
             for hi, lo, have in (
                     (model.potential_E(W + e, a, c, params),
                      model.potential_E(W - e, a, c, params), dW[i]),
@@ -80,10 +82,11 @@ def check_derivatives(params=None, n=100, step=1e-6, tol=1e-7):
             _result("potential_derivative_max_rel_err", worst_dE, tol)]
 
 
-def check_invariance(params=None, n=1000, tol=1e-12):
+def check_invariance():
     """Rotation/shift invariance and the reduction identity of the Lagrangian."""
-    params = params or model.default_params()
-    rng = _default_rng()
+    params = model.default_params()
+    n, tol = 1000, 1e-12
+    rng = np.random.default_rng(_SEED)
     worst_inv = 0.0
     worst_proj = 0.0
     for _ in range(n):
@@ -106,8 +109,9 @@ def check_invariance(params=None, n=1000, tol=1e-12):
             _result("lagrangian_projection_max_rel_err", worst_proj, tol)]
 
 
-def random_smooth_section(gr, rng, modes=3, amp=0.3, c0=1.0):
+def random_smooth_section(gr, rng):
     """Random low-order Fourier fields over the grid (generic, not a solution)."""
+    modes, amp, c0 = 3, 0.3, 1.0
     t = gr.t_coords()[:, None]
     s = gr.s_coords()[None, :]
     L, T = gr.length_s, max(gr.duration, 1e-12)
@@ -129,10 +133,11 @@ def random_smooth_section(gr, rng, modes=3, amp=0.3, c0=1.0):
                              omega=field())
 
 
-def check_stages(params=None, n=20, n_grid=32, tol=1e-12):
+def check_stages():
     """Once-reduced and twice-reduced residuals agree on matched sections."""
-    params = params or model.default_params()
-    rng = _default_rng()
+    params = model.default_params()
+    n, n_grid, tol = 20, 32, 1e-12
+    rng = np.random.default_rng(_SEED)
     gr = g.Grid2.uniform(n_grid, n_grid, 0.4, 1.0, g.PERIODIC)
     mask = gr.interior_mask(2)
     worst = 0.0
@@ -148,7 +153,7 @@ def check_stages(params=None, n=20, n_grid=32, tol=1e-12):
     return [_result("stage_equivalence_max_abs_diff", worst, tol)]
 
 
-def interior_variation(gr, scale=1.0):
+def interior_variation(gr):
     """Compactly supported smooth variation used by the variational check.
 
     The windows vanish quadratically at the boundary nodes (and are zeroed
@@ -160,16 +165,14 @@ def interior_variation(gr, scale=1.0):
     T, L = gr.duration, gr.length_s
     wt = np.sin(np.pi * t / T) ** 2
     wt[0] = wt[-1] = 0.0
-    wt = wt[:, None]
     if gr.periodic_s:
-        ws = (1.2 + np.sin(2 * np.pi * s / L))[None, :]
+        ws = 1.2 + np.sin(2 * np.pi * s / L)
     else:
         ws = np.sin(np.pi * s / L) ** 2
         ws[0] = ws[-1] = 0.0
-        ws = ws[None, :]
-    w = (wt * ws)[..., None]
+    w = (wt[:, None] * ws[None, :])[..., None]
     phase = (2 * np.pi * s / L)[None, :]
-    mk = lambda *fs: scale * w * np.stack(
+    mk = lambda *fs: w * np.stack(
         [f(phase) * np.ones_like(w[..., 0]) for f in fs], axis=-1)
     return rs.VariationSpec(
         delta_rho=mk(np.cos, lambda p: 0.4 * np.sin(p), lambda p: 0.7 + 0 * p),
@@ -183,10 +186,10 @@ def _ls_order(hs, errs):
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
 
-def check_variational(params=None, levels=(16, 32, 64), duration=0.3,
-                      order_band=(1.7, 2.3)):
+def check_variational():
     """Discrete action derivative vs residual pairing on pulse-derived sections."""
-    params = params or model.default_params()
+    params = model.default_params()
+    levels, duration = (16, 32, 64), 0.3
     gaps, hs = [], []
     for n in levels:
         gr = g.Grid2.uniform(n, n, duration, 1.0, g.PERIODIC)
@@ -196,15 +199,15 @@ def check_variational(params=None, levels=(16, 32, 64), duration=0.3,
         gaps.append(abs(fd - pairing) / var.norm(gr))
         hs.append(gr.ds)
     order = _ls_order(hs, gaps)
-    results = [CheckResult("variational_gap_order", order, None,
-                           order_band[0] <= order <= order_band[1])]
+    results = [_order_result("variational_gap_order", order)]
     for n, gap in zip(levels, gaps):
         results.append(CheckResult(f"variational_gap_n{n}", gap, None, True))
     return results
 
 
-def flat_pair(gr, amp_s=0.8, rate_t=0.5, amp_t=0.3):
+def flat_pair(gr):
     """Closed-form flat rate pair from a separable rotation field A(s) B(t)."""
+    amp_s, rate_t, amp_t = 0.8, 0.5, 0.3
     c1 = np.array([1.0, 0.0, 0.0])
     c2 = np.array([0.0, 1.0, 0.0])
     t = gr.t_coords()
@@ -223,20 +226,20 @@ def flat_pair(gr, amp_s=0.8, rate_t=0.5, amp_t=0.3):
     return Lam, Omega, omega
 
 
-def check_roundtrip(levels=(16, 32, 64), duration=0.4,
-                    ratio_band=(3.0, 5.0), path_factor=10.0):
+def check_roundtrip():
     """Reconstruction round trip, path independence, and the flatness gate."""
-    errs, hs, defects, flats = [], [], [], []
+    levels, duration = (16, 32, 64), 0.4
+    ratio_band, path_factor = (3.0, 5.0), 10.0
+    errs, defects, flats = [], [], []
     for n in levels:
         gr = g.Grid2.uniform(n, n, duration, 1.0, g.PERIODIC)
         Lam0, Omega, omega = flat_pair(gr)
         Lam = red.reconstruct_rotation(gr, Omega, omega, Lam0[0, 0], tol=1.0)
-        u = red.UnreducedSection(grid=gr, r=np.zeros((gr.n_t, gr.n_s, 3)),
-                                 Lambda=Lam, theta=np.zeros((gr.n_t, gr.n_s, 3)))
+        u = red.UnreducedSection(grid=gr, r=gr.zeros(), Lambda=Lam,
+                                 theta=gr.zeros())
         s1 = red.project_stage1(u)
         errs.append(max(g.norm_max(s1.Omega - Omega),
                         g.norm_max(s1.omega - omega)))
-        hs.append(gr.ds)
         sec = red.Stage2Section(grid=gr, rho=None, a=None, b=None,
                                 Omega=Omega, omega=omega)
         flats.append(g.norm_max(red.flatness_residual_rotation(sec)))
@@ -248,9 +251,9 @@ def check_roundtrip(levels=(16, 32, 64), duration=0.4,
         results.append(CheckResult(
             f"roundtrip_error_ratio_{levels[k]}_to_{levels[k + 1]}", ratio,
             None, ratio_band[0] <= ratio <= ratio_band[1]))
-    gr_last_h2 = hs[-1] ** 2 + (duration / (levels[-1] - 1)) ** 2
-    area = duration * 1.0
-    bound = path_factor * flats[-1] * area + path_factor * gr_last_h2
+    # gr is the finest level here
+    bound = (path_factor * flats[-1] * duration
+             + path_factor * (gr.ds ** 2 + gr.dt ** 2))
     results.append(_result("path_independence_defect", defects[-1], bound))
     # non-flat input must be rejected
     gr = g.Grid2(n_t=8, n_s=8, dt=0.05, ds=0.125, bc_s=g.PERIODIC)
@@ -269,16 +272,14 @@ def check_roundtrip(levels=(16, 32, 64), duration=0.4,
 _RESIDUALS = ("vertical", "horizontal_rho", "horizontal_theta")
 
 
-def convergence_table(preset="twistpulse", levels=3, base_n_s=32, base_n_t=100,
-                      duration=0.5, length=1.0, bc=g.PERIODIC, params=None,
-                      order_band=(1.7, 2.3)):
+def convergence_table(preset, levels, gr):
     """Residual norms of a preset run over a refinement ladder, with orders.
 
-    Each level halves both spacings of the one before (:meth:`Grid2.refined`)
-    and reads its norms from the run's own summary.
+    The ladder starts on ``gr``; each later level halves both spacings of the
+    one before (:meth:`Grid2.refined`) and reads its norms from the run's own
+    summary.
     """
-    params = params or model.default_params()
-    gr = g.Grid2.uniform(base_n_t, base_n_s, duration, length, bc)
+    params = model.default_params()
     rows, hs = [], []
     for _ in range(levels):
         summary = run(SimConfig(grid=gr, params=params, preset=preset)).summary
@@ -287,12 +288,9 @@ def convergence_table(preset="twistpulse", levels=3, base_n_s=32, base_n_t=100,
                      "flatness": summary["flatness_rotation_max"]})
         hs.append(gr.ds)
         gr = gr.refined()
-    results = []
-    for key in _RESIDUALS + ("flatness",):
-        order = _ls_order(hs, [row[key] for row in rows])
-        results.append(CheckResult(f"order_{key}", order, None,
-                                   order_band[0] <= order <= order_band[1]))
-    return rows, results
+    return rows, [_order_result(f"order_{key}",
+                                _ls_order(hs, [row[key] for row in rows]))
+                  for key in _RESIDUALS + ("flatness",)]
 
 
 def noether_report(s1, Lam, params):

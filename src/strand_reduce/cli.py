@@ -18,8 +18,8 @@ from . import reduction as red
 from . import residuals as rs
 from .config import load_config
 from .errors import BlowupError, ConfigError, NotFlatError, StrandError
-from .fields_io import (format_report, read_fields, read_model, write_fields,
-                        write_report, write_steps, write_totals)
+from .fields_io import (format_report, grid_line, read_fields, read_model,
+                        write_fields, write_report, write_steps, write_totals)
 from .model import default_params
 from .reduction import Stage1Section
 from .simulate import SimConfig, run
@@ -32,11 +32,23 @@ EXIT_BLOWUP = 5
 
 
 def _add_grid_options(sp):
-    sp.add_argument("--n-s", dest="n_s", type=int, default=64)
-    sp.add_argument("--n-t", dest="n_t", type=int, default=200)
+    """The extent and boundary options; each command adds its node counts."""
     sp.add_argument("--length", type=float, default=1.0)
     sp.add_argument("--duration", type=float, default=0.5)
     sp.add_argument("--bc", choices=(g.PERIODIC, g.CLAMPED), default=g.PERIODIC)
+
+
+def _grid(args, n_t, n_s):
+    """The uniform grid of the grid options; Grid2 checks the numbers."""
+    try:
+        return g.Grid2.uniform(n_t, n_s, args.duration, args.length, args.bc)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _check_tol(tol):
+    if tol is not None and not (np.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {tol}")
 
 
 def _section_from_dir(indir):
@@ -67,9 +79,7 @@ def cmd_simulate(args):
                for k, v in out.summary.items()]
     p = cfg.params
     mat = lambda M: " ".join("%.17g" % x for x in np.asarray(M).ravel())
-    preamble = [f"config {args.config}",
-                f"grid n_t={sec.grid.n_t} n_s={sec.grid.n_s} "
-                f"dt={sec.grid.dt:.17g} ds={sec.grid.ds:.17g} bc={sec.grid.bc_s}",
+    preamble = [f"config {args.config}", grid_line(sec.grid),
                 f"inertia I={mat(p.inertia_body)} K={mat(p.inertia_rotor)}",
                 f"potential C={mat(p.pot_C)} D={mat(p.pot_D)} "
                 f"kappa={p.pot_kappa:.17g} c0={p.pot_c0:.17g}",
@@ -92,18 +102,14 @@ def cmd_residuals(args):
         sec, params = _section_from_dir(args.indir)
     else:
         params = default_params()
-        gr = g.Grid2.uniform(args.n_t, args.n_s, args.duration, args.length,
-                             args.bc)
-        cfg = SimConfig(grid=gr, params=params, preset=args.preset)
+        cfg = SimConfig(grid=_grid(args, args.n_t, args.n_s), params=params,
+                        preset=args.preset)
         sec = run(cfg).section
-    res = rs.stage1_residuals(sec, params)
-    s2 = red.project_stage2(sec)
-    res2 = rs.stage2_residuals(s2, params)
-    results = []
-    for stage, r in (("stage1", res), ("stage2", res2)):
-        for name, value in r.interior_norms().items():
-            results.append(checks.CheckResult(f"{stage}_{name}_l2", value,
-                                              None, True))
+    staged = (("stage1", rs.stage1_residuals(sec, params)),
+              ("stage2", rs.stage2_residuals(red.project_stage2(sec), params)))
+    results = [checks.CheckResult(f"{stage}_{name}_l2", value, None, True)
+               for stage, r in staged
+               for name, value in r.interior_norms().items()]
     flat = g.norm_max(red.flatness_residual_rotation(sec),
                       sec.grid.interior_mask(2))
     results.append(checks.CheckResult("flatness_rotation_max", flat, None, True))
@@ -112,12 +118,14 @@ def cmd_residuals(args):
 
 
 def cmd_reconstruct(args):
+    try:
+        Lambda0 = np.array([float(x) for x in args.lambda0.split()]).reshape(3, 3)
+    except ValueError:
+        raise ConfigError("--lambda0 needs 9 reals (row-major)") from None
+    _check_tol(args.tol)
     gr, fields = read_fields(args.indir, names=("Omega", "omega"))
-    Lambda0 = np.array([float(x) for x in args.lambda0.split()])
-    if Lambda0.size != 9:
-        raise ConfigError("--lambda0 needs 9 reals (row-major)")
     Lam = red.reconstruct_rotation(gr, fields["Omega"], fields["omega"],
-                                   Lambda0.reshape(3, 3), tol=args.tol)
+                                   Lambda0, tol=args.tol)
     outdir = args.out or args.indir
     # writing into the input run adds Lambda to its manifest
     same = os.path.realpath(outdir) == os.path.realpath(args.indir)
@@ -127,6 +135,7 @@ def cmd_reconstruct(args):
 
 
 def cmd_noether(args):
+    _check_tol(args.tol)
     sec, params = _section_from_dir(args.indir)
     flat = g.norm_max(red.flatness_residual_rotation(sec))
     tol = args.tol if args.tol is not None else 10.0 * flat + 1e-6
@@ -139,28 +148,28 @@ def cmd_noether(args):
     return _print_checks("noether", results)
 
 
+CHECK_SUITES = {
+    "derivatives": checks.check_derivatives,
+    "stages": checks.check_stages,
+    "variational": checks.check_variational,
+    "roundtrip": checks.check_roundtrip,
+}
+
+
 def cmd_check(args):
-    suite = {
-        "derivatives": checks.check_derivatives,
-        "stages": checks.check_stages,
-        "variational": checks.check_variational,
-        "roundtrip": checks.check_roundtrip,
-    }[args.suite]
-    return _print_checks(f"check {args.suite}", suite())
+    return _print_checks(f"check {args.suite}", CHECK_SUITES[args.suite]())
 
 
 def cmd_convergence(args):
+    if args.levels < 2:
+        raise ConfigError(f"--levels must be at least 2, got {args.levels}")
     rows, results = checks.convergence_table(
-        preset=args.preset, levels=args.levels, base_n_s=args.base_n_s,
-        base_n_t=args.base_n_t, duration=args.duration, length=args.length,
-        bc=args.bc)
-    preamble = []
-    for row in rows:
-        preamble.append(
-            "level n_s=%d n_t=%d vertical=%.6e horizontal_rho=%.6e "
-            "horizontal_theta=%.6e flatness=%.6e"
-            % (row["n_s"], row["n_t"], row["vertical"], row["horizontal_rho"],
-               row["horizontal_theta"], row["flatness"]))
+        args.preset, args.levels, _grid(args, args.base_n_t, args.base_n_s))
+    preamble = [
+        "level n_s=%d n_t=%d vertical=%.6e horizontal_rho=%.6e "
+        "horizontal_theta=%.6e flatness=%.6e"
+        % (row["n_s"], row["n_t"], row["vertical"], row["horizontal_rho"],
+           row["horizontal_theta"], row["flatness"]) for row in rows]
     return _print_checks("convergence", results, preamble)
 
 
@@ -180,6 +189,8 @@ def build_parser():
     src = sp.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="indir")
     src.add_argument("--preset")
+    sp.add_argument("--n-s", dest="n_s", type=int, default=64)
+    sp.add_argument("--n-t", dest="n_t", type=int, default=200)
     _add_grid_options(sp)
     sp.set_defaults(fn=cmd_residuals)
 
@@ -198,8 +209,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_noether)
 
     sp = sub.add_parser("check", help="property-verification suites")
-    sp.add_argument("suite", choices=("derivatives", "stages", "variational",
-                                      "roundtrip"))
+    sp.add_argument("suite", choices=tuple(CHECK_SUITES))
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("convergence", help="refinement table of residual norms")
@@ -207,9 +217,7 @@ def build_parser():
     sp.add_argument("--levels", type=int, default=3)
     sp.add_argument("--base-n-s", dest="base_n_s", type=int, default=32)
     sp.add_argument("--base-n-t", dest="base_n_t", type=int, default=100)
-    sp.add_argument("--length", type=float, default=1.0)
-    sp.add_argument("--duration", type=float, default=0.5)
-    sp.add_argument("--bc", choices=(g.PERIODIC, g.CLAMPED), default=g.PERIODIC)
+    _add_grid_options(sp)
     sp.set_defaults(fn=cmd_convergence)
     return parser
 

@@ -293,9 +293,14 @@ def write_csv(path, head, table):
         _join([_slots(table[i:i + rows], sep)]) for i in range(0, len(table), rows)))
 
 
+def grid_line(grid):
+    """The ``grid n_t=… n_s=… dt=… ds=… bc=…`` line of manifest and report."""
+    return (f"grid n_t={grid.n_t} n_s={grid.n_s} dt={FMT % grid.dt} "
+            f"ds={FMT % grid.ds} bc={grid.bc_s}")
+
+
 def _write_manifest(outdir, grid, entries, model_kv):
-    lines = [f"grid n_t={grid.n_t} n_s={grid.n_s} dt={FMT % grid.dt} "
-             f"ds={FMT % grid.ds} bc={grid.bc_s}"]
+    lines = [grid_line(grid)]
     lines += [f"field name={name} file={fname} kind={kind} sha256={digest}"
               for name, (fname, kind, digest) in sorted(entries.items())]
     if model_kv is not None:

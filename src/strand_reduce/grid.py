@@ -48,9 +48,10 @@ class Grid2:
     @classmethod
     def uniform(cls, n_t, n_s, duration, length, bc_s):
         """``n_t`` levels over ``[0, duration]``, ``n_s`` nodes over ``length``."""
-        cells = n_s if bc_s == PERIODIC else n_s - 1
-        return cls(n_t=n_t, n_s=n_s, dt=duration / (n_t - 1), ds=length / cells,
-                   bc_s=bc_s)
+        # too few nodes must reach the check in __post_init__, not divide by 0
+        cells = max(n_s if bc_s == PERIODIC else n_s - 1, 1)
+        return cls(n_t=n_t, n_s=n_s, dt=duration / max(n_t - 1, 1),
+                   ds=length / cells, bc_s=bc_s)
 
     @property
     def periodic_s(self):
@@ -72,8 +73,9 @@ class Grid2:
     def s_coords(self):
         return self.ds * np.arange(self.n_s)
 
-    def zeros(self, shape=()):
-        return np.zeros((self.n_t, self.n_s) + shape)
+    def zeros(self):
+        """A vector field of zeros, ``(n_t, n_s, 3)``."""
+        return np.zeros((self.n_t, self.n_s, 3))
 
     def interior_mask(self, width=2):
         """Boolean (n_t, n_s) mask of nodes untouched by one-sided stencils.

@@ -200,15 +200,16 @@ def lagrangian_stage2(rho, rho_t, a, b, Omega, omega, p):
                     Omega=Omega, omega=omega), p)
 
 
-def lagrangian_unreduced(pt, p, tangency_tol=1e-6):
+def lagrangian_unreduced(pt, p):
     """Unreduced Lagrangian density at a point.
 
     Propagates :class:`NotAntisymmetricError` when the tangent
-    representatives violate ``Lambda^T Lambda_{s,t}`` antisymmetry.
+    representatives violate ``Lambda^T Lambda_{s,t}`` antisymmetry
+    (``so3.ANTISYMMETRY_TOL``).
     """
     Lam = np.asarray(pt.Lambda, dtype=float)
-    Omega = vee(Lam.T @ np.asarray(pt.Lambda_s, dtype=float), tol=tangency_tol)
-    omega = vee(Lam.T @ np.asarray(pt.Lambda_t, dtype=float), tol=tangency_tol)
+    Omega = vee(Lam.T @ np.asarray(pt.Lambda_s, dtype=float))
+    omega = vee(Lam.T @ np.asarray(pt.Lambda_t, dtype=float))
     r = np.asarray(pt.r, dtype=float)
     return density(np.asarray(pt.r_t, dtype=float), _dot(r, r),
                    pt.theta_s, pt.theta_t, Omega, omega, p)

@@ -162,8 +162,8 @@ def reconstruct_rotation(grid, Omega, omega, Lambda0, tol, sweep="st"):
     omega = sec.omega
     n_t, n_s = grid.n_t, grid.n_s
     Lam = np.empty((n_t, n_s, 3, 3))
+    Lam[0, 0] = np.asarray(Lambda0, dtype=float)
     if sweep == "st":
-        Lam[0, 0] = np.asarray(Lambda0, dtype=float)
         for j in range(n_s - 1):
             mid = 0.5 * (Omega[0, j] + Omega[0, j + 1])
             Lam[0, j + 1] = _sweep(Lam[0, j], mid, grid.ds)
@@ -171,7 +171,6 @@ def reconstruct_rotation(grid, Omega, omega, Lambda0, tol, sweep="st"):
             mid = 0.5 * (omega[i] + omega[i + 1])
             Lam[i + 1] = _sweep(Lam[i], mid, grid.dt)
     elif sweep == "ts":
-        Lam[0, 0] = np.asarray(Lambda0, dtype=float)
         for i in range(n_t - 1):
             mid = 0.5 * (omega[i, 0] + omega[i + 1, 0])
             Lam[i + 1, 0] = _sweep(Lam[i, 0], mid, grid.dt)

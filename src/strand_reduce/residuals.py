@@ -109,9 +109,8 @@ def stage2_derivative_fields(s2, p):
 class _InteriorNorms:
     """Grid L2 norms of the residual fields named in ``_fields``, rim excluded."""
 
-    def interior_norms(self, width=None):
-        width = self.boundary_width if width is None else width
-        mask = self.grid.interior_mask(width)
+    def interior_norms(self):
+        mask = self.grid.interior_mask(self.boundary_width)
         return {name: g.norm_l2(self.grid, getattr(self, name), mask)
                 for name in self._fields}
 
@@ -121,14 +120,14 @@ class Stage1Residuals(_InteriorNorms):
     """The three residual fields plus the width of the stencil-touched rim.
 
     Nodes within ``boundary_width`` of a non-periodic edge were produced by
-    one-sided stencils; norm helpers exclude them by default.
+    one-sided stencils; :meth:`interior_norms` excludes them.
     """
 
     grid: g.Grid2
     vertical: np.ndarray
     horizontal_rho: np.ndarray
     horizontal_theta: np.ndarray
-    boundary_width: int = 2
+    boundary_width = 2
     _fields = ("vertical", "horizontal_rho", "horizontal_theta")
 
 
@@ -154,22 +153,18 @@ def _residual_kernel(f, p):
 def stage1_residuals(s1, p, fields=None):
     """Residuals of the once-reduced equations on a stage-1 section."""
     f = fields or stage1_derivative_fields(s1, p)
-    vert, hor_rho, hor_theta = _residual_kernel(f, p)
-    return Stage1Residuals(grid=s1.grid, vertical=vert,
-                           horizontal_rho=hor_rho, horizontal_theta=hor_theta)
+    return Stage1Residuals(s1.grid, *_residual_kernel(f, p))
 
 
-def stage2_residuals(s2, p, fields=None):
+def stage2_residuals(s2, p):
     """Residuals of the twice-reduced equations.
 
     The rotor balance is vertical at this stage, but the numerical values
     coincide with :func:`stage1_residuals` on matched fields (a = d_s theta,
     b = d_t theta), so the same record type is returned.
     """
-    f = fields or stage2_derivative_fields(s2, p)
-    vert, hor_rho, hor_theta = _residual_kernel(f, p)
-    return Stage1Residuals(grid=s2.grid, vertical=vert,
-                           horizontal_rho=hor_rho, horizontal_theta=hor_theta)
+    f = stage2_derivative_fields(s2, p)
+    return Stage1Residuals(s2.grid, *_residual_kernel(f, p))
 
 
 def discrete_action(section, p):
@@ -265,7 +260,7 @@ class UnreducedResiduals(_InteriorNorms):
     res_r: np.ndarray
     res_Lambda: np.ndarray
     res_theta: np.ndarray
-    boundary_width: int = 3
+    boundary_width = 3
     _fields = ("res_r", "res_Lambda", "res_theta")
 
 

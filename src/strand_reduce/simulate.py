@@ -105,46 +105,38 @@ def presets(name, grid, params):
     s = grid.s_coords()
     L = grid.length_s
     root_c0 = np.sqrt(params.pot_c0)
-    zeros = lambda: np.zeros((n_s, 3))
+    # every component not set below starts at zero
+    st = StateSlice(*(np.zeros((n_s, 3)) for _ in COMPONENTS))
     name = name.lower()
+    if name in ("static", "twistpulse"):
+        st.rho[:, 0] = root_c0
     if name == "static":
-        rho = np.zeros((n_s, 3))
-        rho[:, 0] = root_c0
-        return StateSlice(rho=rho, u=zeros(), theta=zeros(), a=zeros(),
-                          v=zeros(), Omega=zeros(), omega=zeros())
+        return st
     if name == "rigidbody":
         # s-independent data: the strand moves as one rigid body with rotors.
-        rho = np.tile(root_c0 * np.array([0.48, 0.60, 0.64]), (n_s, 1))
-        u = np.tile([0.05, -0.02, 0.10], (n_s, 1))
-        v = np.tile([-0.10, 0.25, 0.15], (n_s, 1))
-        omega = np.tile([0.40, -0.30, 0.20], (n_s, 1))
-        return StateSlice(rho=rho, u=u, theta=zeros(), a=zeros(), v=v,
-                          Omega=zeros(), omega=omega)
+        st.rho = np.tile(root_c0 * np.array([0.48, 0.60, 0.64]), (n_s, 1))
+        st.u = np.tile([0.05, -0.02, 0.10], (n_s, 1))
+        st.v = np.tile([-0.10, 0.25, 0.15], (n_s, 1))
+        st.omega = np.tile([0.40, -0.30, 0.20], (n_s, 1))
+        return st
     if name == "twistpulse":
-        rho = np.zeros((n_s, 3))
-        rho[:, 0] = root_c0
-        Omega = np.zeros((n_s, 3))
         sigma = L / 10.0
         center = L / 2.0
-        bump = np.zeros(n_s)
+        bump = st.Omega[:, 2]
         if grid.periodic_s:
             # Summing periodic images keeps the profile smooth across the seam.
             for k in (-2, -1, 0, 1, 2):
                 bump += np.exp(-0.5 * ((s - center + k * L) / sigma) ** 2)
         else:
-            bump = np.exp(-0.5 * ((s - center) / sigma) ** 2)
-        Omega[:, 2] = bump
-        return StateSlice(rho=rho, u=zeros(), theta=zeros(), a=zeros(),
-                          v=zeros(), Omega=Omega, omega=zeros())
+            bump[:] = np.exp(-0.5 * ((s - center) / sigma) ** 2)
+        return st
     if name == "helix":
         # Circular centerline with the frame rotating once about e3 over [0, L].
-        rho = root_c0 * np.stack([np.cos(2 * np.pi * s / L),
-                                  np.sin(2 * np.pi * s / L),
-                                  np.zeros(n_s)], axis=-1)
-        Omega = np.zeros((n_s, 3))
-        Omega[:, 2] = 2 * np.pi / L
-        return StateSlice(rho=rho, u=zeros(), theta=zeros(), a=zeros(),
-                          v=zeros(), Omega=Omega, omega=zeros())
+        st.rho = root_c0 * np.stack([np.cos(2 * np.pi * s / L),
+                                     np.sin(2 * np.pi * s / L),
+                                     np.zeros(n_s)], axis=-1)
+        st.Omega[:, 2] = 2 * np.pi / L
+        return st
     raise UnknownPresetError(name)
 
 
@@ -221,10 +213,7 @@ def run(cfg):
         return _rhs_packed(arr, p, gr.ds, gr.periodic_s, I_inv, K_inv)
 
     step = _step_rk4 if cfg.scheme == "rk4" else _step_midpoint
-    rho = gr.zeros((3,))
-    theta = gr.zeros((3,))
-    Omega = gr.zeros((3,))
-    omega = gr.zeros((3,))
+    rho, theta, Omega, omega = (gr.zeros() for _ in range(4))
     rows = np.empty((gr.n_t, 6))
     K = p.inertia_rotor
 

@@ -15,6 +15,9 @@ from .errors import NearAnglePiError, NotAntisymmetricError, TooFarFromGroupErro
 # fourth-order Taylor expansions (keeps relative error < 1e-12 in doubles).
 SMALL_ANGLE = 1e-4
 
+# Largest Frobenius symmetry defect ``||M + M^T||`` that :func:`vee` accepts.
+ANTISYMMETRY_TOL = 1e-6
+
 # Largest admissible rotation angle for the logarithm.
 MAX_LOG_ANGLE = np.pi - 1e-6
 
@@ -72,18 +75,18 @@ def vee_skew(M):
     )
 
 
-def vee(M, tol=1e-6):
+def vee(M):
     """Inverse of :func:`hat`.
 
     Raises :class:`NotAntisymmetricError` when the symmetry defect
-    ``||M + M^T||_F`` exceeds ``tol``.
+    ``||M + M^T||_F`` exceeds ``ANTISYMMETRY_TOL``.
     """
     M = np.asarray(M, dtype=float)
     defect = np.sqrt(np.sum((M + np.swapaxes(M, -1, -2)) ** 2, axis=(-2, -1)))
     worst = float(np.max(defect))
-    if worst > tol:
-        raise NotAntisymmetricError(
-            f"antisymmetry defect {worst:.3e} exceeds tolerance {tol:.1e}")
+    if worst > ANTISYMMETRY_TOL:
+        raise NotAntisymmetricError(f"antisymmetry defect {worst:.3e} exceeds "
+                                    f"tolerance {ANTISYMMETRY_TOL:.1e}")
     return vee_skew(M)
 
 

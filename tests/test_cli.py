@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strand_reduce import checks
+from strand_reduce import cli
 from strand_reduce import grid as g
 from strand_reduce import model
 from strand_reduce import reduction as red
@@ -134,6 +136,33 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err, err
         return err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        "residuals --preset twistpulse --n-t 2 --n-s 8",
+        "residuals --preset twistpulse --n-t 1 --n-s 8",
+        "residuals --preset twistpulse --length 0",
+        "convergence --base-n-s 2",
+        "convergence --levels 0",
+        "convergence --levels 1",
+        "reconstruct --in RUN --tol 0.1 --lambda0 abc --out OUT",
+        "reconstruct --in RUN --tol nan --out OUT",
+        "reconstruct --in RUN --tol inf --out OUT",
+        "noether --in RUN --tol nan",
+        "noether --in RUN --tol -1",
+    ])
+    def test_bad_numeric_option(self, argv, small_run, tmp_path, capsys):
+        words = {"RUN": str(small_run), "OUT": str(tmp_path)}
+        self.assert_config_exit([words.get(w, w) for w in argv.split()], capsys)
+
+    def test_one_message_for_too_few_levels(self, capsys):
+        errs = []
+        for n_t in ("1", "2"):
+            assert main(["residuals", "--preset", "twistpulse", "--n-t", n_t,
+                         "--n-s", "8"]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs == ["config error: grids need at least 3 nodes per "
+                        "direction\n"] * 2
 
     def test_infinite_length(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"
@@ -474,6 +503,11 @@ class TestCheckAndConvergence:
     def test_check_exit_codes(self, capsys):
         assert main(["check", "stages"]) == 0
 
+    def test_suites_take_no_options(self):
+        # one setting per suite: `check` and the acceptance tests run it alike
+        for suite in (*cli.CHECK_SUITES.values(), checks.check_invariance):
+            assert not inspect.signature(suite).parameters, suite.__name__
+
     def test_failed_check_exits_4(self, capsys):
         # deliberately preasymptotic ladder: observed orders fall out of band
         assert main(["convergence", "--levels", "2", "--base-n-s", "8",
@@ -490,18 +524,18 @@ class TestCheckAndConvergence:
         assert "order_vertical" in text
 
     @staticmethod
-    def _ladder(monkeypatch, **kwargs):
-        """``convergence_table`` output and the run of each level."""
+    def _ladder(monkeypatch, levels, base_n_t, base_n_s, bc):
+        """Twist-pulse ``convergence_table`` output and the run of each level."""
         outs = []
         real_run = checks.run
         monkeypatch.setattr(checks, "run",
                             lambda cfg: outs.append(real_run(cfg)) or outs[-1])
-        rows, results = checks.convergence_table(**kwargs)
+        gr = g.Grid2.uniform(base_n_t, base_n_s, 0.05, 1.0, bc)
+        rows, results = checks.convergence_table("twistpulse", levels, gr)
         return rows, results, outs
 
     def test_clamped_ladder_nests(self, monkeypatch):
-        rows, _, outs = self._ladder(monkeypatch, levels=3, base_n_s=9,
-                                     base_n_t=11, duration=0.05, bc=g.CLAMPED)
+        rows, _, outs = self._ladder(monkeypatch, 3, 11, 9, g.CLAMPED)
         grids = [out.section.grid for out in outs]
         for coarse, fine in zip(grids, grids[1:]):
             assert fine.ds == coarse.ds / 2 and fine.dt == coarse.dt / 2
@@ -511,8 +545,7 @@ class TestCheckAndConvergence:
 
     @pytest.mark.parametrize("bc", [g.PERIODIC, g.CLAMPED])
     def test_ladder_norms_are_the_run_summary(self, monkeypatch, bc):
-        rows, results, outs = self._ladder(monkeypatch, levels=2, base_n_s=16,
-                                           base_n_t=21, duration=0.05, bc=bc)
+        rows, results, outs = self._ladder(monkeypatch, 2, 21, 16, bc)
         params = model.default_params()
         for row, out in zip(rows, outs):
             sec = out.section
