@@ -242,7 +242,7 @@ def check_roundtrip():
                         g.norm_max(s1.omega - omega)))
         sec = red.Stage2Section(grid=gr, rho=None, a=None, b=None,
                                 Omega=Omega, omega=omega)
-        flats.append(g.norm_max(red.flatness_residual_rotation(sec)))
+        flats.append(red.flatness_max(sec))
         defects.append(red.path_independence_defect(gr, Omega, omega,
                                                     Lam0[0, 0], tol=1.0))
     results = []
@@ -269,7 +269,7 @@ def check_roundtrip():
     return results
 
 
-_RESIDUALS = ("vertical", "horizontal_rho", "horizontal_theta")
+_RESIDUALS = rs.Stage1Residuals._fields
 
 
 def convergence_table(preset, levels, gr):
@@ -293,34 +293,62 @@ def convergence_table(preset, levels, gr):
                   for key in _RESIDUALS + ("flatness",)]
 
 
+def residual_report(s1, params):
+    """Interior L2 norms of both stages' residuals and the masked flatness max.
+
+    Evaluated window by window; the stage-2 residuals are those of the
+    window's own projection.
+    """
+    norms = red.window_norms(s1, lambda s: {
+        **rs.stage1_residuals(s, params).named("stage1_"),
+        **rs.stage2_residuals(red.project_stage2(s), params).named("stage2_"),
+        "flatness_rotation": red.flatness_residual_rotation(s)})
+    mask = s1.grid.interior_mask(2)
+    return ([CheckResult(f"{stage}_{name}_l2", norms.l2(f"{stage}_{name}", mask),
+                         None, True)
+             for stage in ("stage1", "stage2") for name in _RESIDUALS]
+            + [CheckResult("flatness_rotation_max",
+                           norms.max("flatness_rotation", mask), None, True)])
+
+
 def noether_report(s1, Lam, params):
     """Current totals drift, divergence norms, and the divergence identity.
 
     Returns the check rows and the ``(n_t, 6)`` rotor|so3 totals they measure,
-    integrated over the run's own grid (the whole loop when periodic).
+    integrated over the run's own grid (the whole loop when periodic).  The
+    evaluators run window by window; ``Lam`` is read through views.
     """
     gr = s1.grid
-    f = rs.stage1_derivative_fields(s1, params)
-    d = model.fiber_derivatives_stage1(f, params)
-    rot = noether.rotor_current(gr, d)
-    so3c = noether.so3_current(gr, Lam, d)
-    balance = noether.drift_residual(Lam, f, d, params)
-    del d  # rot keeps two of its slots; the rest go before the loop below
-    # the rotation field may carry loop holonomy, in which case the spatial
-    # current jumps at the seam; differentiate it on the cut
     cut = dataclasses.replace(gr, bc_s=g.CLAMPED)
-    out, totals = [], []
-    for name, cur, div_grid in (("rotor", rot, gr), ("so3", so3c, cut)):
-        tot = noether.totals_over_time(cur)
-        totals.append(tot)
+    norms = g.NodeNorms(gr)
+    totals = {name: np.empty((gr.n_t, 3)) for name in ("rotor", "so3")}
+    for w in gr.windows():
+        s = red.window_view(s1, w)
+        L = Lam[w.read]
+        f = rs.stage1_derivative_fields(s, params)
+        d = model.fiber_derivatives_stage1(f, params)
+        rot = noether.rotor_current(w.grid, d)
+        so3c = noether.so3_current(w.grid, L, d)
+        balance = noether.drift_residual(L, f, d, params)
+        # the rotation field may carry loop holonomy, in which case the
+        # spatial current jumps at the seam; differentiate it on the cut
+        for name, cur, div_grid in (
+                ("rotor", rot, w.grid),
+                ("so3", so3c, dataclasses.replace(w.grid, bc_s=g.CLAMPED))):
+            totals[name][w.own] = noether.totals_over_time(cur)[w.inner]
+            norms.add(w, {name: noether.divergence(
+                dataclasses.replace(cur, grid=div_grid))})
+        norms.add(w, {"identity": balance - np.einsum(
+            "tsij,tsj->tsi", L,
+            rs.stage1_residuals(s, params, fields=f).vertical)})
+    out = []
+    for name, div_grid in (("rotor", gr), ("so3", cut)):
+        tot = totals[name]
         drift = float(np.max(np.linalg.norm(tot - tot[0], axis=-1)))
         out.append(CheckResult(f"{name}_total_drift", drift, None, True))
-        div = noether.divergence(dataclasses.replace(cur, grid=div_grid))
-        out.append(CheckResult(
-            f"{name}_divergence_interior_l2",
-            g.norm_l2(div_grid, div, div_grid.interior_mask(2)), None, True))
-    ident = g.norm_max(
-        balance - np.einsum("tsij,tsj->tsi", Lam,
-                            rs.stage1_residuals(s1, params, fields=f).vertical))
-    out.append(_result("current_vertical_identity_max_err", ident, 1e-12))
-    return out, np.hstack(totals)
+        out.append(CheckResult(f"{name}_divergence_interior_l2",
+                               norms.l2(name, div_grid.interior_mask(2)),
+                               None, True))
+    out.append(_result("current_vertical_identity_max_err",
+                       norms.max("identity", None), 1e-12))
+    return out, np.hstack([totals["rotor"], totals["so3"]])

@@ -15,7 +15,6 @@ import numpy as np
 from . import checks
 from . import grid as g
 from . import reduction as red
-from . import residuals as rs
 from .config import load_config
 from .errors import BlowupError, ConfigError, NotFlatError, StrandError
 from .fields_io import (format_report, grid_line, read_fields, read_model,
@@ -105,15 +104,8 @@ def cmd_residuals(args):
         cfg = SimConfig(grid=_grid(args, args.n_t, args.n_s), params=params,
                         preset=args.preset)
         sec = run(cfg).section
-    staged = (("stage1", rs.stage1_residuals(sec, params)),
-              ("stage2", rs.stage2_residuals(red.project_stage2(sec), params)))
-    results = [checks.CheckResult(f"{stage}_{name}_l2", value, None, True)
-               for stage, r in staged
-               for name, value in r.interior_norms().items()]
-    flat = g.norm_max(red.flatness_residual_rotation(sec),
-                      sec.grid.interior_mask(2))
-    results.append(checks.CheckResult("flatness_rotation_max", flat, None, True))
-    sys.stdout.write(format_report("residuals", results))
+    sys.stdout.write(format_report("residuals",
+                                   checks.residual_report(sec, params)))
     return EXIT_OK
 
 
@@ -137,10 +129,8 @@ def cmd_reconstruct(args):
 def cmd_noether(args):
     _check_tol(args.tol)
     sec, params = _section_from_dir(args.indir)
-    flat = g.norm_max(red.flatness_residual_rotation(sec))
-    tol = args.tol if args.tol is not None else 10.0 * flat + 1e-6
     Lam = red.reconstruct_rotation(sec.grid, sec.Omega, sec.omega, np.eye(3),
-                                   tol=tol)
+                                   tol=args.tol)
     results, totals = checks.noether_report(sec, Lam, params)
     if args.out:
         path = write_totals(args.out, sec.grid, totals)

@@ -6,6 +6,7 @@ axis 1 over arclength nodes, trailing axes over components (none for scalars,
 what the CSV writer serializes, so it is fixed.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,26 @@ CLAMPED = "clamped"
 
 # Memory guard for field allocation.
 MAX_NODES = 10 ** 8
+# The reports evaluate a run in time windows of about this many nodes each.
+WINDOW_NODES = 8192
+# Levels a window reads beyond the ones it owns: the reach of d_t o d_t.
+WINDOW_HALO = 2
+
+
+@dataclass(frozen=True)
+class Window:
+    """A run of time levels with a halo of ``WINDOW_HALO`` on each inner side.
+
+    ``grid`` spans the levels ``read`` of the whole grid.  Fields built from
+    them by the stencils equal the whole-grid ones, bit for bit, on the
+    levels the window owns: ``own`` in whole-grid rows, ``inner`` in rows of
+    the window.
+    """
+
+    grid: "Grid2"
+    read: slice
+    own: slice
+    inner: slice
 
 
 @dataclass(frozen=True)
@@ -89,6 +110,24 @@ class Grid2:
             mask[:, :width] = False
             mask[:, self.n_s - width:] = False
         return mask
+
+    def windows(self):
+        """The :class:`Window` partition of the levels, in time order.
+
+        Each window owns ``WINDOW_NODES // n_s`` levels, but at least
+        ``2 * WINDOW_HALO`` so that it never reads more than twice the levels
+        it owns.  A tail shorter than two levels joins the window before: the
+        one-sided stencils at the last level need as many levels as on the
+        whole grid.
+        """
+        step = max(2 * WINDOW_HALO, WINDOW_NODES // self.n_s)
+        lo = 0
+        while lo < self.n_t:
+            hi = lo + step if self.n_t - (lo + step) >= 2 else self.n_t
+            a, b = max(0, lo - WINDOW_HALO), min(self.n_t, hi + WINDOW_HALO)
+            yield Window(dataclasses.replace(self, n_t=b - a), slice(a, b),
+                         slice(lo, hi), slice(lo - a, hi - a))
+            lo = hi
 
     def refined(self):
         """Grid with both spacings halved (node counts per the boundary policy)."""
@@ -194,21 +233,59 @@ def integrate_s(grid, values, i_t=None):
     return grid.ds * np.sum(f * w.reshape(shape), axis=axis)
 
 
-def norm_l2(grid, values, mask=None):
-    """Grid L2 norm ``sqrt(sum |f|^2 ds dt)``, optionally masked."""
-    f = np.asarray(values, dtype=float)
-    sq = np.sum(f * f, axis=tuple(range(2, f.ndim))) if f.ndim > 2 else f * f
+def _node_sq(f):
+    """Squared magnitude of a float field at every (t, s) node."""
+    return np.sum(f * f, axis=tuple(range(2, f.ndim))) if f.ndim > 2 else f * f
+
+
+def _l2(grid, sq, mask):
     if mask is not None:
         sq = np.where(mask, sq, 0.0)
     return float(np.sqrt(np.sum(sq) * grid.ds * grid.dt))
 
 
-def norm_max(values, mask=None):
-    """Pointwise-magnitude max norm, optionally masked."""
-    f = np.asarray(values, dtype=float)
-    mag = np.sqrt(np.sum(f * f, axis=tuple(range(2, f.ndim)))) if f.ndim > 2 else np.abs(f)
+def _max(mag, mask):
+    # np.max, unlike Python's max(), lets a NaN magnitude through
     if mask is not None:
         if not np.any(mask):
             return 0.0
         mag = np.where(mask, mag, 0.0)
     return float(np.max(mag))
+
+
+def norm_l2(grid, values, mask=None):
+    """Grid L2 norm ``sqrt(sum |f|^2 ds dt)``, optionally masked."""
+    return _l2(grid, _node_sq(np.asarray(values, dtype=float)), mask)
+
+
+def norm_max(values, mask=None):
+    """Pointwise-magnitude max norm, optionally masked."""
+    f = np.asarray(values, dtype=float)
+    return _max(np.sqrt(_node_sq(f)) if f.ndim > 2 else np.abs(f), mask)
+
+
+class NodeNorms:
+    """Norms of vector fields that are evaluated one window at a time.
+
+    Each window stores the squared magnitudes of its owned nodes; :meth:`l2`
+    and :meth:`max` reduce the assembled ``(n_t, n_s)`` arrays exactly as
+    :func:`norm_l2` and :func:`norm_max` reduce a whole-grid field, so the
+    two agree bit for bit.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.sq = {}
+
+    def add(self, window, fields):
+        """Store the owned nodes of ``{name: field over window.grid}``."""
+        shape = (self.grid.n_t, self.grid.n_s)
+        for name, values in fields.items():
+            sq = self.sq.setdefault(name, np.empty(shape))
+            sq[window.own] = _node_sq(np.asarray(values, dtype=float)[window.inner])
+
+    def l2(self, name, mask):
+        return _l2(self.grid, self.sq[name], mask)
+
+    def max(self, name, mask):
+        return _max(np.sqrt(self.sq[name]), mask)

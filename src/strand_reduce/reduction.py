@@ -11,6 +11,7 @@ conditions ``d_s omega - d_t Omega + Omega x omega = 0`` and ``a_t = b_s``;
 see :func:`reconstruct_rotation` and :func:`reconstruct_theta`.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,36 @@ def flatness_residual_rotation(section):
             + cross(section.Omega, section.omega))
 
 
+def window_view(section, window):
+    """The section on the levels ``window`` reads: views, no copies.
+
+    Works for every section type; fields that are None stay None.
+    """
+    return dataclasses.replace(section, grid=window.grid, **{
+        f.name: getattr(section, f.name)[window.read]
+        for f in dataclasses.fields(section)
+        if f.name != "grid" and getattr(section, f.name) is not None})
+
+
+def window_norms(section, fields):
+    """:class:`grid.NodeNorms` of the fields that ``fields(view)`` returns.
+
+    ``fields`` maps a window view of ``section`` to ``{name: field}``; it is
+    called once per window, so only one window of its fields is alive at a
+    time.
+    """
+    norms = g.NodeNorms(section.grid)
+    for w in section.grid.windows():
+        norms.add(w, fields(window_view(section, w)))
+    return norms
+
+
+def flatness_max(section):
+    """Max norm of :func:`flatness_residual_rotation`, window by window."""
+    return window_norms(section, lambda s: {
+        "flatness": flatness_residual_rotation(s)}).max("flatness", None)
+
+
 def flatness_residual_rotor(s2):
     """Rotor compatibility defect d_t(a) - d_s(b)."""
     return g.d_t(s2.grid, s2.a) - g.d_s(s2.grid, s2.b)
@@ -144,18 +175,23 @@ def _sweep(Lam_prev, rate_mid, h):
 def reconstruct_rotation(grid, Omega, omega, Lambda0, tol, sweep="st"):
     """Integrate a flat (Omega, omega) pair back to a rotation field.
 
-    The flatness residual must stay below ``tol`` in the max norm, else
-    :class:`NotFlatError`.  ``sweep="st"`` fills the t = 0 row from Omega and
-    then marches every s-column forward in time with omega; ``sweep="ts"`` is
-    the transposed order (used to expose the path-independence defect).  The
-    result is one representative of the reconstruction family, selected by
-    ``Lambda0``; any other member differs by a constant left rotation.
+    The flatness residual must be finite and, unless ``tol`` is None (the
+    default of ``noether``), at most ``tol`` in the max norm, else
+    :class:`NotFlatError`.
+
+    ``sweep="st"`` fills the t = 0 row from Omega and then marches every
+    s-column forward in time with omega; ``sweep="ts"`` is the transposed
+    order (used to expose the path-independence defect).  The result is one
+    representative of the reconstruction family, selected by ``Lambda0``; any
+    other member differs by a constant left rotation.
     """
     sec = Stage2Section(grid=grid, rho=None, a=None, b=None,
                         Omega=np.asarray(Omega, float),
                         omega=np.asarray(omega, float))
-    defect = g.norm_max(flatness_residual_rotation(sec))
-    if defect > tol:
+    defect = flatness_max(sec)
+    if not np.isfinite(defect):
+        raise NotFlatError(f"flatness residual is not finite ({defect})")
+    if tol is not None and not defect <= tol:
         raise NotFlatError(
             f"flatness residual {defect:.3e} exceeds tolerance {tol:.3e}")
     Omega = sec.Omega
@@ -193,14 +229,15 @@ def path_independence_defect(grid, Omega, omega, Lambda0, tol):
 def reconstruct_theta(grid, a, b, theta0, tol):
     """Path integral of the rotor gradient pair from the origin corner.
 
-    Requires the rotor flatness residual d_t(a) - d_s(b) below ``tol``.
+    Requires the rotor flatness residual d_t(a) - d_s(b) below ``tol`` (a NaN
+    residual fails).
     Trapezoid rule along the t = 0 row, then along every column.
     """
     sec = Stage2Section(grid=grid, rho=None,
                         a=np.asarray(a, float), b=np.asarray(b, float),
                         Omega=None, omega=None)
     defect = g.norm_max(flatness_residual_rotor(sec))
-    if defect > tol:
+    if not defect <= tol:
         raise NotFlatError(
             f"rotor flatness residual {defect:.3e} exceeds tolerance {tol:.3e}")
     a = sec.a

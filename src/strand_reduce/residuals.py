@@ -109,6 +109,10 @@ def stage2_derivative_fields(s2, p):
 class _InteriorNorms:
     """Grid L2 norms of the residual fields named in ``_fields``, rim excluded."""
 
+    def named(self, prefix):
+        """The residual fields as ``{prefix + name: field}``."""
+        return {prefix + name: getattr(self, name) for name in self._fields}
+
     def interior_norms(self):
         mask = self.grid.interior_mask(self.boundary_width)
         return {name: g.norm_l2(self.grid, getattr(self, name), mask)

@@ -39,7 +39,7 @@ from . import grid as g
 from .so3 import cross
 from .errors import BlowupError, ConfigError, SingularInertiaError, UnknownPresetError
 from .model import ModelParams, dE, default_params
-from .reduction import Stage1Section, flatness_residual_rotation
+from .reduction import Stage1Section, flatness_residual_rotation, window_norms
 from .residuals import stage1_residuals
 
 BLOWUP_GUARD = 1e8
@@ -241,17 +241,18 @@ def run(cfg):
 
 
 def run_summary(section, p, rows):
-    """Post-hoc diagnostics on the assembled section."""
-    res = stage1_residuals(section, p)
-    norms = res.interior_norms()
-    flat = flatness_residual_rotation(section)
+    """Post-hoc diagnostics on the assembled section, window by window."""
+    norms = window_norms(section, lambda s: {
+        **stage1_residuals(s, p).named("residual_"),
+        "flatness_rotation": flatness_residual_rotation(s)})
     mask = section.grid.interior_mask(2)
     rotor_tot = rows[:, 3:6]
     return {
-        "residual_vertical_l2": norms["vertical"],
-        "residual_horizontal_rho_l2": norms["horizontal_rho"],
-        "residual_horizontal_theta_l2": norms["horizontal_theta"],
-        "flatness_rotation_max": g.norm_max(flat, mask),
+        "residual_vertical_l2": norms.l2("residual_vertical", mask),
+        "residual_horizontal_rho_l2": norms.l2("residual_horizontal_rho", mask),
+        "residual_horizontal_theta_l2": norms.l2("residual_horizontal_theta",
+                                                 mask),
+        "flatness_rotation_max": norms.max("flatness_rotation", mask),
         "rotor_total_drift": float(np.max(np.linalg.norm(
             rotor_tot - rotor_tot[0], axis=-1))),
     }

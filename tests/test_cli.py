@@ -498,6 +498,38 @@ class TestNoether:
                      str(tmp_path / "tot")]) == 0
         assert len(calls) == 1
 
+    def test_one_flatness_pass(self, tmp_path, config_file, monkeypatch):
+        # the default --tol and the reconstruction gate share one windowed
+        # flatness max: one flatness_residual_rotation call per window
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        monkeypatch.setattr(g, "WINDOW_NODES", 8 * 32)
+        calls = []
+        flat = red.flatness_residual_rotation
+        monkeypatch.setattr(red, "flatness_residual_rotation",
+                            lambda sec: calls.append(sec.grid.n_t) or flat(sec))
+        assert main(["noether", "--in", str(out)]) == 0
+        windows = list(g.Grid2.uniform(40, 32, 0.1, 1.0, g.PERIODIC).windows())
+        assert calls == [w.grid.n_t for w in windows] and len(calls) == 5
+
+    def test_nan_cell_exits_3(self, tmp_path, config_file):
+        # a fresh process, so that a numpy RuntimeWarning would reach stderr
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["simulate", "--config", str(config_file), "--out", str(out)])
+
+        def nan_cell(lines):
+            row = lines[1 + 20 * 32 + 9].split(",")
+            row[5] = "nan"
+            lines[1 + 20 * 32 + 9] = ",".join(row)
+            return lines
+        rewrite_rehashed(out, "Omega.csv", nan_cell)
+        proc = subprocess.run([sys.executable, "-m", "strand_reduce", "noether",
+                               "--in", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "not flat: flatness residual is not finite (nan)"]
+
 
 class TestCheckAndConvergence:
     def test_check_exit_codes(self, capsys):

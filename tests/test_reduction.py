@@ -250,6 +250,25 @@ class TestReconstructRotation:
         with pytest.raises(NotFlatError):
             red.reconstruct_rotation(gr, W, w, np.eye(3), tol=1e-3)
 
+    @pytest.mark.parametrize("field", ["Omega", "omega"])
+    @pytest.mark.parametrize("tol", [1e-3, None])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_fails_the_gate(self, field, tol, value):
+        # a NaN in Omega used to pass the gate and a NaN in omega to end in
+        # the polar iteration; an inf makes the residual NaN or inf
+        gr = small_grid(n_t=16, n_s=40, bc=g.CLAMPED)
+        _, Omega, omega = separable_flat_lift(gr)
+        {"Omega": Omega, "omega": omega}[field][9, 17, 2] = value
+        with np.errstate(invalid="ignore"), pytest.raises(NotFlatError,
+                                                          match="not finite"):
+            red.reconstruct_rotation(gr, Omega, omega, np.eye(3), tol=tol)
+
+    def test_default_tol_passes_finite_data(self):
+        gr = small_grid(n_t=8, n_s=8)
+        W = np.broadcast_to(E1, (gr.n_t, gr.n_s, 3)).copy()
+        w = np.broadcast_to(E2, (gr.n_t, gr.n_s, 3)).copy()
+        red.reconstruct_rotation(gr, W, w, np.eye(3), tol=None)
+
     def test_coarse_step_angle_rejected(self):
         from strand_reduce.errors import NearAnglePiError
         gr = small_grid(n_t=8, n_s=8)
@@ -316,6 +335,13 @@ class TestReconstructTheta:
         t = gr.t_coords()[:, None]
         a = np.stack([t + 0.0 * gr.s_coords()[None, :]] * 3, axis=-1)
         with pytest.raises(NotFlatError):
+            red.reconstruct_theta(gr, a, np.zeros_like(a), np.zeros(3), tol=1e-6)
+
+    def test_nan_fails_the_gate(self):
+        gr = small_grid(n_t=8, n_s=8)
+        a = np.zeros((gr.n_t, gr.n_s, 3))
+        a[4, 3, 0] = np.nan
+        with pytest.raises(NotFlatError, match="nan"):
             red.reconstruct_theta(gr, a, np.zeros_like(a), np.zeros(3), tol=1e-6)
 
 
