@@ -21,7 +21,8 @@ from .fields_io import (format_report, grid_line, read_fields, read_model,
                         write_fields, write_report, write_steps, write_totals)
 from .model import default_params
 from .reduction import Stage1Section
-from .simulate import SimConfig, run
+from .residuals import Stage1Residuals
+from .simulate import SimConfig, residual_norms, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,8 +75,7 @@ def cmd_simulate(args):
                                       "Omega": sec.Omega, "omega": sec.omega},
                  model=cfg.params)
     write_steps(args.out, out.steps)
-    results = [checks.CheckResult(k, v, None, True)
-               for k, v in out.summary.items()]
+    results = [checks.info(k, v) for k, v in out.summary.items()]
     p = cfg.params
     mat = lambda M: " ".join("%.17g" % x for x in np.asarray(M).ravel())
     preamble = [f"config {args.config}", grid_line(sec.grid),
@@ -99,14 +99,15 @@ def cmd_simulate(args):
 def cmd_residuals(args):
     if args.indir:
         sec, params = _section_from_dir(args.indir)
+        summary = residual_norms(sec, params)
     else:
-        params = default_params()
-        cfg = SimConfig(grid=_grid(args, args.n_t, args.n_s), params=params,
-                        preset=args.preset)
-        sec = run(cfg).section
-    sys.stdout.write(format_report("residuals",
-                                   checks.residual_report(sec, params)))
-    return EXIT_OK
+        cfg = SimConfig(grid=_grid(args, args.n_t, args.n_s),
+                        params=default_params(), preset=args.preset)
+        summary = run(cfg).summary
+    return _print_checks("residuals", [
+        *(checks.info(f"stage1_{key}_l2", summary[f"residual_{key}_l2"])
+          for key in Stage1Residuals._fields),
+        checks.info("flatness_rotation_max", summary["flatness_rotation_max"])])
 
 
 def cmd_reconstruct(args):

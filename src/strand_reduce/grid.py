@@ -233,12 +233,13 @@ def integrate_s(grid, values, i_t=None):
     return grid.ds * np.sum(f * w.reshape(shape), axis=axis)
 
 
-def _node_sq(f):
+def node_sq(f):
     """Squared magnitude of a float field at every (t, s) node."""
     return np.sum(f * f, axis=tuple(range(2, f.ndim))) if f.ndim > 2 else f * f
 
 
-def _l2(grid, sq, mask):
+def l2_sq(grid, sq, mask):
+    """:func:`norm_l2` of the field whose :func:`node_sq` is ``sq``."""
     if mask is not None:
         sq = np.where(mask, sq, 0.0)
     return float(np.sqrt(np.sum(sq) * grid.ds * grid.dt))
@@ -253,39 +254,37 @@ def _max(mag, mask):
     return float(np.max(mag))
 
 
+def max_sq(sq, mask):
+    """:func:`norm_max` of the vector field whose :func:`node_sq` is ``sq``."""
+    return _max(np.sqrt(sq), mask)
+
+
 def norm_l2(grid, values, mask=None):
     """Grid L2 norm ``sqrt(sum |f|^2 ds dt)``, optionally masked."""
-    return _l2(grid, _node_sq(np.asarray(values, dtype=float)), mask)
+    return l2_sq(grid, node_sq(np.asarray(values, dtype=float)), mask)
 
 
 def norm_max(values, mask=None):
     """Pointwise-magnitude max norm, optionally masked."""
     f = np.asarray(values, dtype=float)
-    return _max(np.sqrt(_node_sq(f)) if f.ndim > 2 else np.abs(f), mask)
+    return _max(np.sqrt(node_sq(f)) if f.ndim > 2 else np.abs(f), mask)
 
 
-class NodeNorms:
-    """Norms of vector fields that are evaluated one window at a time.
+def by_window(grid, evaluate):
+    """Evaluate per-level arrays window by window and stitch them together.
 
-    Each window stores the squared magnitudes of its owned nodes; :meth:`l2`
-    and :meth:`max` reduce the assembled ``(n_t, n_s)`` arrays exactly as
-    :func:`norm_l2` and :func:`norm_max` reduce a whole-grid field, so the
-    two agree bit for bit.
+    ``evaluate(window)`` returns a tuple of arrays over ``window.grid``'s
+    levels (axis 0); the levels each window owns are copied into whole-grid
+    arrays, returned in the same order.  Only one window of the evaluated
+    fields is alive at a time.  Non-finite input yields non-finite values,
+    not numpy warnings: the callers report them.
     """
-
-    def __init__(self, grid):
-        self.grid = grid
-        self.sq = {}
-
-    def add(self, window, fields):
-        """Store the owned nodes of ``{name: field over window.grid}``."""
-        shape = (self.grid.n_t, self.grid.n_s)
-        for name, values in fields.items():
-            sq = self.sq.setdefault(name, np.empty(shape))
-            sq[window.own] = _node_sq(np.asarray(values, dtype=float)[window.inner])
-
-    def l2(self, name, mask):
-        return _l2(self.grid, self.sq[name], mask)
-
-    def max(self, name, mask):
-        return _max(np.sqrt(self.sq[name]), mask)
+    out = None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for w in grid.windows():
+            parts = evaluate(w)
+            if out is None:
+                out = tuple(np.empty((grid.n_t,) + p.shape[1:]) for p in parts)
+            for whole, part in zip(out, parts):
+                whole[w.own] = part[w.inner]
+    return out

@@ -11,7 +11,8 @@ with ``w = (Lambda^T Lambda_t)^vee`` and ``W = (Lambda^T Lambda_s)^vee`` is
 invariant under rigid rotations of (r, Lambda) and shifts of theta.  Dividing
 out the rotation gives the first reduced form (``lagrangian_stage1``); also
 dividing out the rotor shifts renames (theta_s, theta_t) -> (a, b) and yields
-the same formula (``lagrangian_stage2`` shares the code path).
+the same formula, so the second reduced form is ``lagrangian_stage1`` of a
+point whose ``theta_s``, ``theta_t`` hold a, b.
 
 The potential energy is fixed to
 
@@ -191,13 +192,6 @@ def lagrangian_stage1(pt, p):
     """First reduced Lagrangian density; ``pt`` is a point or a field bundle."""
     return density(pt.rho_t + cross(pt.omega, pt.rho), _dot(pt.rho, pt.rho),
                    pt.theta_s, pt.theta_t, pt.Omega, pt.omega, p)
-
-
-def lagrangian_stage2(rho, rho_t, a, b, Omega, omega, p):
-    """Second reduced Lagrangian: same closed form with (theta_s, theta_t) -> (a, b)."""
-    return lagrangian_stage1(
-        Stage1Point(rho=rho, rho_t=rho_t, theta_s=a, theta_t=b,
-                    Omega=Omega, omega=omega), p)
 
 
 def lagrangian_unreduced(pt, p):

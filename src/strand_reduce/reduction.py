@@ -138,23 +138,11 @@ def window_view(section, window):
         if f.name != "grid" and getattr(section, f.name) is not None})
 
 
-def window_norms(section, fields):
-    """:class:`grid.NodeNorms` of the fields that ``fields(view)`` returns.
-
-    ``fields`` maps a window view of ``section`` to ``{name: field}``; it is
-    called once per window, so only one window of its fields is alive at a
-    time.
-    """
-    norms = g.NodeNorms(section.grid)
-    for w in section.grid.windows():
-        norms.add(w, fields(window_view(section, w)))
-    return norms
-
-
 def flatness_max(section):
     """Max norm of :func:`flatness_residual_rotation`, window by window."""
-    return window_norms(section, lambda s: {
-        "flatness": flatness_residual_rotation(s)}).max("flatness", None)
+    sq, = g.by_window(section.grid, lambda w: (g.node_sq(
+        flatness_residual_rotation(window_view(section, w))),))
+    return g.max_sq(sq, None)
 
 
 def flatness_residual_rotor(s2):

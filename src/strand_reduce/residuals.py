@@ -106,32 +106,18 @@ def stage2_derivative_fields(s2, p):
                           np.asarray(s2.a, float), b, g.d_t(gr, b))
 
 
-class _InteriorNorms:
-    """Grid L2 norms of the residual fields named in ``_fields``, rim excluded."""
-
-    def named(self, prefix):
-        """The residual fields as ``{prefix + name: field}``."""
-        return {prefix + name: getattr(self, name) for name in self._fields}
-
-    def interior_norms(self):
-        mask = self.grid.interior_mask(self.boundary_width)
-        return {name: g.norm_l2(self.grid, getattr(self, name), mask)
-                for name in self._fields}
-
-
 @dataclass
-class Stage1Residuals(_InteriorNorms):
-    """The three residual fields plus the width of the stencil-touched rim.
+class Stage1Residuals:
+    """The three residual fields, named in ``_fields``.
 
-    Nodes within ``boundary_width`` of a non-periodic edge were produced by
-    one-sided stencils; :meth:`interior_norms` excludes them.
+    Nodes within two layers of a non-periodic edge were produced by
+    one-sided stencils; the reports mask them with ``interior_mask(2)``.
     """
 
     grid: g.Grid2
     vertical: np.ndarray
     horizontal_rho: np.ndarray
     horizontal_theta: np.ndarray
-    boundary_width = 2
     _fields = ("vertical", "horizontal_rho", "horizontal_theta")
 
 
@@ -257,14 +243,13 @@ def action_gradient_check(s1, var, p, eps=1e-5):
 
 
 @dataclass
-class UnreducedResiduals(_InteriorNorms):
+class UnreducedResiduals:
     """Exact discrete-action gradient of a full section (spatial frame)."""
 
     grid: g.Grid2
     res_r: np.ndarray
     res_Lambda: np.ndarray
     res_theta: np.ndarray
-    boundary_width = 3
     _fields = ("res_r", "res_Lambda", "res_theta")
 
 
@@ -280,7 +265,8 @@ def el_unreduced_residual(u_sec, p):
     under constant rotations of the section.
 
     Transposed stencils are not consistent derivative operators near
-    non-periodic edges, so ``boundary_width`` is 3 here.
+    non-periodic edges, so three layers there are not interior
+    (``interior_mask(3)``).
     """
     gr = u_sec.grid
     Lam = np.asarray(u_sec.Lambda, float)

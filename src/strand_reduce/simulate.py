@@ -39,8 +39,8 @@ from . import grid as g
 from .so3 import cross
 from .errors import BlowupError, ConfigError, SingularInertiaError, UnknownPresetError
 from .model import ModelParams, dE, default_params
-from .reduction import Stage1Section, flatness_residual_rotation, window_norms
-from .residuals import stage1_residuals
+from .reduction import Stage1Section, flatness_residual_rotation, window_view
+from .residuals import Stage1Residuals, stage1_residuals
 
 BLOWUP_GUARD = 1e8
 
@@ -240,19 +240,31 @@ def run(cfg):
                      final_state=StateSlice.unpack(y), seconds=seconds)
 
 
+def residual_norms(section, p):
+    """Interior L2 norms of the stage-1 residuals and the masked flatness max.
+
+    Keyed as in the run summary, evaluated window by window.  The stage-2
+    residuals are the same numbers by construction (``check stages``).
+    """
+    gr = section.grid
+    names = Stage1Residuals._fields
+
+    def evaluate(w):
+        s = window_view(section, w)
+        res = stage1_residuals(s, p)
+        return (*(g.node_sq(getattr(res, name)) for name in names),
+                g.node_sq(flatness_residual_rotation(s)))
+
+    *sq, flat = g.by_window(gr, evaluate)
+    mask = gr.interior_mask(2)
+    return {**{f"residual_{name}_l2": g.l2_sq(gr, q, mask)
+               for name, q in zip(names, sq)},
+            "flatness_rotation_max": g.max_sq(flat, mask)}
+
+
 def run_summary(section, p, rows):
-    """Post-hoc diagnostics on the assembled section, window by window."""
-    norms = window_norms(section, lambda s: {
-        **stage1_residuals(s, p).named("residual_"),
-        "flatness_rotation": flatness_residual_rotation(s)})
-    mask = section.grid.interior_mask(2)
+    """Post-hoc diagnostics: :func:`residual_norms` and the rotor total drift."""
     rotor_tot = rows[:, 3:6]
-    return {
-        "residual_vertical_l2": norms.l2("residual_vertical", mask),
-        "residual_horizontal_rho_l2": norms.l2("residual_horizontal_rho", mask),
-        "residual_horizontal_theta_l2": norms.l2("residual_horizontal_theta",
-                                                 mask),
-        "flatness_rotation_max": norms.max("flatness_rotation", mask),
-        "rotor_total_drift": float(np.max(np.linalg.norm(
-            rotor_tot - rotor_tot[0], axis=-1))),
-    }
+    return {**residual_norms(section, p),
+            "rotor_total_drift": float(np.max(np.linalg.norm(
+                rotor_tot - rotor_tot[0], axis=-1)))}

@@ -21,6 +21,7 @@ from strand_reduce import grid as g
 from strand_reduce import model
 from strand_reduce import reduction as red
 from strand_reduce import residuals as rs
+from strand_reduce import simulate as sim
 from strand_reduce.cli import main
 from strand_reduce.config import parse_config
 from strand_reduce.fields_io import write_initial_slice
@@ -279,6 +280,21 @@ def rewrite_rehashed(run, fname, edit):
         old, hashlib.sha256(path.read_bytes()).hexdigest()))
 
 
+def nonfinite_run(tmp_path, config_file, value):
+    """A stored run of ``config_file`` with ``value`` in one Omega.csv cell."""
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+
+    def edit(lines):
+        row = lines[1 + 20 * 32 + 9].split(",")
+        row[5] = value
+        lines[1 + 20 * 32 + 9] = ",".join(row)
+        return lines
+    rewrite_rehashed(out, "Omega.csv", edit)
+    return out
+
+
 def mutate_run(run, action, line_i, token_i, text, keep_key):
     """Apply one edit to a stored run: a manifest token, a kind or a file."""
     manifest = run / "manifest.txt"
@@ -406,9 +422,43 @@ class TestResiduals:
     def test_reads_stored_run(self, tmp_path, config_file, capsys):
         out = tmp_path / "out"
         main(["simulate", "--config", str(config_file), "--out", str(out)])
+        capsys.readouterr()
         assert main(["residuals", "--in", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "stage1_vertical_l2" in text and "stage2_vertical_l2" in text
+        assert "stage2_" not in text
+        stored = report_values((out / "report.txt").read_text())
+        got = report_values(text)
+        assert list(got) == [f"stage1_{name}_l2" for name in (
+            "vertical", "horizontal_rho", "horizontal_theta")] + [
+            "flatness_rotation_max"]
+        for name, value in got.items():
+            assert value == stored[name.replace("stage1_", "residual_")]
+
+    def test_preset_evaluates_residuals_once(self, monkeypatch, capsys):
+        # the summary run() computed is what residuals --preset prints
+        monkeypatch.setattr(g, "WINDOW_NODES", 8 * 16)
+        calls = []
+        evaluate = rs.stage1_residuals
+        counted = lambda s, p: calls.append(s.grid.n_t) or evaluate(s, p)
+        for module in (rs, sim):
+            monkeypatch.setattr(module, "stage1_residuals", counted)
+        assert main(["residuals", "--preset", "twistpulse", "--n-s", "16",
+                     "--n-t", "40", "--duration", "0.1"]) == 0
+        windows = list(g.Grid2.uniform(40, 16, 0.1, 1.0, g.PERIODIC).windows())
+        assert calls == [w.grid.n_t for w in windows] and len(calls) == 5
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_cell_exits_4(self, tmp_path, config_file, value):
+        # a fresh process, so that a numpy RuntimeWarning would reach stderr
+        out = nonfinite_run(tmp_path, config_file, value)
+        proc = subprocess.run([sys.executable, "-m", "strand_reduce",
+                               "residuals", "--in", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stderr == ""
+        rows = proc.stdout.splitlines()[1:]
+        assert "stage1_vertical_l2 nan - FAIL" in rows
+        assert "flatness_rotation_max nan - FAIL" in rows
 
 
 class TestReconstruct:
@@ -514,16 +564,15 @@ class TestNoether:
 
     def test_nan_cell_exits_3(self, tmp_path, config_file):
         # a fresh process, so that a numpy RuntimeWarning would reach stderr
-        out = tmp_path / "out"
-        with contextlib.redirect_stdout(io.StringIO()):
-            main(["simulate", "--config", str(config_file), "--out", str(out)])
+        out = nonfinite_run(tmp_path, config_file, "nan")
+        proc = subprocess.run([sys.executable, "-m", "strand_reduce", "noether",
+                               "--in", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "not flat: flatness residual is not finite (nan)"]
 
-        def nan_cell(lines):
-            row = lines[1 + 20 * 32 + 9].split(",")
-            row[5] = "nan"
-            lines[1 + 20 * 32 + 9] = ",".join(row)
-            return lines
-        rewrite_rehashed(out, "Omega.csv", nan_cell)
+    def test_inf_cell_exits_3_with_one_line(self, tmp_path, config_file):
+        out = nonfinite_run(tmp_path, config_file, "inf")
         proc = subprocess.run([sys.executable, "-m", "strand_reduce", "noether",
                                "--in", str(out)], capture_output=True, text=True)
         assert proc.returncode == 3
@@ -581,7 +630,10 @@ class TestCheckAndConvergence:
         params = model.default_params()
         for row, out in zip(rows, outs):
             sec = out.section
-            want = rs.stage1_residuals(sec, params).interior_norms()
+            res = rs.stage1_residuals(sec, params)
+            want = {name: g.norm_l2(sec.grid, getattr(res, name),
+                                    sec.grid.interior_mask(2))
+                    for name in res._fields}
             want["flatness"] = g.norm_max(red.flatness_residual_rotation(sec),
                                           sec.grid.interior_mask(2))
             assert row == {"n_s": sec.grid.n_s, "n_t": sec.grid.n_t, **want}

@@ -139,14 +139,6 @@ class TestLagrangians:
             L1 = model.lagrangian_unreduced(moved, params)
             assert abs(L0 - L1) <= 1e-12 * (1.0 + abs(L0))
 
-    def test_stage2_same_code_path(self, rng, params):
-        for _ in range(20):
-            pt = random_stage1_point(rng)
-            l1 = model.lagrangian_stage1(pt, params)
-            l2 = model.lagrangian_stage2(pt.rho, pt.rho_t, pt.theta_s,
-                                         pt.theta_t, pt.Omega, pt.omega, params)
-            assert l2 == l1  # bit-identical
-
     def test_kinetic_positivity(self, rng):
         p = model.free_params(identity_params())
         for _ in range(200):

@@ -45,10 +45,9 @@ class TestStage1Residuals:
         assert g.norm_max(res.horizontal_rho) == 0.0
         assert g.norm_max(res.horizontal_theta) == 0.0
 
-    def test_boundary_nodes_flagged(self, params):
+    def test_boundary_nodes_flagged(self):
         gr = small_grid(bc=g.CLAMPED)
-        res = rs.stage1_residuals(smooth_stage1_section(gr), params)
-        mask = gr.interior_mask(res.boundary_width)
+        mask = gr.interior_mask(2)
         assert not mask[0, 0] and not mask[1, 1]
         assert mask[gr.n_t // 2, gr.n_s // 2]
 

@@ -20,7 +20,7 @@ from strand_reduce import noether
 from strand_reduce import reduction as red
 from strand_reduce import residuals as rs
 from strand_reduce import so3
-from strand_reduce.simulate import run_summary
+from strand_reduce.simulate import residual_norms, run_summary
 from tests.conftest import small_grid, smooth_stage1_section
 
 N_T = 23
@@ -55,13 +55,9 @@ def patch_windows(monkeypatch, gr, step):
 
 def whole_grid_residual_report(s1, params):
     mask = s1.grid.interior_mask(2)
-    values = {}
-    for stage, r in (("stage1", rs.stage1_residuals(s1, params)),
-                     ("stage2", rs.stage2_residuals(red.project_stage2(s1),
-                                                    params))):
-        for name in r._fields:
-            values[f"{stage}_{name}_l2"] = g.norm_l2(s1.grid, getattr(r, name),
-                                                     mask)
+    r = rs.stage1_residuals(s1, params)
+    values = {f"residual_{name}_l2": g.norm_l2(s1.grid, getattr(r, name), mask)
+              for name in r._fields}
     values["flatness_rotation_max"] = g.norm_max(
         red.flatness_residual_rotation(s1), mask)
     return values
@@ -133,19 +129,13 @@ class TestBitwiseEqualToWholeGrid:
         want = run_summary(s1, params, rows)
         patch_windows(monkeypatch, s1.grid, split)
         got = run_summary(s1, params, rows)
-        mask = s1.grid.interior_mask(2)
-        res = rs.stage1_residuals(s1, params)
-        assert want == got == {
-            **{f"residual_{name}_l2": g.norm_l2(s1.grid, getattr(res, name), mask)
-               for name in res._fields},
-            "flatness_rotation_max": g.norm_max(
-                red.flatness_residual_rotation(s1), mask),
-            "rotor_total_drift": 0.0}
+        assert want == got == {**whole_grid_residual_report(s1, params),
+                               "rotor_total_drift": 0.0}
 
     def test_residual_report(self, monkeypatch, split, bc, params):
         s1 = section(bc)
         patch_windows(monkeypatch, s1.grid, split)
-        got = {c.name: c.value for c in checks.residual_report(s1, params)}
+        got = residual_norms(s1, params)
         assert got == whole_grid_residual_report(s1, params)
         assert list(got) == list(whole_grid_residual_report(s1, params))
 
@@ -176,9 +166,9 @@ class TestWindowedMaxPropagatesNan:
         # masked out, the NaN nodes do not count, as with norm_max
         mask = s1.grid.interior_mask(2)
         mask[10:15] = False
-        norms = red.window_norms(s1, lambda s: {
-            "flatness": red.flatness_residual_rotation(s)})
-        assert norms.max("flatness", mask) == g.norm_max(
+        sq, = g.by_window(s1.grid, lambda w: (g.node_sq(
+            red.flatness_residual_rotation(red.window_view(s1, w))),))
+        assert g.max_sq(sq, mask) == g.norm_max(
             red.flatness_residual_rotation(s1), mask)
 
 
@@ -210,5 +200,5 @@ class TestPeakMemory:
 
     def test_residual_report(self, big, params):
         s1, _, inputs = big
-        peak = self.traced_peak(lambda: checks.residual_report(s1, params))
+        peak = self.traced_peak(lambda: residual_norms(s1, params))
         assert peak < 1.5 * inputs
