@@ -141,6 +141,7 @@ def cmd_noether(args):
 
 CHECK_SUITES = {
     "derivatives": checks.check_derivatives,
+    "invariance": checks.check_invariance,
     "stages": checks.check_stages,
     "variational": checks.check_variational,
     "roundtrip": checks.check_roundtrip,

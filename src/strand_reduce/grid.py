@@ -209,8 +209,26 @@ def d_t_adjoint(grid, values):
 
 def d_s_slice(values, ds, periodic):
     """Arclength derivative of a time slice ``(n_s, 3)``, or of a stack of
-    slices ``(..., n_s, 3)``: the s axis is the second to last."""
-    return _diff(values, ds, periodic, axis=-2)
+    slices ``(..., n_s, 3)``: the s axis is the second to last.
+
+    The periodic stencil is written along that axis directly: three
+    subtractions into one output (the interior and the two wrapped rows),
+    then one in-place division by 2 ds.  That is :func:`_diff`'s
+    arithmetic in fewer numpy calls and without its axis swaps, so the two
+    agree bit for bit at every n_s and need no size switch.  Clamped
+    slices go through :func:`_diff`.
+    """
+    if not periodic:
+        return _diff(values, ds, False, axis=-2)
+    f = np.asarray(values, dtype=float)
+    out = np.empty_like(f)
+    n = f.shape[-2]
+    np.subtract(f[..., 2:, :], f[..., :n - 2, :], out=out[..., 1:n - 1, :])
+    # The modulo keeps size-1 and size-2 axes on the wrapped neighbours.
+    np.subtract(f[..., 1 % n, :], f[..., n - 1, :], out=out[..., 0, :])
+    np.subtract(f[..., 0, :], f[..., (n - 2) % n, :], out=out[..., n - 1, :])
+    out /= 2.0 * ds
+    return out
 
 
 def integrate_s(grid, values, i_t=None):
@@ -225,12 +243,14 @@ def integrate_s(grid, values, i_t=None):
         axis = 0
     else:
         axis = 1
+    # np.add.reduce is np.sum without its dispatch; the march calls this
+    # once per step.
     if grid.periodic_s:
-        return grid.ds * np.sum(f, axis=axis)
+        return grid.ds * np.add.reduce(f, axis)
     w = np.ones(grid.n_s)
     w[0] = w[-1] = 0.5
     shape = (-1,) + (1,) * (f.ndim - axis - 1)
-    return grid.ds * np.sum(f * w.reshape(shape), axis=axis)
+    return grid.ds * np.add.reduce(f * w.reshape(shape), axis)
 
 
 def node_sq(f):

@@ -22,14 +22,19 @@ kernel per call, because at small n_s numpy's per-call cost outweighs the
 algebra: the four s-derivatives (of C Omega, D a, omega and v) come from a
 single stencil call on a (4, n_s, 3) block, the six cross products from two
 calls on stacked operands, and each rate is written straight into the
-packed output.  The arithmetic per entry is exactly that of the formulas
+packed output.  Each of those calls is itself cut to few numpy calls: the
+periodic stencil is written along the s axis of the stack
+(``grid.d_s_slice``), and stacks of up to ``so3.GATHER_MAX_VECTORS``
+vectors are crossed by gathering components, not slicing them
+(``so3.cross``).  The arithmetic per entry is exactly that of the formulas
 above, summed in the order written, so results do not depend on the
-stacking.
+stacking or on the kernel taken.
 
 theta itself is carried alongside (rate v) purely so the assembled output is
 a complete stage-1 section; it does not feed back into the dynamics.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -45,6 +50,9 @@ from .residuals import Stage1Residuals, stage1_residuals
 BLOWUP_GUARD = 1e8
 
 COMPONENTS = ("rho", "u", "theta", "a", "v", "Omega", "omega")
+# Rows (Omega, omega, rho, Omega) of the packed state: the left operands of
+# the first stacked cross product in :func:`_rhs_packed`.
+_CROSS_LEFT = np.array([5, 6, 0, 5])
 
 
 @dataclass
@@ -144,11 +152,11 @@ def _rhs_packed(y, params, ds, periodic, I_inv, K_inv):
     """Time derivative of a packed state array (see the module docstring)."""
     rho, u, _theta, a, v, Omega, omega = y
     I, K = params.inertia_body, params.inertia_rotor
-    CW, Da, E_c = dE(Omega, a, np.sum(rho * rho, axis=-1), params)
+    CW, Da, E_c = dE(Omega, a, np.add.reduce(rho * rho, -1), params)
     ds_CW, ds_Da, ds_omega, ds_v = g.d_s_slice(np.array([CW, Da, omega, v]),
                                                ds, periodic)
     m = omega @ (I + K).T + v @ K.T
-    OxCW, wxm, rxw, Oxw = cross(np.array([Omega, omega, rho, Omega]),
+    OxCW, wxm, rxw, Oxw = cross(y.take(_CROSS_LEFT, 0),
                                 np.array([CW, m, omega, omega]))
 
     out = np.empty_like(y)
@@ -209,8 +217,10 @@ def run(cfg):
     if y.shape != (len(COMPONENTS), gr.n_s, 3):
         raise ConfigError("initial state does not match the grid", key="init")
 
+    ds, periodic = gr.ds, gr.periodic_s
+
     def f(arr):
-        return _rhs_packed(arr, p, gr.ds, gr.periodic_s, I_inv, K_inv)
+        return _rhs_packed(arr, p, ds, periodic, I_inv, K_inv)
 
     step = _step_rk4 if cfg.scheme == "rk4" else _step_midpoint
     rho, theta, Omega, omega = (gr.zeros() for _ in range(4))
@@ -221,8 +231,8 @@ def run(cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(gr.n_t):
             rho[i], theta[i], Omega[i], omega[i] = y[0], y[2], y[5], y[6]
-            worst = float(np.max(np.abs(y)))
-            if not np.isfinite(worst) or worst > BLOWUP_GUARD:
+            worst = float(np.abs(y).max())
+            if not math.isfinite(worst) or worst > BLOWUP_GUARD:
                 k, j, _ = np.unravel_index(np.argmax(np.abs(y)), y.shape)
                 raise BlowupError(i, worst, COMPONENTS[k], int(j))
             rotor_total = g.integrate_s(gr, (y[6] + y[4])[None] @ K.T, 0)

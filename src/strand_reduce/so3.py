@@ -31,15 +31,43 @@ POLAR_SETTLED = 1e-8
 
 IDENTITY = np.eye(3)
 
+# Largest number of 3-vectors per operand for which :func:`cross` gathers
+# components instead of slicing them.  The gather saves about eleven numpy
+# calls but copies each operand twice, so it wins while the per-call cost
+# outweighs the arithmetic: on (4, m, 3) stacks, one core of a 2-vCPU Xeon
+# VM, it took 11 against 16 us at 128 vectors and 19 against 17 us at 256.
+GATHER_MAX_VECTORS = 128
+# Component orders (1, 2, 0) and (2, 0, 1) of the gather kernel.
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
 
 def cross(a, b):
     """Componentwise cross product of (..., 3) arrays.
 
     Same contract as ``np.cross`` restricted to 3-vectors, but without its
     axis-juggling overhead; the evaluators call this in tight loops.
+    Operands of one shape with at most ``GATHER_MAX_VECTORS`` vectors take
+    the gather kernel, larger or broadcasting ones the slice kernel.  Both
+    compute every component as ``a_i b_j - a_j b_i``, so they agree bit for
+    bit and the choice moves only the time; that is why the cutoff is a
+    module constant, set from the measured crossover, and not an option.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if a.shape == b.shape and a.size <= 3 * GATHER_MAX_VECTORS:
+        return _cross_gather(a, b)
+    return _cross_slices(a, b)
+
+
+def _cross_gather(a, b):
+    """Four ``take`` calls and three ufunc calls at any size; each operand
+    is copied twice."""
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
+
+
+def _cross_slices(a, b):
+    """One strided view per component; about eighteen numpy calls."""
     shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
     out = np.empty(shape)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]

@@ -584,9 +584,17 @@ class TestCheckAndConvergence:
     def test_check_exit_codes(self, capsys):
         assert main(["check", "stages"]) == 0
 
+    def test_check_invariance(self, capsys):
+        # acceptance criterion 2 from the command line
+        assert main(["check", "invariance"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == [
+            "lagrangian_invariance_max_rel_err",
+            "lagrangian_projection_max_rel_err"]
+
     def test_suites_take_no_options(self):
         # one setting per suite: `check` and the acceptance tests run it alike
-        for suite in (*cli.CHECK_SUITES.values(), checks.check_invariance):
+        for suite in cli.CHECK_SUITES.values():
             assert not inspect.signature(suite).parameters, suite.__name__
 
     def test_failed_check_exits_4(self, capsys):

@@ -144,6 +144,15 @@ class TestProperties:
                         - np.roll(f, 1, axis=axis)) / (2.0 * h)
                 assert np.array_equal(g._diff(f, h, True, axis), want), (shape, axis)
 
+    @pytest.mark.parametrize("n_s", (1, 2, 3, 8, 64, 512))
+    def test_periodic_slice_stencil_is_diff(self, rng, n_s):
+        # the axis-native periodic stencil of d_s_slice against _diff, bitwise
+        for shape in ((n_s, 3), (4, n_s, 3), (2, 3, n_s, 3)):
+            f = rng.normal(size=shape)
+            f.flat[::7] = -0.0
+            got = g.d_s_slice(f, 0.3, True)
+            assert got.tobytes() == g._diff(f, 0.3, True, -2).tobytes(), shape
+
     def test_slice_derivative_of_a_stack(self, rng):
         f = rng.normal(size=(4, 9, 3))
         for periodic in (True, False):

@@ -95,6 +95,59 @@ class TestExp:
                 assert np.allclose(batch[i, j], so3.exp_so3(vs[i, j]), atol=1e-15)
 
 
+def bits(x):
+    """The bytes of a float array: equal only when every value is bit-equal."""
+    return np.ascontiguousarray(x).tobytes()
+
+
+class TestCrossKernels:
+    """The gather kernel of ``so3.cross`` against the slice kernel, bitwise."""
+
+    @staticmethod
+    def operands(rng, n_vectors):
+        a, b = rng.normal(size=(2, n_vectors, 3))
+        # non-finite entries and signed zeros meet finite and special partners
+        a[0], b[0] = (np.nan, 1.0, -0.0), (2.0, np.inf, -0.0)
+        a[1], b[1] = (np.inf, -np.inf, 0.0), (-0.0, 3.0, -np.inf)
+        a[2], b[2] = (-0.0, -0.0, 0.0), (-0.0, 0.0, -0.0)
+        return a, b
+
+    @pytest.mark.parametrize("offset", (-1, 0, 1))
+    def test_kernels_agree_bitwise(self, rng, offset):
+        n = so3.GATHER_MAX_VECTORS + offset
+        a, b = self.operands(rng, n)
+        with np.errstate(invalid="ignore"):
+            want = so3._cross_slices(a, b)
+            for shape in ((n, 3), (1, n, 3)):
+                got = so3._cross_gather(a.reshape(shape), b.reshape(shape))
+                assert bits(got) == bits(want), shape
+            assert bits(so3.cross(a, b)) == bits(want)
+        assert np.isnan(want[0]).any() and np.signbit(want[2]).any()
+
+    @staticmethod
+    def taken(monkeypatch):
+        calls = []
+        for name in ("_cross_gather", "_cross_slices"):
+            kernel = getattr(so3, name)
+            monkeypatch.setattr(so3, name, lambda a, b, name=name, kernel=kernel:
+                                calls.append(name) or kernel(a, b))
+        return calls
+
+    def test_size_selects_kernel(self, rng, monkeypatch):
+        calls = self.taken(monkeypatch)
+        n = so3.GATHER_MAX_VECTORS
+        for shape in ((3,), (n, 3), (4, n // 4, 3), (n + 1, 3)):
+            so3.cross(rng.normal(size=shape), rng.normal(size=shape))
+        assert calls == ["_cross_gather"] * 3 + ["_cross_slices"]
+
+    def test_broadcasting_takes_slices(self, rng, monkeypatch):
+        calls = self.taken(monkeypatch)
+        for sa, sb in (((3,), (2, 3)), ((2, 1, 3), (1, 5, 3)), ((4, 3), (1, 3))):
+            a, b = rng.normal(size=sa), rng.normal(size=sb)
+            assert bits(so3.cross(a, b)) == bits(np.cross(a, b))
+        assert calls == ["_cross_slices"] * 3
+
+
 class TestLog:
     def test_log_identity(self):
         assert np.array_equal(so3.log_so3(np.eye(3)), np.zeros(3))
