@@ -30,6 +30,10 @@ class CheckResult:
 
 # Both observed-order fits pass within this band around the scheme's order 2.
 ORDER_BAND = (1.7, 2.3)
+# An O(h^2) error falls by a factor in this band when both spacings halve.
+RATIO_BAND = (3.0, 5.0)
+# A lift's unreduced residual norm over its projection's stage-1 norm.
+REDUCTION_BAND = (0.25, 4.0)
 _SEED = 20260810
 
 
@@ -42,9 +46,20 @@ def info(name, value):
     return CheckResult(name, float(value), None, bool(np.isfinite(value)))
 
 
+def _band_result(name, value, band):
+    return CheckResult(name, float(value), None,
+                       bool(band[0] <= value <= band[1]))
+
+
 def _order_result(name, order):
-    return CheckResult(name, order, None,
-                       ORDER_BAND[0] <= order <= ORDER_BAND[1])
+    return _band_result(name, order, ORDER_BAND)
+
+
+def _twist_run(n_t, n_s, duration):
+    """The twist-pulse run on a periodic unit loop, default model."""
+    gr = g.Grid2.uniform(n_t, n_s, duration, 1.0, g.PERIODIC)
+    return run(SimConfig(grid=gr, params=model.default_params(),
+                         preset="twistpulse"))
 
 
 def _random_point(rng):
@@ -197,8 +212,8 @@ def check_variational():
     levels, duration = (16, 32, 64), 0.3
     gaps, hs = [], []
     for n in levels:
-        gr = g.Grid2.uniform(n, n, duration, 1.0, g.PERIODIC)
-        out = run(SimConfig(grid=gr, params=params, preset="twistpulse"))
+        out = _twist_run(n, n, duration)
+        gr = out.section.grid
         var = interior_variation(gr)
         fd, pairing = rs.action_gradient_check(out.section, var, params)
         gaps.append(abs(fd - pairing) / var.norm(gr))
@@ -210,8 +225,50 @@ def check_variational():
     return results
 
 
+def check_reduction():
+    """Reduction equivalence on the twist pulse at 64x200 and 128x400, T = 0.5.
+
+    Each run is lifted with its rotation field on the cut domain (the loop
+    rotation jumps at the seam).  Per balance law the lift's unreduced norm
+    over its projection's stage-1 norm lies in ``REDUCTION_BAND``; both
+    combined norms fall at order 2.  The ratio to the run's own stage-1 norm
+    is informational: the midpoint reconstruction bounds it.
+    """
+    params = model.default_params()
+    results, combined = [], []
+    for n_s, n_t in ((64, 200), (128, 400)):
+        sec = _twist_run(n_t, n_s, 0.5).section
+        Lam = red.reconstruct_rotation(sec.grid, sec.Omega, sec.omega,
+                                       np.eye(3), tol=None)
+        lift = red.UnreducedSection(
+            grid=dataclasses.replace(sec.grid, bc_s=g.CLAMPED),
+            r=np.einsum("tsij,tsj->tsi", Lam, sec.rho), Lambda=Lam,
+            theta=sec.theta)
+        # interior L2 norms, three-node rim excluded: lift, projection, run
+        norms = [{name: g.norm_l2(res.grid, getattr(res, name),
+                                  res.grid.interior_mask(3))
+                  for name in res._fields} for res in (
+            rs.el_unreduced_residual(lift, params),
+            rs.stage1_residuals(red.project_stage1(lift), params),
+            rs.stage1_residuals(sec, params))]
+        for a, b in (("res_r", "horizontal_rho"), ("res_Lambda", "vertical"),
+                     ("res_theta", "horizontal_theta")):
+            results.append(_band_result(f"{a}_over_{b}_n{n_s}",
+                                        norms[0][a] / norms[1][b],
+                                        REDUCTION_BAND))
+        un, st, own = (np.linalg.norm(list(n.values())) for n in norms)
+        combined.append((un, st))
+        results.append(info(f"unreduced_over_run_stage1_n{n_s}", un / own))
+    return results + [
+        _order_result(f"order_{name}", np.log2(coarse / fine))
+        for name, coarse, fine in zip(("unreduced", "stage1"), *combined)]
+
+
 def flat_pair(gr):
-    """Closed-form flat rate pair from a separable rotation field A(s) B(t)."""
+    """Closed-form flat rate pair from a separable rotation field A(s) B(t).
+
+    Also returns rotor angles (f, g, f g) from the angles f(s) of A, g(t) of B.
+    """
     amp_s, rate_t, amp_t = 0.8, 0.5, 0.3
     c1 = np.array([1.0, 0.0, 0.0])
     c2 = np.array([0.0, 1.0, 0.0])
@@ -228,34 +285,39 @@ def flat_pair(gr):
     Omega = fp[None, :, None] * np.einsum("tji,j->ti", B, c1)[:, None, :]
     omega = np.broadcast_to((gp[:, None] * c2)[:, None, :],
                             (gr.n_t, gr.n_s, 3)).copy()
-    return Lam, Omega, omega
+    f, gv = np.broadcast_arrays(f[None, :], gv[:, None])
+    return Lam, Omega, omega, np.stack([f, gv, f * gv], axis=-1)
 
 
 def check_roundtrip():
-    """Reconstruction round trip, path independence, and the flatness gate."""
+    """Reconstruction round trips, path independence, and the flatness gate.
+
+    Lambda to its rates and back, theta to its gradient pair and back.
+    """
     levels, duration = (16, 32, 64), 0.4
-    ratio_band, path_factor = (3.0, 5.0), 10.0
-    errs, defects, flats = [], [], []
+    path_factor = 10.0
+    errs, theta_errs, defects, flats = [], [], [], []
     for n in levels:
         gr = g.Grid2.uniform(n, n, duration, 1.0, g.PERIODIC)
-        Lam0, Omega, omega = flat_pair(gr)
+        Lam0, Omega, omega, theta = flat_pair(gr)
         Lam = red.reconstruct_rotation(gr, Omega, omega, Lam0[0, 0], tol=1.0)
         u = red.UnreducedSection(grid=gr, r=gr.zeros(), Lambda=Lam,
-                                 theta=gr.zeros())
+                                 theta=theta)
         s1 = red.project_stage1(u)
         errs.append(max(g.norm_max(s1.Omega - Omega),
                         g.norm_max(s1.omega - omega)))
-        sec = red.Stage2Section(grid=gr, rho=None, a=None, b=None,
-                                Omega=Omega, omega=omega)
-        flats.append(red.flatness_max(sec))
+        s2 = red.project_stage2(s1)
+        theta_errs.append(g.norm_max(red.reconstruct_theta(
+            gr, s2.a, s2.b, theta[0, 0], tol=1.0) - theta))
+        flats.append(red.flatness_max(gr, Omega, omega))
         defects.append(red.path_independence_defect(gr, Omega, omega,
                                                     Lam0[0, 0], tol=1.0))
     results = []
-    for k in range(len(levels) - 1):
-        ratio = errs[k] / errs[k + 1]
-        results.append(CheckResult(
-            f"roundtrip_error_ratio_{levels[k]}_to_{levels[k + 1]}", ratio,
-            None, ratio_band[0] <= ratio <= ratio_band[1]))
+    for prefix, e in (("roundtrip", errs), ("theta_roundtrip", theta_errs)):
+        for k in range(len(levels) - 1):
+            results.append(_band_result(
+                f"{prefix}_error_ratio_{levels[k]}_to_{levels[k + 1]}",
+                e[k] / e[k + 1], RATIO_BAND))
     # gr is the finest level here
     bound = (path_factor * flats[-1] * duration
              + path_factor * (gr.ds ** 2 + gr.dt ** 2))
@@ -277,22 +339,28 @@ def check_roundtrip():
 _RESIDUALS = rs.Stage1Residuals._fields
 
 
-def convergence_table(preset, levels, gr):
-    """Residual norms of a preset run over a refinement ladder, with orders.
+def ladder(gr, levels):
+    """``gr`` and ``levels - 1`` refinements; ValueError past the guard."""
+    grids = [gr]
+    for _ in range(levels - 1):
+        grids.append(grids[-1].refined())
+    return grids
 
-    The ladder starts on ``gr``; each later level halves both spacings of the
-    one before (:meth:`Grid2.refined`) and reads its norms from the run's own
-    summary.
+
+def convergence_table(preset, grids):
+    """Residual norms of a preset run over a refinement :func:`ladder`.
+
+    Each level reads its norms from the run's own summary; the orders are
+    fitted against ds.
     """
     params = model.default_params()
     rows, hs = [], []
-    for _ in range(levels):
+    for gr in grids:
         summary = run(SimConfig(grid=gr, params=params, preset=preset)).summary
         rows.append({"n_s": gr.n_s, "n_t": gr.n_t,
                      **{key: summary[f"residual_{key}_l2"] for key in _RESIDUALS},
                      "flatness": summary["flatness_rotation_max"]})
         hs.append(gr.ds)
-        gr = gr.refined()
     return rows, [_order_result(f"order_{key}",
                                 _ls_order(hs, [row[key] for row in rows]))
                   for key in _RESIDUALS + ("flatness",)]
@@ -336,3 +404,29 @@ def noether_report(s1, Lam, params):
     out.append(_result("current_vertical_identity_max_err",
                        g.max_sq(identity, None), 1e-12))
     return out, np.hstack([rotor_tot, so3_tot])
+
+
+def check_noether():
+    """Noether conservation on the twist pulse at 64x50 and 128x100, T = 0.125.
+
+    :func:`noether_report` per level.  Each total drifts at most
+    (dt^2 + ds^2) T, falling by a factor in ``RATIO_BAND``.  T keeps the
+    pulse clear of the seam, where its loop rotation leaks the spatial total.
+    """
+    duration = 0.125
+    results, drifts = [], []
+    for n_s, n_t in ((64, 50), (128, 100)):
+        sec = _twist_run(n_t, n_s, duration).section
+        Lam = red.reconstruct_rotation(sec.grid, sec.Omega, sec.omega,
+                                       np.eye(3), tol=None)
+        rows, _ = noether_report(sec, Lam, model.default_params())
+        bound = (sec.grid.dt ** 2 + sec.grid.ds ** 2) * duration
+        drifts.append({})
+        for row in rows:
+            if row.name.endswith("_total_drift"):
+                drifts[-1][row.name] = row.value
+                row = _result(row.name, row.value, bound)
+            results.append(dataclasses.replace(row, name=f"{row.name}_n{n_s}"))
+    return results + [
+        _band_result(f"{name}_ratio_64_to_128", coarse / drifts[1][name],
+                     RATIO_BAND) for name, coarse in drifts[0].items()]

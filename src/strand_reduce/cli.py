@@ -144,7 +144,9 @@ CHECK_SUITES = {
     "invariance": checks.check_invariance,
     "stages": checks.check_stages,
     "variational": checks.check_variational,
+    "reduction": checks.check_reduction,
     "roundtrip": checks.check_roundtrip,
+    "noether": checks.check_noether,
 }
 
 
@@ -155,8 +157,12 @@ def cmd_check(args):
 def cmd_convergence(args):
     if args.levels < 2:
         raise ConfigError(f"--levels must be at least 2, got {args.levels}")
-    rows, results = checks.convergence_table(
-        args.preset, args.levels, _grid(args, args.base_n_t, args.base_n_s))
+    base = _grid(args, args.base_n_t, args.base_n_s)
+    try:
+        grids = checks.ladder(base, args.levels)
+    except ValueError as exc:
+        raise ConfigError(f"convergence ladder: {exc}") from None
+    rows, results = checks.convergence_table(args.preset, grids)
     preamble = [
         "level n_s=%d n_t=%d vertical=%.6e horizontal_rho=%.6e "
         "horizontal_theta=%.6e flatness=%.6e"

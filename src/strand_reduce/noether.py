@@ -56,22 +56,15 @@ def totals_over_time(c):
     return g.integrate_s(c.grid, c.J_t)
 
 
-def drift_rhs(f, p):
-    """Drift source of the angular-momentum balance; identically zero here.
+def drift_residual(Lam, f, d, p):
+    """Divergence of the angular-momentum current; it has no drift source.
 
     In general the divergence of a symmetry current is driven by a pairing
     of the auxiliary-fiber derivative of the Lagrangian with curvature and
     vertical-action terms.  The strand uses the flat trivial connection, so
     the curvature form vanishes, and the stage-1 bundle has no auxiliary
-    fiber for the rotation symmetry to act on; every term of the source is
-    therefore zero.  It is kept as an explicit named contribution so the
-    conservation statement is asserted rather than assumed.
-    """
-    return np.zeros_like(f.rho)
-
-
-def drift_residual(Lam, f, d, p):
-    """Divergence of the angular-momentum current plus the (zero) drift source.
+    fiber for the rotation symmetry to act on, so every term of that source
+    is zero and the balance below is the whole statement.
 
     The divergence is evaluated in covariant form,
 
@@ -96,4 +89,4 @@ def drift_residual(Lam, f, d, p):
             + f.omega_t @ (p.inertia_body + p.inertia_rotor).T
             + f.theta_tt @ p.inertia_rotor.T)
     cov_div = dN_s + cross(f.Omega, N) + dM_t + cross(f.omega, M)
-    return _rot(Lam, cov_div) + drift_rhs(f, p)
+    return _rot(Lam, cov_div)

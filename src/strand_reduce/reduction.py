@@ -113,41 +113,35 @@ def project_stage2(s1):
     )
 
 
-def flatness_residual_rotation(section):
+def flatness_residual_rotation(grid, Omega, omega):
     """Zero-curvature defect d_s(omega) - d_t(Omega) + Omega x omega.
 
     Vanishes (to discretization error) exactly when (Omega, omega) come from
-    a genuine rotation field; accepts stage-1 or stage-2 sections.  The sign
-    of the cross term is the one for body-frame rates Omega = Lambda^T
-    Lambda_s, omega = Lambda^T Lambda_t (for spatial rates it would flip),
-    and is pinned by the projected-field refinement test.
+    a genuine rotation field.  The sign of the cross term is the one for
+    body-frame rates Omega = Lambda^T Lambda_s, omega = Lambda^T Lambda_t
+    (for spatial rates it would flip), and is pinned by the projected-field
+    refinement test.
     """
-    gr = section.grid
-    return (g.d_s(gr, section.omega) - g.d_t(gr, section.Omega)
-            + cross(section.Omega, section.omega))
+    return g.d_s(grid, omega) - g.d_t(grid, Omega) + cross(Omega, omega)
 
 
 def window_view(section, window):
-    """The section on the levels ``window`` reads: views, no copies.
-
-    Works for every section type; fields that are None stay None.
-    """
+    """The section on the levels ``window`` reads: views, no copies."""
     return dataclasses.replace(section, grid=window.grid, **{
         f.name: getattr(section, f.name)[window.read]
-        for f in dataclasses.fields(section)
-        if f.name != "grid" and getattr(section, f.name) is not None})
+        for f in dataclasses.fields(section) if f.name != "grid"})
 
 
-def flatness_max(section):
+def flatness_max(grid, Omega, omega):
     """Max norm of :func:`flatness_residual_rotation`, window by window."""
-    sq, = g.by_window(section.grid, lambda w: (g.node_sq(
-        flatness_residual_rotation(window_view(section, w))),))
+    sq, = g.by_window(grid, lambda w: (g.node_sq(flatness_residual_rotation(
+        w.grid, Omega[w.read], omega[w.read])),))
     return g.max_sq(sq, None)
 
 
-def flatness_residual_rotor(s2):
+def flatness_residual_rotor(grid, a, b):
     """Rotor compatibility defect d_t(a) - d_s(b)."""
-    return g.d_t(s2.grid, s2.a) - g.d_s(s2.grid, s2.b)
+    return g.d_t(grid, a) - g.d_s(grid, b)
 
 
 def _sweep(Lam_prev, rate_mid, h):
@@ -170,23 +164,21 @@ def reconstruct_rotation(grid, Omega, omega, Lambda0, tol, sweep="st"):
     ``sweep="st"`` fills the t = 0 row from Omega and then marches every
     s-column forward in time with omega; ``sweep="ts"`` is the transposed
     order (used to expose the path-independence defect).  The result is one
-    representative of the reconstruction family, selected by ``Lambda0``; any
-    other member differs by a constant left rotation.
+    representative of the reconstruction family, selected by ``Lambda0``
+    (seeded with its polar factor, so every node is a rotation); any other
+    member differs by a constant left rotation.
     """
-    sec = Stage2Section(grid=grid, rho=None, a=None, b=None,
-                        Omega=np.asarray(Omega, float),
-                        omega=np.asarray(omega, float))
-    defect = flatness_max(sec)
+    Omega = np.asarray(Omega, float)
+    omega = np.asarray(omega, float)
+    defect = flatness_max(grid, Omega, omega)
     if not np.isfinite(defect):
         raise NotFlatError(f"flatness residual is not finite ({defect})")
     if tol is not None and not defect <= tol:
         raise NotFlatError(
             f"flatness residual {defect:.3e} exceeds tolerance {tol:.3e}")
-    Omega = sec.Omega
-    omega = sec.omega
     n_t, n_s = grid.n_t, grid.n_s
     Lam = np.empty((n_t, n_s, 3, 3))
-    Lam[0, 0] = np.asarray(Lambda0, dtype=float)
+    Lam[0, 0] = reorthonormalize(Lambda0)
     if sweep == "st":
         for j in range(n_s - 1):
             mid = 0.5 * (Omega[0, j] + Omega[0, j + 1])
@@ -221,15 +213,12 @@ def reconstruct_theta(grid, a, b, theta0, tol):
     residual fails).
     Trapezoid rule along the t = 0 row, then along every column.
     """
-    sec = Stage2Section(grid=grid, rho=None,
-                        a=np.asarray(a, float), b=np.asarray(b, float),
-                        Omega=None, omega=None)
-    defect = g.norm_max(flatness_residual_rotor(sec))
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    defect = g.norm_max(flatness_residual_rotor(grid, a, b))
     if not defect <= tol:
         raise NotFlatError(
             f"rotor flatness residual {defect:.3e} exceeds tolerance {tol:.3e}")
-    a = sec.a
-    b = sec.b
     theta = np.empty((grid.n_t, grid.n_s, 3))
     theta[0, 0] = np.asarray(theta0, dtype=float)
     row = grid.ds * 0.5 * (a[0, :-1] + a[0, 1:])

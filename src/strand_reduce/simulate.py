@@ -262,8 +262,9 @@ def residual_norms(section, p):
     def evaluate(w):
         s = window_view(section, w)
         res = stage1_residuals(s, p)
+        flat = flatness_residual_rotation(s.grid, s.Omega, s.omega)
         return (*(g.node_sq(getattr(res, name)) for name in names),
-                g.node_sq(flatness_residual_rotation(s)))
+                g.node_sq(flat))
 
     *sq, flat = g.by_window(gr, evaluate)
     mask = gr.interior_mask(2)

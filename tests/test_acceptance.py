@@ -6,21 +6,16 @@ total-battery time bound is enforced at the end of the session in
 ``test_zz_battery.py``.
 """
 
-import dataclasses
 import sys
 import time
 
 import numpy as np
 import pytest
 
-from strand_reduce import checks
 from strand_reduce import grid as g
 from strand_reduce import model
-from strand_reduce import noether
-from strand_reduce import reduction as red
-from strand_reduce import residuals as rs
 from strand_reduce import simulate as sim
-from strand_reduce.cli import main
+from strand_reduce.cli import CHECK_SUITES, main
 
 
 @pytest.fixture
@@ -37,34 +32,9 @@ def report(capfd):
     return emit
 
 
-def _twist_run(n_s, n_t, duration, params):
-    gr = g.Grid2(n_t=n_t, n_s=n_s, dt=duration / (n_t - 1), ds=1.0 / n_s,
-                 bc_s=g.PERIODIC)
-    return sim.run(sim.SimConfig(grid=gr, params=params, preset="twistpulse"))
-
-
-@pytest.fixture(scope="module")
-def params():
-    return model.default_params()
-
-
-@pytest.fixture(scope="module")
-def twist_pair(params):
-    """TwistPulse runs at 64x200 and one refinement (criterion 5)."""
-    return {n_s: _twist_run(n_s, n_t, 0.5, params)
-            for n_s, n_t in ((64, 200), (128, 400))}
-
-
-def _interior_norms_w3(res):
-    """Grid L2 norms of a residual record's fields, three-node rim excluded."""
-    gr = res.grid
-    return {name: g.norm_l2(gr, getattr(res, name), gr.interior_mask(3))
-            for name in res._fields}
-
-
 def test_criterion_1_fiber_derivatives(report):
     t0 = time.perf_counter()
-    results = checks.check_derivatives()
+    results = CHECK_SUITES["derivatives"]()
     elapsed = time.perf_counter() - t0
     assert [r.tol for r in results] == [1e-7, 1e-7]
     ok = all(r.passed for r in results) and elapsed < 1.0
@@ -75,7 +45,7 @@ def test_criterion_1_fiber_derivatives(report):
 
 
 def test_criterion_2_invariance(report):
-    results = checks.check_invariance()
+    results = CHECK_SUITES["invariance"]()
     assert [r.tol for r in results] == [1e-12, 1e-12]
     ok = all(r.passed for r in results)
     report(2, "lagrangian-invariance-and-projection", ok,
@@ -84,7 +54,7 @@ def test_criterion_2_invariance(report):
 
 
 def test_criterion_3_stage_equivalence(report):
-    results = checks.check_stages()
+    results = CHECK_SUITES["stages"]()
     assert [r.tol for r in results] == [1e-12]
     ok = all(r.passed for r in results)
     report(3, "stage-equivalence", ok,
@@ -94,7 +64,7 @@ def test_criterion_3_stage_equivalence(report):
 
 def test_criterion_4_variational_consistency(report):
     t0 = time.perf_counter()
-    results = checks.check_variational()
+    results = CHECK_SUITES["variational"]()
     elapsed = time.perf_counter() - t0
     order = results[0].value
     gaps = {r.name: r.value for r in results[1:]}
@@ -111,98 +81,59 @@ def test_criterion_4_variational_consistency(report):
     assert ok
 
 
-def test_criterion_5_reduction_equivalence(params, twist_pair, report):
-    combined = {}
-    ratios_all = []
-    vs_original = {}
-    for n_s, out in twist_pair.items():
-        sec = out.section
-        gr = sec.grid
-        flat = g.norm_max(red.flatness_residual_rotation(sec))
-        Lam = red.reconstruct_rotation(gr, sec.Omega, sec.omega, np.eye(3),
-                                       tol=10.0 * flat + 1e-6)
-        # The pulse carries a nonzero loop rotation, so the lift lives on
-        # the cut domain: one-sided stencils at the seam.
-        gcut = dataclasses.replace(gr, bc_s=g.CLAMPED)
-        lift = red.UnreducedSection(
-            grid=gcut, r=np.einsum("tsij,tsj->tsi", Lam, sec.rho),
-            Lambda=Lam, theta=sec.theta)
-        un = _interior_norms_w3(rs.el_unreduced_residual(lift, params))
-        proj = red.project_stage1(lift)
-        st = _interior_norms_w3(rs.stage1_residuals(proj, params))
-        for a, b in (("res_r", "horizontal_rho"),
-                     ("res_Lambda", "vertical"),
-                     ("res_theta", "horizontal_theta")):
-            ratios_all.append(un[a] / st[b])
-        combined[n_s] = (np.sqrt(sum(v * v for v in un.values())),
-                         np.sqrt(sum(v * v for v in st.values())))
-        st_orig = _interior_norms_w3(rs.stage1_residuals(sec, params))
-        vs_original[n_s] = (combined[n_s][0]
-                            / np.sqrt(sum(v * v for v in st_orig.values())))
-    order_un = float(np.log2(combined[64][0] / combined[128][0]))
-    order_st = float(np.log2(combined[64][1] / combined[128][1]))
-    ratio_ok = all(0.25 <= r <= 4.0 for r in ratios_all)
-    order_ok = all(1.7 <= o <= 2.3 for o in (order_un, order_st))
-    ok = ratio_ok and order_ok
+def test_criterion_5_reduction_equivalence(report):
+    results = CHECK_SUITES["reduction"]()
+    byname = {r.name: r.value for r in results}
+    ratios = [byname[f"{a}_over_{b}_n{n}"] for n in (64, 128)
+              for a, b in (("res_r", "horizontal_rho"),
+                           ("res_Lambda", "vertical"),
+                           ("res_theta", "horizontal_theta"))]
+    orders = [byname["order_unreduced"], byname["order_stage1"]]
+    ok = (all(r.passed for r in results)
+          and all(0.25 <= r <= 4.0 for r in ratios)
+          and all(1.7 <= o <= 2.3 for o in orders))
     report(5, "reduction-equivalence", ok,
             f"norm ratios (lift vs its projection) in "
-            f"[{min(ratios_all):.2f},{max(ratios_all):.2f}] within x4, "
-            f"orders {order_un:.2f}/{order_st:.2f}; vs original section: "
-            f"x{vs_original[64]:.0f} (midpoint-reconstruction bound)")
+            f"[{min(ratios):.2f},{max(ratios):.2f}] within x4, "
+            f"orders {orders[0]:.2f}/{orders[1]:.2f}; vs original section: "
+            f"x{byname['unreduced_over_run_stage1_n64']:.0f} "
+            f"(midpoint-reconstruction bound)")
     assert ok
 
 
 def test_criterion_6_reconstruction(report):
-    results = checks.check_roundtrip()
+    results = CHECK_SUITES["roundtrip"]()
     ok = all(r.passed for r in results)
     byname = {r.name: r.value for r in results}
-    ratios = [byname[f"roundtrip_error_ratio_{n}_to_{2 * n}"] for n in (16, 32)]
+    ratios = [byname[f"{kind}_error_ratio_{n}_to_{2 * n}"]
+              for kind in ("roundtrip", "theta_roundtrip") for n in (16, 32)]
     ok = ok and all(3.0 <= r <= 5.0 for r in ratios)
     report(6, "reconstruction", ok,
-            f"roundtrip ratios {byname['roundtrip_error_ratio_16_to_32']:.2f}/"
-            f"{byname['roundtrip_error_ratio_32_to_64']:.2f} in [3,5], "
+            f"roundtrip ratios Lambda {ratios[0]:.2f}/{ratios[1]:.2f}, "
+            f"theta {ratios[2]:.2f}/{ratios[3]:.2f} in [3,5], "
             f"path defect {byname['path_independence_defect']:.2e} bounded, "
             f"non-flat rejected")
     assert ok
 
 
-def test_criterion_7_noether_conservation(params, report):
-    # duration keeps the pulse clear of the seam: the pinned profile has a
-    # nonzero loop rotation, so for long runs the spatial total genuinely
-    # leaks flux there and no refinement can shrink it
-    duration = 0.125
-    drifts = {"rotor": [], "so3": []}
-    bounds = []
-    identity_err = None
-    for n_s, n_t in ((64, 50), (128, 100)):
-        out = _twist_run(n_s, n_t, duration, params)
-        sec = out.section
-        gr = sec.grid
-        flat = g.norm_max(red.flatness_residual_rotation(sec))
-        Lam = red.reconstruct_rotation(gr, sec.Omega, sec.omega, np.eye(3),
-                                       tol=10.0 * flat + 1e-6)
-        fields = rs.stage1_derivative_fields(sec, params)
-        d = model.fiber_derivatives_stage1(fields, params)
-        for name, cur in (("rotor", noether.rotor_current(gr, d)),
-                          ("so3", noether.so3_current(gr, Lam, d))):
-            tot = noether.totals_over_time(cur)
-            drifts[name].append(
-                float(np.max(np.linalg.norm(tot - tot[0], axis=-1))))
-        bounds.append(1.0 * (gr.dt ** 2 + gr.ds ** 2) * duration)
-        if n_s == 64:
-            drift = noether.drift_residual(Lam, fields, d, params)
-            vert = rs.stage1_residuals(sec, params, fields=fields).vertical
-            want = np.einsum("tsij,tsj->tsi", Lam, vert)
-            identity_err = g.norm_max(drift - want) / (1.0 + g.norm_max(want))
-    ratios = {k: v[0] / v[1] for k, v in drifts.items()}
-    decay_ok = all(3.0 <= r <= 5.0 for r in ratios.values())
-    bound_ok = all(v[i] <= bounds[i] for v in drifts.values() for i in (0, 1))
-    ident_ok = identity_err <= 1e-12
-    ok = decay_ok and bound_ok and ident_ok
+def test_criterion_7_noether_conservation(report):
+    results = CHECK_SUITES["noether"]()
+    byname = {r.name: r.value for r in results}
+    # the twist pulse at T = 0.125 on the unit periodic loop
+    drift_ok = all(byname[f"{name}_total_drift_n{n_s}"]
+                   <= ((0.125 / (n_t - 1)) ** 2 + (1.0 / n_s) ** 2) * 0.125
+                   for name in ("rotor", "so3")
+                   for n_s, n_t in ((64, 50), (128, 100)))
+    identity = max(byname[f"current_vertical_identity_max_err_n{n}"]
+                   for n in (64, 128))
+    ratios = {name: byname[f"{name}_total_drift_ratio_64_to_128"]
+              for name in ("rotor", "so3")}
+    ok = (all(r.passed for r in results) and drift_ok and identity <= 1e-12
+          and all(3.0 <= r <= 5.0 for r in ratios.values()))
     report(7, "noether-conservation", ok,
             f"drift decay rotor x{ratios['rotor']:.2f} so3 x{ratios['so3']:.2f}"
             f" in [3,5], drifts <= (dt^2+ds^2)T, "
-            f"identity err {identity_err:.1e} <= 1e-12")
+            f"identity err {identity:.1e} <= 1e-12")
     assert ok
 
 

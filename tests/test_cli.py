@@ -24,7 +24,7 @@ from strand_reduce import residuals as rs
 from strand_reduce import simulate as sim
 from strand_reduce.cli import main
 from strand_reduce.config import parse_config
-from strand_reduce.fields_io import write_initial_slice
+from strand_reduce.fields_io import read_fields, write_initial_slice
 from strand_reduce.simulate import presets
 
 CONFIG = """
@@ -494,6 +494,17 @@ class TestReconstruct:
         write_fields(tmp_path, gr, {"Omega": W, "omega": w})
         assert main(["reconstruct", "--in", str(tmp_path), "--tol", "1e-3"]) == 3
 
+    def test_lambda0_is_projected_onto_rotations(self, tmp_path, config_file):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        assert main(["reconstruct", "--in", str(out), "--tol", "0.1",
+                     "--lambda0", "1 0 0 0 1 0 0 0 1.05"]) == 0
+        _, fields = read_fields(out, names=("Lambda",))
+        Lam = fields["Lambda"]
+        gram = np.swapaxes(Lam, -1, -2) @ Lam
+        assert np.abs(gram - np.eye(3)).max() <= 1e-14
+        assert np.abs(np.linalg.det(Lam) - 1.0).max() <= 1e-14
+
     def test_bad_lambda0(self, tmp_path, config_file):
         out = tmp_path / "out"
         main(["simulate", "--config", str(config_file), "--out", str(out)])
@@ -557,7 +568,8 @@ class TestNoether:
         calls = []
         flat = red.flatness_residual_rotation
         monkeypatch.setattr(red, "flatness_residual_rotation",
-                            lambda sec: calls.append(sec.grid.n_t) or flat(sec))
+                            lambda gr, *rates: calls.append(gr.n_t)
+                            or flat(gr, *rates))
         assert main(["noether", "--in", str(out)]) == 0
         windows = list(g.Grid2.uniform(40, 32, 0.1, 1.0, g.PERIODIC).windows())
         assert calls == [w.grid.n_t for w in windows] and len(calls) == 5
@@ -584,13 +596,24 @@ class TestCheckAndConvergence:
     def test_check_exit_codes(self, capsys):
         assert main(["check", "stages"]) == 0
 
-    def test_check_invariance(self, capsys):
-        # acceptance criterion 2 from the command line
-        assert main(["check", "invariance"]) == 0
+    @pytest.mark.parametrize("suite, names", [
+        # acceptance criteria 2, 5 and 7
+        ("invariance", ["lagrangian_invariance_max_rel_err",
+                        "lagrangian_projection_max_rel_err"]),
+        ("reduction", [f"{name}_n{n}" for n in (64, 128) for name in (
+            "res_r_over_horizontal_rho", "res_Lambda_over_vertical",
+            "res_theta_over_horizontal_theta", "unreduced_over_run_stage1")]
+         + ["order_unreduced", "order_stage1"]),
+        ("noether", [f"{name}_n{n}" for n in (64, 128) for name in (
+            "rotor_total_drift", "rotor_divergence_interior_l2",
+            "so3_total_drift", "so3_divergence_interior_l2",
+            "current_vertical_identity_max_err")]
+         + [f"{c}_total_drift_ratio_64_to_128" for c in ("rotor", "so3")]),
+    ], ids=["invariance", "reduction", "noether"])
+    def test_check_invariance(self, capsys, suite, names):
+        assert main(["check", suite]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
-        assert [row.split()[0] for row in rows] == [
-            "lagrangian_invariance_max_rel_err",
-            "lagrangian_projection_max_rel_err"]
+        assert [row.split()[0] for row in rows] == names
 
     def test_suites_take_no_options(self):
         # one setting per suite: `check` and the acceptance tests run it alike
@@ -620,8 +643,23 @@ class TestCheckAndConvergence:
         monkeypatch.setattr(checks, "run",
                             lambda cfg: outs.append(real_run(cfg)) or outs[-1])
         gr = g.Grid2.uniform(base_n_t, base_n_s, 0.05, 1.0, bc)
-        rows, results = checks.convergence_table("twistpulse", levels, gr)
+        rows, results = checks.convergence_table("twistpulse",
+                                                  checks.ladder(gr, levels))
         return rows, results, outs
+
+    def test_ladder_past_the_memory_guard_exits_2(self, monkeypatch, capsys):
+        # 3 x 3e6 nodes, then 5 x 6e6: two levels fit and nothing refines past
+        # the last; a third, 9 x 1.2e7 > 1e8, exits 2 before any level runs
+        gr = g.Grid2.uniform(3, 3000000, 1e-9, 1.0, g.PERIODIC)
+        assert [level.n_s for level in checks.ladder(gr, 2)] == [3e6, 6e6]
+        calls = []
+        monkeypatch.setattr(checks, "run", calls.append)
+        assert main(["convergence", "--levels", "3", "--base-n-s", "3000000",
+                     "--base-n-t", "3", "--duration", "1e-9"]) == 2
+        assert calls == []
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: convergence ladder: grid exceeds the memory guard "
+            "of 1e8 nodes"]
 
     def test_clamped_ladder_nests(self, monkeypatch):
         rows, _, outs = self._ladder(monkeypatch, 3, 11, 9, g.CLAMPED)
@@ -642,8 +680,9 @@ class TestCheckAndConvergence:
             want = {name: g.norm_l2(sec.grid, getattr(res, name),
                                     sec.grid.interior_mask(2))
                     for name in res._fields}
-            want["flatness"] = g.norm_max(red.flatness_residual_rotation(sec),
-                                          sec.grid.interior_mask(2))
+            want["flatness"] = g.norm_max(
+                red.flatness_residual_rotation(sec.grid, sec.Omega, sec.omega),
+                sec.grid.interior_mask(2))
             assert row == {"n_s": sec.grid.n_s, "n_t": sec.grid.n_t, **want}
         if bc == g.PERIODIC:
             # periodic levels keep n_s = base 2^k and the fit h = length / n_s,

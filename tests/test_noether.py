@@ -124,13 +124,6 @@ class TestDriftResidual:
         drift = noether.drift_residual(identity_field(gr), f, d, params)
         assert g.norm_max(drift) == 0.0
 
-    def test_drift_rhs_is_explicit_zero(self, params):
-        gr = small_grid(n_t=8, n_s=8)
-        sec = smooth_stage1_section(gr)
-        f = rs.stage1_derivative_fields(sec, params)
-        assert np.array_equal(noether.drift_rhs(f, params),
-                              np.zeros_like(sec.rho))
-
     def test_drift_decays_on_solutions(self, params):
         norms = []
         for (n_s, n_t) in ((32, 64), (64, 127)):
@@ -139,36 +132,12 @@ class TestDriftResidual:
             out = sim.run(sim.SimConfig(grid=gr, params=params,
                                         preset="twistpulse"))
             sec = out.section
-            flat = g.norm_max(red.flatness_residual_rotation(sec))
             Lam = red.reconstruct_rotation(gr, sec.Omega, sec.omega, np.eye(3),
-                                           tol=10 * flat + 1e-6)
+                                           tol=None)
             f, d = bundle(sec, params)
             drift = noether.drift_residual(Lam, f, d, params)
             norms.append(g.norm_l2(gr, drift, gr.interior_mask(2)))
         assert 3.0 < norms[0] / norms[1] < 5.0
-
-
-class TestConservation:
-    def test_totals_conserved_on_short_pulse(self, params):
-        # duration short enough that the pulse stays away from the seam:
-        # the leak through the seam is then below the discretization drift
-        drifts = {"rotor": [], "so3": []}
-        for (n_s, n_t) in ((64, 50), (128, 100)):
-            gr = g.Grid2(n_t=n_t, n_s=n_s, dt=0.125 / (n_t - 1), ds=1.0 / n_s,
-                         bc_s=g.PERIODIC)
-            out = sim.run(sim.SimConfig(grid=gr, params=params,
-                                        preset="twistpulse"))
-            sec = out.section
-            flat = g.norm_max(red.flatness_residual_rotation(sec))
-            Lam = red.reconstruct_rotation(gr, sec.Omega, sec.omega, np.eye(3),
-                                           tol=10 * flat + 1e-6)
-            _, d = bundle(sec, params)
-            for name, cur in (("rotor", noether.rotor_current(gr, d)),
-                              ("so3", noether.so3_current(gr, Lam, d))):
-                tot = noether.totals_over_time(cur)
-                drifts[name].append(np.max(np.linalg.norm(tot - tot[0], axis=-1)))
-        for name in drifts:
-            assert 3.0 < drifts[name][0] / drifts[name][1] < 5.0, (name, drifts)
 
 
 class TestTotalsFile:

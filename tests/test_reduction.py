@@ -4,6 +4,7 @@ import pytest
 from strand_reduce import grid as g
 from strand_reduce import reduction as red
 from strand_reduce import so3
+from strand_reduce.checks import flat_pair
 from strand_reduce.errors import NotFlatError
 from tests.conftest import small_grid, svd_polar
 
@@ -12,32 +13,8 @@ E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
 
 
-def separable_flat_lift(gr, c1=E1, c2=E2, amp_s=0.8, rate_t=0.5, amp_t=0.3):
-    """Closed-form rotation field Lambda = A(s) B(t) with exact rates.
-
-    With A = exp(f(s) hat(c1)) and B = exp(g(t) hat(c2)) one gets
-    Omega(s,t) = f'(s) B(t)^T c1 and omega(t) = g'(t) c2 exactly, so the
-    pair is flat by construction and serves as the reconstruction oracle.
-    """
-    t = gr.t_coords()
-    s = gr.s_coords()
-    L = gr.length_s
-    f = amp_s * np.sin(2 * np.pi * s / L)
-    fp = amp_s * (2 * np.pi / L) * np.cos(2 * np.pi * s / L)
-    gfun = rate_t * t + amp_t * np.sin(1.5 * t)
-    gp = rate_t + 1.5 * amp_t * np.cos(1.5 * t)
-    A = so3.exp_so3(f[:, None] * c1)          # (n_s, 3, 3)
-    B = so3.exp_so3(gfun[:, None] * c2)       # (n_t, 3, 3)
-    Lam = np.einsum("sij,tjk->tsik", A, B)
-    BT_c1 = np.einsum("tji,j->ti", B, c1)     # B^T c1
-    Omega = fp[None, :, None] * BT_c1[:, None, :]
-    omega = np.broadcast_to((gp[:, None] * c2)[:, None, :],
-                            (gr.n_t, gr.n_s, 3)).copy()
-    return Lam, Omega, omega
-
-
 def synthetic_unreduced(gr):
-    Lam, Omega, omega = separable_flat_lift(gr)
+    Lam, Omega, omega, _ = flat_pair(gr)
     t = gr.t_coords()[:, None]
     s = gr.s_coords()[None, :]
     L = gr.length_s
@@ -79,7 +56,7 @@ class TestProjectStage1:
         errs = []
         for n in (16, 32, 64):
             gr = small_grid(n_t=n, n_s=n)
-            Lam, Omega, omega = separable_flat_lift(gr)
+            Lam, Omega, omega, _ = flat_pair(gr)
             u = red.UnreducedSection(grid=gr, r=np.zeros((gr.n_t, gr.n_s, 3)),
                                      Lambda=Lam, theta=np.zeros((gr.n_t, gr.n_s, 3)))
             s1 = red.project_stage1(u)
@@ -159,17 +136,14 @@ class TestFlatness:
     def test_constant_parallel(self):
         gr = small_grid()
         W = np.broadcast_to(E3, (gr.n_t, gr.n_s, 3)).copy()
-        sec = red.Stage2Section(grid=gr, rho=None, a=None, b=None,
-                                Omega=W, omega=2.0 * W)
-        assert g.norm_max(red.flatness_residual_rotation(sec)) == 0.0
+        res = red.flatness_residual_rotation(gr, W, 2.0 * W)
+        assert g.norm_max(res) == 0.0
 
     def test_constant_crossed(self):
         gr = small_grid()
-        sec = red.Stage2Section(
-            grid=gr, rho=None, a=None, b=None,
-            Omega=np.broadcast_to(E1, (gr.n_t, gr.n_s, 3)).copy(),
-            omega=np.broadcast_to(E2, (gr.n_t, gr.n_s, 3)).copy())
-        res = red.flatness_residual_rotation(sec)
+        res = red.flatness_residual_rotation(
+            gr, np.broadcast_to(E1, (gr.n_t, gr.n_s, 3)).copy(),
+            np.broadcast_to(E2, (gr.n_t, gr.n_s, 3)).copy())
         # derivative terms vanish; only the cross term e1 x e2 survives
         assert np.allclose(res, E3, atol=1e-14)
 
@@ -179,7 +153,8 @@ class TestFlatness:
             gr = small_grid(n_t=n, n_s=n)
             u, _, _, _ = synthetic_unreduced(gr)
             s1 = red.project_stage1(u)
-            errs.append(g.norm_max(red.flatness_residual_rotation(s1)))
+            errs.append(g.norm_max(red.flatness_residual_rotation(
+                gr, s1.Omega, s1.omega)))
         assert errs[1] <= errs[0] / 3.0
 
     def test_rotor_flatness(self):
@@ -188,9 +163,8 @@ class TestFlatness:
         a = np.stack([t + 0.0 * gr.s_coords()[None, :],
                       0.0 * t + 0.0 * gr.s_coords()[None, :],
                       0.0 * t + 0.0 * gr.s_coords()[None, :]], axis=-1)
-        s2 = red.Stage2Section(grid=gr, rho=None, a=a,
-                               b=np.zeros_like(a), Omega=None, omega=None)
-        assert np.allclose(red.flatness_residual_rotor(s2), E1, atol=1e-12)
+        res = red.flatness_residual_rotor(gr, a, np.zeros_like(a))
+        assert np.allclose(res, E1, atol=1e-12)
 
     def test_rotor_mixed_partials(self):
         gr = small_grid()
@@ -201,7 +175,8 @@ class TestFlatness:
         s1 = red.Stage1Section(grid=gr, rho=theta, theta=theta, Omega=theta,
                                omega=theta)
         s2 = red.project_stage2(s1)
-        assert g.norm_max(red.flatness_residual_rotor(s2)) <= 1e-11 / (gr.ds * gr.dt)
+        defect = red.flatness_residual_rotor(gr, s2.a, s2.b)
+        assert g.norm_max(defect) <= 1e-11 / (gr.ds * gr.dt)
 
 
 class TestReconstructRotation:
@@ -225,7 +200,7 @@ class TestReconstructRotation:
         errs = []
         for n in (16, 32, 64):
             gr = small_grid(n_t=n, n_s=n)
-            Lam0, Omega, omega = separable_flat_lift(gr)
+            Lam0, Omega, omega, _ = flat_pair(gr)
             Lam = red.reconstruct_rotation(gr, Omega, omega, Lam0[0, 0], tol=1e-2)
             u = red.UnreducedSection(grid=gr, r=np.zeros((gr.n_t, gr.n_s, 3)),
                                      Lambda=Lam, theta=np.zeros((gr.n_t, gr.n_s, 3)))
@@ -237,7 +212,7 @@ class TestReconstructRotation:
 
     def test_family_property(self, rng):
         gr = small_grid(n_t=10, n_s=12)
-        _, Omega, omega = separable_flat_lift(gr)
+        _, Omega, omega, _ = flat_pair(gr)
         G = so3.random_rotation(rng)
         base = red.reconstruct_rotation(gr, Omega, omega, np.eye(3), tol=1e-2)
         moved = red.reconstruct_rotation(gr, Omega, omega, G, tol=1e-2)
@@ -257,7 +232,7 @@ class TestReconstructRotation:
         # a NaN in Omega used to pass the gate and a NaN in omega to end in
         # the polar iteration; an inf makes the residual NaN or inf
         gr = small_grid(n_t=16, n_s=40, bc=g.CLAMPED)
-        _, Omega, omega = separable_flat_lift(gr)
+        _, Omega, omega, _ = flat_pair(gr)
         {"Omega": Omega, "omega": omega}[field][9, 17, 2] = value
         with np.errstate(invalid="ignore"), pytest.raises(NotFlatError,
                                                           match="not finite"):
@@ -279,10 +254,8 @@ class TestReconstructRotation:
 
     def test_path_independence_defect(self):
         gr = small_grid(n_t=32, n_s=32)
-        Lam0, Omega, omega = separable_flat_lift(gr)
-        sec = red.Stage2Section(grid=gr, rho=None, a=None, b=None,
-                                Omega=Omega, omega=omega)
-        flat = g.norm_max(red.flatness_residual_rotation(sec))
+        Lam0, Omega, omega, _ = flat_pair(gr)
+        flat = g.norm_max(red.flatness_residual_rotation(gr, Omega, omega))
         area = gr.duration * gr.length_s
         h2 = gr.ds ** 2 + gr.dt ** 2
         defect = red.path_independence_defect(gr, Omega, omega, Lam0[0, 0],
@@ -368,7 +341,7 @@ def svd_sweep_reconstruction(gr, Omega, omega, Lambda0, sweep):
 @pytest.mark.parametrize("sweep", ["st", "ts"])
 def test_reconstruction_matches_svd_sweep(rng, sweep):
     gr = small_grid(n_t=24, n_s=40, bc=g.CLAMPED)
-    _, Omega, omega = separable_flat_lift(gr)
+    _, Omega, omega, _ = flat_pair(gr)
     Lambda0 = so3.random_rotation(rng)
     Lam = red.reconstruct_rotation(gr, Omega, omega, Lambda0, tol=1e-2,
                                    sweep=sweep)

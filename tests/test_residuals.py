@@ -6,8 +6,8 @@ from strand_reduce import model
 from strand_reduce import reduction as red
 from strand_reduce import residuals as rs
 from strand_reduce import so3
+from strand_reduce.checks import flat_pair
 from tests.conftest import mollifier, small_grid, smooth_stage1_section
-from tests.test_reduction import separable_flat_lift
 
 
 def static_section(gr, params):
@@ -192,7 +192,7 @@ class TestActionGradient:
 
 def lifted_pair(gr):
     """Unreduced section and its exact-rate stage-1 projection."""
-    Lam, Omega, omega = separable_flat_lift(gr)
+    Lam, Omega, omega, _ = flat_pair(gr)
     s1 = smooth_stage1_section(gr)
     r = np.einsum("tsij,tsj->tsi", Lam, s1.rho)
     u = red.UnreducedSection(grid=gr, r=r, Lambda=Lam, theta=s1.theta)

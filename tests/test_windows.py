@@ -59,7 +59,7 @@ def whole_grid_residual_report(s1, params):
     values = {f"residual_{name}_l2": g.norm_l2(s1.grid, getattr(r, name), mask)
               for name in r._fields}
     values["flatness_rotation_max"] = g.norm_max(
-        red.flatness_residual_rotation(s1), mask)
+        red.flatness_residual_rotation(s1.grid, s1.Omega, s1.omega), mask)
     return values
 
 
@@ -152,9 +152,10 @@ class TestBitwiseEqualToWholeGrid:
 
     def test_flatness_gate_value(self, monkeypatch, split, bc):
         s1 = section(bc)
-        want = g.norm_max(red.flatness_residual_rotation(s1))
+        want = g.norm_max(red.flatness_residual_rotation(s1.grid, s1.Omega,
+                                                         s1.omega))
         patch_windows(monkeypatch, s1.grid, split)
-        assert red.flatness_max(s1) == want
+        assert red.flatness_max(s1.grid, s1.Omega, s1.omega) == want
 
 
 class TestWindowedMaxPropagatesNan:
@@ -162,14 +163,16 @@ class TestWindowedMaxPropagatesNan:
         s1 = section(g.CLAMPED)
         patch_windows(monkeypatch, s1.grid, 5)
         s1.Omega[12, 6, 1] = np.nan
-        assert np.isnan(red.flatness_max(s1))
+        gr, Omega, omega = s1.grid, s1.Omega, s1.omega
+        assert np.isnan(red.flatness_max(gr, Omega, omega))
         # masked out, the NaN nodes do not count, as with norm_max
-        mask = s1.grid.interior_mask(2)
+        mask = gr.interior_mask(2)
         mask[10:15] = False
-        sq, = g.by_window(s1.grid, lambda w: (g.node_sq(
-            red.flatness_residual_rotation(red.window_view(s1, w))),))
+        sq, = g.by_window(gr, lambda w: (g.node_sq(
+            red.flatness_residual_rotation(w.grid, Omega[w.read],
+                                           omega[w.read])),))
         assert g.max_sq(sq, mask) == g.norm_max(
-            red.flatness_residual_rotation(s1), mask)
+            red.flatness_residual_rotation(gr, Omega, omega), mask)
 
 
 class TestPeakMemory:
