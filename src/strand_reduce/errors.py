@@ -24,10 +24,6 @@ class NotFlatError(StrandError):
     """Curvature residual exceeds the tolerance required for reconstruction."""
 
 
-class SingularInertiaError(StrandError):
-    """An inertia solve failed; the state is corrupt."""
-
-
 class BlowupError(StrandError):
     """A field norm exceeded the blow-up guard during time stepping."""
 

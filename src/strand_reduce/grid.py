@@ -20,6 +20,9 @@ MAX_NODES = 10 ** 8
 WINDOW_NODES = 8192
 # Levels a window reads beyond the ones it owns: the reach of d_t o d_t.
 WINDOW_HALO = 2
+# One-sided closure of the first derivative, times 2h: row 0 of the stencil
+# is a*f[0] + b*f[1] + c*f[2], row n-1 is -a*f[n-1] - b*f[n-2] - c*f[n-3].
+_EDGE = (-3.0, 4.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -139,24 +142,25 @@ class Grid2:
 def _diff(values, h, periodic, axis):
     """Second-order first derivative along ``axis``.
 
-    Centered in the interior; periodic wrap when requested, otherwise
-    one-sided three-point stencils at the two edges.  Both policies are
-    assembled from slices of ``values`` with ``axis`` swapped to the front.
+    Centered in the interior; periodic wrap when requested, otherwise the
+    one-sided closure ``_EDGE`` at the two edges.  Every row's numerator is
+    written into one output with ``axis`` swapped to the front, then the
+    whole output is divided by 2h in place: no full-size temporaries.
     """
     f = np.asarray(values, dtype=float).swapaxes(axis, 0)
     out = np.empty_like(f)
     n = f.shape[0]
-    # In place: same rounding as (f[2:] - f[:-2]) / 2h, no full-size temporaries.
-    mid = out[1:n - 1]
-    np.subtract(f[2:], f[:n - 2], out=mid)
-    mid /= 2.0 * h
+    np.subtract(f[2:], f[:n - 2], out=out[1:n - 1])
     if periodic:
-        # The modulo keeps size-1 and size-2 axes on the wrapped neighbours.
-        out[0] = (f[1 % n] - f[n - 1]) / (2.0 * h)
-        out[n - 1] = (f[0] - f[(n - 2) % n]) / (2.0 * h)
+        # The modulo keeps size-1 and size-2 axes on the wrapped neighbours;
+        # the ellipsis keeps a row of a 1-D field a view.
+        np.subtract(f[1 % n], f[n - 1], out=out[0, ...])
+        np.subtract(f[0], f[(n - 2) % n], out=out[n - 1, ...])
     else:
-        out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-        out[n - 1] = (3.0 * f[n - 1] - 4.0 * f[n - 2] + f[n - 3]) / (2.0 * h)
+        a, b, c = _EDGE
+        out[0] = a * f[0] + b * f[1] + c * f[2]
+        out[n - 1] = -a * f[n - 1] - b * f[n - 2] - c * f[n - 3]
+    out /= 2.0 * h
     return out.swapaxes(0, axis)
 
 
@@ -167,26 +171,21 @@ def _diff_adjoint(values, h, periodic, axis):
     :func:`_diff`; with clamped edges the one-sided rows scatter back onto
     their three source nodes.
     """
-    f = np.asarray(values, dtype=float)
     if periodic:
-        return -_diff(f, h, True, axis)
+        return -_diff(values, h, True, axis)
+    f = np.asarray(values, dtype=float).swapaxes(axis, 0)
     out = np.zeros_like(f)
-    n = f.shape[axis]
-    sl = lambda i: tuple(i if a == axis else slice(None) for a in range(f.ndim))
-    rng = lambda a_, b_: tuple(slice(a_, b_) if a == axis else slice(None)
-                               for a in range(f.ndim))
+    n = f.shape[0]
     # Interior rows j = 1..n-2 of the forward stencil: +1/(2h) at j+1, -1/(2h) at j-1.
-    out[rng(2, n)] += f[rng(1, n - 1)] / (2.0 * h)
-    out[rng(0, n - 2)] -= f[rng(1, n - 1)] / (2.0 * h)
-    # One-sided row 0: coefficients (-3, 4, -1)/(2h) on columns 0, 1, 2.
-    out[sl(0)] += -3.0 * f[sl(0)] / (2.0 * h)
-    out[sl(1)] += 4.0 * f[sl(0)] / (2.0 * h)
-    out[sl(2)] += -1.0 * f[sl(0)] / (2.0 * h)
-    # One-sided row n-1: coefficients (3, -4, 1)/(2h) on columns n-1, n-2, n-3.
-    out[sl(n - 1)] += 3.0 * f[sl(n - 1)] / (2.0 * h)
-    out[sl(n - 2)] += -4.0 * f[sl(n - 1)] / (2.0 * h)
-    out[sl(n - 3)] += 1.0 * f[sl(n - 1)] / (2.0 * h)
-    return out
+    out[2:] += f[1:n - 1] / (2.0 * h)
+    out[:n - 2] -= f[1:n - 1] / (2.0 * h)
+    # The one-sided rows 0 and n-1, in that order: _EDGE on columns 0, 1, 2
+    # and its negative on columns n-1, n-2, n-3.
+    for k, coef in enumerate(_EDGE):
+        out[k] += coef * f[0] / (2.0 * h)
+    for k, coef in enumerate(_EDGE):
+        out[n - 1 - k] += -coef * f[n - 1] / (2.0 * h)
+    return out.swapaxes(0, axis)
 
 
 def d_s(grid, values):
@@ -209,48 +208,24 @@ def d_t_adjoint(grid, values):
 
 def d_s_slice(values, ds, periodic):
     """Arclength derivative of a time slice ``(n_s, 3)``, or of a stack of
-    slices ``(..., n_s, 3)``: the s axis is the second to last.
-
-    The periodic stencil is written along that axis directly: three
-    subtractions into one output (the interior and the two wrapped rows),
-    then one in-place division by 2 ds.  That is :func:`_diff`'s
-    arithmetic in fewer numpy calls and without its axis swaps, so the two
-    agree bit for bit at every n_s and need no size switch.  Clamped
-    slices go through :func:`_diff`.
-    """
-    if not periodic:
-        return _diff(values, ds, False, axis=-2)
-    f = np.asarray(values, dtype=float)
-    out = np.empty_like(f)
-    n = f.shape[-2]
-    np.subtract(f[..., 2:, :], f[..., :n - 2, :], out=out[..., 1:n - 1, :])
-    # The modulo keeps size-1 and size-2 axes on the wrapped neighbours.
-    np.subtract(f[..., 1 % n, :], f[..., n - 1, :], out=out[..., 0, :])
-    np.subtract(f[..., 0, :], f[..., (n - 2) % n, :], out=out[..., n - 1, :])
-    out /= 2.0 * ds
-    return out
+    slices ``(..., n_s, 3)``: the s axis is the second to last."""
+    return _diff(values, ds, periodic, -2)
 
 
-def integrate_s(grid, values, i_t=None):
-    """Line integral over s at one time level (or all levels when i_t is None).
+def integrate_s(grid, values):
+    """Line integral over s (axis 1) at every time level.
 
     Trapezoid rule on clamped grids, the (exact for periodic integrands)
     equal-weight rule on periodic ones.
     """
     f = np.asarray(values, dtype=float)
-    if i_t is not None:
-        f = f[i_t]
-        axis = 0
-    else:
-        axis = 1
     # np.add.reduce is np.sum without its dispatch; the march calls this
     # once per step.
     if grid.periodic_s:
-        return grid.ds * np.add.reduce(f, axis)
+        return grid.ds * np.add.reduce(f, 1)
     w = np.ones(grid.n_s)
     w[0] = w[-1] = 0.5
-    shape = (-1,) + (1,) * (f.ndim - axis - 1)
-    return grid.ds * np.add.reduce(f * w.reshape(shape), axis)
+    return grid.ds * np.add.reduce(f * w.reshape((-1,) + (1,) * (f.ndim - 2)), 1)
 
 
 def node_sq(f):

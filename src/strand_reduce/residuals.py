@@ -39,6 +39,7 @@ import numpy as np
 from . import grid as g
 from . import model
 from .model import _dot
+from .reduction import Stage1Section
 from .so3 import cross, hat, vee_skew
 
 
@@ -205,7 +206,6 @@ class VariationSpec:
 
 
 def _perturbed(s1, var, eps):
-    from .reduction import Stage1Section
     gr = s1.grid
     dOmega = g.d_s(gr, var.eta) + cross(s1.Omega, var.eta)
     domega = g.d_t(gr, var.eta) + cross(s1.omega, var.eta)

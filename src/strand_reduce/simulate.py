@@ -22,13 +22,13 @@ kernel per call, because at small n_s numpy's per-call cost outweighs the
 algebra: the four s-derivatives (of C Omega, D a, omega and v) come from a
 single stencil call on a (4, n_s, 3) block, the six cross products from two
 calls on stacked operands, and each rate is written straight into the
-packed output.  Each of those calls is itself cut to few numpy calls: the
-periodic stencil is written along the s axis of the stack
-(``grid.d_s_slice``), and stacks of up to ``so3.GATHER_MAX_VECTORS``
-vectors are crossed by gathering components, not slicing them
-(``so3.cross``).  The arithmetic per entry is exactly that of the formulas
-above, summed in the order written, so results do not depend on the
-stacking or on the kernel taken.
+packed output.  Each of those calls is itself cut to few numpy calls: every
+stencil, periodic or clamped, is axis-native, writing all its rows into one
+output along the s axis of the stack (``grid.d_s_slice``), and stacks of up
+to ``so3.GATHER_MAX_VECTORS`` vectors are crossed by gathering components,
+not slicing them (``so3.cross``).  The arithmetic per entry is exactly that
+of the formulas above, summed in the order written, so results do not
+depend on the stacking or on the kernel taken.
 
 theta itself is carried alongside (rate v) purely so the assembled output is
 a complete stage-1 section; it does not feed back into the dynamics.
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import grid as g
 from .so3 import cross
-from .errors import BlowupError, ConfigError, SingularInertiaError, UnknownPresetError
+from .errors import BlowupError, ConfigError, UnknownPresetError
 from .model import ModelParams, dE, default_params
 from .reduction import Stage1Section, flatness_residual_rotation, window_view
 from .residuals import Stage1Residuals, stage1_residuals
@@ -204,11 +204,6 @@ def run(cfg):
     cfg.validate()
     gr = cfg.grid
     p = cfg.params
-    try:
-        np.linalg.cholesky(p.inertia_body)
-        np.linalg.cholesky(p.inertia_rotor)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInertiaError(str(exc)) from None
     I_inv = np.linalg.inv(p.inertia_body)
     K_inv = np.linalg.inv(p.inertia_rotor)
 
@@ -235,7 +230,7 @@ def run(cfg):
             if not math.isfinite(worst) or worst > BLOWUP_GUARD:
                 k, j, _ = np.unravel_index(np.argmax(np.abs(y)), y.shape)
                 raise BlowupError(i, worst, COMPONENTS[k], int(j))
-            rotor_total = g.integrate_s(gr, (y[6] + y[4])[None] @ K.T, 0)
+            rotor_total, = g.integrate_s(gr, (y[6] + y[4])[None] @ K.T)
             rows[i] = (i, i * gr.dt, worst, *rotor_total)
             if i < gr.n_t - 1:
                 y = step(y, gr.dt, f)

@@ -28,6 +28,9 @@ POLAR_TRUST_RADIUS = 0.1
 # below which one more step reaches roundoff.
 POLAR_MAX_STEPS = 8
 POLAR_SETTLED = 1e-8
+# An entry of M^T M - Id bounds its spectral norm, so a larger first defect
+# puts a singular value of M outside [0.9, 1.1]: beyond the trust radius.
+POLAR_FIRST_DEFECT = (1.0 + POLAR_TRUST_RADIUS) ** 2 - 1.0
 
 IDENTITY = np.eye(3)
 
@@ -180,16 +183,22 @@ def reorthonormalize(M):
     quadratically, so it needs one step for a product of rotations and at
     most five within the trust radius (singular values in [0.9, 1.1]).
     Raises :class:`TooFarFromGroupError` when the input is more than
-    ``POLAR_TRUST_RADIUS`` away from SO(3): when the iteration does not
-    settle, when the polar factor is a reflection (``det M <= 0``), or when
-    it lies too far from ``M``.
+    ``POLAR_TRUST_RADIUS`` away from SO(3): when the first defect of ``M``
+    exceeds ``POLAR_FIRST_DEFECT`` (a singular value above sqrt 3 would
+    otherwise settle at -1), when the iteration does not settle, when the
+    polar factor is a reflection (``det M <= 0``), or when it lies too far
+    from ``M``.
     """
     M = np.asarray(M, dtype=float)
     R = M
-    for _ in range(POLAR_MAX_STEPS):
+    for step in range(POLAR_MAX_STEPS):
         # a contiguous transpose makes the batched product ~2x faster
         gram = np.ascontiguousarray(np.swapaxes(R, -1, -2)) @ R
         defect = float(np.abs(gram - IDENTITY).max())
+        if step == 0 and defect > POLAR_FIRST_DEFECT:
+            raise TooFarFromGroupError(
+                f"distance to SO(3) exceeds trust radius {POLAR_TRUST_RADIUS} "
+                f"(orthogonality defect {defect:.3e})")
         R = R @ (1.5 * IDENTITY - 0.5 * gram)
         # the next defect is about 3/4 of this one squared: roundoff
         if defect <= POLAR_SETTLED:

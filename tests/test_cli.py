@@ -511,6 +511,17 @@ class TestReconstruct:
         assert main(["reconstruct", "--in", str(out), "--tol", "0.1",
                      "--lambda0", "1 0 0"]) == 2
 
+    def test_scaled_lambda0_is_not_called_a_reflection(self, tmp_path,
+                                                        config_file, capsys):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["reconstruct", "--in", str(out), "--tol", "1",
+                     "--lambda0", "2 0 0 0 2 0 0 0 2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "trust radius" in err and "reflection" not in err
+
 
 class TestNoether:
     def test_report(self, tmp_path, config_file, capsys):

@@ -196,20 +196,6 @@ class TestReconstructRotation:
         err = np.max(np.abs(Lam - want[None]))
         assert err <= 5.0 * gr.ds ** 2
 
-    def test_round_trip_converges(self):
-        errs = []
-        for n in (16, 32, 64):
-            gr = small_grid(n_t=n, n_s=n)
-            Lam0, Omega, omega, _ = flat_pair(gr)
-            Lam = red.reconstruct_rotation(gr, Omega, omega, Lam0[0, 0], tol=1e-2)
-            u = red.UnreducedSection(grid=gr, r=np.zeros((gr.n_t, gr.n_s, 3)),
-                                     Lambda=Lam, theta=np.zeros((gr.n_t, gr.n_s, 3)))
-            s1 = red.project_stage1(u)
-            errs.append(max(g.norm_max(s1.Omega - Omega),
-                            g.norm_max(s1.omega - omega)))
-        assert 3.0 < errs[0] / errs[1] < 5.0
-        assert 3.0 < errs[1] / errs[2] < 5.0
-
     def test_family_property(self, rng):
         gr = small_grid(n_t=10, n_s=12)
         _, Omega, omega, _ = flat_pair(gr)

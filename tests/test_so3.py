@@ -238,18 +238,23 @@ class TestNewtonSchulzPolar:
         assert np.max(np.linalg.norm(M - svd_polar(M), axis=(1, 2))) <= 0.099
         assert np.max(np.abs(so3.reorthonormalize(M) - svd_polar(M))) <= 1e-14
 
-    @pytest.mark.parametrize("M", [
-        np.diag([1.0, 1.0, -1.0]),
-        np.diag([1.0, 1.0, 0.0]),
-        -2.0 * np.eye(3),
-        -np.eye(3),
-        1.2 * np.eye(3),
-        np.full((3, 3), np.nan),
-    ], ids=["reflection", "singular", "minus_2I", "minus_I", "1.2I", "nan"])
-    def test_outside_trust_region_raises(self, rng, M):
-        with pytest.raises(TooFarFromGroupError):
-            so3.reorthonormalize(M)
+    @pytest.mark.parametrize("M, reflection", [
+        (np.diag([1.0, 1.0, -1.0]), True),
+        (np.diag([1.0, 1.0, 0.0]), False),
+        (-2.0 * np.eye(3), False),
+        (-np.eye(3), True),
+        (1.2 * np.eye(3), False),
+        (1.9 * np.eye(3), False),
+        (2.0 * np.eye(3), False),
+        (np.full((3, 3), np.nan), False),
+    ], ids=["reflection", "singular", "minus_2I", "minus_I", "1.2I", "1.9I",
+            "2I", "nan"])
+    def test_outside_trust_region_raises(self, rng, M, reflection):
+        # only an orthogonal input with det -1 is reported as a reflection;
+        # a singular value above sqrt 3 must not settle at -1 and read as one
         batch = self.sweep_batch(rng, n=8)
         batch[5] = M
-        with pytest.raises(TooFarFromGroupError):
-            so3.reorthonormalize(batch)
+        for inp in (M, batch):
+            with pytest.raises(TooFarFromGroupError) as exc:
+                so3.reorthonormalize(inp)
+            assert ("reflection" in str(exc.value)) == reflection, exc.value
