@@ -16,7 +16,7 @@ from . import noether
 from . import reduction as red
 from . import residuals as rs
 from . import so3
-from .errors import NotFlatError
+from .errors import NearAnglePiError, NotFlatError, TooFarFromGroupError
 from .simulate import SimConfig, run
 
 
@@ -366,19 +366,33 @@ def convergence_table(preset, grids):
                   for key in _RESIDUALS + ("flatness",)]
 
 
-def noether_report(s1, Lam, params):
+def noether_report(s1, Lam, params, tol=None):
     """Current totals drift, divergence norms, and the divergence identity.
 
     Returns the check rows and the ``(n_t, 6)`` rotor|so3 totals they measure,
     integrated over the run's own grid (the whole loop when periodic).  The
-    evaluators run window by window; ``Lam`` is read through views.
+    evaluators run window by window, in one pass that also applies the
+    reconstruction's :func:`reduction.flatness_gate` to ``s1`` with ``tol``.
+    ``Lam`` is read a window at a time: a whole field, or the levels of
+    :func:`reduction.rotation_levels`, which the pass extends as it goes.  A
+    sweep error waits for the end of the pass, so that a failed gate, which
+    the global max decides, is reported in its place.
     """
     gr = s1.grid
     cut = dataclasses.replace(gr, bc_s=g.CLAMPED)
+    sweep_errors = []
 
     def evaluate(w):
         s = red.window_view(s1, w)
-        L = Lam[w.read]
+        flat = red.flatness_level_sq(s.grid, s.Omega, s.omega)
+        L = None
+        if not sweep_errors:
+            try:
+                L = Lam[w.read]
+            except (NearAnglePiError, TooFarFromGroupError) as exc:
+                sweep_errors.append(exc)
+        if L is None:   # the rows are discarded: keep the pass going
+            L = np.full(s.Omega.shape + (3,), np.nan)
         f = rs.stage1_derivative_fields(s, params)
         d = model.fiber_derivatives_stage1(f, params)
         rot = noether.rotor_current(w.grid, d)
@@ -389,11 +403,16 @@ def noether_report(s1, Lam, params):
         # spatial current jumps at the seam; differentiate it on the cut
         so3c_cut = dataclasses.replace(
             so3c, grid=dataclasses.replace(w.grid, bc_s=g.CLAMPED))
-        return (noether.totals_over_time(rot), noether.totals_over_time(so3c),
+        return (flat, noether.totals_over_time(rot),
+                noether.totals_over_time(so3c),
                 g.node_sq(noether.divergence(rot)),
                 g.node_sq(noether.divergence(so3c_cut)), identity)
 
-    rotor_tot, so3_tot, rotor_div, so3_div, identity = g.by_window(gr, evaluate)
+    flat, rotor_tot, so3_tot, rotor_div, so3_div, identity = g.by_window(
+        gr, evaluate)
+    red.flatness_gate(g.max_sq(flat, None), tol)
+    if sweep_errors:
+        raise sweep_errors[0]
     out = []
     for name, tot, div, div_grid in (("rotor", rotor_tot, rotor_div, gr),
                                      ("so3", so3_tot, so3_div, cut)):
@@ -417,8 +436,7 @@ def check_noether():
     results, drifts = [], []
     for n_s, n_t in ((64, 50), (128, 100)):
         sec = _twist_run(n_t, n_s, duration).section
-        Lam = red.reconstruct_rotation(sec.grid, sec.Omega, sec.omega,
-                                       np.eye(3), tol=None)
+        Lam = red.rotation_levels(sec.grid, sec.Omega, sec.omega, np.eye(3))
         rows, _ = noether_report(sec, Lam, model.default_params())
         bound = (sec.grid.dt ** 2 + sec.grid.ds ** 2) * duration
         drifts.append({})

@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 reconstruction gate failed
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -17,8 +18,9 @@ from . import grid as g
 from . import reduction as red
 from .config import load_config
 from .errors import BlowupError, ConfigError, NotFlatError, StrandError
-from .fields_io import (format_report, grid_line, read_fields, read_model,
-                        write_fields, write_report, write_steps, write_totals)
+from .fields_io import (format_report, grid_line, open_fields, read_fields,
+                        read_model, write_fields, write_report, write_steps,
+                        write_totals)
 from .model import default_params
 from .reduction import Stage1Section
 from .residuals import Stage1Residuals
@@ -51,12 +53,13 @@ def _check_tol(tol):
         raise ConfigError(f"--tol must be finite and >= 0, got {tol}")
 
 
-def _section_from_dir(indir):
-    """The stored stage-1 section and the model it was simulated with."""
+@contextlib.contextmanager
+def _stored_section(indir):
+    """The stored stage-1 section, as level sources, and its model."""
     params = read_model(indir)
-    gr, fields = read_fields(indir, names=("rho", "theta", "Omega", "omega"))
-    return Stage1Section(grid=gr, rho=fields["rho"], theta=fields["theta"],
-                         Omega=fields["Omega"], omega=fields["omega"]), params
+    with open_fields(indir, names=("rho", "theta", "Omega", "omega")) as (
+            gr, fields):
+        yield Stage1Section(grid=gr, **fields), params
 
 
 def _print_checks(title, results, preamble=()):
@@ -98,8 +101,8 @@ def cmd_simulate(args):
 
 def cmd_residuals(args):
     if args.indir:
-        sec, params = _section_from_dir(args.indir)
-        summary = residual_norms(sec, params)
+        with _stored_section(args.indir) as (sec, params):
+            summary = residual_norms(sec, params)
     else:
         cfg = SimConfig(grid=_grid(args, args.n_t, args.n_s),
                         params=default_params(), preset=args.preset)
@@ -129,10 +132,9 @@ def cmd_reconstruct(args):
 
 def cmd_noether(args):
     _check_tol(args.tol)
-    sec, params = _section_from_dir(args.indir)
-    Lam = red.reconstruct_rotation(sec.grid, sec.Omega, sec.omega, np.eye(3),
-                                   tol=args.tol)
-    results, totals = checks.noether_report(sec, Lam, params)
+    with _stored_section(args.indir) as (sec, params):
+        Lam = red.rotation_levels(sec.grid, sec.Omega, sec.omega, np.eye(3))
+        results, totals = checks.noether_report(sec, Lam, params, tol=args.tol)
     if args.out:
         path = write_totals(args.out, sec.grid, totals)
         sys.stdout.write(f"totals written to {path}\n")

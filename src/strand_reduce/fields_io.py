@@ -4,7 +4,9 @@ One CSV per field, rows in t-major then s order, reals printed with 17
 significant digits (lossless for doubles), LF line endings.  A manifest file
 records the grid metadata, a sha256 checksum per field file, hashed from the
 bytes as they are written (so any change in any value changes the manifest)
-and, for simulated runs, the model the fields were computed with.
+and, for simulated runs, the model the fields were computed with.  A reader
+checks every file it uses against the manifest first, then parses its time
+levels as they are asked for (:func:`open_fields`).
 
 Every CSV cell is the exact text of ``'%.17g' % x``, produced in blocks by
 one array kernel (:func:`_slots`).  It computes N = |x| 10^(16-k),
@@ -16,16 +18,18 @@ nan, inf and magnitudes outside the power table are formatted one by one
 with ``%``.  Digits and trailing zeros come from four-digit tables.
 """
 
+import contextlib
 import functools
 import hashlib
 import itertools
 import os
+import re
 import warnings
 
 import numpy as np
 
+from . import grid as g
 from .errors import ConfigError
-from .grid import Grid2
 from .model import ModelParams
 from .simulate import COMPONENTS, StateSlice
 
@@ -51,6 +55,7 @@ _BAND = 2.0 ** -30            # guard band around a half in the remainder
 _SPLIT = 134217729.0          # 2^27 + 1, Dekker's splitter
 _E16, _E17 = 10 ** 16, 10 ** 17
 _COMMA = ord(",")
+_NEWLINE = ord("\n")
 
 
 def _columns(X, neg, nsig):
@@ -197,7 +202,7 @@ def _column(values):
 
 def _seps(width):
     """Separator bytes of a row of ``width`` values."""
-    return np.array([_COMMA] * (width - 1) + [ord("\n")], np.uint8)
+    return np.array([_COMMA] * (width - 1) + [_NEWLINE], np.uint8)
 
 
 def _join(parts):
@@ -261,15 +266,6 @@ def write_fields(outdir, grid, fields, model=None, merge=False):
     return written
 
 
-def _sha256(path):
-    """Hex digest of a file, streamed in 1 MiB blocks."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _write_stream(path, head, chunks=()):
     """Write text ``head`` then byte ``chunks``; sha256 hex of all written."""
     h = hashlib.sha256()
@@ -322,12 +318,18 @@ def _read_manifest(indir):
             try:
                 kv = dict(p.split("=", 1) for p in parts[1:])
                 if parts[0] == "grid":
-                    grid = Grid2(n_t=int(kv["n_t"]), n_s=int(kv["n_s"]),
-                                 dt=float(kv["dt"]), ds=float(kv["ds"]),
-                                 bc_s=kv["bc"])
+                    grid = g.Grid2(n_t=int(kv["n_t"]), n_s=int(kv["n_s"]),
+                                   dt=float(kv["dt"]), ds=float(kv["ds"]),
+                                   bc_s=kv["bc"])
                 elif parts[0] == "field":
                     if kv["kind"] not in _SHAPES:
                         raise ValueError(f"unknown kind '{kv['kind']}'")
+                    if kv["name"] in entries:
+                        raise ValueError(f"field '{kv['name']}' listed twice")
+                    if (kv["file"] in ("", ".", "..")
+                            or os.path.basename(kv["file"]) != kv["file"]):
+                        raise ValueError(f"file '{kv['file']}' is not a file "
+                                         "name in the run directory")
                     entries[kv["name"]] = (kv["file"], kv["kind"], kv["sha256"])
                 elif parts[0] == "model":
                     model_kv = kv
@@ -354,42 +356,112 @@ def read_model(indir):
         raise ConfigError(f"malformed model line in {indir}: {exc}") from None
 
 
-def read_fields(indir, names=None):
-    """Read fields written by :func:`write_fields`; bit-exact round trip.
+def verify_fields(indir, names=None):
+    """Grid and ``{name: (path, kind)}`` of stored fields, checked before use.
 
-    Each field file is checked against its manifest sha256, its header
-    against its kind and its row count against the grid before use; a
-    mismatch, a missing file or a malformed manifest raises ConfigError.
-    Only the value columns are parsed.
+    One streamed pass per file checks it against its manifest sha256, its
+    header against its kind and its row count, its lines after the header,
+    against the grid.  A mismatch, a missing file or a malformed manifest
+    raises ConfigError.  ``names`` selects fields (all when None).
     """
     grid, entries, _ = _read_manifest(indir)
-    fields = {}
     rows = grid.n_t * grid.n_s
+    out = {}
     for name, (fname, kind, digest) in entries.items():
         if names is not None and name not in names:
             continue
         path = os.path.join(indir, fname)
+        header = _HEADER[kind].encode()
         try:
-            if _sha256(path) != digest:
-                raise ConfigError(f"{path}: sha256 differs from manifest.txt")
-            with open(path) as fh:
-                if fh.readline() != _HEADER[kind]:
-                    raise ConfigError(f"{path}: header does not match "
-                                      f"kind={kind} in manifest.txt")
-                data = _loadtxt(fh, usecols=range(4, 4 + _WIDTH[kind]))
+            with open(path, "rb") as fh:
+                head = fh.readline(len(header))
+                h, lines, last = hashlib.sha256(head), 0, b"\n"
+                for block in iter(lambda: fh.read(1 << 20), b""):
+                    h.update(block)
+                    lines += np.count_nonzero(np.frombuffer(block, np.uint8)
+                                              == _NEWLINE)
+                    last = block[-1:]
         except OSError as exc:
             raise ConfigError(f"{path}: {exc.strerror or exc} (listed in "
                               "manifest.txt)") from None
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        if data.shape[0] != rows:
-            raise ConfigError(f"{path} has {data.shape[0]} rows, expected "
+        if h.hexdigest() != digest:
+            raise ConfigError(f"{path}: sha256 differs from manifest.txt")
+        if head != header:
+            raise ConfigError(f"{path}: header does not match "
+                              f"kind={kind} in manifest.txt")
+        lines += last != b"\n"      # a last line without its newline
+        if lines != rows:
+            raise ConfigError(f"{path} has {lines} rows, expected "
                               f"{rows} (n_t={grid.n_t} x n_s={grid.n_s})")
-        fields[name] = data.reshape((grid.n_t, grid.n_s) + _SHAPES[kind])
-    missing = set(names or ()) - set(fields)
+        out[name] = (path, kind)
+    missing = set(names or ()) - set(out)
     if missing:
         raise ConfigError(f"fields {sorted(missing)} not found in {indir}")
-    return grid, fields
+    return grid, out
+
+
+def read_levels(fh, path, grid, kind, read, held):
+    """The levels of ``read`` after ``held`` (:class:`grid.Levels`), parsed
+    from ``fh``, the open field file at the first of them.
+
+    Only the value columns are parsed.  A malformed row raises ConfigError
+    naming its line in the file.
+    """
+    lo = read.start + len(held)
+    first, count = lo * grid.n_s, (read.stop - lo) * grid.n_s
+    usecols = range(4, 4 + _WIDTH[kind])
+    try:
+        data = _loadtxt(fh, usecols=usecols, max_rows=count)
+    except ValueError as exc:
+        raise _bad_line(path, first, count, usecols, exc) from None
+    if data.shape[0] != count:
+        raise ConfigError(f"{path} has blank or comment lines among its "
+                          f"{grid.n_t * grid.n_s} rows")
+    return data.reshape((read.stop - lo, grid.n_s) + _SHAPES[kind])
+
+
+def _bad_line(path, first, count, usecols, exc):
+    """ConfigError at the file line of the first malformed row among the
+    ``count`` rows from row ``first`` (0-based, after the header)."""
+    with open(path, errors="replace") as fh:
+        for k, line in enumerate(itertools.islice(fh, 1 + first,
+                                                  1 + first + count)):
+            try:
+                _loadtxt([line], usecols=usecols)
+            except ValueError as one:
+                return ConfigError(f"{path} line {2 + first + k}: "
+                                   + re.sub(r" at row \d+", "", str(one)))
+    return ConfigError(f"{path}: {exc}")
+
+
+@contextlib.contextmanager
+def open_fields(indir, names=None):
+    """Stored fields as :class:`grid.Levels`, parsed as they are read.
+
+    Yields the grid and ``{name: levels}``; :func:`verify_fields` checks
+    every selected file before any value is parsed.  The files stay open
+    until the context exits.
+    """
+    grid, listed = verify_fields(indir, names)
+    with contextlib.ExitStack() as stack:
+        streams = {}
+        for name, (path, kind) in listed.items():
+            fh = stack.enter_context(open(path))
+            fh.readline()
+            streams[name] = g.Levels(grid.n_t, functools.partial(
+                read_levels, fh, path, grid, kind))
+        yield grid, streams
+
+
+def read_fields(indir, names=None):
+    """Read fields written by :func:`write_fields`; bit-exact round trip.
+
+    The whole levels of :func:`open_fields`, so each file is checked by
+    :func:`verify_fields` before use.
+    """
+    with open_fields(indir, names) as (grid, streams):
+        return grid, {name: levels[0:grid.n_t]
+                      for name, levels in streams.items()}
 
 
 def write_steps(outdir, rows):

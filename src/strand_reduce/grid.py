@@ -283,3 +283,34 @@ def by_window(grid, evaluate):
             for whole, part in zip(out, parts):
                 whole[w.own] = part[w.inner]
     return out
+
+
+class Levels:
+    """The time levels of a field, produced in time order, a window at a time.
+
+    ``levels[a:b]`` is levels a..b-1 as one array, as ``field[a:b]`` of a
+    whole field would be, so the window evaluators take either.  Each slice
+    must start within the levels held from the one before (windows overlap
+    by their halo); the levels below its start are dropped.
+    ``produce(read, held)`` returns the levels of ``read`` after ``held``,
+    those of its levels already produced.
+    """
+
+    def __init__(self, n_t, produce):
+        self.n_t = n_t
+        self._produce = produce
+        self._start = 0
+        self._held = np.empty(0)
+
+    def __getitem__(self, read):
+        a, b, _ = read.indices(self.n_t)
+        end = self._start + len(self._held)
+        if not self._start <= a <= max(end - 1, 0):
+            raise ValueError(f"levels {a}:{b} requested with {self._start}:"
+                             f"{end} held")
+        held = self._held[a - self._start:]
+        if b > end:
+            new = self._produce(slice(a, b), held)
+            held = np.concatenate([held, new]) if len(held) else new
+        self._start, self._held = a, held
+        return held[:b - a]

@@ -126,17 +126,38 @@ def flatness_residual_rotation(grid, Omega, omega):
 
 
 def window_view(section, window):
-    """The section on the levels ``window`` reads: views, no copies."""
+    """The section on the levels ``window`` reads: views of whole fields,
+    or the window of level sources (:class:`grid.Levels`)."""
     return dataclasses.replace(section, grid=window.grid, **{
         f.name: getattr(section, f.name)[window.read]
         for f in dataclasses.fields(section) if f.name != "grid"})
 
 
+def flatness_level_sq(grid, Omega, omega):
+    """Max over nodes of the squared :func:`flatness_residual_rotation`,
+    at every level."""
+    return np.max(g.node_sq(flatness_residual_rotation(grid, Omega, omega)),
+                  axis=1)
+
+
 def flatness_max(grid, Omega, omega):
     """Max norm of :func:`flatness_residual_rotation`, window by window."""
-    sq, = g.by_window(grid, lambda w: (g.node_sq(flatness_residual_rotation(
-        w.grid, Omega[w.read], omega[w.read])),))
+    sq, = g.by_window(grid, lambda w: (flatness_level_sq(
+        w.grid, Omega[w.read], omega[w.read]),))
     return g.max_sq(sq, None)
+
+
+def flatness_gate(defect, tol):
+    """The reconstruction gate on the flatness max norm ``defect``.
+
+    It must be finite and, unless ``tol`` is None, at most ``tol``, else
+    :class:`NotFlatError`.
+    """
+    if not np.isfinite(defect):
+        raise NotFlatError(f"flatness residual is not finite ({defect})")
+    if tol is not None and not defect <= tol:
+        raise NotFlatError(
+            f"flatness residual {defect:.3e} exceeds tolerance {tol:.3e}")
 
 
 def flatness_residual_rotor(grid, a, b):
@@ -154,47 +175,66 @@ def _sweep(Lam_prev, rate_mid, h):
     return reorthonormalize(Lam_prev @ exp_so3(step))
 
 
+def rotation_levels(grid, Omega, omega, Lambda0):
+    """The s-then-t reconstruction sweep as :class:`grid.Levels`.
+
+    Level 0 is swept along s from the polar factor of ``Lambda0`` with the
+    midpoints of ``Omega``'s level 0; each later level follows from the one
+    before with the midpoint of the two ``omega`` levels.  ``Omega`` and
+    ``omega`` are whole fields or level sources over the same levels; each
+    is read on the window being produced.  No flatness gate is applied.
+    """
+    def produce(read, held):
+        lo = read.start + len(held)
+        om = omega[read]
+        out = np.empty((read.stop - lo, grid.n_s, 3, 3))
+        if lo == 0:
+            W = Omega[read][0]
+            prev = out[0]
+            prev[0] = reorthonormalize(Lambda0)
+            for j in range(grid.n_s - 1):
+                prev[j + 1] = _sweep(prev[j], 0.5 * (W[j] + W[j + 1]), grid.ds)
+        else:
+            prev = held[-1]
+        for i in range(max(lo, 1), read.stop):
+            k = i - read.start
+            prev = out[i - lo] = _sweep(prev, 0.5 * (om[k - 1] + om[k]),
+                                        grid.dt)
+        return out
+
+    return g.Levels(grid.n_t, produce)
+
+
 def reconstruct_rotation(grid, Omega, omega, Lambda0, tol, sweep="st"):
     """Integrate a flat (Omega, omega) pair back to a rotation field.
 
-    The flatness residual must be finite and, unless ``tol`` is None (the
-    default of ``noether``), at most ``tol`` in the max norm, else
-    :class:`NotFlatError`.
+    The pair must pass :func:`flatness_gate` with ``tol`` (None, the default
+    of ``noether``, asks only for a finite residual).
 
-    ``sweep="st"`` fills the t = 0 row from Omega and then marches every
-    s-column forward in time with omega; ``sweep="ts"`` is the transposed
-    order (used to expose the path-independence defect).  The result is one
-    representative of the reconstruction family, selected by ``Lambda0``
-    (seeded with its polar factor, so every node is a rotation); any other
-    member differs by a constant left rotation.
+    ``sweep="st"`` is :func:`rotation_levels` on the whole grid: the t = 0
+    row from Omega, then every s-column forward in time with omega;
+    ``sweep="ts"`` is the transposed order (used to expose the
+    path-independence defect).  The result is one representative of the
+    reconstruction family, selected by ``Lambda0`` (seeded with its polar
+    factor, so every node is a rotation); any other member differs by a
+    constant left rotation.
     """
     Omega = np.asarray(Omega, float)
     omega = np.asarray(omega, float)
-    defect = flatness_max(grid, Omega, omega)
-    if not np.isfinite(defect):
-        raise NotFlatError(f"flatness residual is not finite ({defect})")
-    if tol is not None and not defect <= tol:
-        raise NotFlatError(
-            f"flatness residual {defect:.3e} exceeds tolerance {tol:.3e}")
+    flatness_gate(flatness_max(grid, Omega, omega), tol)
+    if sweep == "st":
+        return rotation_levels(grid, Omega, omega, Lambda0)[0:grid.n_t]
+    if sweep != "ts":
+        raise ValueError(f"unknown sweep order '{sweep}'")
     n_t, n_s = grid.n_t, grid.n_s
     Lam = np.empty((n_t, n_s, 3, 3))
     Lam[0, 0] = reorthonormalize(Lambda0)
-    if sweep == "st":
-        for j in range(n_s - 1):
-            mid = 0.5 * (Omega[0, j] + Omega[0, j + 1])
-            Lam[0, j + 1] = _sweep(Lam[0, j], mid, grid.ds)
-        for i in range(n_t - 1):
-            mid = 0.5 * (omega[i] + omega[i + 1])
-            Lam[i + 1] = _sweep(Lam[i], mid, grid.dt)
-    elif sweep == "ts":
-        for i in range(n_t - 1):
-            mid = 0.5 * (omega[i, 0] + omega[i + 1, 0])
-            Lam[i + 1, 0] = _sweep(Lam[i, 0], mid, grid.dt)
-        for j in range(n_s - 1):
-            mid = 0.5 * (Omega[:, j] + Omega[:, j + 1])
-            Lam[:, j + 1] = _sweep(Lam[:, j], mid, grid.ds)
-    else:
-        raise ValueError(f"unknown sweep order '{sweep}'")
+    for i in range(n_t - 1):
+        mid = 0.5 * (omega[i, 0] + omega[i + 1, 0])
+        Lam[i + 1, 0] = _sweep(Lam[i, 0], mid, grid.dt)
+    for j in range(n_s - 1):
+        mid = 0.5 * (Omega[:, j] + Omega[:, j + 1])
+        Lam[:, j + 1] = _sweep(Lam[:, j], mid, grid.ds)
     return Lam
 
 

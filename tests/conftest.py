@@ -5,6 +5,7 @@ import pytest
 
 from strand_reduce import grid as g
 from strand_reduce import model
+from strand_reduce.fields_io import write_fields
 from strand_reduce.reduction import Stage1Section
 
 SESSION_T0 = time.monotonic()
@@ -74,3 +75,26 @@ def smooth_stage1_section(gr, amp=0.3, c0=1.0):
 
 def small_grid(n_t=24, n_s=32, bc=g.PERIODIC, duration=0.4, length=1.0):
     return g.Grid2.uniform(n_t, n_s, duration, length, bc)
+
+
+@pytest.fixture(scope="class")
+def stored_run(tmp_path_factory):
+    """Stored runs of :func:`smooth_stage1_section`, written once per class.
+
+    ``stored_run(grid)`` returns the run directory, written with the default
+    model as ``simulate`` writes a run, and the section it holds.  Tests that
+    edit a run copy it first.
+    """
+    runs = {}
+
+    def get(gr):
+        if gr not in runs:
+            s1 = smooth_stage1_section(gr)
+            path = tmp_path_factory.mktemp("stored_run")
+            write_fields(path, gr, {name: getattr(s1, name) for name in
+                                    ("rho", "theta", "Omega", "omega")},
+                         model=model.default_params())
+            runs[gr] = path, s1
+        return runs[gr]
+
+    return get

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -26,6 +27,8 @@ from strand_reduce.cli import main
 from strand_reduce.config import parse_config
 from strand_reduce.fields_io import read_fields, write_initial_slice
 from strand_reduce.simulate import presets
+from tests.conftest import small_grid
+from tests.test_windows import patch_windows
 
 CONFIG = """
 [grid]
@@ -601,6 +604,117 @@ class TestNoether:
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [
             "not flat: flatness residual is not finite (nan)"]
+
+
+def set_cell(run, fname, level, node, component, text):
+    """Replace one value of a stored run's field CSV and re-hash it."""
+    n_s = int(re.search(r"n_s=(\d+)", (run / "manifest.txt").read_text())[1])
+
+    def edit(lines):
+        row = lines[1 + level * n_s + node].rstrip("\n").split(",")
+        row[4 + component] = text
+        lines[1 + level * n_s + node] = ",".join(row) + "\n"
+        return lines
+    rewrite_rehashed(run, fname, edit)
+
+
+class TestLastWindow:
+    """A bad cell that only the last window parses.
+
+    With 11 levels a window, the last of the 23 reads levels 9-22, and
+    levels 13-22 are parsed for it.
+    """
+
+    GRID = small_grid(n_t=23, n_s=12)
+
+    @pytest.fixture
+    def run(self, monkeypatch, tmp_path, stored_run):
+        stored, _ = stored_run(self.GRID)
+        patch_windows(monkeypatch, self.GRID, 11)
+        shutil.copytree(stored, tmp_path / "run")
+        return tmp_path / "run"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_residuals_nonfinite_cell_exits_4(self, run, capsys, value):
+        set_cell(run, "Omega.csv", 18, 5, 1, value)
+        assert main(["residuals", "--in", str(run)]) == 4
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "stage1_vertical_l2 nan - FAIL" in out.splitlines()
+        assert f"flatness_rotation_max {value} - FAIL" in out.splitlines()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_noether_nonfinite_cell_exits_3(self, run, capsys, value):
+        set_cell(run, "omega.csv", 18, 5, 1, value)
+        assert main(["noether", "--in", str(run)]) == 3
+        assert capsys.readouterr() == (
+            "", f"not flat: flatness residual is not finite ({value})\n")
+
+    def test_failed_gate_wins_over_an_earlier_sweep_error(self, run, capsys):
+        # a step angle far above pi/2 at level 3 stops the sweep in the
+        # first window; the flatness residual stays finite there
+        set_cell(run, "omega.csv", 3, 2, 0, "1e6")
+        assert main(["noether", "--in", str(run)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: reconstruction step angle")
+        assert len(err.splitlines()) == 1
+        set_cell(run, "Omega.csv", 18, 5, 1, "nan")
+        assert main(["noether", "--in", str(run)]) == 3
+        assert capsys.readouterr() == (
+            "", "not flat: flatness residual is not finite (nan)\n")
+
+    @pytest.mark.parametrize("command", ["residuals", "noether"])
+    def test_malformed_cell_names_its_line(self, run, capsys, command):
+        set_cell(run, "Omega.csv", 20, 7, 1, "x")
+        assert main([command, "--in", str(run)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"config error: {run / 'Omega.csv'} line "
+                       f"{2 + 20 * 12 + 7}: could not convert string 'x' to "
+                       "float64, column 6.\n")
+
+
+class TestManifestPaths:
+    """A manifest names files in its own run directory, each field once."""
+
+    @pytest.fixture
+    def run(self, tmp_path, stored_run):
+        stored, _ = stored_run(small_grid(n_t=8, n_s=8))
+        shutil.copytree(stored, tmp_path / "run")
+        return tmp_path / "run"
+
+    @staticmethod
+    def assert_manifest_error(run, capsys, message, line):
+        for command in ("residuals", "noether"):
+            assert main([command, "--in", str(run)]) == 2
+            assert capsys.readouterr() == ("", f"config error: malformed "
+                                           f"manifest in {run}: {message} "
+                                           f"(line {line})\n")
+
+    @pytest.mark.parametrize("where", ["absolute", "parent", "subdir"])
+    def test_file_outside_the_run(self, run, capsys, where):
+        # a valid copy of rho.csv at the place named, so that only the
+        # check on the name stops the read
+        target = {"absolute": run.parent / "elsewhere" / "rho.csv",
+                  "parent": run.parent / "rho.csv",
+                  "subdir": run / "sub" / "rho.csv"}[where]
+        target.parent.mkdir(exist_ok=True)
+        shutil.copy(run / "rho.csv", target)
+        name = {"absolute": str(target), "parent": "../rho.csv",
+                "subdir": "sub/rho.csv"}[where]
+        manifest = run / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("file=rho.csv",
+                                                         f"file={name}"))
+        self.assert_manifest_error(run, capsys, f"file '{name}' is not a file "
+                                   "name in the run directory", 4)
+
+    def test_field_listed_twice(self, run, capsys):
+        # a second rho line pointing at theta.csv, hash included
+        manifest = run / "manifest.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        lines.insert(5, lines[4].replace("name=theta", "name=rho"))
+        manifest.write_text("".join(lines))
+        self.assert_manifest_error(run, capsys, "field 'rho' listed twice", 6)
 
 
 class TestCheckAndConvergence:

@@ -267,6 +267,23 @@ class TestFieldsIO:
         with pytest.raises(ConfigError):
             read_fields(tmp_path)
 
+    @pytest.mark.parametrize("line", ["\n", "# note\n"])
+    def test_blank_or_comment_line_among_rows_rejected(self, rng, tmp_path,
+                                                       line):
+        # the row count is right, so only the parse can see that a data row
+        # is missing
+        gr = small_grid(n_t=5, n_s=7)
+        write_fields(tmp_path, gr, {"rho": rng.normal(size=(5, 7, 3))})
+        csv = tmp_path / "rho.csv"
+        old = hashlib.sha256(csv.read_bytes()).hexdigest()
+        lines = csv.read_text().splitlines(keepends=True)
+        csv.write_text("".join(lines[:3] + [line] + lines[4:]))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(
+            old, hashlib.sha256(csv.read_bytes()).hexdigest()))
+        with pytest.raises(ConfigError, match="blank or comment lines"):
+            read_fields(tmp_path)
+
     def test_vec3_entry_with_rot3_header_rejected(self, rng, tmp_path):
         gr = small_grid(n_t=5, n_s=7)
         write_fields(tmp_path, gr, {"Lambda": rng.normal(size=(5, 7, 3, 3))})

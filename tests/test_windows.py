@@ -20,6 +20,8 @@ from strand_reduce import noether
 from strand_reduce import reduction as red
 from strand_reduce import residuals as rs
 from strand_reduce import so3
+from strand_reduce.cli import main
+from strand_reduce.fields_io import write_totals
 from strand_reduce.simulate import residual_norms, run_summary
 from tests.conftest import small_grid, smooth_stage1_section
 
@@ -158,6 +160,67 @@ class TestBitwiseEqualToWholeGrid:
         assert red.flatness_max(s1.grid, s1.Omega, s1.omega) == want
 
 
+class TestLevels:
+    def test_windows_produce_each_level_once(self, monkeypatch):
+        gr = small_grid(n_t=N_T, n_s=4)
+        field = np.arange(N_T * 4.0).reshape(N_T, 4)
+        produced = []
+
+        def produce(read, held):
+            lo = read.start + len(held)
+            produced.extend(range(lo, read.stop))
+            return field[lo:read.stop].copy()
+
+        levels = g.Levels(N_T, produce)
+        for w in patch_windows(monkeypatch, gr, 5):
+            assert levels[w.read].tobytes() == field[w.read].tobytes()
+        assert produced == list(range(N_T))
+
+    def test_slices_may_not_move_back_or_skip(self):
+        levels = g.Levels(10, lambda read, held: np.zeros(
+            (read.stop - read.start - len(held), 2)))
+        levels[0:6]
+        levels[3:9]
+        for read in (slice(2, 9), slice(9, 10)):
+            with pytest.raises(ValueError, match="held"):
+                levels[read]
+
+
+@pytest.mark.parametrize("bc", [g.PERIODIC, g.CLAMPED])
+class TestStreamedStoredRun:
+    """``residuals --in`` and ``noether --in`` read a stored run a window at
+    a time and print the whole-grid reports."""
+
+    def test_residuals(self, monkeypatch, capsys, stored_run, split, bc,
+                       params):
+        run, s1 = stored_run(section(bc).grid)
+        patch_windows(monkeypatch, s1.grid, split)
+        assert main(["residuals", "--in", str(run)]) == 0
+        want = whole_grid_residual_report(s1, params)
+        assert capsys.readouterr().out == "residuals\n" + "".join(
+            f"{name.replace('residual_', 'stage1_')} {'%.17g' % value} - PASS\n"
+            for name, value in want.items())
+
+    def test_noether(self, monkeypatch, capsys, tmp_path, stored_run, split,
+                     bc, params):
+        run, s1 = stored_run(section(bc).grid)
+        Lam = red.reconstruct_rotation(s1.grid, s1.Omega, s1.omega, np.eye(3),
+                                       tol=None)
+        want, want_totals = whole_grid_noether_report(s1, Lam, params)
+        patch_windows(monkeypatch, s1.grid, split)
+        assert main(["noether", "--in", str(run), "--out",
+                     str(tmp_path / "got")]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert rows[0] == ["totals", "written", "to",
+                           str(tmp_path / "got" / "totals.csv")]
+        assert rows[1] == ["noether"]
+        assert {r[0]: float(r[1]) for r in rows[2:]} == want
+        assert [r[0] for r in rows[2:]] == list(want)
+        write_totals(tmp_path / "want", s1.grid, want_totals)
+        assert ((tmp_path / "got" / "totals.csv").read_bytes()
+                == (tmp_path / "want" / "totals.csv").read_bytes())
+
+
 class TestWindowedMaxPropagatesNan:
     def test_nan_in_one_window(self, monkeypatch):
         s1 = section(g.CLAMPED)
@@ -205,3 +268,14 @@ class TestPeakMemory:
         s1, _, inputs = big
         peak = self.traced_peak(lambda: residual_norms(s1, params))
         assert peak < 1.5 * inputs
+
+    @pytest.mark.parametrize("command", ["residuals", "noether"])
+    def test_stored_run_command(self, stored_run, capsys, command):
+        # the whole-array reads held 1.7 (residuals) and 2.6 (noether) times
+        # the stored fields
+        run, s1 = stored_run(g.Grid2.uniform(400, 256, 0.5, 1.0, g.CLAMPED))
+        fields = sum(getattr(s1, name).nbytes
+                     for name in ("rho", "theta", "Omega", "omega"))
+        peak = self.traced_peak(lambda: main([command, "--in", str(run)]))
+        assert capsys.readouterr().err == ""
+        assert peak < 1.25 * fields
