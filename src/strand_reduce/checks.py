@@ -17,7 +17,7 @@ from . import reduction as red
 from . import residuals as rs
 from . import so3
 from .errors import NearAnglePiError, NotFlatError, TooFarFromGroupError
-from .simulate import SimConfig, run
+from .simulate import SimConfig, run, stream
 
 
 @dataclass
@@ -356,7 +356,8 @@ def convergence_table(preset, grids):
     params = model.default_params()
     rows, hs = [], []
     for gr in grids:
-        summary = run(SimConfig(grid=gr, params=params, preset=preset)).summary
+        summary = stream(SimConfig(grid=gr, params=params, preset=preset),
+                         None).summary
         rows.append({"n_s": gr.n_s, "n_t": gr.n_t,
                      **{key: summary[f"residual_{key}_l2"] for key in _RESIDUALS},
                      "flatness": summary["flatness_rotation_max"]})

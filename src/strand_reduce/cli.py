@@ -18,13 +18,13 @@ from . import grid as g
 from . import reduction as red
 from .config import load_config
 from .errors import BlowupError, ConfigError, NotFlatError, StrandError
-from .fields_io import (format_report, grid_line, open_fields, read_fields,
-                        read_model, write_fields, write_report, write_steps,
-                        write_totals)
+from .fields_io import (FieldWriter, format_report, grid_line, open_fields,
+                        read_fields, read_model, write_fields, write_report,
+                        write_steps, write_totals)
 from .model import default_params
 from .reduction import Stage1Section
 from .residuals import Stage1Residuals
-from .simulate import SimConfig, residual_norms, run
+from .simulate import SimConfig, residual_norms, stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,26 +71,28 @@ def cmd_simulate(args):
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     t_parse = time.perf_counter() - t0
-    out = run(cfg)
-    t_write = time.perf_counter()
-    sec = out.section
-    write_fields(args.out, sec.grid, {"rho": sec.rho, "theta": sec.theta,
-                                      "Omega": sec.Omega, "omega": sec.omega},
-                 model=cfg.params)
-    write_steps(args.out, out.steps)
-    results = [checks.info(k, v) for k, v in out.summary.items()]
-    p = cfg.params
-    mat = lambda M: " ".join("%.17g" % x for x in np.asarray(M).ravel())
-    preamble = [f"config {args.config}", grid_line(sec.grid),
-                f"inertia I={mat(p.inertia_body)} K={mat(p.inertia_rotor)}",
-                f"potential C={mat(p.pot_C)} D={mat(p.pot_D)} "
-                f"kappa={p.pot_kappa:.17g} c0={p.pot_c0:.17g}",
-                f"scheme {cfg.scheme} preset={cfg.preset}"]
-    text = write_report(f"{args.out}/report.txt", "simulate", results, preamble)
-    # wall times by phase, kept apart from the deterministic outputs
+    # the march writes the field CSVs as it goes; they replace those in
+    # --out, and the manifest is written, only once the run is through
+    with FieldWriter(args.out, cfg.grid, model=cfg.params) as fields:
+        out = stream(cfg, fields.write)
+        t_write = time.perf_counter()
+        write_steps(args.out, out.steps)
+        results = [checks.info(k, v) for k, v in out.summary.items()]
+        p = cfg.params
+        mat = lambda M: " ".join("%.17g" % x for x in np.asarray(M).ravel())
+        preamble = [f"config {args.config}", grid_line(cfg.grid),
+                    f"inertia I={mat(p.inertia_body)} K={mat(p.inertia_rotor)}",
+                    f"potential C={mat(p.pot_C)} D={mat(p.pot_D)} "
+                    f"kappa={p.pot_kappa:.17g} c0={p.pot_c0:.17g}",
+                    f"scheme {cfg.scheme} preset={cfg.preset}"]
+        text = write_report(f"{args.out}/report.txt", "simulate", results,
+                            preamble)
+    # wall times by phase, kept apart from the deterministic outputs; the
+    # march, the summary and the writer take turns, window by window
     end = time.perf_counter()
     timings = {"parse_s": t_parse, "march_s": out.seconds["march"],
-               "summary_s": out.seconds["summary"], "write_s": end - t_write,
+               "summary_s": out.seconds["summary"],
+               "write_s": out.seconds["sink"] + end - t_write,
                "total_s": end - t0}
     with open(os.path.join(args.out, "timings.json"), "w") as fh:
         json.dump(timings, fh, indent=1)
@@ -106,7 +108,7 @@ def cmd_residuals(args):
     else:
         cfg = SimConfig(grid=_grid(args, args.n_t, args.n_s),
                         params=default_params(), preset=args.preset)
-        summary = run(cfg).summary
+        summary = stream(cfg, None).summary
     return _print_checks("residuals", [
         *(checks.info(f"stage1_{key}_l2", summary[f"residual_{key}_l2"])
           for key in Stage1Residuals._fields),
@@ -120,12 +122,15 @@ def cmd_reconstruct(args):
         raise ConfigError("--lambda0 needs 9 reals (row-major)") from None
     _check_tol(args.tol)
     gr, fields = read_fields(args.indir, names=("Omega", "omega"))
-    Lam = red.reconstruct_rotation(gr, fields["Omega"], fields["omega"],
-                                   Lambda0, tol=args.tol)
+    Omega, omega = fields["Omega"], fields["omega"]
+    red.flatness_gate(red.flatness_max(gr, Omega, omega), args.tol)
     outdir = args.out or args.indir
     # writing into the input run adds Lambda to its manifest
     same = os.path.realpath(outdir) == os.path.realpath(args.indir)
-    write_fields(outdir, gr, {"Lambda": Lam}, merge=same)
+    # Lambda is swept a window at a time, as it is written
+    write_fields(outdir, gr, {"Lambda": red.rotation_levels(gr, Omega, omega,
+                                                            Lambda0)},
+                 merge=same)
     sys.stdout.write(f"reconstructed Lambda written to {outdir}/Lambda.csv\n")
     return EXIT_OK
 

@@ -4,9 +4,12 @@ One CSV per field, rows in t-major then s order, reals printed with 17
 significant digits (lossless for doubles), LF line endings.  A manifest file
 records the grid metadata, a sha256 checksum per field file, hashed from the
 bytes as they are written (so any change in any value changes the manifest)
-and, for simulated runs, the model the fields were computed with.  A reader
-checks every file it uses against the manifest first, then parses its time
-levels as they are asked for (:func:`open_fields`).
+and, for simulated runs, the model the fields were computed with.  The
+writer (:class:`FieldWriter`) takes each field a block of time levels at a
+time, under a temporary name that replaces the file only when every field
+is complete; the manifest is written last.  A reader checks every file it
+uses against the manifest first, then parses its time levels as they are
+asked for (:func:`open_fields`).
 
 Every CSV cell is the exact text of ``'%.17g' % x``, produced in blocks by
 one array kernel (:func:`_slots`).  It computes N = |x| 10^(16-k),
@@ -217,53 +220,127 @@ def _join(parts):
 
 
 def write_fields(outdir, grid, fields, model=None, merge=False):
-    """Write ``{name: array}`` plus ``manifest.txt``; returns the file map.
+    """Write ``{name: field}`` plus ``manifest.txt``; returns the file map.
 
+    A field is a whole array or a :class:`grid.Levels` source of the grid's
+    levels; either is written window by window through :class:`FieldWriter`.
     ``model`` (a :class:`ModelParams`) is recorded on the manifest's
     ``model`` line.  With ``merge``, an existing manifest in ``outdir``
     keeps its other field lines and its model line; it must describe the
     same grid, else ConfigError.
     """
-    entries, model_kv = {}, None
-    if merge and os.path.exists(os.path.join(outdir, "manifest.txt")):
-        old_grid, entries, model_kv = _read_manifest(outdir)
-        if old_grid != grid:
-            raise ConfigError(f"manifest.txt in {outdir} is for another grid "
-                              f"({old_grid}); not merging")
-    if model is not None:
-        model_kv = {token: ",".join(FMT % x for x in
-                                    np.ravel(getattr(model, attr)).tolist())
-                    for token, attr in _MODEL_TOKENS}
-    os.makedirs(outdir, exist_ok=True)
-    # Row prefixes "<i>,j,<t>,s_j," as slots: per level and per node.
-    i_col, t_col = _column(np.arange(grid.n_t, dtype=float)), _column(grid.t_coords())
-    j_col, s_col = _column(np.arange(grid.n_s, dtype=float)), _column(grid.s_coords())
-    written = {}
-    for name in sorted(fields):
-        values = np.asarray(fields[name], dtype=float)
-        kind = _KINDS.get(values.shape[2:])
-        if kind is None or values.shape[:2] != (grid.n_t, grid.n_s):
-            raise ValueError(f"field '{name}' does not match the grid")
-        width = _WIDTH[kind]
-        values = values.reshape(grid.n_t, grid.n_s, width)
-        sep = _seps(width)
-        nodes = min(grid.n_s, _CHUNK // width)
-        levels = _CHUNK // (nodes * width)
+    sources = {}
+    for name, values in fields.items():
+        if not isinstance(values, g.Levels):
+            values = np.asarray(values, dtype=float)
+            if values.shape[:2] != (grid.n_t, grid.n_s):
+                raise ValueError(f"field '{name}' does not match the grid")
+        sources[name] = values
+    with FieldWriter(outdir, grid, model, merge) as out:
+        for w in grid.windows():
+            out.write(w.own, {name: values[w.read][w.inner]
+                              for name, values in sources.items()})
+    return out.written
 
-        def chunks():
-            for i, j in itertools.product(range(0, grid.n_t, levels),
-                                          range(0, grid.n_s, nodes)):
-                lv, nd = slice(i, i + levels), slice(j, j + nodes)
+
+class _Part:
+    """A field CSV written under a temporary name and hashed as written."""
+
+    def __init__(self, path, kind):
+        self.path, self.kind, self.levels = path, kind, 0
+        self.fh = open(path + ".part", "wb")
+        self.sha256 = hashlib.sha256()
+        self.write(_HEADER[kind].encode())
+
+    def write(self, data):
+        self.sha256.update(data)
+        self.fh.write(data)
+
+
+class FieldWriter:
+    """Field CSVs written a block of levels at a time, then ``manifest.txt``.
+
+    ``write(levels, {name: block})`` appends the levels ``levels`` (a slice
+    of the grid's levels) of each named field; a field's blocks follow one
+    another in time order up to its last level.  The bytes are hashed as
+    they are written, to ``<name>.csv.part`` in ``outdir``.  When the
+    ``with`` block exits cleanly, every file replaces its ``<name>.csv`` and
+    the manifest is written last; when it raises, the temporary files are
+    removed and ``outdir`` keeps what it held.  ``model`` and ``merge`` are
+    those of :func:`write_fields`; ``written`` maps each field name to its
+    path and kind.
+    """
+
+    def __init__(self, outdir, grid, model=None, merge=False):
+        self.entries, self.model_kv = {}, None
+        if merge and os.path.exists(os.path.join(outdir, "manifest.txt")):
+            old_grid, self.entries, self.model_kv = _read_manifest(outdir)
+            if old_grid != grid:
+                raise ConfigError(f"manifest.txt in {outdir} is for another "
+                                  f"grid ({old_grid}); not merging")
+        if model is not None:
+            self.model_kv = {token: ",".join(FMT % x for x in np.ravel(
+                getattr(model, attr)).tolist()) for token, attr in _MODEL_TOKENS}
+        self.outdir, self.grid = outdir, grid
+        self.written, self._parts = {}, {}
+        # Row prefixes "<i>,j,<t>,s_j," as slots: per level and per node.
+        self._prefix = (_column(np.arange(grid.n_t, dtype=float)),
+                        _column(grid.t_coords()),
+                        _column(np.arange(grid.n_s, dtype=float)),
+                        _column(grid.s_coords()))
+
+    def __enter__(self):
+        self._made = not os.path.isdir(self.outdir)
+        os.makedirs(self.outdir, exist_ok=True)
+        return self
+
+    def write(self, levels, blocks):
+        i_col, t_col, j_col, s_col = self._prefix
+        i_col, t_col = i_col[levels], t_col[levels]
+        n_s = self.grid.n_s
+        for name, values in blocks.items():
+            values = np.asarray(values, dtype=float)
+            kind = _KINDS.get(values.shape[2:])
+            if name not in self._parts and kind and levels.start == 0:
+                self._parts[name] = _Part(
+                    os.path.join(self.outdir, f"{name}.csv"), kind)
+            part = self._parts.get(name)
+            if (part is None or (part.kind, part.levels) != (kind, levels.start)
+                    or values.shape[:2] != (len(i_col), n_s)):
+                raise ValueError(f"field '{name}' does not match the grid")
+            width = _WIDTH[kind]
+            values = values.reshape(values.shape[:2] + (width,))
+            sep = _seps(width)
+            nodes = min(n_s, _CHUNK // width)
+            per = _CHUNK // (nodes * width)
+            for i, j in itertools.product(range(0, len(values), per),
+                                          range(0, n_s, nodes)):
+                lv, nd = slice(i, i + per), slice(j, j + nodes)
                 v = _slots(values[lv, nd], sep)
-                yield _join([i_col[lv, None], j_col[nd], t_col[lv, None],
-                             s_col[nd], v.reshape(v.shape[:2] + (-1,))])
+                part.write(_join([i_col[lv, None], j_col[nd], t_col[lv, None],
+                                  s_col[nd], v.reshape(v.shape[:2] + (-1,))]))
+            part.levels = levels.stop
 
-        path = os.path.join(outdir, f"{name}.csv")
-        digest = _write_stream(path, _HEADER[kind], chunks())
-        written[name] = (path, kind)
-        entries[name] = (os.path.basename(path), kind, digest)
-    _write_manifest(outdir, grid, entries, model_kv)
-    return written
+    def __exit__(self, exc_type, *exc):
+        for part in self._parts.values():
+            part.fh.close()
+        short = sorted(name for name, part in self._parts.items()
+                       if part.levels != self.grid.n_t)
+        if exc_type is None and not short:
+            for name, part in sorted(self._parts.items()):
+                os.replace(part.path + ".part", part.path)
+                self.written[name] = (part.path, part.kind)
+                self.entries[name] = (os.path.basename(part.path), part.kind,
+                                      part.sha256.hexdigest())
+            _write_manifest(self.outdir, self.grid, self.entries, self.model_kv)
+            return
+        for part in self._parts.values():
+            os.remove(part.path + ".part")
+        if self._made:
+            with contextlib.suppress(OSError):
+                os.rmdir(self.outdir)
+        if exc_type is None:
+            raise ValueError(f"fields {short} end before level {self.grid.n_t}")
 
 
 def _write_stream(path, head, chunks=()):

@@ -17,7 +17,7 @@ CLAMPED = "clamped"
 # Memory guard for field allocation.
 MAX_NODES = 10 ** 8
 # The reports evaluate a run in time windows of about this many nodes each.
-WINDOW_NODES = 8192
+WINDOW_NODES = 2048
 # Levels a window reads beyond the ones it owns: the reach of d_t o d_t.
 WINDOW_HALO = 2
 # One-sided closure of the first derivative, times 2h: row 0 of the stencil

@@ -30,13 +30,25 @@ not slicing them (``so3.cross``).  The arithmetic per entry is exactly that
 of the formulas above, summed in the order written, so results do not
 depend on the stacking or on the kernel taken.
 
-theta itself is carried alongside (rate v) purely so the assembled output is
-a complete stage-1 section; it does not feed back into the dynamics.
+theta itself is carried alongside (rate v) purely so the output is a
+complete stage-1 section (``FIELDS``: rho, theta, Omega, omega); it does not
+feed back into the dynamics.
+
+The march runs a window at a time.  It is the source of the output fields'
+levels (one :class:`grid.Levels` each) and marches only as far as the
+window that reads them: :func:`stream` runs the summary's one window pass
+(:func:`residual_norms`, through :func:`grid.by_window`) on those sources and
+hands each newly marched block of levels once to a sink, which for
+``simulate`` is the CSV writer, so no whole field is held.  Per level the
+march checks the blow-up guard and records the diagnostics row.
+:func:`run` is :func:`stream` with a sink that collects the whole fields,
+for the check suites and other library callers.
 """
 
+import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +62,9 @@ from .residuals import Stage1Residuals, stage1_residuals
 BLOWUP_GUARD = 1e8
 
 COMPONENTS = ("rho", "u", "theta", "a", "v", "Omega", "omega")
+# The output fields, a stage-1 section, and their rows of the packed state.
+FIELDS = ("rho", "theta", "Omega", "omega")
+_FIELD_ROWS = np.array([COMPONENTS.index(name) for name in FIELDS])
 # Rows (Omega, omega, rho, Omega) of the packed state: the left operands of
 # the first stacked cross product in :func:`_rhs_packed`.
 _CROSS_LEFT = np.array([5, 6, 0, 5])
@@ -184,65 +199,115 @@ def _step_midpoint(y, h, f):
 
 @dataclass
 class RunResult:
-    section: Stage1Section
+    section: Stage1Section   # whole fields (:func:`run`), or None (:func:`stream`)
     steps: np.ndarray        # per-step rows: step, t, max|state|, rotor total (3)
     summary: dict
-    final_state: StateSlice = None
-    seconds: dict = field(default_factory=dict)  # wall s: march, summary
+    final_state: StateSlice
+    seconds: dict            # wall s: march, summary, sink
+
+
+class _March:
+    """The march as the source of the output fields' levels.
+
+    ``section`` holds one :class:`grid.Levels` per field of ``FIELDS``.  A
+    read past the levels marched so far marches on to its end as one block,
+    which goes to ``sink(levels, {name: block})`` once and is kept until the
+    next block, so that the other fields read their levels from it.
+    """
+
+    def __init__(self, cfg, sink):
+        cfg.validate()
+        gr, p = cfg.grid, cfg.params
+        state = cfg.init if cfg.init is not None else presets(cfg.preset, gr, p)
+        self.y = state.pack()
+        if self.y.shape != (len(COMPONENTS), gr.n_s, 3):
+            raise ConfigError("initial state does not match the grid", key="init")
+        I_inv = np.linalg.inv(p.inertia_body)
+        K_inv = np.linalg.inv(p.inertia_rotor)
+        ds, periodic = gr.ds, gr.periodic_s
+        self.f = lambda y: _rhs_packed(y, p, ds, periodic, I_inv, K_inv)
+        self.step = _step_rk4 if cfg.scheme == "rk4" else _step_midpoint
+        self.grid, self.K, self.sink = gr, p.inertia_rotor, sink
+        self.rows = np.empty((gr.n_t, 6))
+        self.lo = self.done = 0         # the levels of the kept block
+        self.block = None
+        self.seconds = {"march": 0.0, "sink": 0.0}
+        self.section = Stage1Section(grid=gr, **{
+            name: g.Levels(gr.n_t, functools.partial(self._levels, k))
+            for k, name in enumerate(FIELDS)})
+
+    def _levels(self, k, read, held):
+        lo = read.start + len(held)
+        if read.stop > self.done:
+            self._advance(read.stop)
+        if lo < self.lo:
+            raise ValueError(f"levels from {lo} of {FIELDS[k]} requested, "
+                             f"but the march kept levels from {self.lo}")
+        return self.block[k, lo - self.lo:read.stop - self.lo]
+
+    def _advance(self, stop):
+        t0 = time.perf_counter()
+        gr, y, lo = self.grid, self.y, self.done
+        block = np.empty((len(FIELDS), stop - lo, gr.n_s, 3))
+        # A stage may overflow; the next level's guard reports it as a blow-up.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(lo, stop):
+                if i:
+                    y = self.step(y, gr.dt, self.f)
+                worst = float(np.abs(y).max())
+                if not math.isfinite(worst) or worst > BLOWUP_GUARD:
+                    k, j, _ = np.unravel_index(np.argmax(np.abs(y)), y.shape)
+                    raise BlowupError(i, worst, COMPONENTS[k], int(j))
+                block[:, i - lo] = y[_FIELD_ROWS]
+                rotor_total, = g.integrate_s(gr, (y[6] + y[4])[None] @ self.K.T)
+                self.rows[i] = (i, i * gr.dt, worst, *rotor_total)
+        self.y, self.lo, self.done, self.block = y, lo, stop, block
+        t1 = time.perf_counter()
+        self.seconds["march"] += t1 - t0
+        if self.sink is not None:
+            self.sink(slice(lo, stop), dict(zip(FIELDS, block)))
+            self.seconds["sink"] += time.perf_counter() - t1
+
+
+def stream(cfg, sink):
+    """March the reduced system and summarise it, a window at a time.
+
+    The summary's window pass reads the fields from the march, which goes
+    only as far as the window being evaluated.  Each block of newly marched
+    levels is handed once to ``sink(levels, {name: block})`` (``levels`` a
+    slice of the grid's levels; no sink when None), so no whole field is
+    held.  Returns a :class:`RunResult` without a section: per-step
+    diagnostics, the post-hoc summary (interior residual norms, flatness
+    defect, drift of the conserved rotor total), the final state and the
+    wall seconds spent marching, summarising and in the sink.  Raises
+    :class:`BlowupError` when any state norm exceeds the guard.
+    """
+    t0 = time.perf_counter()
+    march = _March(cfg, sink)
+    t1 = time.perf_counter()
+    summary = run_summary(march.section, cfg.params, march.rows)
+    spent = march.seconds
+    seconds = {"march": t1 - t0 + spent["march"],
+               "summary": time.perf_counter() - t1 - spent["march"]
+               - spent["sink"],
+               "sink": spent["sink"]}
+    return RunResult(section=None, steps=march.rows, summary=summary,
+                     final_state=StateSlice.unpack(march.y), seconds=seconds)
 
 
 def run(cfg):
-    """March the reduced system over the configured grid.
+    """:func:`stream` with a sink that collects the whole fields.
 
-    Returns the assembled stage-1 section, per-step diagnostics, a
-    post-hoc summary (interior residual norms, flatness defects, drift of
-    the conserved rotor total) and the wall seconds of the march and of the
-    summary.  Raises :class:`BlowupError` when any state norm exceeds the
-    guard.
+    The returned section holds ``(n_t, n_s, 3)`` arrays of ``FIELDS``.
     """
-    t_march = time.perf_counter()
-    cfg.validate()
-    gr = cfg.grid
-    p = cfg.params
-    I_inv = np.linalg.inv(p.inertia_body)
-    K_inv = np.linalg.inv(p.inertia_rotor)
+    whole = {name: cfg.grid.zeros() for name in FIELDS}
 
-    state = cfg.init if cfg.init is not None else presets(cfg.preset, gr, p)
-    y = state.pack()
-    if y.shape != (len(COMPONENTS), gr.n_s, 3):
-        raise ConfigError("initial state does not match the grid", key="init")
+    def collect(levels, blocks):
+        for name, block in blocks.items():
+            whole[name][levels] = block
 
-    ds, periodic = gr.ds, gr.periodic_s
-
-    def f(arr):
-        return _rhs_packed(arr, p, ds, periodic, I_inv, K_inv)
-
-    step = _step_rk4 if cfg.scheme == "rk4" else _step_midpoint
-    rho, theta, Omega, omega = (gr.zeros() for _ in range(4))
-    rows = np.empty((gr.n_t, 6))
-    K = p.inertia_rotor
-
-    # A stage may overflow; the next level's guard reports it as a blow-up.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(gr.n_t):
-            rho[i], theta[i], Omega[i], omega[i] = y[0], y[2], y[5], y[6]
-            worst = float(np.abs(y).max())
-            if not math.isfinite(worst) or worst > BLOWUP_GUARD:
-                k, j, _ = np.unravel_index(np.argmax(np.abs(y)), y.shape)
-                raise BlowupError(i, worst, COMPONENTS[k], int(j))
-            rotor_total, = g.integrate_s(gr, (y[6] + y[4])[None] @ K.T)
-            rows[i] = (i, i * gr.dt, worst, *rotor_total)
-            if i < gr.n_t - 1:
-                y = step(y, gr.dt, f)
-
-    section = Stage1Section(grid=gr, rho=rho, theta=theta, Omega=Omega,
-                            omega=omega)
-    t_summary = time.perf_counter()
-    summary = run_summary(section, p, rows)
-    seconds = {"march": t_summary - t_march,
-               "summary": time.perf_counter() - t_summary}
-    return RunResult(section=section, steps=rows, summary=summary,
-                     final_state=StateSlice.unpack(y), seconds=seconds)
+    out = stream(cfg, collect)
+    return replace(out, section=Stage1Section(grid=cfg.grid, **whole))
 
 
 def residual_norms(section, p):
@@ -269,7 +334,11 @@ def residual_norms(section, p):
 
 
 def run_summary(section, p, rows):
-    """Post-hoc diagnostics: :func:`residual_norms` and the rotor total drift."""
+    """Post-hoc diagnostics: :func:`residual_norms` and the rotor total drift.
+
+    ``rows`` is read after the window pass, so a march that the pass reads
+    (:func:`stream`) has filled it by then.
+    """
     rotor_tot = rows[:, 3:6]
     return {**residual_norms(section, p),
             "rotor_total_drift": float(np.max(np.linalg.norm(

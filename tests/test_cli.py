@@ -81,6 +81,19 @@ class TestSimulate:
                                    "write_s"]
         assert all(v >= 0.0 for v in timings.values())
 
+    def test_timings_are_sums_over_the_windows(self, monkeypatch, tmp_path,
+                                               config_file, capsys):
+        # march, summary and write take turns window by window; each phase's
+        # sum is positive and together they fit in the total
+        patch_windows(monkeypatch, small_grid(n_t=40, n_s=32), 5)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_file),
+                     "--out", str(out)]) == 0
+        timings = json.loads((out / "timings.json").read_text())
+        phases = [timings[k] for k in ("march_s", "summary_s", "write_s")]
+        assert all(v > 0.0 for v in phases)
+        assert sum(phases) <= timings["total_s"]
+
     def test_determinism_byte_identical(self, tmp_path, config_file):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -113,6 +126,35 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "o")])
         assert code == 5
+
+    def test_blowup_leaves_out_as_it_found_it(self, monkeypatch, tmp_path,
+                                              config_file, capsys):
+        # the fields are written as the march goes; a blow-up in a later
+        # window removes them and keeps every file of the run already there
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_file),
+                     "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = tmp_path / "wild.cfg"
+        cfg.write_text(CONFIG
+                       .replace("I = diag 1.8 1.4 1.1", "I = diag 5e-4 5e-4 5e-4")
+                       .replace("K = diag 0.9 0.7 0.5", "K = diag 5e-4 5e-4 5e-4")
+                       .replace("kappa = 1.0", "kappa = 0"))
+        patch_windows(monkeypatch, small_grid(n_t=40, n_s=32), 4)
+        blocks = []
+        write = cli.FieldWriter.write
+        monkeypatch.setattr(cli.FieldWriter, "write", lambda self, levels, b:
+                            blocks.append(levels) or write(self, levels, b))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 5
+        assert blocks, "the blow-up came before any level was written"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("blow-up: ")
+        # a new --out is not left behind either
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "new")]) == 5
+        assert not (tmp_path / "new").exists()
 
     def test_overflow_within_one_step_exits_5(self, tmp_path):
         # level 0 is finite and far below the guard, but with I = 1e-300 the
@@ -763,10 +805,10 @@ class TestCheckAndConvergence:
     @staticmethod
     def _ladder(monkeypatch, levels, base_n_t, base_n_s, bc):
         """Twist-pulse ``convergence_table`` output and the run of each level."""
+        # each level's summary is that of run(cfg), which also keeps its fields
         outs = []
-        real_run = checks.run
-        monkeypatch.setattr(checks, "run",
-                            lambda cfg: outs.append(real_run(cfg)) or outs[-1])
+        monkeypatch.setattr(checks, "stream", lambda cfg, sink: outs.append(
+            checks.run(cfg)) or outs[-1])
         gr = g.Grid2.uniform(base_n_t, base_n_s, 0.05, 1.0, bc)
         rows, results = checks.convergence_table("twistpulse",
                                                   checks.ladder(gr, levels))
@@ -778,7 +820,7 @@ class TestCheckAndConvergence:
         gr = g.Grid2.uniform(3, 3000000, 1e-9, 1.0, g.PERIODIC)
         assert [level.n_s for level in checks.ladder(gr, 2)] == [3e6, 6e6]
         calls = []
-        monkeypatch.setattr(checks, "run", calls.append)
+        monkeypatch.setattr(checks, "stream", lambda cfg, sink: calls.append(cfg))
         assert main(["convergence", "--levels", "3", "--base-n-s", "3000000",
                      "--base-n-t", "3", "--duration", "1e-9"]) == 2
         assert calls == []

@@ -240,6 +240,36 @@ class TestFieldsIO:
         write_fields(tmp_path / "c", gr, {"rho": rho2})
         assert (tmp_path / "c" / "manifest.txt").read_text() != m_a
 
+    @pytest.mark.parametrize("blocks", [
+        [(0, 2)],            # the field ends before the last level
+        [(0, 2), (3, 5)],    # a level is skipped
+        [(1, 5)],            # the first block does not start at level 0
+    ])
+    def test_incomplete_field_leaves_no_file(self, rng, tmp_path, blocks):
+        gr = small_grid(n_t=5, n_s=7)
+        rho = rng.normal(size=(5, 7, 3))
+        write_fields(tmp_path, gr, {"rho": rho})
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError):
+            with fields_io.FieldWriter(tmp_path, gr) as out:
+                for a, b in blocks:
+                    out.write(slice(a, b), {"rho": rho[a:b] + 1.0})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_blocks_write_the_whole_field(self, rng, tmp_path):
+        # blocks of any length, in time order, make the bytes of the whole
+        gr = small_grid(n_t=9, n_s=7)
+        rho = rng.normal(size=(9, 7, 3))
+        write_fields(tmp_path / "whole", gr, {"rho": rho})
+        with fields_io.FieldWriter(tmp_path / "blocks", gr) as out:
+            for a, b in ((0, 1), (1, 5), (5, 6), (6, 9)):
+                out.write(slice(a, b), {"rho": rho[a:b]})
+        assert out.written == {"rho": (str(tmp_path / "blocks" / "rho.csv"),
+                                       "vec3")}
+        for name in ("rho.csv", "manifest.txt"):
+            assert ((tmp_path / "blocks" / name).read_bytes()
+                    == (tmp_path / "whole" / name).read_bytes())
+
     def test_missing_field_reported(self, rng, tmp_path):
         gr = small_grid(n_t=5, n_s=7)
         write_fields(tmp_path, gr, {"rho": rng.normal(size=(5, 7, 3))})

@@ -19,9 +19,12 @@ from strand_reduce import model
 from strand_reduce import noether
 from strand_reduce import reduction as red
 from strand_reduce import residuals as rs
+from strand_reduce import simulate as sim
 from strand_reduce import so3
 from strand_reduce.cli import main
-from strand_reduce.fields_io import write_totals
+from strand_reduce.config import load_config
+from strand_reduce.fields_io import (format_report, write_fields, write_steps,
+                                     write_totals)
 from strand_reduce.simulate import residual_norms, run_summary
 from tests.conftest import small_grid, smooth_stage1_section
 
@@ -36,6 +39,41 @@ def section(bc):
     # an odd n_s on clamped grids puts the window rows off any alignment
     gr = small_grid(n_t=N_T, n_s=12 if bc == g.PERIODIC else 13, bc=bc)
     return smooth_stage1_section(gr)
+
+
+def simulate_config(directory, gr, preset):
+    """A ``simulate`` config of ``gr``'s grid, the default model and
+    ``preset``, written to ``directory``; its path."""
+    path = directory / f"{preset}-{gr.n_t}x{gr.n_s}.cfg"
+    path.write_text(
+        f"[grid]\nn_s = {gr.n_s}\nn_t = {gr.n_t}\nlength = {gr.length_s!r}\n"
+        f"duration = {gr.duration!r}\nbc = {gr.bc_s}\n\n"
+        "[inertia]\nI = diag 1.8 1.4 1.1\nK = 0.9 0.1 0 0.1 0.7 0.05 0 0.05 0.5\n\n"
+        "[potential]\nC = diag 1 0.8 0.6\nD = diag 0.7 0.5 0.4\nkappa = 1.0\n"
+        f"c0 = 1.0\n\n[init]\npreset = {preset}\n")
+    return path
+
+
+def whole_march(cfg):
+    """The fields, per-step rows and final state of the march as one loop
+    over whole fields, the way ``simulate`` ran before it streamed."""
+    gr, p = cfg.grid, cfg.params
+    I_inv = np.linalg.inv(p.inertia_body)
+    K_inv = np.linalg.inv(p.inertia_rotor)
+    step = sim._step_rk4 if cfg.scheme == "rk4" else sim._step_midpoint
+    y = sim.presets(cfg.preset, gr, p).pack()
+    fields = {name: gr.zeros() for name in sim.FIELDS}
+    rows = np.empty((gr.n_t, 6))
+    for i in range(gr.n_t):
+        for name in sim.FIELDS:
+            fields[name][i] = y[sim.COMPONENTS.index(name)]
+        rotor_total, = g.integrate_s(gr, (y[6] + y[4])[None]
+                                     @ p.inertia_rotor.T)
+        rows[i] = (i, i * gr.dt, float(np.abs(y).max()), *rotor_total)
+        if i < gr.n_t - 1:
+            y = step(y, gr.dt, lambda a: sim._rhs_packed(
+                a, p, gr.ds, gr.periodic_s, I_inv, K_inv))
+    return fields, rows, y
 
 
 def rotation_field(s1):
@@ -105,10 +143,10 @@ class TestPartition:
             assert range(w.read.start, w.read.stop)[w.inner] == own
         assert owned == list(range(n_t))
 
-    def test_default_window_reads_about_8192_nodes(self):
+    def test_default_window_reads_about_2048_nodes(self):
         gr = g.Grid2.uniform(400, 256, 0.5, 1.0, g.CLAMPED)
         owned = [w.own.stop - w.own.start for w in gr.windows()]
-        assert owned == [32] * 12 + [16]
+        assert owned == [8] * 50
 
 
 @pytest.mark.parametrize("bc", [g.PERIODIC, g.CLAMPED])
@@ -221,6 +259,54 @@ class TestStreamedStoredRun:
                 == (tmp_path / "want" / "totals.csv").read_bytes())
 
 
+@pytest.mark.parametrize("bc, preset", [(g.PERIODIC, "twistpulse"),
+                                        (g.CLAMPED, "helix")])
+class TestStreamedSimulate:
+    """``simulate`` marches, summarises and writes a window at a time, and
+    its outputs are those of the whole run."""
+
+    def test_outputs_are_the_whole_run(self, monkeypatch, tmp_path, capsys,
+                                       split, bc, preset):
+        config = simulate_config(tmp_path, section(bc).grid, preset)
+        cfg = load_config(str(config))
+        # one window holds the whole grid at the default window size
+        assert len(list(cfg.grid.windows())) == 1
+        whole = sim.run(cfg)
+        want, got = tmp_path / "want", tmp_path / "got"
+        write_fields(want, cfg.grid, {name: getattr(whole.section, name)
+                                      for name in sim.FIELDS}, model=cfg.params)
+        write_steps(want, whole.steps)
+        patch_windows(monkeypatch, cfg.grid, split)
+        assert main(["simulate", "--config", str(config), "--out",
+                     str(got)]) == 0
+        for name in ("manifest.txt", "diagnostics.csv"):
+            assert (got / name).read_bytes() == (want / name).read_bytes()
+        report = (got / "report.txt").read_text()
+        assert report == format_report(
+            "simulate", [checks.info(k, v) for k, v in whole.summary.items()],
+            report.splitlines()[1:6])
+        assert capsys.readouterr().out == report
+
+    def test_run_is_the_whole_march(self, monkeypatch, tmp_path, split, bc,
+                                    preset):
+        cfg = load_config(str(simulate_config(tmp_path, section(bc).grid,
+                                              preset)))
+        fields, rows, final = whole_march(cfg)
+        windows = patch_windows(monkeypatch, cfg.grid, split)
+        out = sim.run(cfg)
+        for name in sim.FIELDS:
+            assert getattr(out.section, name).tobytes() == fields[name].tobytes()
+        assert out.steps.tobytes() == rows.tobytes()
+        assert out.final_state.pack().tobytes() == final.tobytes()
+        # the sink sees each level once, in blocks no longer than a window
+        blocks = []
+        sim.stream(cfg, lambda levels, _: blocks.append(levels))
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(
+            range(N_T))
+        longest = max(w.read.stop - w.read.start for w in windows)
+        assert max(b.stop - b.start for b in blocks) <= longest
+
+
 class TestWindowedMaxPropagatesNan:
     def test_nan_in_one_window(self, monkeypatch):
         s1 = section(g.CLAMPED)
@@ -279,3 +365,18 @@ class TestPeakMemory:
         peak = self.traced_peak(lambda: main([command, "--in", str(run)]))
         assert capsys.readouterr().err == ""
         assert peak < 1.25 * fields
+
+    @pytest.mark.parametrize("command", ["simulate", "residuals"])
+    def test_march_command(self, tmp_path, capsys, command):
+        # the whole-field march held 1.73 times the four fields it marched,
+        # here 9.8 MB; streamed, the per-node squares of the summary
+        # (4 x 8 bytes a node against 96) and one window remain
+        gr = g.Grid2.uniform(400, 256, 0.2, 1.0, g.PERIODIC)
+        argv = {"simulate": ["simulate", "--config", str(simulate_config(
+                    tmp_path, gr, "twistpulse")), "--out", str(tmp_path / "out")],
+                "residuals": ["residuals", "--preset", "twistpulse", "--n-s",
+                              "256", "--n-t", "400", "--duration", "0.2"]}
+        fields = len(sim.FIELDS) * gr.n_t * gr.n_s * 3 * 8
+        peak = self.traced_peak(lambda: main(argv[command]))
+        assert capsys.readouterr().err == ""
+        assert peak < 0.75 * fields
