@@ -16,7 +16,7 @@ from . import noether
 from . import reduction as red
 from . import residuals as rs
 from . import so3
-from .errors import NearAnglePiError, NotFlatError, TooFarFromGroupError
+from .errors import NotFlatError
 from .simulate import SimConfig, run, stream
 
 
@@ -309,7 +309,7 @@ def check_roundtrip():
         s2 = red.project_stage2(s1)
         theta_errs.append(g.norm_max(red.reconstruct_theta(
             gr, s2.a, s2.b, theta[0, 0], tol=1.0) - theta))
-        flats.append(red.flatness_max(gr, Omega, omega))
+        flats.append(red.flatness_max(gr, Omega, omega).value)
         defects.append(red.path_independence_defect(gr, Omega, omega,
                                                     Lam0[0, 0], tol=1.0))
     results = []
@@ -373,25 +373,25 @@ def noether_report(s1, Lam, params, tol=None):
     Returns the check rows and the ``(n_t, 6)`` rotor|so3 totals they measure,
     integrated over the run's own grid (the whole loop when periodic).  The
     evaluators run window by window, in one pass that also applies the
-    reconstruction's :func:`reduction.flatness_gate` to ``s1`` with ``tol``.
-    ``Lam`` is read a window at a time: a whole field, or the levels of
-    :func:`reduction.rotation_levels`, which the pass extends as it goes.  A
-    sweep error waits for the end of the pass, so that a failed gate, which
-    the global max decides, is reported in its place.
+    reconstruction's :func:`reduction.flatness_gate` to ``s1`` with ``tol``;
+    each window returns per-level vectors only (totals, sums of squares and
+    maxima with their nodes), so nothing the pass keeps is O(n_t n_s).  The
+    SO(3) divergence is summed over the interior nodes of the cut (clamped)
+    grid.  ``Lam`` is read a window at a time: a whole field, or the levels
+    of :func:`reduction.rotation_levels`, which the pass extends as it goes.
+    A sweep error waits for the end of the pass
+    (:func:`reduction.sweep_window`).
     """
     gr = s1.grid
     cut = dataclasses.replace(gr, bc_s=g.CLAMPED)
+    levels, nodes = gr.interior(2)
+    cut_nodes = cut.interior(2)[1]
     sweep_errors = []
 
     def evaluate(w):
         s = red.window_view(s1, w)
-        flat = red.flatness_level_sq(s.grid, s.Omega, s.omega)
-        L = None
-        if not sweep_errors:
-            try:
-                L = Lam[w.read]
-            except (NearAnglePiError, TooFarFromGroupError) as exc:
-                sweep_errors.append(exc)
+        flat = red.flatness_level_max(s.grid, s.Omega, s.omega)
+        L = red.sweep_window(Lam, w.read, sweep_errors)
         if L is None:   # the rows are discarded: keep the pass going
             L = np.full(s.Omega.shape + (3,), np.nan)
         f = rs.stage1_derivative_fields(s, params)
@@ -404,14 +404,16 @@ def noether_report(s1, Lam, params, tol=None):
         # spatial current jumps at the seam; differentiate it on the cut
         so3c_cut = dataclasses.replace(
             so3c, grid=dataclasses.replace(w.grid, bc_s=g.CLAMPED))
-        return (flat, noether.totals_over_time(rot),
+        return (*flat, noether.totals_over_time(rot),
                 noether.totals_over_time(so3c),
-                g.node_sq(noether.divergence(rot)),
-                g.node_sq(noether.divergence(so3c_cut)), identity)
+                g.level_sums(g.node_sq(noether.divergence(rot)), nodes),
+                g.level_sums(g.node_sq(noether.divergence(so3c_cut)),
+                             cut_nodes),
+                *g.level_max(identity))
 
-    flat, rotor_tot, so3_tot, rotor_div, so3_div, identity = g.by_window(
-        gr, evaluate)
-    red.flatness_gate(g.max_sq(flat, None), tol)
+    (flat, flat_node, rotor_tot, so3_tot, rotor_div, so3_div, identity,
+     identity_node) = g.by_window(gr, evaluate)
+    red.flatness_gate(g.max_sq(flat, flat_node), tol)
     if sweep_errors:
         raise sweep_errors[0]
     out = []
@@ -420,9 +422,9 @@ def noether_report(s1, Lam, params, tol=None):
         out.append(info(f"{name}_total_drift",
                         np.max(np.linalg.norm(tot - tot[0], axis=-1))))
         out.append(info(f"{name}_divergence_interior_l2",
-                        g.l2_sq(div_grid, div, div_grid.interior_mask(2))))
+                        g.l2_sq(div_grid, div, levels)))
     out.append(_result("current_vertical_identity_max_err",
-                       g.max_sq(identity, None), 1e-12))
+                       g.max_sq(identity, identity_node).value, 1e-12))
     return out, np.hstack([rotor_tot, so3_tot])
 
 

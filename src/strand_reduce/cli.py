@@ -19,8 +19,7 @@ from . import reduction as red
 from .config import load_config
 from .errors import BlowupError, ConfigError, NotFlatError, StrandError
 from .fields_io import (FieldWriter, format_report, grid_line, open_fields,
-                        read_fields, read_model, write_fields, write_report,
-                        write_steps, write_totals)
+                        read_model, write_report, write_steps, write_totals)
 from .model import default_params
 from .reduction import Stage1Section
 from .residuals import Stage1Residuals
@@ -121,16 +120,15 @@ def cmd_reconstruct(args):
     except ValueError:
         raise ConfigError("--lambda0 needs 9 reals (row-major)") from None
     _check_tol(args.tol)
-    gr, fields = read_fields(args.indir, names=("Omega", "omega"))
-    Omega, omega = fields["Omega"], fields["omega"]
-    red.flatness_gate(red.flatness_max(gr, Omega, omega), args.tol)
     outdir = args.out or args.indir
     # writing into the input run adds Lambda to its manifest
     same = os.path.realpath(outdir) == os.path.realpath(args.indir)
-    # Lambda is swept a window at a time, as it is written
-    write_fields(outdir, gr, {"Lambda": red.rotation_levels(gr, Omega, omega,
-                                                            Lambda0)},
-                 merge=same)
+    # one window pass gates, sweeps and writes Lambda; a failed gate or
+    # sweep leaves outdir as it was
+    with open_fields(args.indir, names=("Omega", "omega")) as (gr, fields), \
+            FieldWriter(outdir, gr, merge=same) as out:
+        red.stream_rotation(gr, fields["Omega"], fields["omega"], Lambda0,
+                            args.tol, out.write)
     sys.stdout.write(f"reconstructed Lambda written to {outdir}/Lambda.csv\n")
     return EXIT_OK
 

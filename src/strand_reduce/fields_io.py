@@ -220,26 +220,17 @@ def _join(parts):
 
 
 def write_fields(outdir, grid, fields, model=None, merge=False):
-    """Write ``{name: field}`` plus ``manifest.txt``; returns the file map.
+    """Write ``{name: field}`` of whole fields plus ``manifest.txt``; returns
+    the file map.
 
-    A field is a whole array or a :class:`grid.Levels` source of the grid's
-    levels; either is written window by window through :class:`FieldWriter`.
-    ``model`` (a :class:`ModelParams`) is recorded on the manifest's
-    ``model`` line.  With ``merge``, an existing manifest in ``outdir``
-    keeps its other field lines and its model line; it must describe the
-    same grid, else ConfigError.
+    The fields are one block of levels for :class:`FieldWriter`.  ``model``
+    (a :class:`ModelParams`) is recorded on the manifest's ``model`` line.
+    With ``merge``, an existing manifest in ``outdir`` keeps its other field
+    lines and its model line; it must describe the same grid, else
+    ConfigError.
     """
-    sources = {}
-    for name, values in fields.items():
-        if not isinstance(values, g.Levels):
-            values = np.asarray(values, dtype=float)
-            if values.shape[:2] != (grid.n_t, grid.n_s):
-                raise ValueError(f"field '{name}' does not match the grid")
-        sources[name] = values
     with FieldWriter(outdir, grid, model, merge) as out:
-        for w in grid.windows():
-            out.write(w.own, {name: values[w.read][w.inner]
-                              for name, values in sources.items()})
+        out.write(slice(0, grid.n_t), fields)
     return out.written
 
 

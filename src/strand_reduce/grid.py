@@ -8,6 +8,7 @@ what the CSV writer serializes, so it is fixed.
 
 import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,18 +102,25 @@ class Grid2:
         """A vector field of zeros, ``(n_t, n_s, 3)``."""
         return np.zeros((self.n_t, self.n_s, 3))
 
-    def interior_mask(self, width=2):
-        """Boolean (n_t, n_s) mask of nodes untouched by one-sided stencils.
+    def interior(self, width=2):
+        """Levels ``(n_t,)`` and nodes ``(n_s,)`` untouched by one-sided
+        stencils, as two boolean masks.
 
-        ``width`` layers are stripped from the time edges (and from the s
-        edges when clamped); periodic s needs no exclusion.
+        ``width`` levels are stripped from each time edge (and ``width``
+        nodes from each s edge when clamped); periodic s needs no exclusion.
         """
-        mask = np.zeros((self.n_t, self.n_s), dtype=bool)
-        mask[width:self.n_t - width, :] = True
+        levels = np.zeros(self.n_t, dtype=bool)
+        levels[width:self.n_t - width] = True
+        nodes = np.ones(self.n_s, dtype=bool)
         if not self.periodic_s:
-            mask[:, :width] = False
-            mask[:, self.n_s - width:] = False
-        return mask
+            nodes[:width] = False
+            nodes[self.n_s - width:] = False
+        return levels, nodes
+
+    def interior_mask(self, width=2):
+        """Boolean (n_t, n_s) mask of the nodes of :meth:`interior`."""
+        levels, nodes = self.interior(width)
+        return levels[:, None] & nodes
 
     def windows(self):
         """The :class:`Window` partition of the levels, in time order.
@@ -233,53 +241,87 @@ def node_sq(f):
     return np.sum(f * f, axis=tuple(range(2, f.ndim))) if f.ndim > 2 else f * f
 
 
-def l2_sq(grid, sq, mask):
-    """:func:`norm_l2` of the field whose :func:`node_sq` is ``sq``."""
-    if mask is not None:
-        sq = np.where(mask, sq, 0.0)
-    return float(np.sqrt(np.sum(sq) * grid.ds * grid.dt))
+def level_sums(sq, nodes=None):
+    """Sums of the per-node squares ``sq``, one per level: ``(n_t,)``.
+
+    ``nodes`` masks the nodes: one ``(n_s,)`` row for every level, or a
+    whole ``(n_t, n_s)`` mask.
+    """
+    if nodes is not None:
+        sq = np.where(nodes, sq, 0.0)
+    return np.add.reduce(sq, axis=1)
 
 
-def _max(mag, mask):
-    # np.max, unlike Python's max(), lets a NaN magnitude through
-    if mask is not None:
-        if not np.any(mask):
-            return 0.0
-        mag = np.where(mask, mag, 0.0)
-    return float(np.max(mag))
+def level_max(sq, nodes=None):
+    """Max of ``sq`` over the (masked) nodes of each level, and the first node
+    where it is reached: two ``(n_t,)`` arrays.  ``nodes`` is as in
+    :func:`level_sums`; a NaN counts as the max, as in ``np.max``."""
+    if nodes is not None:
+        sq = np.where(nodes, sq, 0.0)
+    node = np.argmax(sq, axis=1)
+    return np.take_along_axis(sq, node[:, None], axis=1)[:, 0], node
 
 
-def max_sq(sq, mask):
-    """:func:`norm_max` of the vector field whose :func:`node_sq` is ``sq``."""
-    return _max(np.sqrt(sq), mask)
+class Peak(NamedTuple):
+    """A max norm and the (level, node) where it is first reached."""
+
+    value: float
+    level: int
+    node: int
+
+
+def l2_sq(grid, sums, levels=None):
+    """:func:`norm_l2` of the field whose :func:`level_sums` are ``sums``,
+    over the levels of the ``(n_t,)`` mask ``levels``."""
+    if levels is not None:
+        sums = np.where(levels, sums, 0.0)
+    return float(np.sqrt(np.sum(sums) * grid.ds * grid.dt))
+
+
+def max_sq(peak, node, levels=None):
+    """The :class:`Peak` of the vector field whose :func:`level_max` is
+    ``(peak, node)``, over the levels of the ``(n_t,)`` mask ``levels``."""
+    if levels is not None:
+        peak = np.where(levels, peak, 0.0)
+    level = int(np.argmax(peak))
+    return Peak(float(np.sqrt(peak[level])), level, int(node[level]))
 
 
 def norm_l2(grid, values, mask=None):
-    """Grid L2 norm ``sqrt(sum |f|^2 ds dt)``, optionally masked."""
-    return l2_sq(grid, node_sq(np.asarray(values, dtype=float)), mask)
+    """Grid L2 norm ``sqrt(sum |f|^2 ds dt)``, optionally masked.
+
+    Reduced level by level (:func:`level_sums`, :func:`l2_sq`), as the
+    window reports are, so the two agree bit for bit.
+    """
+    return l2_sq(grid, level_sums(node_sq(np.asarray(values, dtype=float)),
+                                  mask))
 
 
 def norm_max(values, mask=None):
-    """Pointwise-magnitude max norm, optionally masked."""
-    f = np.asarray(values, dtype=float)
-    return _max(np.sqrt(node_sq(f)) if f.ndim > 2 else np.abs(f), mask)
+    """Pointwise-magnitude max norm, optionally masked, reduced level by level
+    (:func:`level_max`, :func:`max_sq`)."""
+    return max_sq(*level_max(node_sq(np.asarray(values, dtype=float)),
+                             mask)).value
 
 
 def by_window(grid, evaluate):
-    """Evaluate per-level arrays window by window and stitch them together.
+    """Evaluate per-level vectors window by window and stitch them together.
 
     ``evaluate(window)`` returns a tuple of arrays over ``window.grid``'s
-    levels (axis 0); the levels each window owns are copied into whole-grid
-    arrays, returned in the same order.  Only one window of the evaluated
-    fields is alive at a time.  Non-finite input yields non-finite values,
-    not numpy warnings: the callers report them.
+    levels (axis 0): per-level reductions (:func:`level_sums`,
+    :func:`level_max`) or totals, never a per-node array.  The levels each
+    window owns are copied into ``(n_t, ...)`` arrays, returned in the same
+    order, for :func:`l2_sq` and :func:`max_sq` to reduce.  Only one window
+    of the evaluated fields is alive at a time.  Non-finite input yields
+    non-finite values, not numpy warnings: the callers report them.
     """
     out = None
     with np.errstate(invalid="ignore", over="ignore"):
         for w in grid.windows():
             parts = evaluate(w)
             if out is None:
-                out = tuple(np.empty((grid.n_t,) + p.shape[1:]) for p in parts)
+                out = tuple(np.empty((grid.n_t,) + p.shape[1:], p.dtype)
+                            for p in parts)
             for whole, part in zip(out, parts):
                 whole[w.own] = part[w.inner]
     return out

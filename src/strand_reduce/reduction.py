@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as g
-from .errors import NearAnglePiError, NotFlatError
+from .errors import NearAnglePiError, NotFlatError, TooFarFromGroupError
 from .so3 import cross, exp_so3, log_so3, reorthonormalize, rotation_angle
 
 
@@ -133,31 +133,46 @@ def window_view(section, window):
         for f in dataclasses.fields(section) if f.name != "grid"})
 
 
-def flatness_level_sq(grid, Omega, omega):
-    """Max over nodes of the squared :func:`flatness_residual_rotation`,
-    at every level."""
-    return np.max(g.node_sq(flatness_residual_rotation(grid, Omega, omega)),
-                  axis=1)
+def flatness_level_max(grid, Omega, omega, nodes=None):
+    """:func:`grid.level_max` of the squared :func:`flatness_residual_rotation`
+    over the ``nodes`` (all when None) of every level."""
+    flat = flatness_residual_rotation(grid, Omega, omega)
+    return g.level_max(g.node_sq(flat), nodes)
 
 
 def flatness_max(grid, Omega, omega):
-    """Max norm of :func:`flatness_residual_rotation`, window by window."""
-    sq, = g.by_window(grid, lambda w: (flatness_level_sq(
-        w.grid, Omega[w.read], omega[w.read]),))
-    return g.max_sq(sq, None)
+    """Max norm of :func:`flatness_residual_rotation`, window by window, as a
+    :class:`grid.Peak`: the value and the level and node where it is reached."""
+    return g.max_sq(*g.by_window(grid, lambda w: flatness_level_max(
+        w.grid, Omega[w.read], omega[w.read])))
 
 
-def flatness_gate(defect, tol):
-    """The reconstruction gate on the flatness max norm ``defect``.
+def flatness_gate(peak, tol):
+    """The reconstruction gate on the flatness max norm, a :class:`grid.Peak`.
 
     It must be finite and, unless ``tol`` is None, at most ``tol``, else
-    :class:`NotFlatError`.
+    :class:`NotFlatError`, naming the level and node of the largest defect.
     """
-    if not np.isfinite(defect):
-        raise NotFlatError(f"flatness residual is not finite ({defect})")
-    if tol is not None and not defect <= tol:
+    at = f"at level {peak.level}, node {peak.node}"
+    if not np.isfinite(peak.value):
         raise NotFlatError(
-            f"flatness residual {defect:.3e} exceeds tolerance {tol:.3e}")
+            f"flatness residual is not finite ({peak.value}) {at}")
+    if tol is not None and not peak.value <= tol:
+        raise NotFlatError(f"flatness residual {peak.value:.3e} exceeds "
+                           f"tolerance {tol:.3e} {at}")
+
+
+def sweep_window(Lam, read, errors):
+    """``Lam[read]``, or None once the sweep of :func:`rotation_levels` has
+    failed: its error is appended to ``errors`` and reported after the pass,
+    so that a failed :func:`flatness_gate`, which the whole pass decides,
+    wins over it."""
+    if not errors:
+        try:
+            return Lam[read]
+        except (NearAnglePiError, TooFarFromGroupError) as exc:
+            errors.append(exc)
+    return None
 
 
 def flatness_residual_rotor(grid, a, b):
@@ -203,6 +218,31 @@ def rotation_levels(grid, Omega, omega, Lambda0):
         return out
 
     return g.Levels(grid.n_t, produce)
+
+
+def stream_rotation(grid, Omega, omega, Lambda0, tol, sink):
+    """The gated reconstruction of :func:`rotation_levels`, in one window pass.
+
+    ``Omega`` and ``omega`` are whole fields or level sources.  Each window
+    adds its levels to the :func:`flatness_gate` max and hands the levels it
+    owns of the rotation field to ``sink(levels, {"Lambda": block})``.  After
+    the pass a failed gate raises :class:`NotFlatError`, naming the level and
+    node of the largest defect; else a sweep error raises
+    (:func:`sweep_window`).  Either way the caller discards what ``sink``
+    took.
+    """
+    Lam = rotation_levels(grid, Omega, omega, Lambda0)
+    errors = []
+
+    def evaluate(w):
+        L = sweep_window(Lam, w.read, errors)
+        if L is not None:
+            sink(w.own, {"Lambda": L[w.inner]})
+        return flatness_level_max(w.grid, Omega[w.read], omega[w.read])
+
+    flatness_gate(g.max_sq(*g.by_window(grid, evaluate)), tol)
+    if errors:
+        raise errors[0]
 
 
 def reconstruct_rotation(grid, Omega, omega, Lambda0, tol, sweep="st"):

@@ -56,7 +56,7 @@ from . import grid as g
 from .so3 import cross
 from .errors import BlowupError, ConfigError, UnknownPresetError
 from .model import ModelParams, dE, default_params
-from .reduction import Stage1Section, flatness_residual_rotation, window_view
+from .reduction import Stage1Section, flatness_level_max, window_view
 from .residuals import Stage1Residuals, stage1_residuals
 
 BLOWUP_GUARD = 1e8
@@ -313,24 +313,25 @@ def run(cfg):
 def residual_norms(section, p):
     """Interior L2 norms of the stage-1 residuals and the masked flatness max.
 
-    Keyed as in the run summary, evaluated window by window.  The stage-2
-    residuals are the same numbers by construction (``check stages``).
+    Keyed as in the run summary, evaluated window by window into per-level
+    sums and maxima.  The stage-2 residuals are the same numbers by
+    construction (``check stages``).
     """
     gr = section.grid
     names = Stage1Residuals._fields
+    levels, nodes = gr.interior(2)
 
     def evaluate(w):
         s = window_view(section, w)
         res = stage1_residuals(s, p)
-        flat = flatness_residual_rotation(s.grid, s.Omega, s.omega)
-        return (*(g.node_sq(getattr(res, name)) for name in names),
-                g.node_sq(flat))
+        return (*(g.level_sums(g.node_sq(getattr(res, name)), nodes)
+                  for name in names),
+                *flatness_level_max(s.grid, s.Omega, s.omega, nodes))
 
-    *sq, flat = g.by_window(gr, evaluate)
-    mask = gr.interior_mask(2)
-    return {**{f"residual_{name}_l2": g.l2_sq(gr, q, mask)
-               for name, q in zip(names, sq)},
-            "flatness_rotation_max": g.max_sq(flat, mask)}
+    *sums, flat, flat_node = g.by_window(gr, evaluate)
+    return {**{f"residual_{name}_l2": g.l2_sq(gr, q, levels)
+               for name, q in zip(names, sums)},
+            "flatness_rotation_max": g.max_sq(flat, flat_node, levels).value}
 
 
 def run_summary(section, p, rows):

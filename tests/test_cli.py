@@ -636,16 +636,21 @@ class TestNoether:
         proc = subprocess.run([sys.executable, "-m", "strand_reduce", "noether",
                                "--in", str(out)], capture_output=True, text=True)
         assert proc.returncode == 3
+        # the cell is Omega at level 20, node 9: d_t reaches it from level 19
         assert proc.stderr.splitlines() == [
-            "not flat: flatness residual is not finite (nan)"]
+            "not flat: flatness residual is not finite (nan) at level 19, "
+            "node 9"]
 
     def test_inf_cell_exits_3_with_one_line(self, tmp_path, config_file):
         out = nonfinite_run(tmp_path, config_file, "inf")
         proc = subprocess.run([sys.executable, "-m", "strand_reduce", "noether",
                                "--in", str(out)], capture_output=True, text=True)
         assert proc.returncode == 3
+        # d_t makes level 19 infinite, but Omega x omega at the cell itself
+        # is NaN, and a NaN wins the max
         assert proc.stderr.splitlines() == [
-            "not flat: flatness residual is not finite (nan)"]
+            "not flat: flatness residual is not finite (nan) at level 20, "
+            "node 9"]
 
 
 def set_cell(run, fname, level, node, component, text):
@@ -658,6 +663,49 @@ def set_cell(run, fname, level, node, component, text):
         lines[1 + level * n_s + node] = ",".join(row) + "\n"
         return lines
     rewrite_rehashed(run, fname, edit)
+
+
+class TestNotFlatSaysWhere:
+    """A stored run with one damaged Omega cell fails the flatness gate of
+    ``noether`` and ``reconstruct``, which name the level and node of the
+    largest defect; ``reconstruct`` leaves its output as it was."""
+
+    @pytest.fixture
+    def run(self, monkeypatch, tmp_path, config_file):
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(config_file), "--out",
+                         str(out)]) == 0
+        set_cell(out, "Omega.csv", 20, 9, 1, "1000")
+        # windows of 8 levels: the cell is in the third
+        patch_windows(monkeypatch, small_grid(n_t=40, n_s=32), 8)
+        return out
+
+    @staticmethod
+    def message(run):
+        gr, fields = read_fields(run, names=("Omega", "omega"))
+        sq = g.node_sq(red.flatness_residual_rotation(gr, fields["Omega"],
+                                                      fields["omega"]))
+        level, node = np.unravel_index(np.argmax(sq), sq.shape)
+        # d_t reaches the cell from the levels next to it
+        assert level in (19, 21) and node == 9
+        return (f"not flat: flatness residual {np.sqrt(sq.max()):.3e} exceeds "
+                f"tolerance 1.000e+00 at level {level}, node {node}\n")
+
+    def test_noether(self, run, capsys):
+        assert main(["noether", "--in", str(run), "--tol", "1"]) == 3
+        assert capsys.readouterr() == ("", self.message(run))
+
+    def test_reconstruct(self, run, tmp_path, capsys):
+        before = sorted(os.listdir(run))
+        manifest = (run / "manifest.txt").read_bytes()
+        for out in ([], ["--out", str(tmp_path / "rec")]):
+            assert main(["reconstruct", "--in", str(run), "--tol", "1"]
+                        + out) == 3
+            assert capsys.readouterr() == ("", self.message(run))
+        assert not (tmp_path / "rec").exists()
+        assert sorted(os.listdir(run)) == before
+        assert (run / "manifest.txt").read_bytes() == manifest
 
 
 class TestLastWindow:
@@ -689,8 +737,10 @@ class TestLastWindow:
     def test_noether_nonfinite_cell_exits_3(self, run, capsys, value):
         set_cell(run, "omega.csv", 18, 5, 1, value)
         assert main(["noether", "--in", str(run)]) == 3
+        # d_s reaches the cell from node 4 first
         assert capsys.readouterr() == (
-            "", f"not flat: flatness residual is not finite ({value})\n")
+            "", f"not flat: flatness residual is not finite ({value}) at "
+            "level 18, node 4\n")
 
     def test_failed_gate_wins_over_an_earlier_sweep_error(self, run, capsys):
         # a step angle far above pi/2 at level 3 stops the sweep in the
@@ -703,7 +753,28 @@ class TestLastWindow:
         set_cell(run, "Omega.csv", 18, 5, 1, "nan")
         assert main(["noether", "--in", str(run)]) == 3
         assert capsys.readouterr() == (
-            "", "not flat: flatness residual is not finite (nan)\n")
+            "", "not flat: flatness residual is not finite (nan) at level 17, "
+            "node 5\n")
+
+    def test_reconstruct_gate_wins_over_an_earlier_sweep_error(
+            self, run, tmp_path, capsys):
+        # reconstruct sweeps, gates and writes in one pass, as noether does:
+        # the sweep error waits for the gate, and neither leaves an output
+        out = tmp_path / "rec"
+        set_cell(run, "omega.csv", 3, 2, 0, "1e6")
+        assert main(["reconstruct", "--in", str(run), "--tol", "1e300",
+                     "--out", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith(
+            "error: reconstruction step angle")
+        assert len(err.splitlines()) == 1
+        set_cell(run, "Omega.csv", 18, 5, 1, "nan")
+        assert main(["reconstruct", "--in", str(run), "--tol", "1e300",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", "not flat: flatness residual is not finite (nan) at level 17, "
+            "node 5\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["residuals", "noether"])
     def test_malformed_cell_names_its_line(self, run, capsys, command):
