@@ -394,12 +394,13 @@ def noether_report(s1, Lam, params, tol=None):
         L = red.sweep_window(Lam, w.read, sweep_errors)
         if L is None:   # the rows are discarded: keep the pass going
             L = np.full(s.Omega.shape + (3,), np.nan)
+        # the residual first: its temporaries are gone before the bundle's
+        vertical = rs._rot(L, rs.stage1_residuals(s, params).vertical)
         f = rs.stage1_derivative_fields(s, params)
         d = model.fiber_derivatives_stage1(f, params)
         rot = noether.rotor_current(w.grid, d)
         so3c = noether.so3_current(w.grid, L, d)
-        identity = g.node_sq(noether.drift_residual(L, f, d, params) - rs._rot(
-            L, rs.stage1_residuals(s, params, fields=f).vertical))
+        identity = g.node_sq(noether.drift_residual(L, f, d, params) - vertical)
         # the rotation field may carry loop holonomy, in which case the
         # spatial current jumps at the seam; differentiate it on the cut
         so3c_cut = dataclasses.replace(

@@ -21,11 +21,12 @@ The potential energy is fixed to
 the simplest smooth form that exercises every derivative slot appearing in
 the reduced equations.
 
-This module is the only place the density, E, its derivatives and the fiber
-derivatives are written down (``density``, ``potential_E``, ``dE``,
-``density_derivatives``, ``fiber_derivatives_stage1``).  All of them act on
-single points and on whole (..., 3) fields alike; the residuals, currents
-and the time stepper call them rather than restating the formulas.
+This module is the only place the density, E, its derivatives, the fiber
+derivatives and the balance laws are written down (``density``,
+``potential_E``, ``dE``, ``density_derivatives``,
+``fiber_derivatives_stage1``, ``_rhs_packed``).  All of them act on single
+points and on whole (..., 3) fields alike; the residuals, currents and the
+time stepper call them rather than restating the formulas.
 """
 
 import dataclasses
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid as g
 from .so3 import cross, hat, vee
 
 _SYM_TOL = 1e-12
@@ -188,6 +190,57 @@ def density_derivatives(v, c, a, b, Omega, omega, p):
     return v, -E_c, -E_a, Kwk, -E_Omega, omega @ p.inertia_body.T + Kwk
 
 
+# The rows of the packed state, with u = rho_t, a = theta_s, v = theta_t.
+COMPONENTS = ("rho", "u", "theta", "a", "v", "Omega", "omega")
+# Rows (Omega, omega, rho, Omega) of the packed state: the left operands of
+# the first stacked cross product in :func:`_rhs_packed`.
+_CROSS_LEFT = np.array([5, 6, 0, 5])
+
+
+def _rhs_packed(y, params, ds, periodic, I_inv, K_inv):
+    """Time derivative of a packed state ``y``, (7, ..., n_s, 3) in
+    ``COMPONENTS`` order: the balance laws solved for the accelerations.
+
+    The three balance laws (vertical, rho and rotor) are affine in the
+    accelerations (u_t, omega_t, v_t).  Substituting the rho law into the
+    vertical one annihilates the whole ``rho x (...)`` block (a
+    cross-product identity), and the rotor law then isolates
+    ``I omega_t``:
+
+        omega_t = I^-1 [ d_s(C Omega) + Omega x (C Omega) - d_s(D a)
+                         - omega x ((I+K) omega + K v) ]
+        v_t     = K^-1 d_s(D a) - omega_t
+        u_t     = F - omega_t x rho,
+        F       = omega x (rho x omega - 2u) - 2 E_c rho
+
+    with E_c = kappa/2 (<rho, rho> - c0).  Omega and a follow the
+    zero-curvature relations ``Omega_t = d_s(omega) + Omega x omega`` and
+    ``a_t = d_s(v)``, and theta has rate v.  ``y`` may be one time slice
+    (the march) or a block of levels (the residual evaluators).
+
+    At small n_s numpy's per-call cost outweighs the algebra, so stacked
+    operands take one stencil call and two cross-product calls.  Each entry
+    is summed as written above, whatever the stacking or kernel taken.
+    """
+    rho, u, _theta, a, v, Omega, omega = y
+    I, K = params.inertia_body, params.inertia_rotor
+    CW, Da, E_c = dE(Omega, a, np.add.reduce(rho * rho, -1), params)
+    ds_CW, ds_Da, ds_omega, ds_v = g.d_s_slice(np.array([CW, Da, omega, v]),
+                                               ds, periodic)
+    m = omega @ (I + K).T + v @ K.T
+    OxCW, wxm, rxw, Oxw = cross(y.take(_CROSS_LEFT, 0),
+                                np.array([CW, m, omega, omega]))
+
+    out = np.empty_like(y)
+    out[0], out[2], out[3] = u, v, ds_v
+    out[6] = omega_t = (ds_CW + OxCW - ds_Da - wxm) @ I_inv.T
+    out[4] = ds_Da @ K_inv.T - omega_t
+    wxF, wtxr = cross(np.array([omega, omega_t]), np.array([rxw - 2.0 * u, rho]))
+    out[1] = wxF - 2.0 * E_c[..., None] * rho - wtxr
+    out[5] = ds_omega + Oxw
+    return out
+
+
 def lagrangian_stage1(pt, p):
     """First reduced Lagrangian density; ``pt`` is a point or a field bundle."""
     return density(pt.rho_t + cross(pt.omega, pt.rho), _dot(pt.rho, pt.rho),
@@ -244,9 +297,9 @@ class FiberDerivatives:
 def fiber_derivatives_stage1(pt, p):
     """Analytic partial derivatives of the stage-1 Lagrangian in all six slots.
 
-    ``pt`` is a point or a field bundle with the same six slots, such as
-    :class:`residuals.DerivativeFields`.  The density derivatives are
-    chained through ``u = rho_t + omega x rho`` and ``c = <rho, rho>``.
+    ``pt`` is a point or a field bundle with the same six slots, such as a
+    section's :class:`residuals.DerivativeFields`.  The density derivatives
+    are chained through ``u = rho_t + omega x rho`` and ``c = <rho, rho>``.
     With the flat (Maurer-Cartan-style) trivialization used throughout, the
     horizontal correction terms vanish and ``dl_drho`` is the plain partial
     derivative.

@@ -70,15 +70,15 @@ def drift_residual(Lam, f, d, p):
 
         Lambda . [ d_s(N) + Omega x N + d_t(M) + omega x M ],
 
-    with ``d_t(M)`` expanded by the product rule over the shared derivative
-    bundle.  This makes the identity
+    with ``d_t(M)`` expanded by the product rule over the derivative bundle
+    ``f`` of a section (``d`` its fiber record).  This makes the identity
 
         drift_residual == Lambda . (stage-1 vertical residual)
 
-    hold to roundoff whenever both evaluators consume the same bundle ``f``
-    (with ``d`` its fiber record), which is the discrete form of the
-    statement that the angular-momentum balance *is* the vertical field
-    equation.
+    hold to roundoff on the same section, although the residual is measured
+    against the march's accelerations and this current form restates the
+    forces: the discrete form of the statement that the angular-momentum
+    balance *is* the vertical field equation.
     """
     N, M = d.dl_dOmega, d.dl_domega
     u = d.dl_drho_t                      # rho_t + omega x rho

@@ -180,13 +180,18 @@ def flatness_residual_rotor(grid, a, b):
     return g.d_t(grid, a) - g.d_s(grid, b)
 
 
-def _sweep(Lam_prev, rate_mid, h):
-    """One reconstruction step: midpoint exponential, then reorthonormalize."""
+def _sweep(Lam_prev, rate_mid, h, level, node):
+    """One reconstruction step onto ``level``, ``node``: midpoint exponential,
+    then reorthonormalize.  A row of steps passes None for the axis it runs
+    along; an angle of pi/2 or more names the largest step's index there."""
     step = h * rate_mid
-    angle = np.max(np.linalg.norm(step, axis=-1))
-    if angle >= np.pi / 2.0:
+    angle = np.linalg.norm(step, axis=-1)
+    k = int(np.argmax(angle))
+    if angle.flat[k] >= np.pi / 2.0:
         raise NearAnglePiError(
-            f"reconstruction step angle {angle:.3f} >= pi/2; grid too coarse")
+            f"reconstruction step angle {angle.flat[k]:.3f} >= pi/2; grid too "
+            f"coarse at level {k if level is None else level}, node "
+            f"{k if node is None else node}")
     return reorthonormalize(Lam_prev @ exp_so3(step))
 
 
@@ -208,13 +213,14 @@ def rotation_levels(grid, Omega, omega, Lambda0):
             prev = out[0]
             prev[0] = reorthonormalize(Lambda0)
             for j in range(grid.n_s - 1):
-                prev[j + 1] = _sweep(prev[j], 0.5 * (W[j] + W[j + 1]), grid.ds)
+                prev[j + 1] = _sweep(prev[j], 0.5 * (W[j] + W[j + 1]), grid.ds,
+                                     0, j + 1)
         else:
             prev = held[-1]
         for i in range(max(lo, 1), read.stop):
             k = i - read.start
             prev = out[i - lo] = _sweep(prev, 0.5 * (om[k - 1] + om[k]),
-                                        grid.dt)
+                                        grid.dt, i, None)
         return out
 
     return g.Levels(grid.n_t, produce)
@@ -271,10 +277,10 @@ def reconstruct_rotation(grid, Omega, omega, Lambda0, tol, sweep="st"):
     Lam[0, 0] = reorthonormalize(Lambda0)
     for i in range(n_t - 1):
         mid = 0.5 * (omega[i, 0] + omega[i + 1, 0])
-        Lam[i + 1, 0] = _sweep(Lam[i, 0], mid, grid.dt)
+        Lam[i + 1, 0] = _sweep(Lam[i, 0], mid, grid.dt, i + 1, 0)
     for j in range(n_s - 1):
         mid = 0.5 * (Omega[:, j] + Omega[:, j + 1])
-        Lam[:, j + 1] = _sweep(Lam[:, j], mid, grid.ds)
+        Lam[:, j + 1] = _sweep(Lam[:, j], mid, grid.ds, None, j + 1)
     return Lam
 
 

@@ -1,30 +1,29 @@
 """Residual evaluators for the reduced strand equations.
 
-Three pointwise balance laws govern the once-reduced fields; writing
-``u = rho_t + omega x rho``, ``m = (I+K) omega + K theta_t`` and
-``E_W = C Omega``, ``E_a = D theta_s``, ``E_c = kappa/2 (<rho,rho> - c0)``:
+Three pointwise balance laws govern the once-reduced fields: the vertical
+(angular momentum), rho and rotor laws.  They are written once, solved for
+the accelerations A = (rho_tt, omega_t, theta_tt), in
+:func:`model._rhs_packed`, the rates the march integrates.  Each law is
+affine in A and vanishes at the march's A(y), y = (rho, rho_t, ., a, b,
+Omega, omega) with a = d_s theta and b = d_t theta at stage 1, so with
+Delta = A_fd - A(y) = (D_rho, D_omega, D_theta), A_fd the time stencil's
+accelerations, the residuals are
 
-  vertical          rho x (rho_tt + 2 omega x rho_t + omega_t x rho
-                    + <omega, rho> omega) + (I+K) omega_t + K theta_tt
-                    + omega x m - d_s(E_W) - Omega x E_W
-  horizontal_rho    omega x (rho x omega - 2 rho_t) - rho_tt
-                    - omega_t x rho - 2 E_c rho
-  horizontal_theta  K (omega_t + theta_tt) - d_s(E_a)
+  horizontal_rho    -D_rho - D_omega x rho
+  horizontal_theta  K (D_omega + D_theta)
+  vertical          I D_omega + horizontal_theta - rho x horizontal_rho
 
 A section solves the field equations iff all three vanish up to
-discretization error.  The sign of the ``Omega x E_W`` term is fixed by
-stationarity of the action (see :func:`action_gradient_check`, which verifies
-the discrete gradient against these formulas) and by the requirement that
-the vertical residual be the covariant divergence of the angular-momentum
-current; both checks pin the minus sign used here.
+discretization error; the s-stencil is the march's, so a marched run's
+residual is the time stencil's error alone.  The sign of the
+``Omega x C Omega`` term of the laws is fixed by stationarity of the action
+(:func:`action_gradient_check` verifies the discrete gradient against these
+residuals) and by the requirement that the vertical residual be the
+covariant divergence of the angular-momentum current
+(:func:`noether.drift_residual`); both checks pin it.
 
 The second reduction renames (theta_s, theta_t) -> (a, b) and reclassifies
-the rotor balance as vertical, but the numerical expressions are identical;
-both evaluators share one kernel.
-
-The Lagrangian density, E and their derivatives are not restated here: the
-evaluators take them from :mod:`strand_reduce.model`, which is their only
-home.
+the rotor balance as vertical; both evaluators share one kernel.
 
 ``el_unreduced_residual`` is different in kind: it is the exact gradient of
 the discrete action with respect to free compactly supported variations of
@@ -50,10 +49,10 @@ def _rot(R, f):
 
 @dataclass
 class DerivativeFields:
-    """Shared bundle of nodal derivative fields consumed by the evaluators.
+    """Bundle of nodal derivative fields of a stage-1 section.
 
-    Feeding the same bundle to :func:`stage1_residuals` and to the Noether
-    drift evaluator makes their algebraic identity hold to roundoff.
+    Feeding it to :func:`model.fiber_derivatives_stage1` and to the Noether
+    drift evaluator gives the currents and their divergence.
     """
 
     rho: np.ndarray
@@ -65,46 +64,22 @@ class DerivativeFields:
     rho_t: np.ndarray
     rho_tt: np.ndarray
     omega_t: np.ndarray
-    dE_dOmega: np.ndarray
     dE_dOmega_s: np.ndarray
-    dE_da: np.ndarray
-    dE_da_s: np.ndarray
-    dE_dc: np.ndarray
-
-
-def _finish_fields(gr, p, rho, Omega, omega, theta_s, theta_t, theta_tt):
-    rho_t = g.d_t(gr, rho)
-    E_Omega, E_a, E_c = model.dE(Omega, theta_s, _dot(rho, rho), p)
-    return DerivativeFields(
-        rho=rho, Omega=Omega, omega=omega,
-        theta_s=theta_s, theta_t=theta_t, theta_tt=theta_tt,
-        rho_t=rho_t,
-        rho_tt=g.d_t(gr, rho_t),
-        omega_t=g.d_t(gr, omega),
-        dE_dOmega=E_Omega,
-        dE_dOmega_s=g.d_s(gr, E_Omega),
-        dE_da=E_a,
-        dE_da_s=g.d_s(gr, E_a),
-        dE_dc=E_c,
-    )
 
 
 def stage1_derivative_fields(s1, p):
     gr = s1.grid
+    rho = np.asarray(s1.rho, float)
+    Omega = np.asarray(s1.Omega, float)
+    theta_s = g.d_s(gr, s1.theta)
     theta_t = g.d_t(gr, s1.theta)
-    return _finish_fields(gr, p, np.asarray(s1.rho, float),
-                          np.asarray(s1.Omega, float),
-                          np.asarray(s1.omega, float),
-                          g.d_s(gr, s1.theta), theta_t, g.d_t(gr, theta_t))
-
-
-def stage2_derivative_fields(s2, p):
-    gr = s2.grid
-    b = np.asarray(s2.b, float)
-    return _finish_fields(gr, p, np.asarray(s2.rho, float),
-                          np.asarray(s2.Omega, float),
-                          np.asarray(s2.omega, float),
-                          np.asarray(s2.a, float), b, g.d_t(gr, b))
+    rho_t = g.d_t(gr, rho)
+    E_Omega = model.dE(Omega, theta_s, _dot(rho, rho), p)[0]
+    return DerivativeFields(
+        rho=rho, Omega=Omega, omega=np.asarray(s1.omega, float),
+        theta_s=theta_s, theta_t=theta_t, theta_tt=g.d_t(gr, theta_t),
+        rho_t=rho_t, rho_tt=g.d_t(gr, rho_t), omega_t=g.d_t(gr, s1.omega),
+        dE_dOmega_s=g.d_s(gr, E_Omega))
 
 
 @dataclass
@@ -122,29 +97,39 @@ class Stage1Residuals:
     _fields = ("vertical", "horizontal_rho", "horizontal_theta")
 
 
-def _residual_kernel(f, p):
-    I = p.inertia_body
-    K = p.inertia_rotor
-    IK = I + K
-    m = f.omega @ IK.T + f.theta_t @ K.T
-    vertical = (cross(f.rho,
-                         f.rho_tt + 2.0 * cross(f.omega, f.rho_t)
-                         + cross(f.omega_t, f.rho)
-                         + _dot(f.omega, f.rho)[..., None] * f.omega)
-                + f.omega_t @ IK.T + f.theta_tt @ K.T
-                + cross(f.omega, m)
-                - f.dE_dOmega_s - cross(f.Omega, f.dE_dOmega))
-    horizontal_rho = (cross(f.omega, cross(f.rho, f.omega) - 2.0 * f.rho_t)
-                      - f.rho_tt - cross(f.omega_t, f.rho)
-                      - 2.0 * f.dE_dc[..., None] * f.rho)
-    horizontal_theta = (f.omega_t + f.theta_tt) @ K.T - f.dE_da_s
-    return vertical, horizontal_rho, horizontal_theta
+# Nodes per kernel call: its temporaries then stay under glibc's 128 KB mmap
+# threshold (one call per window took 34k page faults in ``residuals --in``).
+_BLOCK_NODES = 768
 
 
-def stage1_residuals(s1, p, fields=None):
+def _residuals(gr, p, rho, a, b, b_t, Omega, omega):
+    """L(rho) (A_fd - A(y)) on the levels of ``gr``; see the module
+    docstring.  ``rho`` stands in the theta row of y, which is not read."""
+    I, K = p.inertia_body, p.inertia_rotor
+    I_inv, K_inv = np.linalg.inv(I), np.linalg.inv(K)
+    rho_t = g.d_t(gr, rho)
+    y = np.broadcast_arrays(rho, rho_t, rho, a, b, Omega, omega)
+    A_fd = np.broadcast_arrays(g.d_t(gr, rho_t), g.d_t(gr, omega), b_t)
+    res = np.empty((3,) + y[0].shape)
+    step = max(1, _BLOCK_NODES // gr.n_s)
+    for lo in range(0, gr.n_t, step):
+        c = slice(lo, lo + step)
+        A = model._rhs_packed(np.stack([f[c] for f in y]), p, gr.ds,
+                              gr.periodic_s, I_inv, K_inv)
+        d_rho, d_omega, d_theta = (f[c] - A[k] for f, k in zip(A_fd, (1, 6, 4)))
+        h_rho = -d_rho - cross(d_omega, y[0][c])
+        h_theta = (d_omega + d_theta) @ K.T
+        res[:, c] = (d_omega @ I.T + h_theta - cross(y[0][c], h_rho), h_rho,
+                     h_theta)
+    return Stage1Residuals(gr, *res)
+
+
+def stage1_residuals(s1, p):
     """Residuals of the once-reduced equations on a stage-1 section."""
-    f = fields or stage1_derivative_fields(s1, p)
-    return Stage1Residuals(s1.grid, *_residual_kernel(f, p))
+    gr = s1.grid
+    theta_t = g.d_t(gr, s1.theta)
+    return _residuals(gr, p, s1.rho, g.d_s(gr, s1.theta), theta_t,
+                      g.d_t(gr, theta_t), s1.Omega, s1.omega)
 
 
 def stage2_residuals(s2, p):
@@ -154,8 +139,8 @@ def stage2_residuals(s2, p):
     coincide with :func:`stage1_residuals` on matched fields (a = d_s theta,
     b = d_t theta), so the same record type is returned.
     """
-    f = stage2_derivative_fields(s2, p)
-    return Stage1Residuals(s2.grid, *_residual_kernel(f, p))
+    return _residuals(s2.grid, p, s2.rho, s2.a, s2.b, g.d_t(s2.grid, s2.b),
+                      s2.Omega, s2.omega)
 
 
 def discrete_action(section, p):

@@ -1,34 +1,13 @@
 """Method-of-lines time integrator for the once-reduced strand system.
 
-The dynamical unknowns per arclength node are (rho, u = rho_t, theta,
-a = theta_s, v = theta_t, Omega, omega).  The accelerations follow from the
-three balance laws by exact linear elimination: substituting the rho
-equation into the vertical one annihilates the whole ``rho x (...)`` block
-(a cross-product identity), and the rotor equation then isolates
-``I omega_t``:
-
-    omega_t = I^-1 [ d_s(C Omega) + Omega x (C Omega) - d_s(D a)
-                     - omega x ((I+K) omega + K v) ]
-    v_t     = K^-1 d_s(D a) - omega_t
-    u_t     = F - omega_t x rho,   F = omega x (rho x omega - 2u) - 2 E_c rho
-
-The rotation rate Omega and the rotor gradient a are advanced with the
-zero-curvature relations ``Omega_t = d_s(omega) + Omega x omega`` and
-``a_t = d_s(v)``, so no rotation matrices are carried during the march;
-``Lambda`` is reconstructed post hoc when a full section is wanted.
-
-The march (RK4 or explicit midpoint) evaluates these rates as one stacked
-kernel per call, because at small n_s numpy's per-call cost outweighs the
-algebra: the four s-derivatives (of C Omega, D a, omega and v) come from a
-single stencil call on a (4, n_s, 3) block, the six cross products from two
-calls on stacked operands, and each rate is written straight into the
-packed output.  Each of those calls is itself cut to few numpy calls: every
-stencil, periodic or clamped, is axis-native, writing all its rows into one
-output along the s axis of the stack (``grid.d_s_slice``), and stacks of up
-to ``so3.GATHER_MAX_VECTORS`` vectors are crossed by gathering components,
-not slicing them (``so3.cross``).  The arithmetic per entry is exactly that
-of the formulas above, summed in the order written, so results do not
-depend on the stacking or on the kernel taken.
+The dynamical unknowns per arclength node are the rows of
+``model.COMPONENTS``: (rho, u = rho_t, theta, a = theta_s, v = theta_t,
+Omega, omega).  Their rates are :func:`model._rhs_packed`, the balance laws
+solved for the accelerations by exact linear elimination, with Omega and a
+advanced by the zero-curvature relations, so no rotation matrices are
+carried during the march; ``Lambda`` is reconstructed post hoc when a full
+section is wanted.  The march (RK4 or explicit midpoint) evaluates those
+rates as one stacked kernel per call on an (n_s, 3) slice per component.
 
 theta itself is carried alongside (rate v) purely so the output is a
 complete stage-1 section (``FIELDS``: rho, theta, Omega, omega); it does not
@@ -53,21 +32,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import grid as g
-from .so3 import cross
 from .errors import BlowupError, ConfigError, UnknownPresetError
-from .model import ModelParams, dE, default_params
+from .model import COMPONENTS, ModelParams, _rhs_packed, default_params
 from .reduction import Stage1Section, flatness_level_max, window_view
 from .residuals import Stage1Residuals, stage1_residuals
 
 BLOWUP_GUARD = 1e8
 
-COMPONENTS = ("rho", "u", "theta", "a", "v", "Omega", "omega")
 # The output fields, a stage-1 section, and their rows of the packed state.
 FIELDS = ("rho", "theta", "Omega", "omega")
 _FIELD_ROWS = np.array([COMPONENTS.index(name) for name in FIELDS])
-# Rows (Omega, omega, rho, Omega) of the packed state: the left operands of
-# the first stacked cross product in :func:`_rhs_packed`.
-_CROSS_LEFT = np.array([5, 6, 0, 5])
 
 
 @dataclass
@@ -161,27 +135,6 @@ def presets(name, grid, params):
         st.Omega[:, 2] = 2 * np.pi / L
         return st
     raise UnknownPresetError(name)
-
-
-def _rhs_packed(y, params, ds, periodic, I_inv, K_inv):
-    """Time derivative of a packed state array (see the module docstring)."""
-    rho, u, _theta, a, v, Omega, omega = y
-    I, K = params.inertia_body, params.inertia_rotor
-    CW, Da, E_c = dE(Omega, a, np.add.reduce(rho * rho, -1), params)
-    ds_CW, ds_Da, ds_omega, ds_v = g.d_s_slice(np.array([CW, Da, omega, v]),
-                                               ds, periodic)
-    m = omega @ (I + K).T + v @ K.T
-    OxCW, wxm, rxw, Oxw = cross(y.take(_CROSS_LEFT, 0),
-                                np.array([CW, m, omega, omega]))
-
-    out = np.empty_like(y)
-    out[0], out[2], out[3] = u, v, ds_v
-    out[6] = omega_t = (ds_CW + OxCW - ds_Da - wxm) @ I_inv.T
-    out[4] = ds_Da @ K_inv.T - omega_t
-    wxF, wtxr = cross(np.array([omega, omega_t]), np.array([rxw - 2.0 * u, rho]))
-    out[1] = wxF - 2.0 * E_c[:, None] * rho - wtxr
-    out[5] = ds_omega + Oxw
-    return out
 
 
 def _step_rk4(y, h, f):

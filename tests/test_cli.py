@@ -749,6 +749,7 @@ class TestLastWindow:
         assert main(["noether", "--in", str(run)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: reconstruction step angle")
+        assert err.endswith(" at level 3, node 2\n")
         assert len(err.splitlines()) == 1
         set_cell(run, "Omega.csv", 18, 5, 1, "nan")
         assert main(["noether", "--in", str(run)]) == 3
@@ -767,6 +768,7 @@ class TestLastWindow:
         out_text, err = capsys.readouterr()
         assert out_text == "" and err.startswith(
             "error: reconstruction step angle")
+        assert err.endswith(" at level 3, node 2\n")
         assert len(err.splitlines()) == 1
         set_cell(run, "Omega.csv", 18, 5, 1, "nan")
         assert main(["reconstruct", "--in", str(run), "--tol", "1e300",

@@ -46,7 +46,8 @@ class TestCurrents:
         sec = smooth_stage1_section(gr)
         f, d = bundle(sec, params)
         cur = noether.so3_current(gr, identity_field(gr), d)
-        want_s = -f.dE_dOmega
+        want_s = -model.dE(f.Omega, f.theta_s, np.sum(f.rho * f.rho, -1),
+                           params)[0]
         assert np.allclose(cur.J_s, want_s, atol=1e-15)
 
     def test_rotor_current_values(self):
@@ -56,9 +57,9 @@ class TestCurrents:
         z = np.zeros((gr.n_t, gr.n_s, 3))
         omega = np.broadcast_to(E3, z.shape).copy()
         a = np.broadcast_to(E1, z.shape).copy()
-        s2 = red.Stage2Section(grid=gr, rho=z, a=a, b=z.copy(), Omega=z.copy(),
-                               omega=omega)
-        d = model.fiber_derivatives_stage1(rs.stage2_derivative_fields(s2, p), p)
+        # a stage-2 point: (theta_s, theta_t) hold the rotor rates (a, b)
+        d = model.fiber_derivatives_stage1(model.Stage1Point(
+            rho=z, rho_t=z, theta_s=a, theta_t=z, Omega=z, omega=omega), p)
         cur = noether.rotor_current(gr, d)
         assert np.allclose(cur.J_t, E3, atol=1e-15)   # K (omega + b)
         assert np.allclose(cur.J_s, -E1, atol=1e-15)  # -D a
@@ -112,7 +113,7 @@ class TestDriftResidual:
         Lam = random_rotation_field(gr, rng)
         f, d = bundle(sec, params)
         drift = noether.drift_residual(Lam, f, d, params)
-        vert = rs.stage1_residuals(sec, params, fields=f).vertical
+        vert = rs.stage1_residuals(sec, params).vertical
         want = np.einsum("tsij,tsj->tsi", Lam, vert)
         scale = 1.0 + g.norm_max(want)
         assert g.norm_max(drift - want) <= 1e-12 * scale

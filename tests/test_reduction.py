@@ -238,6 +238,17 @@ class TestReconstructRotation:
         with pytest.raises(NearAnglePiError):
             red.reconstruct_rotation(gr, W, w, np.eye(3), tol=1e-6)
 
+    @pytest.mark.parametrize("sweep, field", [("st", "omega"), ("ts", "Omega")])
+    def test_coarse_step_names_level_and_node(self, sweep, field):
+        # each order first steps onto the bad cell along the rate it reads
+        from strand_reduce.errors import NearAnglePiError
+        gr = small_grid(n_t=8, n_s=8)
+        rates = {name: np.zeros((gr.n_t, gr.n_s, 3)) for name in ("Omega", "omega")}
+        rates[field][4, 5, 0] = 1e6
+        with pytest.raises(NearAnglePiError, match=" at level 4, node 5$"):
+            red.reconstruct_rotation(gr, rates["Omega"], rates["omega"],
+                                     np.eye(3), tol=None, sweep=sweep)
+
     def test_path_independence_defect(self):
         gr = small_grid(n_t=32, n_s=32)
         Lam0, Omega, omega, _ = flat_pair(gr)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from strand_reduce import checks
 from strand_reduce import grid as g
 from strand_reduce import model
 from strand_reduce import reduction as red
@@ -32,7 +33,7 @@ class TestPresets:
         state = sim.presets("static", gr, params)
         I_inv = np.linalg.inv(params.inertia_body)
         K_inv = np.linalg.inv(params.inertia_rotor)
-        rates = sim._rhs_packed(state.pack(), params, gr.ds, True, I_inv, K_inv)
+        rates = model._rhs_packed(state.pack(), params, gr.ds, True, I_inv, K_inv)
         assert np.max(np.abs(rates)) == 0.0
 
     def test_twistpulse_shape(self, params):
@@ -87,7 +88,7 @@ class TestRhs:
         I_inv = np.linalg.inv(params.inertia_body)
         K_inv = np.linalg.inv(params.inertia_rotor)
         r = sim.StateSlice.unpack(
-            sim._rhs_packed(state.pack(), params, gr.ds, True, I_inv, K_inv))
+            model._rhs_packed(state.pack(), params, gr.ds, True, I_inv, K_inv))
         I = params.inertia_body
         K = params.inertia_rotor
         C, D = params.pot_C, params.pot_D
@@ -111,14 +112,15 @@ class TestRhs:
     @pytest.mark.parametrize("free", [False, True])
     def test_stacked_kernel_matches_per_equation_oracle(self, rng, periodic,
                                                         n_s, free):
-        # the module docstring's equations, one stencil call per field and
-        # np.cross, summed in the order written: equal to the last bit
+        # the equations of the kernel's docstring, one stencil call per
+        # field and np.cross, summed in the order written: equal to the
+        # last bit
         p = model.free_params() if free else model.default_params()
         I, K = p.inertia_body, p.inertia_rotor
         I_inv, K_inv = np.linalg.inv(I), np.linalg.inv(K)
         ds = 1.0 / n_s
         d_s = lambda f: g.d_s_slice(f, ds, periodic)
-        y = rng.normal(size=(len(sim.COMPONENTS), n_s, 3))
+        y = rng.normal(size=(len(model.COMPONENTS), n_s, 3))
         rho, u, _theta, a, v, Om, om = y
         CW, Da = Om @ p.pot_C.T, a @ p.pot_D.T
         E_c = 0.5 * p.pot_kappa * (np.sum(rho * rho, axis=-1) - p.pot_c0)
@@ -129,8 +131,20 @@ class TestRhs:
         u_t = F - np.cross(om_t, rho)
         Om_t = d_s(om) + np.cross(Om, om)
         want = np.stack([u, u_t, v, d_s(v), v_t, Om_t, om_t])
-        got = sim._rhs_packed(y, p, ds, periodic, I_inv, K_inv)
+        got = model._rhs_packed(y, p, ds, periodic, I_inv, K_inv)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("n_s", [3, 64])
+    def test_window_equals_its_levels(self, rng, params, periodic, n_s):
+        # the residual evaluators call the kernel on a block of levels
+        I_inv = np.linalg.inv(params.inertia_body)
+        K_inv = np.linalg.inv(params.inertia_rotor)
+        y = rng.normal(size=(len(model.COMPONENTS), 5, n_s, 3))
+        rates = lambda y: model._rhs_packed(y, params, 1.0 / n_s, periodic,
+                                            I_inv, K_inv)
+        assert np.array_equal(rates(y), np.stack([rates(y[:, i])
+                                                  for i in range(5)], 1))
 
     def test_flatness_rate_consistency(self, params):
         # Omega_t equals d_s(omega) + Omega x omega by construction
@@ -142,13 +156,32 @@ class TestRhs:
         I_inv = np.linalg.inv(params.inertia_body)
         K_inv = np.linalg.inv(params.inertia_rotor)
         r = sim.StateSlice.unpack(
-            sim._rhs_packed(state.pack(), params, gr.ds, True, I_inv, K_inv))
+            model._rhs_packed(state.pack(), params, gr.ds, True, I_inv, K_inv))
         want = (g.d_s_slice(state.omega, gr.ds, True)
                 + np.cross(state.Omega, state.omega))
         assert np.allclose(r.Omega, want, atol=1e-14)
 
 
 class TestRun:
+    @pytest.mark.parametrize("preset, bc", [("twistpulse", g.PERIODIC),
+                                            ("twistpulse", g.CLAMPED),
+                                            ("helix", g.CLAMPED)])
+    def test_residual_is_the_time_stencils_error(self, params, preset, bc):
+        # the evaluator measures against the march's own rates, so only the
+        # O(dt^2) time stencil is left: dropping every other level (dt
+        # doubled) multiplies each norm by about 4
+        gr = g.Grid2.uniform(161, 32, 0.5, 1.0, bc)
+        sec = sim.run(sim.SimConfig(grid=gr, params=params,
+                                    preset=preset)).section
+        coarse = red.Stage1Section(
+            grid=dataclasses.replace(gr, n_t=81, dt=2.0 * gr.dt),
+            **{name: getattr(sec, name)[::2] for name in sim.FIELDS})
+        fine = sim.residual_norms(sec, params)
+        for name, value in sim.residual_norms(coarse, params).items():
+            ratio = value / fine[name]
+            assert checks.RATIO_BAND[0] <= ratio <= checks.RATIO_BAND[1], (
+                name, ratio)
+
     def test_static_stays_static(self, params):
         gr = make_grid(n_t=20)
         out = sim.run(sim.SimConfig(grid=gr, params=params, preset="static"))

@@ -71,7 +71,7 @@ def whole_march(cfg):
                                      @ p.inertia_rotor.T)
         rows[i] = (i, i * gr.dt, float(np.abs(y).max()), *rotor_total)
         if i < gr.n_t - 1:
-            y = step(y, gr.dt, lambda a: sim._rhs_packed(
+            y = step(y, gr.dt, lambda a: model._rhs_packed(
                 a, p, gr.ds, gr.periodic_s, I_inv, K_inv))
     return fields, rows, y
 
@@ -121,7 +121,7 @@ def whole_grid_noether_report(s1, Lam, params):
             div_grid, div, div_grid.interior_mask(2))
     values["current_vertical_identity_max_err"] = g.norm_max(
         balance - np.einsum("tsij,tsj->tsi", Lam,
-                            rs.stage1_residuals(s1, params, fields=f).vertical))
+                            rs.stage1_residuals(s1, params).vertical))
     return values, np.hstack(totals)
 
 
