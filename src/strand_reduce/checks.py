@@ -371,52 +371,38 @@ def noether_report(s1, Lam, params, tol=None):
     """Current totals drift, divergence norms, and the divergence identity.
 
     Returns the check rows and the ``(n_t, 6)`` rotor|so3 totals they measure,
-    integrated over the run's own grid (the whole loop when periodic).  The
-    evaluators run window by window, in one pass that also applies the
-    reconstruction's :func:`reduction.flatness_gate` to ``s1`` with ``tol``;
-    each window returns per-level vectors only (totals, sums of squares and
-    maxima with their nodes), so nothing the pass keeps is O(n_t n_s).  The
-    SO(3) divergence is summed over the interior nodes of the cut (clamped)
-    grid.  ``Lam`` is read a window at a time: a whole field, or the levels
-    of :func:`reduction.rotation_levels`, which the pass extends as it goes.
-    A sweep error waits for the end of the pass
-    (:func:`reduction.sweep_window`).
+    integrated over the run's own grid (the whole loop when periodic).  One
+    :func:`reduction.gated_pass` applies the flatness gate to ``s1`` with
+    ``tol`` and reads ``Lam`` (a whole field or level source) a window at a
+    time.  Each window takes one jet of the section, which feeds the
+    residual, the fiber derivatives and the drift, and returns per-level
+    vectors only, so nothing the pass keeps is O(n_t n_s).  The SO(3)
+    divergence is summed over the interior nodes of the cut (clamped) grid.
     """
     gr = s1.grid
     cut = dataclasses.replace(gr, bc_s=g.CLAMPED)
     levels, nodes = gr.interior(2)
     cut_nodes = cut.interior(2)[1]
-    sweep_errors = []
 
-    def evaluate(w):
-        s = red.window_view(s1, w)
-        flat = red.flatness_level_max(s.grid, s.Omega, s.omega)
-        L = red.sweep_window(Lam, w.read, sweep_errors)
-        if L is None:   # the rows are discarded: keep the pass going
-            L = np.full(s.Omega.shape + (3,), np.nan)
-        # the residual first: its temporaries are gone before the bundle's
-        vertical = rs._rot(L, rs.stage1_residuals(s, params).vertical)
-        f = rs.stage1_derivative_fields(s, params)
+    def evaluate(w, L):
+        f = rs.stage1_derivative_fields(red.window_view(s1, w))
+        vertical = rs._rot(L, rs.jet_residuals(f, params).vertical)
         d = model.fiber_derivatives_stage1(f, params)
+        identity = g.node_sq(noether.drift_residual(L, f, d, params) - vertical)
         rot = noether.rotor_current(w.grid, d)
         so3c = noether.so3_current(w.grid, L, d)
-        identity = g.node_sq(noether.drift_residual(L, f, d, params) - vertical)
         # the rotation field may carry loop holonomy, in which case the
         # spatial current jumps at the seam; differentiate it on the cut
         so3c_cut = dataclasses.replace(
             so3c, grid=dataclasses.replace(w.grid, bc_s=g.CLAMPED))
-        return (*flat, noether.totals_over_time(rot),
-                noether.totals_over_time(so3c),
+        return (noether.totals_over_time(rot), noether.totals_over_time(so3c),
                 g.level_sums(g.node_sq(noether.divergence(rot)), nodes),
                 g.level_sums(g.node_sq(noether.divergence(so3c_cut)),
                              cut_nodes),
                 *g.level_max(identity))
 
-    (flat, flat_node, rotor_tot, so3_tot, rotor_div, so3_div, identity,
-     identity_node) = g.by_window(gr, evaluate)
-    red.flatness_gate(g.max_sq(flat, flat_node), tol)
-    if sweep_errors:
-        raise sweep_errors[0]
+    rotor_tot, so3_tot, rotor_div, so3_div, identity, identity_node = \
+        red.gated_pass(gr, s1.Omega, s1.omega, Lam, tol, evaluate)
     out = []
     for name, tot, div, div_grid in (("rotor", rotor_tot, rotor_div, gr),
                                      ("so3", so3_tot, so3_div, cut)):

@@ -18,8 +18,9 @@ from . import grid as g
 from . import reduction as red
 from .config import load_config
 from .errors import BlowupError, ConfigError, NotFlatError, StrandError
-from .fields_io import (FieldWriter, format_report, grid_line, open_fields,
-                        read_model, write_report, write_steps, write_totals)
+from .fields_io import (FieldWriter, format_report, grid_line, listed_fields,
+                        open_fields, read_model, write_report, write_steps,
+                        write_totals)
 from .model import default_params
 from .reduction import Stage1Section
 from .residuals import Stage1Residuals
@@ -121,8 +122,13 @@ def cmd_reconstruct(args):
         raise ConfigError("--lambda0 needs 9 reals (row-major)") from None
     _check_tol(args.tol)
     outdir = args.out or args.indir
-    # writing into the input run adds Lambda to its manifest
+    # writing into the input run adds Lambda to its manifest; writing over
+    # another run's manifest would drop its fields, so that is refused
     same = os.path.realpath(outdir) == os.path.realpath(args.indir)
+    others = [] if same else sorted(set(listed_fields(outdir)) - {"Lambda"})
+    if others:
+        raise ConfigError(f"{os.path.join(outdir, 'manifest.txt')} lists the "
+                          f"fields {others} of another run; not overwriting it")
     # one window pass gates, sweeps and writes Lambda; a failed gate or
     # sweep leaves outdir as it was
     with open_fields(args.indir, names=("Omega", "omega")) as (gr, fields), \

@@ -409,6 +409,12 @@ def _read_manifest(indir):
     return grid, entries, model_kv
 
 
+def listed_fields(indir):
+    """The field names on ``indir``'s manifest; none when it has none."""
+    found = os.path.exists(os.path.join(indir, "manifest.txt"))
+    return list(_read_manifest(indir)[1]) if found else []
+
+
 def read_model(indir):
     """The :class:`ModelParams` recorded on the manifest's ``model`` line."""
     _, _, kv = _read_manifest(indir)

@@ -311,7 +311,8 @@ def by_window(grid, evaluate):
     levels (axis 0): per-level reductions (:func:`level_sums`,
     :func:`level_max`) or totals, never a per-node array.  The levels each
     window owns are copied into ``(n_t, ...)`` arrays, returned in the same
-    order, for :func:`l2_sq` and :func:`max_sq` to reduce.  Only one window
+    order, for :func:`l2_sq` and :func:`max_sq` to reduce (a later window
+    may return a leading part, leaving the rest unset).  Only one window
     of the evaluated fields is alive at a time.  Non-finite input yields
     non-finite values, not numpy warnings: the callers report them.
     """

@@ -298,11 +298,11 @@ def fiber_derivatives_stage1(pt, p):
     """Analytic partial derivatives of the stage-1 Lagrangian in all six slots.
 
     ``pt`` is a point or a field bundle with the same six slots, such as a
-    section's :class:`residuals.DerivativeFields`.  The density derivatives
-    are chained through ``u = rho_t + omega x rho`` and ``c = <rho, rho>``.
-    With the flat (Maurer-Cartan-style) trivialization used throughout, the
-    horizontal correction terms vanish and ``dl_drho`` is the plain partial
-    derivative.
+    section's jet (:class:`residuals.DerivativeFields`).  The density
+    derivatives are chained through ``u = rho_t + omega x rho`` and
+    ``c = <rho, rho>``.  With the flat (Maurer-Cartan-style) trivialization
+    used throughout, the horizontal correction terms vanish and ``dl_drho``
+    is the plain partial derivative.
     """
     u = pt.rho_t + cross(pt.omega, pt.rho)
     d_u, d_c, d_a, d_b, d_Omega, d_omega = density_derivatives(

@@ -63,30 +63,29 @@ def drift_residual(Lam, f, d, p):
     of the auxiliary-fiber derivative of the Lagrangian with curvature and
     vertical-action terms.  The strand uses the flat trivial connection, so
     the curvature form vanishes, and the stage-1 bundle has no auxiliary
-    fiber for the rotation symmetry to act on, so every term of that source
-    is zero and the balance below is the whole statement.
+    fiber for the rotation symmetry to act on, so that source is zero.
 
     The divergence is evaluated in covariant form,
 
         Lambda . [ d_s(N) + Omega x N + d_t(M) + omega x M ],
 
-    with ``d_t(M)`` expanded by the product rule over the derivative bundle
-    ``f`` of a section (``d`` its fiber record).  This makes the identity
+    on the jet ``f`` of a section (:func:`residuals.stage1_derivative_fields`,
+    ``d`` its fiber record): ``d_s(N)`` is the stencil of N, ``d_t(M)`` the
+    product rule over the jet's time derivatives.  This makes the identity
 
         drift_residual == Lambda . (stage-1 vertical residual)
 
-    hold to roundoff on the same section, although the residual is measured
+    hold to roundoff on the same jet, although the residual is measured
     against the march's accelerations and this current form restates the
     forces: the discrete form of the statement that the angular-momentum
     balance *is* the vertical field equation.
     """
     N, M = d.dl_dOmega, d.dl_domega
     u = d.dl_drho_t                      # rho_t + omega x rho
-    dN_s = -f.dE_dOmega_s
     dM_t = (cross(f.rho_t, u)
             + cross(f.rho, f.rho_tt + cross(f.omega_t, f.rho)
                        + cross(f.omega, f.rho_t))
             + f.omega_t @ (p.inertia_body + p.inertia_rotor).T
             + f.theta_tt @ p.inertia_rotor.T)
-    cov_div = dN_s + cross(f.Omega, N) + dM_t + cross(f.omega, M)
+    cov_div = g.d_s(f.grid, N) + cross(f.Omega, N) + dM_t + cross(f.omega, M)
     return _rot(Lam, cov_div)

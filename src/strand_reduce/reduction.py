@@ -102,14 +102,15 @@ def project_stage1(u):
 
 
 def project_stage2(s1):
-    """Second projection: the abelian quotient replaces theta by its gradient."""
+    """Second projection: the abelian quotient replaces theta by its gradient;
+    rho, Omega and omega are ``s1``'s own (as float arrays), not copies."""
     return Stage2Section(
         grid=s1.grid,
-        rho=np.array(s1.rho, dtype=float),
+        rho=np.asarray(s1.rho, dtype=float),
         a=g.d_s(s1.grid, s1.theta),
         b=g.d_t(s1.grid, s1.theta),
-        Omega=np.array(s1.Omega, dtype=float),
-        omega=np.array(s1.omega, dtype=float),
+        Omega=np.asarray(s1.Omega, dtype=float),
+        omega=np.asarray(s1.omega, dtype=float),
     )
 
 
@@ -160,19 +161,6 @@ def flatness_gate(peak, tol):
     if tol is not None and not peak.value <= tol:
         raise NotFlatError(f"flatness residual {peak.value:.3e} exceeds "
                            f"tolerance {tol:.3e} {at}")
-
-
-def sweep_window(Lam, read, errors):
-    """``Lam[read]``, or None once the sweep of :func:`rotation_levels` has
-    failed: its error is appended to ``errors`` and reported after the pass,
-    so that a failed :func:`flatness_gate`, which the whole pass decides,
-    wins over it."""
-    if not errors:
-        try:
-            return Lam[read]
-        except (NearAnglePiError, TooFarFromGroupError) as exc:
-            errors.append(exc)
-    return None
 
 
 def flatness_residual_rotor(grid, a, b):
@@ -226,29 +214,42 @@ def rotation_levels(grid, Omega, omega, Lambda0):
     return g.Levels(grid.n_t, produce)
 
 
-def stream_rotation(grid, Omega, omega, Lambda0, tol, sink):
-    """The gated reconstruction of :func:`rotation_levels`, in one window pass.
+def gated_pass(grid, Omega, omega, Lam, tol, evaluate):
+    """One window pass of ``evaluate(w, L)``, ``L = Lam[w.read]`` (a whole
+    rotation field or :func:`rotation_levels`), gated on flatness.
 
-    ``Omega`` and ``omega`` are whole fields or level sources.  Each window
-    adds its levels to the :func:`flatness_gate` max and hands the levels it
-    owns of the rotation field to ``sink(levels, {"Lambda": block})``.  After
-    the pass a failed gate raises :class:`NotFlatError`, naming the level and
-    node of the largest defect; else a sweep error raises
-    (:func:`sweep_window`).  Either way the caller discards what ``sink``
-    took.
+    Each window adds ``(Omega, omega)`` to the :func:`flatness_gate` max,
+    decided after the pass: a failed gate wins over a sweep error, which is
+    raised next, and after which ``evaluate`` is not called again.  Returns
+    the per-level vectors of ``evaluate`` (:func:`grid.by_window`).
     """
-    Lam = rotation_levels(grid, Omega, omega, Lambda0)
     errors = []
 
-    def evaluate(w):
-        L = sweep_window(Lam, w.read, errors)
-        if L is not None:
-            sink(w.own, {"Lambda": L[w.inner]})
-        return flatness_level_max(w.grid, Omega[w.read], omega[w.read])
+    def window(w):
+        flat = flatness_level_max(w.grid, Omega[w.read], omega[w.read])
+        if not errors:
+            try:
+                L = Lam[w.read]
+            except (NearAnglePiError, TooFarFromGroupError) as exc:
+                errors.append(exc)
+            else:
+                return (*flat, *evaluate(w, L))
+        return flat   # by_window fills the gate's vectors only
 
-    flatness_gate(g.max_sq(*g.by_window(grid, evaluate)), tol)
+    flat, flat_node, *out = g.by_window(grid, window)
+    flatness_gate(g.max_sq(flat, flat_node), tol)
     if errors:
         raise errors[0]
+    return out
+
+
+def stream_rotation(grid, Omega, omega, Lambda0, tol, sink):
+    """The reconstruction of :func:`rotation_levels` in one :func:`gated_pass`
+    over whole fields or level sources: each window hands the levels it owns
+    to ``sink(levels, {"Lambda": block})``.  When the gate or the sweep
+    fails, the caller discards what ``sink`` took."""
+    gated_pass(grid, Omega, omega, rotation_levels(grid, Omega, omega, Lambda0),
+               tol, lambda w, L: sink(w.own, {"Lambda": L[w.inner]}) or ())
 
 
 def reconstruct_rotation(grid, Omega, omega, Lambda0, tol, sweep="st"):

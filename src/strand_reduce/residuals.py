@@ -23,7 +23,10 @@ covariant divergence of the angular-momentum current
 (:func:`noether.drift_residual`); both checks pin it.
 
 The second reduction renames (theta_s, theta_t) -> (a, b) and reclassifies
-the rotor balance as vertical; both evaluators share one kernel.
+the rotor balance as vertical, so a section is differentiated once, through
+its twice-reduced projection: :func:`stage1_derivative_fields`, the only
+place stencil derivatives of a section are taken, and the residuals, the
+fiber derivatives and :func:`noether.drift_residual` all read its jet.
 
 ``el_unreduced_residual`` is different in kind: it is the exact gradient of
 the discrete action with respect to free compactly supported variations of
@@ -38,7 +41,7 @@ import numpy as np
 from . import grid as g
 from . import model
 from .model import _dot
-from .reduction import Stage1Section
+from .reduction import Stage1Section, project_stage2
 from .so3 import cross, hat, vee_skew
 
 
@@ -49,12 +52,12 @@ def _rot(R, f):
 
 @dataclass
 class DerivativeFields:
-    """Bundle of nodal derivative fields of a stage-1 section.
+    """The jet of a twice-reduced section on ``grid``: its fields and stencil
+    derivatives, with the rotor rates (a, b) in the ``theta_s``, ``theta_t``
+    slots of :class:`model.Stage1Point`, so that
+    :func:`model.fiber_derivatives_stage1` reads it as it is."""
 
-    Feeding it to :func:`model.fiber_derivatives_stage1` and to the Noether
-    drift evaluator gives the currents and their divergence.
-    """
-
+    grid: g.Grid2
     rho: np.ndarray
     Omega: np.ndarray
     omega: np.ndarray
@@ -64,22 +67,21 @@ class DerivativeFields:
     rho_t: np.ndarray
     rho_tt: np.ndarray
     omega_t: np.ndarray
-    dE_dOmega_s: np.ndarray
 
 
-def stage1_derivative_fields(s1, p):
-    gr = s1.grid
-    rho = np.asarray(s1.rho, float)
-    Omega = np.asarray(s1.Omega, float)
-    theta_s = g.d_s(gr, s1.theta)
-    theta_t = g.d_t(gr, s1.theta)
-    rho_t = g.d_t(gr, rho)
-    E_Omega = model.dE(Omega, theta_s, _dot(rho, rho), p)[0]
+def _jet(s2):
+    """The :class:`DerivativeFields` of a twice-reduced section."""
+    gr = s2.grid
+    rho_t = g.d_t(gr, s2.rho)
     return DerivativeFields(
-        rho=rho, Omega=Omega, omega=np.asarray(s1.omega, float),
-        theta_s=theta_s, theta_t=theta_t, theta_tt=g.d_t(gr, theta_t),
-        rho_t=rho_t, rho_tt=g.d_t(gr, rho_t), omega_t=g.d_t(gr, s1.omega),
-        dE_dOmega_s=g.d_s(gr, E_Omega))
+        grid=gr, rho=s2.rho, Omega=s2.Omega, omega=s2.omega, theta_s=s2.a,
+        theta_t=s2.b, theta_tt=g.d_t(gr, s2.b), rho_t=rho_t,
+        rho_tt=g.d_t(gr, rho_t), omega_t=g.d_t(gr, s2.omega))
+
+
+def stage1_derivative_fields(s1):
+    """The jet of a stage-1 section: that of its :func:`project_stage2`."""
+    return _jet(project_stage2(s1))
 
 
 @dataclass
@@ -102,21 +104,22 @@ class Stage1Residuals:
 _BLOCK_NODES = 768
 
 
-def _residuals(gr, p, rho, a, b, b_t, Omega, omega):
-    """L(rho) (A_fd - A(y)) on the levels of ``gr``; see the module
-    docstring.  ``rho`` stands in the theta row of y, which is not read."""
+def jet_residuals(f, p):
+    """L(rho) (A_fd - A(y)) on the jet ``f``; see the module docstring.
+    ``rho`` stands in the theta row of y, which is not read."""
+    gr = f.grid
     I, K = p.inertia_body, p.inertia_rotor
     I_inv, K_inv = np.linalg.inv(I), np.linalg.inv(K)
-    rho_t = g.d_t(gr, rho)
-    y = np.broadcast_arrays(rho, rho_t, rho, a, b, Omega, omega)
-    A_fd = np.broadcast_arrays(g.d_t(gr, rho_t), g.d_t(gr, omega), b_t)
+    y = np.broadcast_arrays(f.rho, f.rho_t, f.rho, f.theta_s, f.theta_t,
+                            f.Omega, f.omega)
+    A_fd = np.broadcast_arrays(f.rho_tt, f.omega_t, f.theta_tt)
     res = np.empty((3,) + y[0].shape)
     step = max(1, _BLOCK_NODES // gr.n_s)
     for lo in range(0, gr.n_t, step):
         c = slice(lo, lo + step)
-        A = model._rhs_packed(np.stack([f[c] for f in y]), p, gr.ds,
+        A = model._rhs_packed(np.stack([q[c] for q in y]), p, gr.ds,
                               gr.periodic_s, I_inv, K_inv)
-        d_rho, d_omega, d_theta = (f[c] - A[k] for f, k in zip(A_fd, (1, 6, 4)))
+        d_rho, d_omega, d_theta = (q[c] - A[k] for q, k in zip(A_fd, (1, 6, 4)))
         h_rho = -d_rho - cross(d_omega, y[0][c])
         h_theta = (d_omega + d_theta) @ K.T
         res[:, c] = (d_omega @ I.T + h_theta - cross(y[0][c], h_rho), h_rho,
@@ -126,21 +129,15 @@ def _residuals(gr, p, rho, a, b, b_t, Omega, omega):
 
 def stage1_residuals(s1, p):
     """Residuals of the once-reduced equations on a stage-1 section."""
-    gr = s1.grid
-    theta_t = g.d_t(gr, s1.theta)
-    return _residuals(gr, p, s1.rho, g.d_s(gr, s1.theta), theta_t,
-                      g.d_t(gr, theta_t), s1.Omega, s1.omega)
+    return jet_residuals(stage1_derivative_fields(s1), p)
 
 
 def stage2_residuals(s2, p):
-    """Residuals of the twice-reduced equations.
-
-    The rotor balance is vertical at this stage, but the numerical values
-    coincide with :func:`stage1_residuals` on matched fields (a = d_s theta,
-    b = d_t theta), so the same record type is returned.
-    """
-    return _residuals(s2.grid, p, s2.rho, s2.a, s2.b, g.d_t(s2.grid, s2.b),
-                      s2.Omega, s2.omega)
+    """Residuals of the twice-reduced equations: the rotor balance is
+    vertical at this stage, but the values, and so the record type, are those
+    of :func:`stage1_residuals` on matched fields (a = d_s theta,
+    b = d_t theta), whose jet is this section's."""
+    return jet_residuals(_jet(s2), p)
 
 
 def discrete_action(section, p):
@@ -159,7 +156,7 @@ def discrete_action(section, p):
                              vee_skew(LamT @ g.d_s(gr, Lam)),
                              vee_skew(LamT @ g.d_t(gr, Lam)), p)
     else:
-        dens = model.lagrangian_stage1(stage1_derivative_fields(section, p), p)
+        dens = model.lagrangian_stage1(stage1_derivative_fields(section), p)
     return float(np.sum(dens) * gr.ds * gr.dt)
 
 
@@ -203,7 +200,10 @@ def _perturbed(s1, var, eps):
     )
 
 
-def action_gradient_check(s1, var, p, eps=1e-5):
+_ACTION_STEP = 1e-5   # the central difference of action_gradient_check
+
+
+def action_gradient_check(s1, var, p):
     """Compare the finite-difference action derivative with the residual pairing.
 
     Returns ``(fd_derivative, residual_pairing)``.  The pairing signs are the
@@ -215,9 +215,9 @@ def action_gradient_check(s1, var, p, eps=1e-5):
     """
     var.validate(s1.grid)
     gr = s1.grid
-    s_hi = discrete_action(_perturbed(s1, var, +eps), p)
-    s_lo = discrete_action(_perturbed(s1, var, -eps), p)
-    fd = (s_hi - s_lo) / (2.0 * eps)
+    s_hi = discrete_action(_perturbed(s1, var, +_ACTION_STEP), p)
+    s_lo = discrete_action(_perturbed(s1, var, -_ACTION_STEP), p)
+    fd = (s_hi - s_lo) / (2.0 * _ACTION_STEP)
     res = stage1_residuals(s1, p)
     pairing = float(np.sum(
         _dot(res.horizontal_rho, var.delta_rho)

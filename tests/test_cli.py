@@ -530,6 +530,29 @@ class TestReconstruct:
         assert main(["residuals", "--in", str(out)]) == 0
         assert capsys.readouterr().out == before
 
+    def test_out_into_another_run_exits_2(self, tmp_path, config_file,
+                                          capsys):
+        # its manifest would lose the run's fields and model line
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            main(["simulate", "--config", str(config_file), "--out", str(out)])
+        before = {p.name: p.read_bytes() for p in b.iterdir()}
+        capsys.readouterr()
+        assert main(["reconstruct", "--in", str(a), "--tol", "1",
+                     "--out", str(b)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(b / "manifest.txt") in err
+        assert {p.name: p.read_bytes() for p in b.iterdir()} == before
+
+    def test_rerun_into_an_earlier_out(self, tmp_path, config_file):
+        out, rec = tmp_path / "out", tmp_path / "rec"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        for _ in range(2):
+            assert main(["reconstruct", "--in", str(out), "--tol", "1",
+                         "--out", str(rec)]) == 0
+        lines = (rec / "manifest.txt").read_text().splitlines()
+        assert [ln.split()[1] for ln in lines[1:]] == ["name=Lambda"]
+
     def test_not_flat_exit_code(self, tmp_path, capsys):
         from strand_reduce.fields_io import write_fields
         from tests.conftest import small_grid
@@ -605,15 +628,18 @@ class TestNoether:
 
     def test_out_builds_the_derivative_bundle_once(self, tmp_path, config_file,
                                                    monkeypatch):
+        # one jet per window feeds the residual, the currents and the drift
         out = tmp_path / "out"
         main(["simulate", "--config", str(config_file), "--out", str(out)])
+        monkeypatch.setattr(g, "WINDOW_NODES", 8 * 32)
         calls = []
         build = rs.stage1_derivative_fields
         monkeypatch.setattr(rs, "stage1_derivative_fields",
-                            lambda *args: calls.append(args) or build(*args))
+                            lambda s: calls.append(s.grid.n_t) or build(s))
         assert main(["noether", "--in", str(out), "--out",
                      str(tmp_path / "tot")]) == 0
-        assert len(calls) == 1
+        windows = list(g.Grid2.uniform(40, 32, 0.1, 1.0, g.PERIODIC).windows())
+        assert calls == [w.grid.n_t for w in windows] and len(calls) == 5
 
     def test_one_flatness_pass(self, tmp_path, config_file, monkeypatch):
         # the default --tol and the reconstruction gate share one windowed

@@ -178,7 +178,7 @@ class TestFiberDerivatives:
         # a whole (n_t, n_s, 3) derivative bundle goes through the same
         # formulas as a single point
         gr = small_grid(n_t=6, n_s=8)
-        f = rs.stage1_derivative_fields(smooth_stage1_section(gr), params)
+        f = rs.stage1_derivative_fields(smooth_stage1_section(gr))
         lag = model.lagrangian_stage1(f, params)
         der = model.fiber_derivatives_stage1(f, params)
         assert lag.shape == (gr.n_t, gr.n_s)

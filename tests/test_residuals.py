@@ -54,27 +54,44 @@ class TestStage1Residuals:
     def test_rigid_body_balance_when_s_independent(self, params_free):
         # s-independent fields reduce the vertical residual to the
         # free rigid-body-with-rotors balance evaluated nodewise.
-        gr = small_grid()
-        t = gr.t_coords()[:, None, None]
-        rho = np.broadcast_to([0.6, 0.0, 0.8], (gr.n_t, gr.n_s, 3)) * np.ones_like(t)
-        omega = np.stack([0.3 * np.cos(t[..., 0]), 0.2 * np.sin(t[..., 0]),
-                          0.1 + 0.0 * t[..., 0]], axis=-1)
-        theta = np.stack([0.1 * t[..., 0] ** 2, -0.2 * t[..., 0],
-                          0.05 * np.sin(t[..., 0])], axis=-1)
-        sec = red.Stage1Section(grid=gr, rho=rho.copy(), theta=theta,
-                                Omega=np.zeros_like(rho), omega=omega)
-        res = rs.stage1_residuals(sec, params_free)
-        f = rs.stage1_derivative_fields(sec, params_free)
-        I = params_free.inertia_body
-        K = params_free.inertia_rotor
-        want = (np.cross(f.rho, f.rho_tt + 2 * np.cross(f.omega, f.rho_t)
-                         + np.cross(f.omega_t, f.rho)
-                         + np.sum(f.omega * f.rho, axis=-1)[..., None] * f.omega)
-                + np.einsum("ij,tsj->tsi", I + K, f.omega_t)
-                + np.einsum("ij,tsj->tsi", K, f.theta_tt)
-                + np.cross(f.omega, np.einsum("ij,tsj->tsi", I + K, f.omega)
-                           + np.einsum("ij,tsj->tsi", K, f.theta_t)))
+        res, want = rigid_body_case(small_grid(), np.zeros(3), params_free)
         assert np.allclose(res.vertical, want, atol=1e-13)
+
+    def test_rigid_body_balance_with_constant_Omega(self, params):
+        # with C != 0 a constant Omega adds the torque -Omega x (C Omega)
+        # of the potential, the one term the free case cannot see
+        Omega = np.array([0.4, -0.3, 0.5])
+        res, want = rigid_body_case(small_grid(), Omega, params)
+        torque = np.cross(Omega, params.pot_C @ Omega)
+        assert np.linalg.norm(torque) > 0.05
+        assert np.allclose(res.vertical, want, atol=1e-13)
+
+
+def rigid_body_case(gr, Omega, p):
+    """The stage-1 vertical residual of an s-independent section with the
+    constant ``Omega``, and its oracle: the vertical balance law of the
+    README (the rigid body with rotors, plus the potential's torque
+    ``- Omega x (C Omega)``; d_s terms vanish), on the section's jet."""
+    t = gr.t_coords()[:, None, None]
+    rho = np.broadcast_to([0.6, 0.0, 0.8], (gr.n_t, gr.n_s, 3)) * np.ones_like(t)
+    omega = np.stack([0.3 * np.cos(t[..., 0]), 0.2 * np.sin(t[..., 0]),
+                      0.1 + 0.0 * t[..., 0]], axis=-1)
+    theta = np.stack([0.1 * t[..., 0] ** 2, -0.2 * t[..., 0],
+                      0.05 * np.sin(t[..., 0])], axis=-1)
+    sec = red.Stage1Section(grid=gr, rho=rho.copy(), theta=theta,
+                            Omega=np.broadcast_to(Omega, rho.shape).copy(),
+                            omega=omega)
+    f = rs.stage1_derivative_fields(sec)
+    I, K = p.inertia_body, p.inertia_rotor
+    want = (np.cross(f.rho, f.rho_tt + 2 * np.cross(f.omega, f.rho_t)
+                     + np.cross(f.omega_t, f.rho)
+                     + np.sum(f.omega * f.rho, axis=-1)[..., None] * f.omega)
+            + np.einsum("ij,tsj->tsi", I + K, f.omega_t)
+            + np.einsum("ij,tsj->tsi", K, f.theta_tt)
+            + np.cross(f.omega, np.einsum("ij,tsj->tsi", I + K, f.omega)
+                       + np.einsum("ij,tsj->tsi", K, f.theta_t))
+            - np.cross(f.Omega, np.einsum("ij,tsj->tsi", p.pot_C, f.Omega)))
+    return rs.stage1_residuals(sec, p), want
 
 
 class TestStageEquivalence:
@@ -104,7 +121,7 @@ class TestDiscreteAction:
     def test_stage1_matches_pointwise_lift_sum(self, params):
         gr = small_grid(n_t=10, n_s=12)
         s1 = smooth_stage1_section(gr)
-        f = rs.stage1_derivative_fields(s1, params)
+        f = rs.stage1_derivative_fields(s1)
         total = 0.0
         rng = np.random.default_rng(7)
         for i in range(gr.n_t):
@@ -126,7 +143,7 @@ class TestDiscreteAction:
         import dataclasses
         gr = small_grid()
         s1 = smooth_stage1_section(gr)
-        f = rs.stage1_derivative_fields(s1, params_free)
+        f = rs.stage1_derivative_fields(s1)
         doubled = dataclasses.replace(f, rho_t=2.0 * f.rho_t,
                                       theta_t=2.0 * f.theta_t,
                                       omega=2.0 * f.omega)

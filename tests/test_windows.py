@@ -105,7 +105,7 @@ def whole_grid_residual_report(s1, params):
 
 def whole_grid_noether_report(s1, Lam, params):
     gr = s1.grid
-    f = rs.stage1_derivative_fields(s1, params)
+    f = rs.stage1_derivative_fields(s1)
     d = model.fiber_derivatives_stage1(f, params)
     balance = noether.drift_residual(Lam, f, d, params)
     cut = dataclasses.replace(gr, bc_s=g.CLAMPED)
@@ -156,10 +156,12 @@ class TestBitwiseEqualToWholeGrid:
         # the reports mask the two levels at each time edge; this pins every
         # owned level, edges included
         s1 = section(bc)
-        whole = rs.stage1_derivative_fields(s1, params)
+        whole = rs.stage1_derivative_fields(s1)
         for w in patch_windows(monkeypatch, s1.grid, split):
-            part = rs.stage1_derivative_fields(red.window_view(s1, w), params)
+            part = rs.stage1_derivative_fields(red.window_view(s1, w))
             for field in dataclasses.fields(part):
+                if field.name == "grid":
+                    continue
                 have = getattr(part, field.name)[w.inner]
                 assert have.tobytes() == getattr(whole, field.name)[w.own].tobytes()
 
@@ -198,6 +200,37 @@ class TestBitwiseEqualToWholeGrid:
         want = g.Peak(g.norm_max(flat), level, node)
         patch_windows(monkeypatch, s1.grid, split)
         assert red.flatness_max(s1.grid, s1.Omega, s1.omega) == want
+
+
+def count_stencils(monkeypatch):
+    """Calls of ``grid.d_t`` and ``grid.d_s`` from here on."""
+    calls = dict.fromkeys(("d_t", "d_s"), 0)
+    for name in calls:
+        def counted(*args, name=name, stencil=getattr(g, name)):
+            calls[name] += 1
+            return stencil(*args)
+        monkeypatch.setattr(g, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("bc", [g.PERIODIC, g.CLAMPED])
+class TestStencilsPerWindow:
+    def test_noether_report(self, monkeypatch, bc, params):
+        # one jet (d_t 5, d_s 1), the flatness gate (1, 1), the drift's
+        # d_s(N) and the two current divergences (2, 2)
+        s1 = section(bc)
+        n = len(patch_windows(monkeypatch, s1.grid, 5))
+        calls = count_stencils(monkeypatch)
+        checks.noether_report(s1, rotation_field(s1), params)
+        assert calls == {"d_t": 8 * n, "d_s": 5 * n}
+
+    def test_residual_norms(self, monkeypatch, bc, params):
+        # one jet and the flatness gate
+        s1 = section(bc)
+        n = len(patch_windows(monkeypatch, s1.grid, 5))
+        calls = count_stencils(monkeypatch)
+        residual_norms(s1, params)
+        assert calls == {"d_t": 6 * n, "d_s": 2 * n}
 
 
 class TestLevels:
