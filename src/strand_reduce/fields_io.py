@@ -34,7 +34,7 @@ import numpy as np
 from . import grid as g
 from .errors import ConfigError
 from .model import ModelParams
-from .simulate import COMPONENTS, StateSlice
+from .simulate import COMPONENTS, FIELDS, StateSlice
 
 FMT = "%.17g"
 
@@ -435,8 +435,9 @@ def verify_fields(indir, names=None):
 
     One streamed pass per file checks it against its manifest sha256, its
     header against its kind and its row count, its lines after the header,
-    against the grid.  A mismatch, a missing file or a malformed manifest
-    raises ConfigError.  ``names`` selects fields (all when None).
+    against the grid.  A mismatch, a missing file, a malformed manifest or
+    a section field (``simulate.FIELDS``) not of kind vec3 raises
+    ConfigError.  ``names`` selects fields (all when None).
     """
     grid, entries, _ = _read_manifest(indir)
     rows = grid.n_t * grid.n_s
@@ -445,6 +446,9 @@ def verify_fields(indir, names=None):
         if names is not None and name not in names:
             continue
         path = os.path.join(indir, fname)
+        if name in FIELDS and kind != "vec3":
+            raise ConfigError(f"{path}: kind={kind} in manifest.txt, but "
+                              f"field '{name}' is vec3")
         header = _HEADER[kind].encode()
         try:
             with open(path, "rb") as fh:
@@ -581,6 +585,16 @@ def read_initial_slice(path, n_s):
         raise ConfigError(
             f"initial state file {path} has shape {data.shape}, "
             f"expected ({n_s}, {1 + 3 * len(COMPONENTS)})", key="init.file")
+    if not np.isfinite(data[:, 1:]).all():
+        row, col = np.argwhere(~np.isfinite(data[:, 1:]))[0]
+        with open(path) as fh:   # the rows loadtxt read: not blank or comment
+            lines = (k for k, text in enumerate(fh, 1)
+                     if k > 1 and text.split("#")[0].strip())
+            line = next(itertools.islice(lines, row, None))
+        raise ConfigError(
+            f"initial state file {path} line {line}: "
+            f"{COMPONENTS[col // 3]}{col % 3 + 1} is {data[row, 1 + col]}",
+            key="init.file")
     return StateSlice(**{name: data[:, 1 + 3 * i:4 + 3 * i]
                          for i, name in enumerate(COMPONENTS)})
 

@@ -298,7 +298,7 @@ def fiber_derivatives_stage1(pt, p):
     """Analytic partial derivatives of the stage-1 Lagrangian in all six slots.
 
     ``pt`` is a point or a field bundle with the same six slots, such as a
-    section's jet (:class:`residuals.DerivativeFields`).  The density
+    twice-reduced section (:class:`reduction.Stage2Section`).  The density
     derivatives are chained through ``u = rho_t + omega x rho`` and
     ``c = <rho, rho>``.  With the flat (Maurer-Cartan-style) trivialization
     used throughout, the horizontal correction terms vanish and ``dl_drho``

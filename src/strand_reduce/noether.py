@@ -69,9 +69,10 @@ def drift_residual(Lam, f, d, p):
 
         Lambda . [ d_s(N) + Omega x N + d_t(M) + omega x M ],
 
-    on the jet ``f`` of a section (:func:`residuals.stage1_derivative_fields`,
-    ``d`` its fiber record): ``d_s(N)`` is the stencil of N, ``d_t(M)`` the
-    product rule over the jet's time derivatives.  This makes the identity
+    on a twice-reduced section ``f`` (:func:`reduction.project_stage2`, which
+    carries its jet; ``d`` its fiber record): ``d_s(N)`` is the stencil of
+    N, ``d_t(M)`` the product rule over the jet's time derivatives.  This
+    makes the identity
 
         drift_residual == Lambda . (stage-1 vertical residual)
 

@@ -4,7 +4,8 @@ A full section stores (r, Lambda, theta) over the grid.  Projecting once
 removes the rigid rotation: rho = Lambda^T r together with the body-frame
 rotation rates Omega (along s) and omega (along t).  Projecting again removes
 the rotor shifts: theta is replaced by its derivatives a = d_s theta,
-b = d_t theta.
+b = d_t theta, and the section carries the time derivatives the balance
+laws ask for (its jet).
 
 Reconstruction goes the other way and is gated by the zero-curvature
 conditions ``d_s omega - d_t Omega + Omega x omega = 0`` and ``a_t = b_s``;
@@ -50,14 +51,20 @@ class Stage1Section:
 
 @dataclass
 class Stage2Section:
-    """Twice-reduced fields: rotor angles survive only through a, b."""
+    """Twice-reduced fields and their jet: rotor angles survive only through
+    (a, b), held in the ``theta_s``, ``theta_t`` slots of
+    :class:`model.Stage1Point`, so the model's functions read it as it is."""
 
     grid: g.Grid2
     rho: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
     Omega: np.ndarray
     omega: np.ndarray
+    theta_s: np.ndarray
+    theta_t: np.ndarray
+    theta_tt: np.ndarray
+    rho_t: np.ndarray
+    rho_tt: np.ndarray
+    omega_t: np.ndarray
 
 
 def _transpose(M):
@@ -102,16 +109,16 @@ def project_stage1(u):
 
 
 def project_stage2(s1):
-    """Second projection: the abelian quotient replaces theta by its gradient;
-    rho, Omega and omega are ``s1``'s own (as float arrays), not copies."""
+    """Second projection, the only place a section is differentiated: theta
+    goes to its gradient (a, b), with the jet; rho, Omega and omega are
+    ``s1``'s own (as float arrays), not copies."""
+    gr = s1.grid
+    rho, omega = np.asarray(s1.rho, float), np.asarray(s1.omega, float)
+    a, b, rho_t = g.d_s(gr, s1.theta), g.d_t(gr, s1.theta), g.d_t(gr, rho)
     return Stage2Section(
-        grid=s1.grid,
-        rho=np.asarray(s1.rho, dtype=float),
-        a=g.d_s(s1.grid, s1.theta),
-        b=g.d_t(s1.grid, s1.theta),
-        Omega=np.asarray(s1.Omega, dtype=float),
-        omega=np.asarray(s1.omega, dtype=float),
-    )
+        grid=gr, rho=rho, Omega=np.asarray(s1.Omega, float), omega=omega,
+        theta_s=a, theta_t=b, theta_tt=g.d_t(gr, b),
+        rho_t=rho_t, rho_tt=g.d_t(gr, rho_t), omega_t=g.d_t(gr, omega))
 
 
 def flatness_residual_rotation(grid, Omega, omega):

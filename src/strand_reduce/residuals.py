@@ -23,10 +23,10 @@ covariant divergence of the angular-momentum current
 (:func:`noether.drift_residual`); both checks pin it.
 
 The second reduction renames (theta_s, theta_t) -> (a, b) and reclassifies
-the rotor balance as vertical, so a section is differentiated once, through
-its twice-reduced projection: :func:`stage1_derivative_fields`, the only
-place stencil derivatives of a section are taken, and the residuals, the
-fiber derivatives and :func:`noether.drift_residual` all read its jet.
+the rotor balance as vertical; the values are those of the first.  So there
+is one kernel, :func:`stage2_residuals`, on the twice-reduced section of
+:func:`reduction.project_stage2`, which carries its own jet, and
+:func:`stage1_residuals` is that kernel on a stage-1 section's projection.
 
 ``el_unreduced_residual`` is different in kind: it is the exact gradient of
 the discrete action with respect to free compactly supported variations of
@@ -51,40 +51,6 @@ def _rot(R, f):
 
 
 @dataclass
-class DerivativeFields:
-    """The jet of a twice-reduced section on ``grid``: its fields and stencil
-    derivatives, with the rotor rates (a, b) in the ``theta_s``, ``theta_t``
-    slots of :class:`model.Stage1Point`, so that
-    :func:`model.fiber_derivatives_stage1` reads it as it is."""
-
-    grid: g.Grid2
-    rho: np.ndarray
-    Omega: np.ndarray
-    omega: np.ndarray
-    theta_s: np.ndarray
-    theta_t: np.ndarray
-    theta_tt: np.ndarray
-    rho_t: np.ndarray
-    rho_tt: np.ndarray
-    omega_t: np.ndarray
-
-
-def _jet(s2):
-    """The :class:`DerivativeFields` of a twice-reduced section."""
-    gr = s2.grid
-    rho_t = g.d_t(gr, s2.rho)
-    return DerivativeFields(
-        grid=gr, rho=s2.rho, Omega=s2.Omega, omega=s2.omega, theta_s=s2.a,
-        theta_t=s2.b, theta_tt=g.d_t(gr, s2.b), rho_t=rho_t,
-        rho_tt=g.d_t(gr, rho_t), omega_t=g.d_t(gr, s2.omega))
-
-
-def stage1_derivative_fields(s1):
-    """The jet of a stage-1 section: that of its :func:`project_stage2`."""
-    return _jet(project_stage2(s1))
-
-
-@dataclass
 class Stage1Residuals:
     """The three residual fields, named in ``_fields``.
 
@@ -104,15 +70,16 @@ class Stage1Residuals:
 _BLOCK_NODES = 768
 
 
-def jet_residuals(f, p):
-    """L(rho) (A_fd - A(y)) on the jet ``f``; see the module docstring.
+def stage2_residuals(s2, p):
+    """L(rho) (A_fd - A(y)) on a twice-reduced section, whose jet the
+    :class:`reduction.Stage2Section` carries; see the module docstring.
     ``rho`` stands in the theta row of y, which is not read."""
-    gr = f.grid
+    gr = s2.grid
     I, K = p.inertia_body, p.inertia_rotor
     I_inv, K_inv = np.linalg.inv(I), np.linalg.inv(K)
-    y = np.broadcast_arrays(f.rho, f.rho_t, f.rho, f.theta_s, f.theta_t,
-                            f.Omega, f.omega)
-    A_fd = np.broadcast_arrays(f.rho_tt, f.omega_t, f.theta_tt)
+    y = np.broadcast_arrays(s2.rho, s2.rho_t, s2.rho, s2.theta_s, s2.theta_t,
+                            s2.Omega, s2.omega)
+    A_fd = np.broadcast_arrays(s2.rho_tt, s2.omega_t, s2.theta_tt)
     res = np.empty((3,) + y[0].shape)
     step = max(1, _BLOCK_NODES // gr.n_s)
     for lo in range(0, gr.n_t, step):
@@ -128,16 +95,10 @@ def jet_residuals(f, p):
 
 
 def stage1_residuals(s1, p):
-    """Residuals of the once-reduced equations on a stage-1 section."""
-    return jet_residuals(stage1_derivative_fields(s1), p)
-
-
-def stage2_residuals(s2, p):
-    """Residuals of the twice-reduced equations: the rotor balance is
-    vertical at this stage, but the values, and so the record type, are those
-    of :func:`stage1_residuals` on matched fields (a = d_s theta,
-    b = d_t theta), whose jet is this section's."""
-    return jet_residuals(_jet(s2), p)
+    """Residuals of the once-reduced equations: :func:`stage2_residuals` of
+    the section's :func:`reduction.project_stage2` (a = d_s theta,
+    b = d_t theta)."""
+    return stage2_residuals(project_stage2(s1), p)
 
 
 def discrete_action(section, p):
@@ -156,7 +117,7 @@ def discrete_action(section, p):
                              vee_skew(LamT @ g.d_s(gr, Lam)),
                              vee_skew(LamT @ g.d_t(gr, Lam)), p)
     else:
-        dens = model.lagrangian_stage1(stage1_derivative_fields(section), p)
+        dens = model.lagrangian_stage1(project_stage2(section), p)
     return float(np.sum(dens) * gr.ds * gr.dt)
 
 

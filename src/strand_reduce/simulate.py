@@ -267,8 +267,9 @@ def residual_norms(section, p):
     """Interior L2 norms of the stage-1 residuals and the masked flatness max.
 
     Keyed as in the run summary, evaluated window by window into per-level
-    sums and maxima.  The stage-2 residuals are the same numbers by
-    construction (``check stages``).
+    sums and maxima.  The stage-2 residuals are the same kernel
+    (:func:`residuals.stage2_residuals`) on the section's twice-reduced
+    projection.
     """
     gr = section.grid
     names = Stage1Residuals._fields

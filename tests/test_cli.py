@@ -25,7 +25,8 @@ from strand_reduce import residuals as rs
 from strand_reduce import simulate as sim
 from strand_reduce.cli import main
 from strand_reduce.config import parse_config
-from strand_reduce.fields_io import read_fields, write_initial_slice
+from strand_reduce.fields_io import (read_fields, read_model, write_fields,
+                                     write_initial_slice)
 from strand_reduce.simulate import presets
 from tests.conftest import small_grid
 from tests.test_windows import patch_windows
@@ -280,6 +281,44 @@ class TestMalformedInputs:
                                        "--out", str(tmp_path / "o")], capsys)
         assert "init_bad.csv" in err and "[init.file]" in err
 
+    @pytest.mark.parametrize("value, gap", [("nan", ""), ("inf", ""),
+                                            ("nan", "# note\n\n")])
+    def test_nonfinite_init_cell(self, small_inputs, tmp_path, capsys, value,
+                                 gap):
+        # before the march, so that it is not reported as a blow-up at step 0;
+        # blank and comment lines among the rows do not shift the line named
+        for name in ("run.cfg", "init.csv"):
+            shutil.copy(small_inputs / name, tmp_path / name)
+        init = tmp_path / "init.csv"
+        lines = init.read_text().splitlines(keepends=True)
+        row = lines[4].split(",")
+        assert lines[0].split(",")[5] == "u2" and row[0] == "3"
+        row[5] = value
+        lines[4] = gap + ",".join(row)
+        init.write_text("".join(lines))
+        err = self.assert_config_exit(["simulate", "--config",
+                                       str(tmp_path / "run.cfg"), "--out",
+                                       str(tmp_path / "o")], capsys)
+        assert err == (f"config error: initial state file {init} line "
+                       f"{5 + gap.count(chr(10))}: u2 is {value} [init.file]\n")
+
+    @pytest.mark.parametrize("command, name, shape", [
+        ("residuals", "rho", ()), ("noether", "rho", ()),
+        ("reconstruct", "Omega", (3, 3))])
+    def test_section_field_of_another_kind(self, small_run, tmp_path, capsys,
+                                           command, name, shape):
+        # the hashes are valid, so only the manifest's kind can tell
+        gr, fields = read_fields(small_run)
+        fields[name] = np.ones((gr.n_t, gr.n_s) + shape)
+        run = tmp_path / "run"
+        write_fields(run, gr, fields, model=read_model(small_run))
+        argv = [command, "--in", str(run)]
+        if command == "reconstruct":
+            argv += ["--tol", "0.1", "--out", str(tmp_path / "rec")]
+        err = self.assert_config_exit(argv, capsys)
+        kind = "scalar" if shape == () else "rot3"
+        assert err == (f"config error: {run / (name + '.csv')}: kind={kind} "
+                       f"in manifest.txt, but field '{name}' is vec3\n")
 
     def test_missing_field_file(self, tmp_path, config_file, capsys):
         out = tmp_path / "out"
@@ -633,8 +672,8 @@ class TestNoether:
         main(["simulate", "--config", str(config_file), "--out", str(out)])
         monkeypatch.setattr(g, "WINDOW_NODES", 8 * 32)
         calls = []
-        build = rs.stage1_derivative_fields
-        monkeypatch.setattr(rs, "stage1_derivative_fields",
+        build = red.project_stage2
+        monkeypatch.setattr(red, "project_stage2",
                             lambda s: calls.append(s.grid.n_t) or build(s))
         assert main(["noether", "--in", str(out), "--out",
                      str(tmp_path / "tot")]) == 0

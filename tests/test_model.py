@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from strand_reduce import model, so3
-from strand_reduce import residuals as rs
+from strand_reduce import reduction as red
 from strand_reduce.errors import NotAntisymmetricError
 from tests.conftest import random_stage1_point, small_grid, smooth_stage1_section
 
@@ -178,7 +178,7 @@ class TestFiberDerivatives:
         # a whole (n_t, n_s, 3) derivative bundle goes through the same
         # formulas as a single point
         gr = small_grid(n_t=6, n_s=8)
-        f = rs.stage1_derivative_fields(smooth_stage1_section(gr))
+        f = red.project_stage2(smooth_stage1_section(gr))
         lag = model.lagrangian_stage1(f, params)
         der = model.fiber_derivatives_stage1(f, params)
         assert lag.shape == (gr.n_t, gr.n_s)

@@ -27,7 +27,7 @@ def random_rotation_field(gr, rng):
 
 def bundle(sec, p):
     """The stage-1 derivative bundle of a section and its fiber record."""
-    f = rs.stage1_derivative_fields(sec)
+    f = red.project_stage2(sec)
     return f, model.fiber_derivatives_stage1(f, p)
 
 

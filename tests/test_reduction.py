@@ -105,8 +105,8 @@ class TestProjectStage2:
                                Omega=np.zeros_like(theta),
                                omega=np.zeros_like(theta))
         s2 = red.project_stage2(s1)
-        assert np.allclose(s2.a, E1, atol=1e-12)
-        assert np.allclose(s2.b, 2.0 * E2, atol=1e-12)
+        assert np.allclose(s2.theta_s, E1, atol=1e-12)
+        assert np.allclose(s2.theta_t, 2.0 * E2, atol=1e-12)
 
     def test_constant_theta(self):
         gr = small_grid()
@@ -114,8 +114,8 @@ class TestProjectStage2:
         s1 = red.Stage1Section(grid=gr, rho=theta, theta=theta,
                                Omega=theta, omega=theta)
         s2 = red.project_stage2(s1)
-        assert np.array_equal(s2.a, np.zeros_like(theta))
-        assert np.array_equal(s2.b, np.zeros_like(theta))
+        assert np.array_equal(s2.theta_s, np.zeros_like(theta))
+        assert np.array_equal(s2.theta_t, np.zeros_like(theta))
 
     def test_trig_theta_second_order(self):
         errs = []
@@ -128,7 +128,7 @@ class TestProjectStage2:
             want_a = np.stack([k * np.cos(k * s) * np.cos(t)] * 3, axis=-1)
             s1 = red.Stage1Section(grid=gr, rho=theta, theta=theta,
                                    Omega=theta, omega=theta)
-            errs.append(g.norm_max(red.project_stage2(s1).a - want_a))
+            errs.append(g.norm_max(red.project_stage2(s1).theta_s - want_a))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
 
@@ -175,7 +175,7 @@ class TestFlatness:
         s1 = red.Stage1Section(grid=gr, rho=theta, theta=theta, Omega=theta,
                                omega=theta)
         s2 = red.project_stage2(s1)
-        defect = red.flatness_residual_rotor(gr, s2.a, s2.b)
+        defect = red.flatness_residual_rotor(gr, s2.theta_s, s2.theta_t)
         assert g.norm_max(defect) <= 1e-11 / (gr.ds * gr.dt)
 
 

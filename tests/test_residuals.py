@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from strand_reduce import checks
 from strand_reduce import grid as g
 from strand_reduce import model
 from strand_reduce import reduction as red
@@ -81,7 +82,7 @@ def rigid_body_case(gr, Omega, p):
     sec = red.Stage1Section(grid=gr, rho=rho.copy(), theta=theta,
                             Omega=np.broadcast_to(Omega, rho.shape).copy(),
                             omega=omega)
-    f = rs.stage1_derivative_fields(sec)
+    f = red.project_stage2(sec)
     I, K = p.inertia_body, p.inertia_rotor
     want = (np.cross(f.rho, f.rho_tt + 2 * np.cross(f.omega, f.rho_t)
                      + np.cross(f.omega_t, f.rho)
@@ -112,6 +113,21 @@ class TestStageEquivalence:
         r2 = rs.stage2_residuals(s2, params)
         assert g.norm_max(r2.vertical) == 0.0
 
+    def test_check_stages_fails_with_the_rotor_law_flipped(self, monkeypatch):
+        # criterion 3 states the stage-2 rotor law from the Lagrangian's fiber
+        # derivatives, so a wrong balance law in the march's kernel shows
+        rhs = model._rhs_packed
+
+        def flipped(y, *args):
+            out = rhs(y, *args)
+            out[4] = -out[4]
+            return out
+
+        assert all(r.passed for r in checks.check_stages())
+        monkeypatch.setattr(model, "_rhs_packed", flipped)
+        results = checks.check_stages()
+        assert not any(r.passed for r in results) and results[0].value > 1e-3
+
 
 class TestDiscreteAction:
     def test_zero_section(self, params):
@@ -121,7 +137,7 @@ class TestDiscreteAction:
     def test_stage1_matches_pointwise_lift_sum(self, params):
         gr = small_grid(n_t=10, n_s=12)
         s1 = smooth_stage1_section(gr)
-        f = rs.stage1_derivative_fields(s1)
+        f = red.project_stage2(s1)
         total = 0.0
         rng = np.random.default_rng(7)
         for i in range(gr.n_t):
@@ -143,7 +159,7 @@ class TestDiscreteAction:
         import dataclasses
         gr = small_grid()
         s1 = smooth_stage1_section(gr)
-        f = rs.stage1_derivative_fields(s1)
+        f = red.project_stage2(s1)
         doubled = dataclasses.replace(f, rho_t=2.0 * f.rho_t,
                                       theta_t=2.0 * f.theta_t,
                                       omega=2.0 * f.omega)

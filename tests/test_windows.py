@@ -105,7 +105,7 @@ def whole_grid_residual_report(s1, params):
 
 def whole_grid_noether_report(s1, Lam, params):
     gr = s1.grid
-    f = rs.stage1_derivative_fields(s1)
+    f = red.project_stage2(s1)
     d = model.fiber_derivatives_stage1(f, params)
     balance = noether.drift_residual(Lam, f, d, params)
     cut = dataclasses.replace(gr, bc_s=g.CLAMPED)
@@ -156,9 +156,9 @@ class TestBitwiseEqualToWholeGrid:
         # the reports mask the two levels at each time edge; this pins every
         # owned level, edges included
         s1 = section(bc)
-        whole = rs.stage1_derivative_fields(s1)
+        whole = red.project_stage2(s1)
         for w in patch_windows(monkeypatch, s1.grid, split):
-            part = rs.stage1_derivative_fields(red.window_view(s1, w))
+            part = red.project_stage2(red.window_view(s1, w))
             for field in dataclasses.fields(part):
                 if field.name == "grid":
                     continue
