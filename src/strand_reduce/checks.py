@@ -157,7 +157,7 @@ def check_stages():
     """The stage-1 rotor residual against the stage-2 vertical law
     d_s(dl/da) + d_t(dl/db) = 0, the divergence of the rotor current from the
     Lagrangian's fiber derivatives: it does not go through
-    :func:`model._rhs_packed`, which the residual is measured against."""
+    :func:`model.rates`, which the residual is measured against."""
     params = model.default_params()
     n, n_grid, tol = 20, 32, 1e-12
     rng = np.random.default_rng(_SEED)

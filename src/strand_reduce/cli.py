@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 reconstruction gate failed
-(not flat), 4 verification check failed, 5 solution blow-up.
+Exit codes: 0 success, 1 input or output error (a file that cannot be
+read or written, such as an ``--out`` path that already exists as a file),
+2 configuration error, 3 reconstruction gate failed (not flat), 4
+verification check failed, 5 solution blow-up.
 """
 
 import argparse
@@ -27,6 +29,7 @@ from .residuals import Stage1Residuals
 from .simulate import SimConfig, residual_norms, stream
 
 EXIT_OK = 0
+EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_NOT_FLAT = 3
 EXIT_CHECK_FAILED = 4
@@ -250,7 +253,7 @@ def main(argv=None):
         return EXIT_CONFIG
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
-        return 1
+        return EXIT_IO
 
 
 def entry():

@@ -24,7 +24,7 @@ the reduced equations.
 This module is the only place the density, E, its derivatives, the fiber
 derivatives and the balance laws are written down (``density``,
 ``potential_E``, ``dE``, ``density_derivatives``,
-``fiber_derivatives_stage1``, ``_rhs_packed``).  All of them act on single
+``fiber_derivatives_stage1``, ``rates``).  All of them act on single
 points and on whole (..., 3) fields alike; the residuals, currents and the
 time stepper call them rather than restating the formulas.
 """
@@ -193,13 +193,13 @@ def density_derivatives(v, c, a, b, Omega, omega, p):
 # The rows of the packed state, with u = rho_t, a = theta_s, v = theta_t.
 COMPONENTS = ("rho", "u", "theta", "a", "v", "Omega", "omega")
 # Rows (Omega, omega, rho, Omega) of the packed state: the left operands of
-# the first stacked cross product in :func:`_rhs_packed`.
+# the first stacked cross product of :func:`rates`.
 _CROSS_LEFT = np.array([5, 6, 0, 5])
 
 
-def _rhs_packed(y, params, ds, periodic, I_inv, K_inv):
-    """Time derivative of a packed state ``y``, (7, ..., n_s, 3) in
-    ``COMPONENTS`` order: the balance laws solved for the accelerations.
+def rates(params, ds, periodic):
+    """The time derivative ``f(y)`` of a packed state ``y``, (7, ..., n_s, 3)
+    in ``COMPONENTS`` order: the balance laws solved for the accelerations.
 
     The three balance laws (vertical, rho and rotor) are affine in the
     accelerations (u_t, omega_t, v_t).  Substituting the rho law into the
@@ -216,29 +216,55 @@ def _rhs_packed(y, params, ds, periodic, I_inv, K_inv):
     with E_c = kappa/2 (<rho, rho> - c0).  Omega and a follow the
     zero-curvature relations ``Omega_t = d_s(omega) + Omega x omega`` and
     ``a_t = d_s(v)``, and theta has rate v.  ``y`` may be one time slice
-    (the march) or a block of levels (the residual evaluators).
+    (the march) or a block of levels (the residual evaluators); ``ds`` and
+    ``periodic`` are the arclength spacing and boundary policy.
 
-    At small n_s numpy's per-call cost outweighs the algebra, so stacked
-    operands take one stencil call and two cross-product calls.  Each entry
-    is summed as written above, whatever the stacking or kernel taken.
+    At small n_s numpy's per-call cost outweighs the algebra.  So the
+    constants (the inverses of I and K, I + K, and the transposes the
+    matrix products read) are prepared here, once; stacked operands take
+    one stencil call and two cross-product calls; and each rate is written
+    straight into its row of the output.  Each entry is summed as written
+    above, whatever the stacking or kernel taken.
     """
-    rho, u, _theta, a, v, Omega, omega = y
     I, K = params.inertia_body, params.inertia_rotor
-    CW, Da, E_c = dE(Omega, a, np.add.reduce(rho * rho, -1), params)
-    ds_CW, ds_Da, ds_omega, ds_v = g.d_s_slice(np.array([CW, Da, omega, v]),
-                                               ds, periodic)
-    m = omega @ (I + K).T + v @ K.T
-    OxCW, wxm, rxw, Oxw = cross(y.take(_CROSS_LEFT, 0),
-                                np.array([CW, m, omega, omega]))
+    IK_T = np.ascontiguousarray((I + K).T)
+    K_T = np.ascontiguousarray(K.T)
+    I_inv_T = np.ascontiguousarray(np.linalg.inv(I).T)
+    K_inv_T = np.ascontiguousarray(np.linalg.inv(K).T)
 
-    out = np.empty_like(y)
-    out[0], out[2], out[3] = u, v, ds_v
-    out[6] = omega_t = (ds_CW + OxCW - ds_Da - wxm) @ I_inv.T
-    out[4] = ds_Da @ K_inv.T - omega_t
-    wxF, wtxr = cross(np.array([omega, omega_t]), np.array([rxw - 2.0 * u, rho]))
-    out[1] = wxF - 2.0 * E_c[..., None] * rho - wtxr
-    out[5] = ds_omega + Oxw
-    return out
+    def f(y):
+        # On one slice each row of y is an (n_s, 3) matrix, which np.dot
+        # multiplies with the same bits as np.matmul at about half the
+        # per-call cost; on a block of levels np.dot would loop node by node.
+        mul = np.dot if y.ndim == 3 else np.matmul
+        rho, u, _theta, a, v, Omega, omega = y
+        CW, Da, E_c = dE(Omega, a, np.add.reduce(rho * rho, -1), params)
+        ds_CW, ds_Da, ds_omega, ds_v = g.d_s_slice(
+            np.array([CW, Da, omega, v]), ds, periodic)
+        m = mul(omega, IK_T)
+        m += mul(v, K_T)
+        OxCW, wxm, rxw, Oxw = cross(y.take(_CROSS_LEFT, 0),
+                                    np.array([CW, m, omega, omega]))
+
+        out = np.empty_like(y)
+        out[0], out[2], out[3] = u, v, ds_v
+        ds_CW += OxCW
+        ds_CW -= ds_Da
+        ds_CW -= wxm
+        omega_t, v_t, u_t = out[6], out[4], out[1]
+        mul(ds_CW, I_inv_T, out=omega_t)
+        mul(ds_Da, K_inv_T, out=v_t)
+        v_t -= omega_t
+        rxw -= 2.0 * u
+        wxF, wtxr = cross(np.array([omega, omega_t]), np.array([rxw, rho]))
+        E_c *= 2.0
+        np.multiply(E_c[..., None], rho, out=u_t)
+        np.subtract(wxF, u_t, out=u_t)
+        u_t -= wtxr
+        np.add(ds_omega, Oxw, out=out[5])
+        return out
+
+    return f
 
 
 def lagrangian_stage1(pt, p):

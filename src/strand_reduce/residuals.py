@@ -3,7 +3,7 @@
 Three pointwise balance laws govern the once-reduced fields: the vertical
 (angular momentum), rho and rotor laws.  They are written once, solved for
 the accelerations A = (rho_tt, omega_t, theta_tt), in
-:func:`model._rhs_packed`, the rates the march integrates.  Each law is
+:func:`model.rates`, the rates the march integrates.  Each law is
 affine in A and vanishes at the march's A(y), y = (rho, rho_t, ., a, b,
 Omega, omega) with a = d_s theta and b = d_t theta at stage 1, so with
 Delta = A_fd - A(y) = (D_rho, D_omega, D_theta), A_fd the time stencil's
@@ -76,7 +76,7 @@ def stage2_residuals(s2, p):
     ``rho`` stands in the theta row of y, which is not read."""
     gr = s2.grid
     I, K = p.inertia_body, p.inertia_rotor
-    I_inv, K_inv = np.linalg.inv(I), np.linalg.inv(K)
+    f = model.rates(p, gr.ds, gr.periodic_s)
     y = np.broadcast_arrays(s2.rho, s2.rho_t, s2.rho, s2.theta_s, s2.theta_t,
                             s2.Omega, s2.omega)
     A_fd = np.broadcast_arrays(s2.rho_tt, s2.omega_t, s2.theta_tt)
@@ -84,8 +84,7 @@ def stage2_residuals(s2, p):
     step = max(1, _BLOCK_NODES // gr.n_s)
     for lo in range(0, gr.n_t, step):
         c = slice(lo, lo + step)
-        A = model._rhs_packed(np.stack([q[c] for q in y]), p, gr.ds,
-                              gr.periodic_s, I_inv, K_inv)
+        A = f(np.stack([q[c] for q in y]))
         d_rho, d_omega, d_theta = (q[c] - A[k] for q, k in zip(A_fd, (1, 6, 4)))
         h_rho = -d_rho - cross(d_omega, y[0][c])
         h_theta = (d_omega + d_theta) @ K.T

@@ -2,12 +2,13 @@
 
 The dynamical unknowns per arclength node are the rows of
 ``model.COMPONENTS``: (rho, u = rho_t, theta, a = theta_s, v = theta_t,
-Omega, omega).  Their rates are :func:`model._rhs_packed`, the balance laws
+Omega, omega).  Their rates are :func:`model.rates`, the balance laws
 solved for the accelerations by exact linear elimination, with Omega and a
 advanced by the zero-curvature relations, so no rotation matrices are
 carried during the march; ``Lambda`` is reconstructed post hoc when a full
-section is wanted.  The march (RK4 or explicit midpoint) evaluates those
-rates as one stacked kernel per call on an (n_s, 3) slice per component.
+section is wanted.  The march (RK4 or explicit midpoint) prepares those
+rates once and evaluates them as one stacked kernel per call on an
+(n_s, 3) slice per component.
 
 theta itself is carried alongside (rate v) purely so the output is a
 complete stage-1 section (``FIELDS``: rho, theta, Omega, omega); it does not
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import grid as g
 from .errors import BlowupError, ConfigError, UnknownPresetError
-from .model import COMPONENTS, ModelParams, _rhs_packed, default_params
+from .model import COMPONENTS, ModelParams, default_params, rates
 from .reduction import Stage1Section, flatness_level_max, window_view
 from .residuals import Stage1Residuals, stage1_residuals
 
@@ -175,10 +176,7 @@ class _March:
         self.y = state.pack()
         if self.y.shape != (len(COMPONENTS), gr.n_s, 3):
             raise ConfigError("initial state does not match the grid", key="init")
-        I_inv = np.linalg.inv(p.inertia_body)
-        K_inv = np.linalg.inv(p.inertia_rotor)
-        ds, periodic = gr.ds, gr.periodic_s
-        self.f = lambda y: _rhs_packed(y, p, ds, periodic, I_inv, K_inv)
+        self.f = rates(p, gr.ds, gr.periodic_s)
         self.step = _step_rk4 if cfg.scheme == "rk4" else _step_midpoint
         self.grid, self.K, self.sink = gr, p.inertia_rotor, sink
         self.rows = np.empty((gr.n_t, 6))

@@ -5,6 +5,11 @@ from strand_reduce import grid as g
 from tests.conftest import small_grid
 
 
+def bits(x):
+    """The bytes of a float array: equal only when every value is bit-equal."""
+    return np.ascontiguousarray(x).tobytes()
+
+
 def field_of(gr, fn):
     t = gr.t_coords()[:, None]
     s = gr.s_coords()[None, :]
@@ -140,8 +145,8 @@ class TestProperties:
                     assert np.array_equal(D.T, Dt), (n, periodic, axis)
 
     def test_periodic_matches_roll_formula(self, rng):
-        # the slice-built periodic stencil against the np.roll formula, bit
-        # for bit with signed zeros, including size-1 and size-2 periodic axes
+        # both periodic stencil kernels against the np.roll formula, bit for
+        # bit with signed zeros, including size-1 and size-2 periodic axes
         h = 0.3
         for n in (1, 2, 3, 9):
             for shape in ((n, 3), (6, n, 3), (2, 5, n, 3)):
@@ -150,9 +155,10 @@ class TestProperties:
                 for axis in (0, 1, -2):
                     want = (np.roll(f, -1, axis=axis)
                             - np.roll(f, 1, axis=axis)) / (2.0 * h)
-                    got = g._diff(f, h, True, axis)
-                    assert got.tobytes() == want.tobytes(), (shape, axis)
-                assert g.d_s_slice(f, h, True).tobytes() == want.tobytes(), shape
+                    for kernel in (g._diff_gather, g._diff_slices):
+                        got = kernel(f, h, True, axis)
+                        assert bits(got) == bits(want), (kernel, shape, axis)
+                assert bits(g.d_s_slice(f, h, True)) == bits(want), shape
 
     def test_slice_derivative_of_a_stack(self, rng):
         f = rng.normal(size=(4, 9, 3))
@@ -167,3 +173,47 @@ class TestProperties:
         full = g.d_s(gr, f)
         row = g.d_s_slice(f[4], gr.ds, gr.periodic_s)
         assert np.array_equal(full[4], row)
+
+
+class TestStencilKernels:
+    """The gather kernel of ``grid._diff`` against the slice kernel, bitwise."""
+
+    @staticmethod
+    def field(rng, lead, trailing):
+        f = rng.normal(size=lead + trailing)
+        # signed zeros and non-finite values meet finite neighbours
+        f.flat[::7] = -0.0
+        f.flat[1], f.flat[4] = np.nan, -np.inf
+        return f
+
+    @pytest.mark.parametrize("periodic", (True, False))
+    @pytest.mark.parametrize("trailing", ((), (3,), (3, 3)))
+    def test_kernels_agree_bitwise(self, rng, periodic, trailing):
+        width = int(np.prod(trailing, dtype=int))
+        # one field well below the cutoff and one just above it
+        for n in (5, g.GATHER_MAX_VALUES // (4 * width) + 1):
+            f = self.field(rng, (4, n), trailing)
+            for axis in (0, 1, -2):
+                with np.errstate(invalid="ignore"):
+                    want = g._diff_slices(f, 0.3, periodic, axis)
+                    got = g._diff_gather(f, 0.3, periodic, axis)
+                    chosen = g._diff(f, 0.3, periodic, axis)
+                assert bits(got) == bits(want), (n, axis)
+                assert bits(chosen) == bits(want), (n, axis)
+                assert np.isnan(want).any()
+
+    def test_size_selects_kernel(self, rng, monkeypatch):
+        calls = []
+        for name in ("_diff_gather", "_diff_slices"):
+            kernel = getattr(g, name)
+            monkeypatch.setattr(g, name, lambda *args, name=name, kernel=kernel:
+                                calls.append(name) or kernel(*args))
+        n = g.GATHER_MAX_VALUES
+        gr = g.Grid2(n_t=n // 12, n_s=4, dt=0.1, ds=0.1, bc_s=g.CLAMPED)
+        g._diff(rng.normal(size=n), 0.1, True, 0)
+        g.d_s_slice(rng.normal(size=(4, n // 12, 3)), 0.1, False)
+        g.d_t(gr, rng.normal(size=(gr.n_t, gr.n_s, 3)))
+        g._diff(rng.normal(size=n + 1), 0.1, True, 0)
+        g.d_s_slice(rng.normal(size=(4, n // 12 + 1, 3)), 0.1, True)
+        g.d_s(gr, rng.normal(size=(gr.n_t, gr.n_s + 1, 3)))
+        assert calls == ["_diff_gather"] * 3 + ["_diff_slices"] * 3

@@ -97,9 +97,15 @@ def rigid_body_case(gr, Omega, p):
 
 class TestStageEquivalence:
     def test_matched_fields_bitwise(self, params):
+        # the twice-reduced section built by hand from the stencils, not by
+        # project_stage2, which stage1_residuals calls: a wrong jet slot shows
         gr = small_grid(n_t=32, n_s=32)
         s1 = smooth_stage1_section(gr)
-        s2 = red.project_stage2(s1)
+        a, b, rho_t = g.d_s(gr, s1.theta), g.d_t(gr, s1.theta), g.d_t(gr, s1.rho)
+        s2 = red.Stage2Section(
+            grid=gr, rho=s1.rho, Omega=s1.Omega, omega=s1.omega, theta_s=a,
+            theta_t=b, theta_tt=g.d_t(gr, b), rho_t=rho_t,
+            rho_tt=g.d_t(gr, rho_t), omega_t=g.d_t(gr, s1.omega))
         r1 = rs.stage1_residuals(s1, params)
         r2 = rs.stage2_residuals(s2, params)
         assert np.array_equal(r1.vertical, r2.vertical)
@@ -116,15 +122,19 @@ class TestStageEquivalence:
     def test_check_stages_fails_with_the_rotor_law_flipped(self, monkeypatch):
         # criterion 3 states the stage-2 rotor law from the Lagrangian's fiber
         # derivatives, so a wrong balance law in the march's kernel shows
-        rhs = model._rhs_packed
+        rates = model.rates
 
-        def flipped(y, *args):
-            out = rhs(y, *args)
-            out[4] = -out[4]
-            return out
+        def flipped(*args):
+            f = rates(*args)
+
+            def f_flipped(y):
+                out = f(y)
+                out[4] = -out[4]
+                return out
+            return f_flipped
 
         assert all(r.passed for r in checks.check_stages())
-        monkeypatch.setattr(model, "_rhs_packed", flipped)
+        monkeypatch.setattr(model, "rates", flipped)
         results = checks.check_stages()
         assert not any(r.passed for r in results) and results[0].value > 1e-3
 

@@ -31,9 +31,7 @@ class TestPresets:
     def test_static_is_equilibrium(self, params):
         gr = make_grid()
         state = sim.presets("static", gr, params)
-        I_inv = np.linalg.inv(params.inertia_body)
-        K_inv = np.linalg.inv(params.inertia_rotor)
-        rates = model._rhs_packed(state.pack(), params, gr.ds, True, I_inv, K_inv)
+        rates = model.rates(params, gr.ds, True)(state.pack())
         assert np.max(np.abs(rates)) == 0.0
 
     def test_twistpulse_shape(self, params):
@@ -85,10 +83,7 @@ class TestRhs:
             theta=smooth(0.3, 0.2, 0.1), a=smooth(0.25, 0.15, -0.1),
             v=smooth(-0.1, 0.3, 0.2), Omega=smooth(0.4, 0.2, 0.3),
             omega=smooth(0.2, -0.3, 0.25))
-        I_inv = np.linalg.inv(params.inertia_body)
-        K_inv = np.linalg.inv(params.inertia_rotor)
-        r = sim.StateSlice.unpack(
-            model._rhs_packed(state.pack(), params, gr.ds, True, I_inv, K_inv))
+        r = sim.StateSlice.unpack(model.rates(params, gr.ds, True)(state.pack()))
         I = params.inertia_body
         K = params.inertia_rotor
         C, D = params.pot_C, params.pot_D
@@ -112,14 +107,14 @@ class TestRhs:
     @pytest.mark.parametrize("free", [False, True])
     def test_stacked_kernel_matches_per_equation_oracle(self, rng, periodic,
                                                         n_s, free):
-        # the equations of the kernel's docstring, one stencil call per
-        # field and np.cross, summed in the order written: equal to the
-        # last bit
+        # the equations of the kernel's docstring, one slice-kernel stencil
+        # call per field and np.cross, summed in the order written: equal to
+        # the last bit
         p = model.free_params() if free else model.default_params()
         I, K = p.inertia_body, p.inertia_rotor
         I_inv, K_inv = np.linalg.inv(I), np.linalg.inv(K)
         ds = 1.0 / n_s
-        d_s = lambda f: g.d_s_slice(f, ds, periodic)
+        d_s = lambda f: g._diff_slices(f, ds, periodic, -2)
         y = rng.normal(size=(len(model.COMPONENTS), n_s, 3))
         rho, u, _theta, a, v, Om, om = y
         CW, Da = Om @ p.pot_C.T, a @ p.pot_D.T
@@ -131,18 +126,15 @@ class TestRhs:
         u_t = F - np.cross(om_t, rho)
         Om_t = d_s(om) + np.cross(Om, om)
         want = np.stack([u, u_t, v, d_s(v), v_t, Om_t, om_t])
-        got = model._rhs_packed(y, p, ds, periodic, I_inv, K_inv)
+        got = model.rates(p, ds, periodic)(y)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("periodic", [True, False])
     @pytest.mark.parametrize("n_s", [3, 64])
     def test_window_equals_its_levels(self, rng, params, periodic, n_s):
         # the residual evaluators call the kernel on a block of levels
-        I_inv = np.linalg.inv(params.inertia_body)
-        K_inv = np.linalg.inv(params.inertia_rotor)
         y = rng.normal(size=(len(model.COMPONENTS), 5, n_s, 3))
-        rates = lambda y: model._rhs_packed(y, params, 1.0 / n_s, periodic,
-                                            I_inv, K_inv)
+        rates = model.rates(params, 1.0 / n_s, periodic)
         assert np.array_equal(rates(y), np.stack([rates(y[:, i])
                                                   for i in range(5)], 1))
 
@@ -153,13 +145,36 @@ class TestRhs:
         state.omega = np.stack([np.sin(2 * np.pi * gr.s_coords()),
                                 np.cos(2 * np.pi * gr.s_coords()),
                                 0.2 * np.ones(gr.n_s)], axis=-1)
-        I_inv = np.linalg.inv(params.inertia_body)
-        K_inv = np.linalg.inv(params.inertia_rotor)
-        r = sim.StateSlice.unpack(
-            model._rhs_packed(state.pack(), params, gr.ds, True, I_inv, K_inv))
+        r = sim.StateSlice.unpack(model.rates(params, gr.ds, True)(state.pack()))
         want = (g.d_s_slice(state.omega, gr.ds, True)
                 + np.cross(state.Omega, state.omega))
         assert np.allclose(r.Omega, want, atol=1e-14)
+
+
+class TestMarchCalls:
+    def test_one_rk4_step(self, params, monkeypatch):
+        # the per-call structure of the march: one stacked stencil call and
+        # two cross products per right-hand side, the inverses of I and K
+        # taken once when the rates are prepared, none in a step
+        calls = []
+
+        def spy(module, name, tag):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, **kw:
+                                calls.append(tag) or fn(*args, **kw))
+
+        spy(np.linalg, "inv", "inv")
+        spy(g, "_diff", "diff")
+        for name in ("_cross_gather", "_cross_slices"):
+            spy(so3, name, "cross")
+        gr = make_grid(n_s=8, n_t=3)
+        march = sim._March(sim.SimConfig(grid=gr, params=params,
+                                         preset="twistpulse"), None)
+        march._advance(1)
+        assert calls == ["inv"] * 2
+        calls.clear()
+        march._advance(2)
+        assert sorted(calls) == ["cross"] * 8 + ["diff"] * 4
 
 
 class TestRun:

@@ -58,8 +58,7 @@ def whole_march(cfg):
     """The fields, per-step rows and final state of the march as one loop
     over whole fields, the way ``simulate`` ran before it streamed."""
     gr, p = cfg.grid, cfg.params
-    I_inv = np.linalg.inv(p.inertia_body)
-    K_inv = np.linalg.inv(p.inertia_rotor)
+    rates = model.rates(p, gr.ds, gr.periodic_s)
     step = sim._step_rk4 if cfg.scheme == "rk4" else sim._step_midpoint
     y = sim.presets(cfg.preset, gr, p).pack()
     fields = {name: gr.zeros() for name in sim.FIELDS}
@@ -71,8 +70,7 @@ def whole_march(cfg):
                                      @ p.inertia_rotor.T)
         rows[i] = (i, i * gr.dt, float(np.abs(y).max()), *rotor_total)
         if i < gr.n_t - 1:
-            y = step(y, gr.dt, lambda a: model._rhs_packed(
-                a, p, gr.ds, gr.periodic_s, I_inv, K_inv))
+            y = step(y, gr.dt, rates)
     return fields, rows, y
 
 
