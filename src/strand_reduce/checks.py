@@ -375,10 +375,12 @@ def noether_report(s1, Lam, params, tol=None):
     :func:`reduction.gated_pass` applies the flatness gate to ``s1`` with
     ``tol`` and reads ``Lam`` (a whole field or level source) a window at a
     time.  Each window takes one :func:`reduction.project_stage2` of the
-    section, which carries its jet and feeds the residual, the fiber
-    derivatives and the drift, and returns per-level vectors only, so
-    nothing the pass keeps is O(n_t n_s).  The SO(3) divergence is summed
-    over the interior nodes of the cut (clamped) grid.
+    section, which carries its jet, and returns per-level vectors only, so
+    nothing the pass keeps is O(n_t n_s).  The residual, the drift and the
+    identity are evaluated on the levels the window owns; the fiber
+    derivatives and the currents also on the level beyond each inner side,
+    which d_t of J_t reads.  The SO(3) divergence is summed over the
+    interior nodes of the cut (clamped) grid.
     """
     gr = s1.grid
     cut = dataclasses.replace(gr, bc_s=g.CLAMPED)
@@ -386,19 +388,26 @@ def noether_report(s1, Lam, params, tol=None):
     cut_nodes = cut.interior(2)[1]
 
     def evaluate(w, L):
-        f = red.project_stage2(red.window_view(s1, w))
-        vertical = rs._rot(L, rs.stage2_residuals(f, params).vertical)
+        # the owned levels and one more on each side, within the window
+        lo, hi = max(w.inner.start - 1, 0), min(w.inner.stop + 1, len(L))
+        own, ext = slice(w.inner.start - lo, w.inner.stop - lo), slice(lo, hi)
+        f = red.at_levels(red.project_stage2(red.window_view(s1, w)), ext)
         d = model.fiber_derivatives_stage1(f, params)
-        identity = g.node_sq(noether.drift_residual(L, f, d, params) - vertical)
+        f_own, d_own = red.at_levels(f, own), red.at_levels(d, own)
+        L_own = L[w.inner]
+        vertical = rs._rot(L_own, rs.stage2_residuals(f_own, params).vertical)
+        identity = g.node_sq(noether.drift_residual(L_own, f_own, d_own, params)
+                             - vertical)
         rot = noether.rotor_current(w.grid, d)
-        so3c = noether.so3_current(w.grid, L, d)
+        so3c = noether.so3_current(w.grid, L[ext], d)
         # the rotation field may carry loop holonomy, in which case the
         # spatial current jumps at the seam; differentiate it on the cut
         so3c_cut = dataclasses.replace(
             so3c, grid=dataclasses.replace(w.grid, bc_s=g.CLAMPED))
-        return (noether.totals_over_time(rot), noether.totals_over_time(so3c),
-                g.level_sums(g.node_sq(noether.divergence(rot)), nodes),
-                g.level_sums(g.node_sq(noether.divergence(so3c_cut)),
+        return (noether.totals_over_time(rot, own),
+                noether.totals_over_time(so3c, own),
+                g.level_sums(g.node_sq(noether.divergence(rot, own)), nodes),
+                g.level_sums(g.node_sq(noether.divergence(so3c_cut, own)),
                              cut_nodes),
                 *g.level_max(identity))
 

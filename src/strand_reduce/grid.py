@@ -21,6 +21,8 @@ MAX_NODES = 10 ** 8
 # The reports evaluate a run in time windows of about this many nodes each.
 WINDOW_NODES = 2048
 # Levels a window reads beyond the ones it owns: the reach of d_t o d_t.
+# Only the time stencils read them; every pointwise term is evaluated on the
+# owned levels (and the currents on one level more, for d_t of J_t).
 WINDOW_HALO = 2
 # One-sided closure of the first derivative, times 2h: row 0 of the stencil
 # is a*f[0] + b*f[1] + c*f[2], row n-1 is -a*f[n-1] - b*f[n-2] - c*f[n-3].
@@ -360,14 +362,16 @@ def norm_max(values, mask=None):
 def by_window(grid, evaluate):
     """Evaluate per-level vectors window by window and stitch them together.
 
-    ``evaluate(window)`` returns a tuple of arrays over ``window.grid``'s
-    levels (axis 0): per-level reductions (:func:`level_sums`,
-    :func:`level_max`) or totals, never a per-node array.  The levels each
-    window owns are copied into ``(n_t, ...)`` arrays, returned in the same
-    order, for :func:`l2_sq` and :func:`max_sq` to reduce (a later window
-    may return a leading part, leaving the rest unset).  Only one window
-    of the evaluated fields is alive at a time.  Non-finite input yields
-    non-finite values, not numpy warnings: the callers report them.
+    ``evaluate(window)`` returns a tuple of arrays over the levels the
+    window owns (axis 0): per-level reductions (:func:`level_sums`,
+    :func:`level_max`) or totals, never a per-node array.  The evaluators
+    take their time stencils on the levels the window reads and evaluate
+    everything else on the owned levels only, so each level is evaluated
+    once.  The parts are copied into ``(n_t, ...)`` arrays, returned in the
+    same order, for :func:`l2_sq` and :func:`max_sq` to reduce (a later
+    window may return a leading part, leaving the rest unset).  Only one
+    window of the evaluated fields is alive at a time.  Non-finite input
+    yields non-finite values, not numpy warnings: the callers report them.
     """
     out = None
     with np.errstate(invalid="ignore", over="ignore"):
@@ -377,7 +381,7 @@ def by_window(grid, evaluate):
                 out = tuple(np.empty((grid.n_t,) + p.shape[1:], p.dtype)
                             for p in parts)
             for whole, part in zip(out, parts):
-                whole[w.own] = part[w.inner]
+                whole[w.own] = part
     return out
 
 

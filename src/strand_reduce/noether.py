@@ -46,14 +46,16 @@ def rotor_current(grid, d):
     return CurrentPair(grid=grid, J_s=d.dl_dtheta_s, J_t=d.dl_dtheta_t)
 
 
-def divergence(c):
-    """Stencil divergence d_s(J_s) + d_t(J_t) of a current pair."""
-    return g.d_s(c.grid, c.J_s) + g.d_t(c.grid, c.J_t)
+def divergence(c, keep=slice(None)):
+    """Stencil divergence d_s(J_s) + d_t(J_t) of a current pair on the
+    levels ``keep`` of its own (d_t reads them all)."""
+    return g.d_s(c.grid, c.J_s[keep]) + g.d_t(c.grid, c.J_t)[keep]
 
 
-def totals_over_time(c):
-    """s-integral of J_t at every time level: the conserved totals."""
-    return g.integrate_s(c.grid, c.J_t)
+def totals_over_time(c, keep=slice(None)):
+    """s-integral of J_t at every time level (of ``keep``): the conserved
+    totals."""
+    return g.integrate_s(c.grid, c.J_t[keep])
 
 
 def drift_residual(Lam, f, d, p):

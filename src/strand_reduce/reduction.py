@@ -53,7 +53,11 @@ class Stage1Section:
 class Stage2Section:
     """Twice-reduced fields and their jet: rotor angles survive only through
     (a, b), held in the ``theta_s``, ``theta_t`` slots of
-    :class:`model.Stage1Point`, so the model's functions read it as it is."""
+    :class:`model.Stage1Point`, so the model's functions read it as it is.
+
+    ``grid`` gives the spacings and the boundary policy.  The fields may
+    hold only some of its levels (:func:`at_levels`), so the kernels take
+    their level count from the arrays."""
 
     grid: g.Grid2
     rho: np.ndarray
@@ -121,8 +125,9 @@ def project_stage2(s1):
         rho_t=rho_t, rho_tt=g.d_t(gr, rho_t), omega_t=g.d_t(gr, omega))
 
 
-def flatness_residual_rotation(grid, Omega, omega):
-    """Zero-curvature defect d_s(omega) - d_t(Omega) + Omega x omega.
+def flatness_residual_rotation(grid, Omega, omega, keep=slice(None)):
+    """Zero-curvature defect d_s(omega) - d_t(Omega) + Omega x omega on the
+    levels ``keep`` of the fields' (d_t reads them all).
 
     Vanishes (to discretization error) exactly when (Omega, omega) come from
     a genuine rotation field.  The sign of the cross term is the one for
@@ -130,21 +135,30 @@ def flatness_residual_rotation(grid, Omega, omega):
     (for spatial rates it would flip), and is pinned by the projected-field
     refinement test.
     """
-    return g.d_s(grid, omega) - g.d_t(grid, Omega) + cross(Omega, omega)
+    return (g.d_s(grid, omega[keep]) - g.d_t(grid, Omega)[keep]
+            + cross(Omega[keep], omega[keep]))
+
+
+def at_levels(record, rows):
+    """``record``, a dataclass of level-major fields (and maybe a ``grid``,
+    kept), on the levels ``rows``: views of arrays, or the levels of
+    :class:`grid.Levels` sources."""
+    return dataclasses.replace(record, **{
+        f.name: getattr(record, f.name)[rows]
+        for f in dataclasses.fields(record) if f.name != "grid"})
 
 
 def window_view(section, window):
-    """The section on the levels ``window`` reads: views of whole fields,
-    or the window of level sources (:class:`grid.Levels`)."""
-    return dataclasses.replace(section, grid=window.grid, **{
-        f.name: getattr(section, f.name)[window.read]
-        for f in dataclasses.fields(section) if f.name != "grid"})
+    """The section on the levels ``window`` reads, on the window's grid."""
+    return dataclasses.replace(at_levels(section, window.read),
+                               grid=window.grid)
 
 
-def flatness_level_max(grid, Omega, omega, nodes=None):
+def flatness_level_max(window, Omega, omega, nodes=None):
     """:func:`grid.level_max` of the squared :func:`flatness_residual_rotation`
-    over the ``nodes`` (all when None) of every level."""
-    flat = flatness_residual_rotation(grid, Omega, omega)
+    over the ``nodes`` (all when None) of every level ``window`` owns;
+    ``Omega`` and ``omega`` hold the levels it reads."""
+    flat = flatness_residual_rotation(window.grid, Omega, omega, window.inner)
     return g.level_max(g.node_sq(flat), nodes)
 
 
@@ -152,7 +166,7 @@ def flatness_max(grid, Omega, omega):
     """Max norm of :func:`flatness_residual_rotation`, window by window, as a
     :class:`grid.Peak`: the value and the level and node where it is reached."""
     return g.max_sq(*g.by_window(grid, lambda w: flatness_level_max(
-        w.grid, Omega[w.read], omega[w.read])))
+        w, Omega[w.read], omega[w.read])))
 
 
 def flatness_gate(peak, tol):
@@ -227,13 +241,14 @@ def gated_pass(grid, Omega, omega, Lam, tol, evaluate):
 
     Each window adds ``(Omega, omega)`` to the :func:`flatness_gate` max,
     decided after the pass: a failed gate wins over a sweep error, which is
-    raised next, and after which ``evaluate`` is not called again.  Returns
-    the per-level vectors of ``evaluate`` (:func:`grid.by_window`).
+    raised next, and after which ``evaluate`` is not called again.
+    ``evaluate`` returns vectors over the levels ``w`` owns; the pass
+    returns them stitched over the grid (:func:`grid.by_window`).
     """
     errors = []
 
     def window(w):
-        flat = flatness_level_max(w.grid, Omega[w.read], omega[w.read])
+        flat = flatness_level_max(w, Omega[w.read], omega[w.read])
         if not errors:
             try:
                 L = Lam[w.read]

@@ -41,7 +41,7 @@ import numpy as np
 from . import grid as g
 from . import model
 from .model import _dot
-from .reduction import Stage1Section, project_stage2
+from .reduction import Stage1Section, at_levels, project_stage2
 from .so3 import cross, hat, vee_skew
 
 
@@ -73,7 +73,8 @@ _BLOCK_NODES = 768
 def stage2_residuals(s2, p):
     """L(rho) (A_fd - A(y)) on a twice-reduced section, whose jet the
     :class:`reduction.Stage2Section` carries; see the module docstring.
-    ``rho`` stands in the theta row of y, which is not read."""
+    ``rho`` stands in the theta row of y, which is not read.  The levels
+    are those of the section's arrays."""
     gr = s2.grid
     I, K = p.inertia_body, p.inertia_rotor
     f = model.rates(p, gr.ds, gr.periodic_s)
@@ -82,7 +83,7 @@ def stage2_residuals(s2, p):
     A_fd = np.broadcast_arrays(s2.rho_tt, s2.omega_t, s2.theta_tt)
     res = np.empty((3,) + y[0].shape)
     step = max(1, _BLOCK_NODES // gr.n_s)
-    for lo in range(0, gr.n_t, step):
+    for lo in range(0, len(res[0]), step):
         c = slice(lo, lo + step)
         A = f(np.stack([q[c] for q in y]))
         d_rho, d_omega, d_theta = (q[c] - A[k] for q, k in zip(A_fd, (1, 6, 4)))
@@ -93,11 +94,11 @@ def stage2_residuals(s2, p):
     return Stage1Residuals(gr, *res)
 
 
-def stage1_residuals(s1, p):
-    """Residuals of the once-reduced equations: :func:`stage2_residuals` of
-    the section's :func:`reduction.project_stage2` (a = d_s theta,
-    b = d_t theta)."""
-    return stage2_residuals(project_stage2(s1), p)
+def stage1_residuals(s1, p, keep=slice(None)):
+    """Residuals of the once-reduced equations on the levels ``keep`` of the
+    section's: :func:`stage2_residuals` of its
+    :func:`reduction.project_stage2` (a = d_s theta, b = d_t theta)."""
+    return stage2_residuals(at_levels(project_stage2(s1), keep), p)
 
 
 def discrete_action(section, p):

@@ -19,14 +19,14 @@ levels (one :class:`grid.Levels` each) and marches only as far as the
 window that reads them: :func:`stream` runs the summary's one window pass
 (:func:`residual_norms`, through :func:`grid.by_window`) on those sources and
 hands each newly marched block of levels once to a sink, which for
-``simulate`` is the CSV writer, so no whole field is held.  Per level the
-march checks the blow-up guard and records the diagnostics row.
+``simulate`` is the CSV writer, so no whole field is held.  The march steps
+a block into one history of packed states, then checks the blow-up guard
+and records the diagnostics rows for the whole block at once.
 :func:`run` is :func:`stream` with a sink that collects the whole fields,
 for the check suites and other library callers.
 """
 
 import functools
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -165,8 +165,12 @@ class _March:
 
     ``section`` holds one :class:`grid.Levels` per field of ``FIELDS``.  A
     read past the levels marched so far marches on to its end as one block,
-    which goes to ``sink(levels, {name: block})`` once and is kept until the
-    next block, so that the other fields read their levels from it.
+    a ``(levels, 7, n_s, 3)`` history of packed states.  The block is
+    guarded and its diagnostics rows recorded at once; its fields, views of
+    the history, go to ``sink(levels, {name: block})`` once, and the history
+    is kept until the next block, so that the other fields read their levels
+    from it.  A blow-up raises :class:`BlowupError` for the first level past
+    the guard, before the sink sees the block.
     """
 
     def __init__(self, cfg, sink):
@@ -180,8 +184,8 @@ class _March:
         self.step = _step_rk4 if cfg.scheme == "rk4" else _step_midpoint
         self.grid, self.K, self.sink = gr, p.inertia_rotor, sink
         self.rows = np.empty((gr.n_t, 6))
-        self.lo = self.done = 0         # the levels of the kept block
-        self.block = None
+        self.lo = self.done = 0         # the levels of the kept history
+        self.hist = None
         self.seconds = {"march": 0.0, "sink": 0.0}
         self.section = Stage1Section(grid=gr, **{
             name: g.Levels(gr.n_t, functools.partial(self._levels, k))
@@ -194,29 +198,38 @@ class _March:
         if lo < self.lo:
             raise ValueError(f"levels from {lo} of {FIELDS[k]} requested, "
                              f"but the march kept levels from {self.lo}")
-        return self.block[k, lo - self.lo:read.stop - self.lo]
+        return self.hist[lo - self.lo:read.stop - self.lo, _FIELD_ROWS[k]]
 
     def _advance(self, stop):
         t0 = time.perf_counter()
         gr, y, lo = self.grid, self.y, self.done
-        block = np.empty((len(FIELDS), stop - lo, gr.n_s, 3))
-        # A stage may overflow; the next level's guard reports it as a blow-up.
+        hist = np.empty((stop - lo,) + y.shape)
+        # A stage may overflow; the guard reports it as a blow-up.
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(lo, stop):
                 if i:
                     y = self.step(y, gr.dt, self.f)
-                worst = float(np.abs(y).max())
-                if not math.isfinite(worst) or worst > BLOWUP_GUARD:
-                    k, j, _ = np.unravel_index(np.argmax(np.abs(y)), y.shape)
-                    raise BlowupError(i, worst, COMPONENTS[k], int(j))
-                block[:, i - lo] = y[_FIELD_ROWS]
-                rotor_total, = g.integrate_s(gr, (y[6] + y[4])[None] @ self.K.T)
-                self.rows[i] = (i, i * gr.dt, worst, *rotor_total)
-        self.y, self.lo, self.done, self.block = y, lo, stop, block
+                hist[i - lo] = y
+            # max |y| of each level without a block-sized temporary; abs
+            # makes a level of zeros +0.0, as np.abs(y).max() does
+            axes = (1, 2, 3)
+            worst = np.abs(np.maximum(hist.max(axes), -hist.min(axes)))
+        bad = np.flatnonzero(~(worst <= BLOWUP_GUARD))
+        if len(bad):
+            i = int(bad[0])
+            k, j, _ = np.unravel_index(np.argmax(np.abs(hist[i])), y.shape)
+            raise BlowupError(lo + i, float(worst[i]), COMPONENTS[k], int(j))
+        rows = self.rows[lo:stop]
+        rows[:, 0] = np.arange(lo, stop)
+        rows[:, 1] = rows[:, 0] * gr.dt
+        rows[:, 2] = worst
+        rows[:, 3:] = g.integrate_s(gr, (hist[:, 6] + hist[:, 4]) @ self.K.T)
+        self.y, self.lo, self.done, self.hist = y, lo, stop, hist
         t1 = time.perf_counter()
         self.seconds["march"] += t1 - t0
         if self.sink is not None:
-            self.sink(slice(lo, stop), dict(zip(FIELDS, block)))
+            self.sink(slice(lo, stop), {name: hist[:, k]
+                                        for name, k in zip(FIELDS, _FIELD_ROWS)})
             self.seconds["sink"] += time.perf_counter() - t1
 
 
@@ -275,10 +288,10 @@ def residual_norms(section, p):
 
     def evaluate(w):
         s = window_view(section, w)
-        res = stage1_residuals(s, p)
+        res = stage1_residuals(s, p, w.inner)
         return (*(g.level_sums(g.node_sq(getattr(res, name)), nodes)
                   for name in names),
-                *flatness_level_max(s.grid, s.Omega, s.omega, nodes))
+                *flatness_level_max(w, s.Omega, s.omega, nodes))
 
     *sums, flat, flat_node = g.by_window(gr, evaluate)
     return {**{f"residual_{name}_l2": g.l2_sq(gr, q, levels)

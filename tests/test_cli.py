@@ -519,17 +519,24 @@ class TestResiduals:
             assert value == stored[name.replace("stage1_", "residual_")]
 
     def test_preset_evaluates_residuals_once(self, monkeypatch, capsys):
-        # the summary run() computed is what residuals --preset prints
+        # the summary run() computed is what residuals --preset prints; each
+        # window evaluates the residuals on the levels it owns
         monkeypatch.setattr(g, "WINDOW_NODES", 8 * 16)
         calls = []
         evaluate = rs.stage1_residuals
-        counted = lambda s, p: calls.append(s.grid.n_t) or evaluate(s, p)
+
+        def counted(s, p, keep=slice(None)):
+            res = evaluate(s, p, keep)
+            calls.append(len(res.vertical))
+            return res
+
         for module in (rs, sim):
             monkeypatch.setattr(module, "stage1_residuals", counted)
         assert main(["residuals", "--preset", "twistpulse", "--n-s", "16",
                      "--n-t", "40", "--duration", "0.1"]) == 0
         windows = list(g.Grid2.uniform(40, 16, 0.1, 1.0, g.PERIODIC).windows())
-        assert calls == [w.grid.n_t for w in windows] and len(calls) == 5
+        assert calls == [w.own.stop - w.own.start for w in windows]
+        assert len(calls) == 5
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_cell_exits_4(self, tmp_path, config_file, value):

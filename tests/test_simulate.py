@@ -287,6 +287,72 @@ class TestRun:
         assert out.summary["rotor_total_drift"] <= 1e-12
 
 
+class TestBlockGuard:
+    """The march guards and records a block of levels at once, with the
+    outcome of a march that advances one level at a time."""
+
+    @staticmethod
+    def march(cfg, block, step=None):
+        march = sim._March(cfg, None)
+        if step is not None:
+            march.step = step
+        if block:
+            march._advance(cfg.grid.n_t)
+        else:
+            for i in range(cfg.grid.n_t):
+                march._advance(i + 1)
+        return march
+
+    def blowup(self, cfg, block, step=None):
+        with pytest.raises(BlowupError) as err:
+            self.march(cfg, block, step)
+        e = err.value
+        return e.step, e.field, e.node, repr(e.norm), str(e)
+
+    def test_blowup_in_the_middle_of_a_block(self, params_free):
+        # potential off and omega = 0: u stays put and rho grows linearly,
+        # past the guard at level 5 (2.25e7 per level at node 3)
+        gr = g.Grid2(n_t=10, n_s=8, dt=0.25, ds=0.5, bc_s=g.PERIODIC)
+        state = sim.presets("static", gr, params_free)
+        state.u[3, 0] = 9e7
+        cfg = sim.SimConfig(grid=gr, params=params_free, init=state)
+        got = self.blowup(cfg, block=True)
+        assert got == self.blowup(cfg, block=False)
+        assert got[:3] == (5, "rho", 3)
+        assert 1e8 < float(got[3]) < 1.2e8
+
+    def test_overflow_to_nan_in_the_middle_of_a_block(self, params):
+        # a stage that overflows at level 4 makes one cell inf - inf
+        gr = make_grid(n_s=8, n_t=10)
+        cfg = sim.SimConfig(grid=gr, params=params, preset="twistpulse")
+
+        def overflowing(y, h, f):
+            out = sim._step_rk4(y, h, f)
+            levels.append(None)
+            if len(levels) == 4:
+                big = out[4, 5, 1] + 1e308
+                out[4, 5, 1] = 10.0 * big - 10.0 * big
+            return out
+
+        got = []
+        for block in (True, False):
+            levels = []
+            got.append(self.blowup(cfg, block, overflowing))
+        assert got[0] == got[1]
+        assert got[0][:4] == (4, "v", 5, "nan")
+
+    @pytest.mark.parametrize("preset, bc, n_s", [("twistpulse", g.PERIODIC, 8),
+                                                 ("helix", g.CLAMPED, 8),
+                                                 ("twistpulse", g.PERIODIC, 64),
+                                                 ("helix", g.CLAMPED, 65)])
+    def test_rows_equal_level_by_level(self, params, preset, bc, n_s):
+        gr = g.Grid2.uniform(30, n_s, 0.05, 1.0, bc)
+        cfg = sim.SimConfig(grid=gr, params=params, preset=preset)
+        block, single = self.march(cfg, True), self.march(cfg, False)
+        assert block.rows.tobytes() == single.rows.tobytes()
+        assert block.y.tobytes() == single.y.tobytes()
+
+
 class TestNoRotorLimit:
     def reference(self, gr, params):
         """Independent integrator for the strand without rotors."""

@@ -231,6 +231,44 @@ class TestStencilsPerWindow:
         assert calls == {"d_t": 6 * n, "d_s": 2 * n}
 
 
+def count_rows(monkeypatch, module, name):
+    """Level rows of the section each call of ``module.name`` receives from
+    here on."""
+    rows, fn = [], getattr(module, name)
+
+    def counted(f, *args):
+        rows.append(len(f.rho))
+        return fn(f, *args)
+
+    monkeypatch.setattr(module, name, counted)
+    return rows
+
+
+@pytest.mark.parametrize("bc", [g.PERIODIC, g.CLAMPED])
+class TestLevelsPerWindow:
+    """Only the time stencils read a window's halo: the pointwise kernels
+    receive the levels the window owns, the fiber derivatives also the one
+    level beyond each inner side that d_t of the currents reads."""
+
+    def test_noether_report(self, monkeypatch, split, bc, params):
+        s1 = section(bc)
+        n = len(patch_windows(monkeypatch, s1.grid, split))
+        residual = count_rows(monkeypatch, rs, "stage2_residuals")
+        fiber = count_rows(monkeypatch, model, "fiber_derivatives_stage1")
+        checks.noether_report(s1, rotation_field(s1), params)
+        assert len(residual) == len(fiber) == n
+        assert sum(residual) == N_T
+        assert sum(fiber) <= N_T + 2 * (n - 1)
+
+    def test_residual_norms(self, monkeypatch, split, bc, params):
+        s1 = section(bc)
+        n = len(patch_windows(monkeypatch, s1.grid, split))
+        residual = count_rows(monkeypatch, rs, "stage2_residuals")
+        residual_norms(s1, params)
+        assert len(residual) == n
+        assert sum(residual) == N_T
+
+
 class TestLevels:
     def test_windows_produce_each_level_once(self, monkeypatch):
         gr = small_grid(n_t=N_T, n_s=4)
@@ -385,7 +423,7 @@ class TestWindowedMaxPropagatesNan:
         levels, nodes = gr.interior(2)
         levels[10:15] = False
         peak = g.max_sq(*g.by_window(gr, lambda w: red.flatness_level_max(
-            w.grid, Omega[w.read], omega[w.read], nodes)), levels)
+            w, Omega[w.read], omega[w.read], nodes)), levels)
         assert np.isfinite(peak.value)
         assert peak.value == g.norm_max(
             red.flatness_residual_rotation(gr, Omega, omega),
