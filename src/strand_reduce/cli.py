@@ -19,7 +19,8 @@ from . import checks
 from . import grid as g
 from . import reduction as red
 from .config import load_config
-from .errors import BlowupError, ConfigError, NotFlatError, StrandError
+from .errors import (BlowupError, ConfigError, NotFlatError, StrandError,
+                     TooFarFromGroupError)
 from .fields_io import (FieldWriter, format_report, grid_line, listed_fields,
                         open_fields, read_model, write_report, write_steps,
                         write_totals)
@@ -27,6 +28,7 @@ from .model import default_params
 from .reduction import Stage1Section
 from .residuals import Stage1Residuals
 from .simulate import SimConfig, residual_norms, stream
+from .so3 import reorthonormalize
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -123,6 +125,11 @@ def cmd_reconstruct(args):
         Lambda0 = np.array([float(x) for x in args.lambda0.split()]).reshape(3, 3)
     except ValueError:
         raise ConfigError("--lambda0 needs 9 reals (row-major)") from None
+    try:    # before the run is read; the sweep projects Lambda0 itself
+        with np.errstate(invalid="ignore"):     # an inf entry
+            reorthonormalize(Lambda0)
+    except TooFarFromGroupError as exc:
+        raise ConfigError(f"--lambda0 {args.lambda0!r}: {exc}") from None
     _check_tol(args.tol)
     outdir = args.out or args.indir
     # writing into the input run adds Lambda to its manifest; writing over

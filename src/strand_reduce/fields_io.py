@@ -219,21 +219,6 @@ def _join(parts):
     return row.tobytes().translate(None, b"\0")
 
 
-def write_fields(outdir, grid, fields, model=None, merge=False):
-    """Write ``{name: field}`` of whole fields plus ``manifest.txt``; returns
-    the file map.
-
-    The fields are one block of levels for :class:`FieldWriter`.  ``model``
-    (a :class:`ModelParams`) is recorded on the manifest's ``model`` line.
-    With ``merge``, an existing manifest in ``outdir`` keeps its other field
-    lines and its model line; it must describe the same grid, else
-    ConfigError.
-    """
-    with FieldWriter(outdir, grid, model, merge) as out:
-        out.write(slice(0, grid.n_t), fields)
-    return out.written
-
-
 class _Part:
     """A field CSV written under a temporary name and hashed as written."""
 
@@ -257,9 +242,11 @@ class FieldWriter:
     they are written, to ``<name>.csv.part`` in ``outdir``.  When the
     ``with`` block exits cleanly, every file replaces its ``<name>.csv`` and
     the manifest is written last; when it raises, the temporary files are
-    removed and ``outdir`` keeps what it held.  ``model`` and ``merge`` are
-    those of :func:`write_fields`; ``written`` maps each field name to its
-    path and kind.
+    removed and ``outdir`` keeps what it held.  ``model`` (a
+    :class:`ModelParams`) is recorded on the manifest's ``model`` line.
+    With ``merge``, an existing manifest in ``outdir`` keeps its other field
+    lines and its model line; it must describe the same grid, else
+    ConfigError.
     """
 
     def __init__(self, outdir, grid, model=None, merge=False):
@@ -273,7 +260,7 @@ class FieldWriter:
             self.model_kv = {token: ",".join(FMT % x for x in np.ravel(
                 getattr(model, attr)).tolist()) for token, attr in _MODEL_TOKENS}
         self.outdir, self.grid = outdir, grid
-        self.written, self._parts = {}, {}
+        self._parts = {}
         # Row prefixes "<i>,j,<t>,s_j," as slots: per level and per node.
         self._prefix = (_column(np.arange(grid.n_t, dtype=float)),
                         _column(grid.t_coords()),
@@ -320,7 +307,6 @@ class FieldWriter:
         if exc_type is None and not short:
             for name, part in sorted(self._parts.items()):
                 os.replace(part.path + ".part", part.path)
-                self.written[name] = (part.path, part.kind)
                 self.entries[name] = (os.path.basename(part.path), part.kind,
                                       part.sha256.hexdigest())
             _write_manifest(self.outdir, self.grid, self.entries, self.model_kv)
@@ -430,20 +416,20 @@ def read_model(indir):
         raise ConfigError(f"malformed model line in {indir}: {exc}") from None
 
 
-def verify_fields(indir, names=None):
+def verify_fields(indir, names):
     """Grid and ``{name: (path, kind)}`` of stored fields, checked before use.
 
     One streamed pass per file checks it against its manifest sha256, its
     header against its kind and its row count, its lines after the header,
     against the grid.  A mismatch, a missing file, a malformed manifest or
     a section field (``simulate.FIELDS``) not of kind vec3 raises
-    ConfigError.  ``names`` selects fields (all when None).
+    ConfigError.  Only the fields in ``names`` are checked and returned.
     """
     grid, entries, _ = _read_manifest(indir)
     rows = grid.n_t * grid.n_s
     out = {}
     for name, (fname, kind, digest) in entries.items():
-        if names is not None and name not in names:
+        if name not in names:
             continue
         path = os.path.join(indir, fname)
         if name in FIELDS and kind != "vec3":
@@ -472,7 +458,7 @@ def verify_fields(indir, names=None):
             raise ConfigError(f"{path} has {lines} rows, expected "
                               f"{rows} (n_t={grid.n_t} x n_s={grid.n_s})")
         out[name] = (path, kind)
-    missing = set(names or ()) - set(out)
+    missing = set(names) - set(out)
     if missing:
         raise ConfigError(f"fields {sorted(missing)} not found in {indir}")
     return grid, out
@@ -513,12 +499,12 @@ def _bad_line(path, first, count, usecols, exc):
 
 
 @contextlib.contextmanager
-def open_fields(indir, names=None):
+def open_fields(indir, names):
     """Stored fields as :class:`grid.Levels`, parsed as they are read.
 
-    Yields the grid and ``{name: levels}``; :func:`verify_fields` checks
-    every selected file before any value is parsed.  The files stay open
-    until the context exits.
+    Yields the grid and ``{name: levels}`` of the fields in ``names``;
+    :func:`verify_fields` checks each file before any value is parsed.  The
+    files stay open until the context exits.
     """
     grid, listed = verify_fields(indir, names)
     with contextlib.ExitStack() as stack:
@@ -529,17 +515,6 @@ def open_fields(indir, names=None):
             streams[name] = g.Levels(grid.n_t, functools.partial(
                 read_levels, fh, path, grid, kind))
         yield grid, streams
-
-
-def read_fields(indir, names=None):
-    """Read fields written by :func:`write_fields`; bit-exact round trip.
-
-    The whole levels of :func:`open_fields`, so each file is checked by
-    :func:`verify_fields` before use.
-    """
-    with open_fields(indir, names) as (grid, streams):
-        return grid, {name: levels[0:grid.n_t]
-                      for name, levels in streams.items()}
 
 
 def write_steps(outdir, rows):
@@ -556,15 +531,6 @@ def write_totals(outdir, grid, totals):
     path = os.path.join(outdir, "totals.csv")
     write_csv(path, "t_index,t,rotor_1,rotor_2,rotor_3,so3_1,so3_2,so3_3\n",
               np.column_stack([np.arange(grid.n_t), grid.t_coords(), totals]))
-    return path
-
-
-def write_initial_slice(path, state):
-    """One-row-per-node CSV holding a full initial state slice."""
-    values = np.concatenate([getattr(state, name) for name in COMPONENTS], axis=1)
-    head = ",".join(f"{name}{k + 1}" for name in COMPONENTS for k in range(3))
-    write_csv(path, f"s_index,{head}\n",
-              np.column_stack([np.arange(len(values)), values]))
     return path
 
 

@@ -69,7 +69,7 @@ class Grid2:
     n_s: int
     dt: float
     ds: float
-    bc_s: str = PERIODIC
+    bc_s: str
 
     def __post_init__(self):
         if self.n_t < 3 or self.n_s < 3:
@@ -115,7 +115,7 @@ class Grid2:
         """A vector field of zeros, ``(n_t, n_s, 3)``."""
         return np.zeros((self.n_t, self.n_s, 3))
 
-    def interior(self, width=2):
+    def interior(self, width):
         """Levels ``(n_t,)`` and nodes ``(n_s,)`` untouched by one-sided
         stencils, as two boolean masks.
 
@@ -130,7 +130,7 @@ class Grid2:
             nodes[self.n_s - width:] = False
         return levels, nodes
 
-    def interior_mask(self, width=2):
+    def interior_mask(self, width):
         """Boolean (n_t, n_s) mask of the nodes of :meth:`interior`."""
         levels, nodes = self.interior(width)
         return levels[:, None] & nodes

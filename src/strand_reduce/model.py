@@ -110,13 +110,6 @@ def default_params():
     )
 
 
-def free_params(base=None):
-    """Copy of ``base`` with the potential switched off (E identically zero)."""
-    base = base or default_params()
-    return dataclasses.replace(base, pot_C=np.zeros((3, 3)),
-                               pot_D=np.zeros((3, 3)), pot_kappa=0.0)
-
-
 @dataclass
 class Stage1Point:
     """Pointwise arguments of the first reduced Lagrangian."""

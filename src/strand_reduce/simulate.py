@@ -28,13 +28,13 @@ for the check suites and other library callers.
 
 import functools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import grid as g
 from .errors import BlowupError, ConfigError, UnknownPresetError
-from .model import COMPONENTS, ModelParams, default_params, rates
+from .model import COMPONENTS, ModelParams, rates
 from .reduction import Stage1Section, flatness_level_max, window_view
 from .residuals import Stage1Residuals, stage1_residuals
 
@@ -82,7 +82,7 @@ def cfl_limit(params, ds):
 @dataclass
 class SimConfig:
     grid: g.Grid2
-    params: ModelParams = field(default_factory=default_params)
+    params: ModelParams
     scheme: str = "rk4"
     preset: str = "static"
     init: StateSlice = None   # overrides preset when given

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from strand_reduce import grid as g
 from strand_reduce import model
-from strand_reduce.fields_io import write_fields
+from strand_reduce.fields_io import FieldWriter, open_fields, write_csv
 from strand_reduce.reduction import Stage1Section
 
 SESSION_T0 = time.monotonic()
@@ -24,7 +25,40 @@ def params():
 @pytest.fixture
 def params_free():
     """Inertia only; potential switched off."""
-    return model.free_params()
+    return potential_off(model.default_params())
+
+
+def potential_off(base):
+    """Copy of ``base`` with the potential switched off (E identically zero)."""
+    return dataclasses.replace(base, pot_C=np.zeros((3, 3)),
+                               pot_D=np.zeros((3, 3)), pot_kappa=0.0)
+
+
+def store_fields(outdir, gr, fields, **writer):
+    """Write whole fields as one block of levels, then ``manifest.txt``.
+
+    ``writer`` passes :class:`FieldWriter`'s ``model`` and ``merge``.
+    """
+    with FieldWriter(outdir, gr, **writer) as out:
+        out.write(slice(0, gr.n_t), fields)
+
+
+def load_fields(indir, names):
+    """Grid and the whole levels of the stored fields ``names``."""
+    with open_fields(indir, names) as (gr, streams):
+        return gr, {name: levels[0:gr.n_t] for name, levels in streams.items()}
+
+
+def write_init_file(path, state):
+    """A state slice as an ``init.file`` CSV: header, then one row per node,
+    its index and the 21 values in ``model.COMPONENTS`` order."""
+    values = np.concatenate([getattr(state, name) for name in model.COMPONENTS],
+                            axis=1)
+    head = ",".join(f"{name}{k + 1}" for name in model.COMPONENTS
+                    for k in range(3))
+    write_csv(path, f"s_index,{head}\n",
+              np.column_stack([np.arange(len(values)), values]))
+    return path
 
 
 def svd_polar(M):
@@ -91,7 +125,7 @@ def stored_run(tmp_path_factory):
         if gr not in runs:
             s1 = smooth_stage1_section(gr)
             path = tmp_path_factory.mktemp("stored_run")
-            write_fields(path, gr, {name: getattr(s1, name) for name in
+            store_fields(path, gr, {name: getattr(s1, name) for name in
                                     ("rho", "theta", "Omega", "omega")},
                          model=model.default_params())
             runs[gr] = path, s1

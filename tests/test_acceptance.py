@@ -6,6 +6,7 @@ total-battery time bound is enforced at the end of the session in
 ``test_zz_battery.py``.
 """
 
+import dataclasses
 import sys
 import time
 
@@ -142,10 +143,12 @@ def _rigid_body_oracle(params, state0, h, steps):
 
     It shares no code with the march: 3-vectors are lists and every product
     is written out, which also keeps its 10^4 steps well under a second.
+    With C = D = 0 only the stretch term of the potential acts on it.
     """
     IK = (params.inertia_body + params.inertia_rotor).tolist()
     K = params.inertia_rotor.tolist()
     I_inv = np.linalg.inv(params.inertia_body).tolist()
+    kappa, c0 = params.pot_kappa, params.pot_c0
 
     def mat(M, x):
         return [r[0] * x[0] + r[1] * x[1] + r[2] * x[2] for r in M]
@@ -158,7 +161,9 @@ def _rigid_body_oracle(params, state0, h, steps):
         rho, u, _theta, v, om = y
         m = [p + q for p, q in zip(mat(IK, om), mat(K, v))]
         om_t = mat(I_inv, [-c for c in cross(om, m)])
-        F = cross(om, [p - 2.0 * q for p, q in zip(cross(rho, om), u)])
+        stretch = kappa * (sum(r * r for r in rho) - c0)
+        F = [p - stretch * r for p, r in zip(
+            cross(om, [p - 2.0 * q for p, q in zip(cross(rho, om), u)]), rho)]
         u_t = [p - q for p, q in zip(F, cross(om_t, rho))]
         return u, u_t, v, [-c for c in om_t], om_t
 
@@ -179,21 +184,32 @@ def _rigid_body_oracle(params, state0, h, steps):
 
 
 def test_criterion_8_rigid_body_limit(report):
-    params = model.free_params()
-    gr = g.Grid2(n_t=10001, n_s=4, dt=1e-3, ds=0.25, bc_s=g.PERIODIC)
-    out = sim.run(sim.SimConfig(grid=gr, params=params, preset="rigidbody"))
-    rho, _u, theta, _v, om = _rigid_body_oracle(
-        params, sim.presets("rigidbody", gr, params), gr.dt, gr.n_t - 1)
-    sec = out.section
-    err = 0.0
-    for j in range(gr.n_s):
-        err = max(err,
-                  float(np.max(np.abs(sec.rho[-1, j] - rho))),
-                  float(np.max(np.abs(sec.theta[-1, j] - theta))),
-                  float(np.max(np.abs(sec.omega[-1, j] - om))))
-    ok = err <= 1e-10
+    # the free rigid body to T = 10, then one stretched off |rho|^2 = c0 to
+    # T = 2, so that the stretch force acts; the start is given as init, so
+    # no preset moves
+    zero = np.zeros((3, 3))
+    errs = []
+    for kappa, n_t, scale in ((0.0, 10001, 1.0), (1.0, 2001, 1.1)):
+        params = dataclasses.replace(model.default_params(), pot_C=zero,
+                                     pot_D=zero, pot_kappa=kappa)
+        gr = g.Grid2(n_t=n_t, n_s=4, dt=1e-3, ds=0.25, bc_s=g.PERIODIC)
+        state0 = sim.presets("rigidbody", gr, params)
+        state0.rho *= scale
+        out = sim.run(sim.SimConfig(grid=gr, params=params, init=state0))
+        rho, _u, theta, _v, om = _rigid_body_oracle(params, state0, gr.dt,
+                                                    gr.n_t - 1)
+        sec = out.section
+        err = 0.0
+        for j in range(gr.n_s):
+            err = max(err,
+                      float(np.max(np.abs(sec.rho[-1, j] - rho))),
+                      float(np.max(np.abs(sec.theta[-1, j] - theta))),
+                      float(np.max(np.abs(sec.omega[-1, j] - om))))
+        errs.append(err)
+    ok = max(errs) <= 1e-10
     report(8, "rigid-body-limit", ok,
-            f"nodewise err at T=10, dt=1e-3: {err:.2e} <= 1e-10")
+            f"nodewise err, dt=1e-3: kappa=0 to T=10 {errs[0]:.2e}, "
+            f"kappa=1 |rho|^2=1.21 to T=2 {errs[1]:.2e}, <= 1e-10")
     assert ok
 
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import inspect
@@ -25,10 +26,10 @@ from strand_reduce import residuals as rs
 from strand_reduce import simulate as sim
 from strand_reduce.cli import main
 from strand_reduce.config import parse_config
-from strand_reduce.fields_io import (read_fields, read_model, write_fields,
-                                     write_initial_slice)
+from strand_reduce.fields_io import read_model
 from strand_reduce.simulate import presets
-from tests.conftest import small_grid
+from tests.conftest import (load_fields, small_grid, store_fields,
+                            write_init_file)
 from tests.test_windows import patch_windows
 
 CONFIG = """
@@ -308,10 +309,10 @@ class TestMalformedInputs:
     def test_section_field_of_another_kind(self, small_run, tmp_path, capsys,
                                            command, name, shape):
         # the hashes are valid, so only the manifest's kind can tell
-        gr, fields = read_fields(small_run)
+        gr, fields = load_fields(small_run, sim.FIELDS)
         fields[name] = np.ones((gr.n_t, gr.n_s) + shape)
         run = tmp_path / "run"
-        write_fields(run, gr, fields, model=read_model(small_run))
+        store_fields(run, gr, fields, model=read_model(small_run))
         argv = [command, "--in", str(run)]
         if command == "reconstruct":
             argv += ["--tol", "0.1", "--out", str(tmp_path / "rec")]
@@ -411,7 +412,7 @@ def small_inputs(tmp_path_factory):
             .replace("preset = twistpulse", "file = init.csv"))
     (root / "run.cfg").write_text(text)
     cfg = parse_config(text.replace("file = init.csv", "preset = twistpulse"))
-    write_initial_slice(root / "init.csv", presets("twistpulse", cfg.grid, cfg.params))
+    write_init_file(root / "init.csv", presets("twistpulse", cfg.grid, cfg.params))
     return root
 
 
@@ -600,12 +601,10 @@ class TestReconstruct:
         assert [ln.split()[1] for ln in lines[1:]] == ["name=Lambda"]
 
     def test_not_flat_exit_code(self, tmp_path, capsys):
-        from strand_reduce.fields_io import write_fields
-        from tests.conftest import small_grid
         gr = small_grid(n_t=8, n_s=8)
         W = np.broadcast_to([1.0, 0, 0], (8, 8, 3)).copy()
         w = np.broadcast_to([0, 1.0, 0], (8, 8, 3)).copy()
-        write_fields(tmp_path, gr, {"Omega": W, "omega": w})
+        store_fields(tmp_path, gr, {"Omega": W, "omega": w})
         assert main(["reconstruct", "--in", str(tmp_path), "--tol", "1e-3"]) == 3
 
     def test_lambda0_is_projected_onto_rotations(self, tmp_path, config_file):
@@ -613,7 +612,7 @@ class TestReconstruct:
         main(["simulate", "--config", str(config_file), "--out", str(out)])
         assert main(["reconstruct", "--in", str(out), "--tol", "0.1",
                      "--lambda0", "1 0 0 0 1 0 0 0 1.05"]) == 0
-        _, fields = read_fields(out, names=("Lambda",))
+        _, fields = load_fields(out, ("Lambda",))
         Lam = fields["Lambda"]
         gram = np.swapaxes(Lam, -1, -2) @ Lam
         assert np.abs(gram - np.eye(3)).max() <= 1e-14
@@ -624,6 +623,22 @@ class TestReconstruct:
         main(["simulate", "--config", str(config_file), "--out", str(out)])
         assert main(["reconstruct", "--in", str(out), "--tol", "0.1",
                      "--lambda0", "1 0 0"]) == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lambda0, says", [
+        ("2 0 0 0 2 0 0 0 2", "distance to SO(3) exceeds trust radius"),
+        ("-1 0 0 0 1 0 0 0 1", "reflection"),
+        ("nan 0 0 0 1 0 0 0 1", "did not settle"),
+        ("1 0 0 0 1 0 0 0 inf", "did not settle")],
+        ids=["scaled", "reflection", "nan", "inf"])
+    def test_lambda0_checked_before_the_run_is_read(self, tmp_path, capsys,
+                                                    lambda0, says):
+        # --in holds no run, so only the option itself can be refused
+        assert main(["reconstruct", "--in", str(tmp_path), "--tol", "0.1",
+                     "--lambda0", lambda0]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --lambda0 '{lambda0}': ")
+        assert err.count("\n") == 1 and says in err
 
     def test_scaled_lambda0_is_not_called_a_reflection(self, tmp_path,
                                                         config_file, capsys):
@@ -755,7 +770,7 @@ class TestNotFlatSaysWhere:
 
     @staticmethod
     def message(run):
-        gr, fields = read_fields(run, names=("Omega", "omega"))
+        gr, fields = load_fields(run, ("Omega", "omega"))
         sq = g.node_sq(red.flatness_residual_rotation(gr, fields["Omega"],
                                                       fields["omega"]))
         level, node = np.unravel_index(np.argmax(sq), sq.shape)
@@ -1001,7 +1016,8 @@ class TestCheckAndConvergence:
             # bit for bit
             assert [out.section.grid for out in outs] == [
                 g.Grid2(n_t=20 * 2 ** k + 1, n_s=16 * 2 ** k,
-                        dt=0.05 / (20 * 2 ** k), ds=1.0 / (16 * 2 ** k))
+                        dt=0.05 / (20 * 2 ** k), ds=1.0 / (16 * 2 ** k),
+                        bc_s=g.PERIODIC)
                 for k in range(2)]
             hs = [1.0 / row["n_s"] for row in rows]
             assert [r.value for r in results] == [
@@ -1010,6 +1026,24 @@ class TestCheckAndConvergence:
 
 
 class TestModuleEntry:
+    def test_every_public_name_has_a_caller_in_src(self):
+        # the library is what its programs call: a public module-level
+        # function or class named only by tests (or by docstrings, which are
+        # not names) belongs in tests/conftest.py
+        trees = [ast.parse(path.read_text())
+                 for path in sorted(Path(cli.__file__).parent.glob("*.py"))]
+        defs = (ast.FunctionDef, ast.ClassDef)
+        unused = {stmt.name for tree in trees for stmt in tree.body
+                  if isinstance(stmt, defs) and not stmt.name.startswith("_")}
+        ref = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+        for stmt in (stmt for tree in trees for stmt in tree.body):
+            names = {getattr(node, ref[type(node)]) for node in ast.walk(stmt)
+                     if type(node) in ref}
+            if isinstance(stmt, defs):
+                names.discard(stmt.name)
+            unused -= names
+        assert sorted(unused) == []
+
     def test_python_m_help(self):
         proc = subprocess.run([sys.executable, "-m", "strand_reduce", "--help"],
                               capture_output=True, text=True)

@@ -10,10 +10,9 @@ from strand_reduce import grid as g
 from strand_reduce import simulate as sim
 from strand_reduce.config import parse_config
 from strand_reduce.errors import ConfigError
-from strand_reduce.fields_io import (read_fields, read_initial_slice,
-                                     read_model, write_fields,
-                                     write_initial_slice, write_steps)
-from tests.conftest import small_grid
+from strand_reduce.fields_io import read_initial_slice, read_model, write_steps
+from tests.conftest import (load_fields, small_grid, store_fields,
+                            write_init_file)
 
 GOOD = """
 [grid]
@@ -107,7 +106,7 @@ class TestConfig:
     def test_init_file(self, tmp_path, params):
         gr = small_grid(n_s=16, n_t=20, duration=0.1)
         state = sim.presets("rigidbody", gr, params)
-        write_initial_slice(tmp_path / "init.csv", state)
+        write_init_file(tmp_path / "init.csv", state)
         text = GOOD.replace("preset = twistpulse", "file = init.csv")
         cfg = parse_config(text, base_dir=str(tmp_path))
         assert np.allclose(cfg.init.rho, state.rho)
@@ -131,20 +130,20 @@ class TestFieldsIO:
         fields = {"rho": rng.normal(size=(5, 7, 3)),
                   "Lambda": rng.normal(size=(5, 7, 3, 3)),
                   "energy": rng.normal(size=(5, 7))}
-        write_fields(tmp_path, gr, fields)
-        gr2, back = read_fields(tmp_path)
+        store_fields(tmp_path, gr, fields)
+        gr2, back = load_fields(tmp_path, tuple(fields))
         assert gr2 == gr
         for name, values in fields.items():
             assert np.array_equal(back[name], values), name
         # second write of the read-back values is byte-identical
         d2 = tmp_path / "again"
-        write_fields(d2, gr2, back)
+        store_fields(d2, gr2, back)
         for f in ("rho.csv", "Lambda.csv", "energy.csv", "manifest.txt"):
             assert (tmp_path / f).read_bytes() == (d2 / f).read_bytes()
 
     def test_small_zero_field_layout(self, tmp_path):
         gr = g.Grid2(n_t=3, n_s=3, dt=0.5, ds=0.5, bc_s=g.CLAMPED)
-        write_fields(tmp_path, gr, {"rho": np.zeros((3, 3, 3))})
+        store_fields(tmp_path, gr, {"rho": np.zeros((3, 3, 3))})
         lines = (tmp_path / "rho.csv").read_text().splitlines()
         assert lines[0] == "t_index,s_index,t,s,c1,c2,c3"
         assert len(lines) == 1 + 9
@@ -161,7 +160,7 @@ class TestFieldsIO:
         energy = rho[..., 0].copy()
         Lambda = rng.normal(size=(3, 4, 3, 3))
         Lambda[1, 1, 2] = (np.inf, -0.0, np.nan)
-        write_fields(tmp_path, gr, {"rho": rho, "energy": energy, "Lambda": Lambda})
+        store_fields(tmp_path, gr, {"rho": rho, "energy": energy, "Lambda": Lambda})
         t, s = gr.t_coords(), gr.s_coords()
         for name, flat, width in (("rho", rho, 3), ("energy", energy[..., None], 1),
                                   ("Lambda", Lambda.reshape(3, 4, 9), 9)):
@@ -194,7 +193,7 @@ class TestFieldsIO:
             values = rng.normal(size=(n_t, n_s) + shape) * 10.0 ** rng.integers(
                 -8, 8, size=(n_t, n_s) + shape)
             out = tmp_path / f"{n_t}x{n_s}"
-            write_fields(out, gr, {"f": values})
+            store_fields(out, gr, {"f": values})
             flat = values.reshape(n_t, n_s, -1)
             t, s = gr.t_coords(), gr.s_coords()
             want = "t_index,s_index,t,s," + ",".join(
@@ -218,7 +217,7 @@ class TestFieldsIO:
         state = sim.StateSlice(**{name: rng.normal(size=(6, 3))
                                   for name in sim.COMPONENTS})
         state.theta[2] = (np.nan, -0.0, 1e-310)
-        write_initial_slice(tmp_path / "init.csv", state)
+        write_init_file(tmp_path / "init.csv", state)
         want = "s_index," + ",".join(f"{name}{k + 1}" for name in sim.COMPONENTS
                                      for k in range(3)) + "\n"
         for j in range(6):
@@ -230,14 +229,14 @@ class TestFieldsIO:
     def test_manifest_checksum_tracks_values(self, rng, tmp_path):
         gr = small_grid(n_t=5, n_s=7)
         rho = rng.normal(size=(5, 7, 3))
-        write_fields(tmp_path / "a", gr, {"rho": rho})
-        write_fields(tmp_path / "b", gr, {"rho": rho})
+        store_fields(tmp_path / "a", gr, {"rho": rho})
+        store_fields(tmp_path / "b", gr, {"rho": rho})
         m_a = (tmp_path / "a" / "manifest.txt").read_text()
         m_b = (tmp_path / "b" / "manifest.txt").read_text()
         assert m_a == m_b
         rho2 = rho.copy()
         rho2[2, 3, 1] += 1e-13
-        write_fields(tmp_path / "c", gr, {"rho": rho2})
+        store_fields(tmp_path / "c", gr, {"rho": rho2})
         assert (tmp_path / "c" / "manifest.txt").read_text() != m_a
 
     @pytest.mark.parametrize("blocks", [
@@ -248,7 +247,7 @@ class TestFieldsIO:
     def test_incomplete_field_leaves_no_file(self, rng, tmp_path, blocks):
         gr = small_grid(n_t=5, n_s=7)
         rho = rng.normal(size=(5, 7, 3))
-        write_fields(tmp_path, gr, {"rho": rho})
+        store_fields(tmp_path, gr, {"rho": rho})
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with pytest.raises(ValueError):
             with fields_io.FieldWriter(tmp_path, gr) as out:
@@ -260,26 +259,27 @@ class TestFieldsIO:
         # blocks of any length, in time order, make the bytes of the whole
         gr = small_grid(n_t=9, n_s=7)
         rho = rng.normal(size=(9, 7, 3))
-        write_fields(tmp_path / "whole", gr, {"rho": rho})
+        store_fields(tmp_path / "whole", gr, {"rho": rho})
         with fields_io.FieldWriter(tmp_path / "blocks", gr) as out:
             for a, b in ((0, 1), (1, 5), (5, 6), (6, 9)):
                 out.write(slice(a, b), {"rho": rho[a:b]})
-        assert out.written == {"rho": (str(tmp_path / "blocks" / "rho.csv"),
-                                       "vec3")}
+        lines = (tmp_path / "blocks" / "manifest.txt").read_text().splitlines()
+        assert [line.split()[:4] for line in lines[1:]] == [
+            ["field", "name=rho", "file=rho.csv", "kind=vec3"]]
         for name in ("rho.csv", "manifest.txt"):
             assert ((tmp_path / "blocks" / name).read_bytes()
                     == (tmp_path / "whole" / name).read_bytes())
 
     def test_missing_field_reported(self, rng, tmp_path):
         gr = small_grid(n_t=5, n_s=7)
-        write_fields(tmp_path, gr, {"rho": rng.normal(size=(5, 7, 3))})
+        store_fields(tmp_path, gr, {"rho": rng.normal(size=(5, 7, 3))})
         with pytest.raises(ConfigError):
-            read_fields(tmp_path, names=("rho", "omega"))
+            load_fields(tmp_path, ("rho", "omega"))
 
     @pytest.mark.parametrize("edit", ["grid_value", "field_kind", "csv_cell"])
     def test_malformed_stored_run_rejected(self, rng, tmp_path, edit):
         gr = small_grid(n_t=5, n_s=7)
-        write_fields(tmp_path, gr, {"rho": rng.normal(size=(5, 7, 3))})
+        store_fields(tmp_path, gr, {"rho": rng.normal(size=(5, 7, 3))})
         manifest = tmp_path / "manifest.txt"
         text = manifest.read_text()
         if edit == "grid_value":
@@ -295,7 +295,7 @@ class TestFieldsIO:
             text = text.replace(old, hashlib.sha256(csv.read_bytes()).hexdigest())
         manifest.write_text(text)
         with pytest.raises(ConfigError):
-            read_fields(tmp_path)
+            load_fields(tmp_path, ("rho",))
 
     @pytest.mark.parametrize("line", ["\n", "# note\n"])
     def test_blank_or_comment_line_among_rows_rejected(self, rng, tmp_path,
@@ -303,7 +303,7 @@ class TestFieldsIO:
         # the row count is right, so only the parse can see that a data row
         # is missing
         gr = small_grid(n_t=5, n_s=7)
-        write_fields(tmp_path, gr, {"rho": rng.normal(size=(5, 7, 3))})
+        store_fields(tmp_path, gr, {"rho": rng.normal(size=(5, 7, 3))})
         csv = tmp_path / "rho.csv"
         old = hashlib.sha256(csv.read_bytes()).hexdigest()
         lines = csv.read_text().splitlines(keepends=True)
@@ -312,26 +312,26 @@ class TestFieldsIO:
         manifest.write_text(manifest.read_text().replace(
             old, hashlib.sha256(csv.read_bytes()).hexdigest()))
         with pytest.raises(ConfigError, match="blank or comment lines"):
-            read_fields(tmp_path)
+            load_fields(tmp_path, ("rho",))
 
     def test_vec3_entry_with_rot3_header_rejected(self, rng, tmp_path):
         gr = small_grid(n_t=5, n_s=7)
-        write_fields(tmp_path, gr, {"Lambda": rng.normal(size=(5, 7, 3, 3))})
+        store_fields(tmp_path, gr, {"Lambda": rng.normal(size=(5, 7, 3, 3))})
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(manifest.read_text().replace("kind=rot3", "kind=vec3"))
         with pytest.raises(ConfigError, match="header"):
-            read_fields(tmp_path)
+            load_fields(tmp_path, ("Lambda",))
 
     def test_model_line_round_trip(self, rng, tmp_path, params):
         gr = small_grid(n_t=5, n_s=7)
         rho = rng.normal(size=(5, 7, 3))
-        write_fields(tmp_path / "m", gr, {"rho": rho}, model=params)
+        store_fields(tmp_path / "m", gr, {"rho": rho}, model=params)
         back = read_model(tmp_path / "m")
         for name in ("inertia_body", "inertia_rotor", "pot_C", "pot_D",
                      "pot_kappa", "pot_c0"):
             assert np.array_equal(getattr(back, name), getattr(params, name))
         # the model line is the last one, and the only difference
-        write_fields(tmp_path / "plain", gr, {"rho": rho})
+        store_fields(tmp_path / "plain", gr, {"rho": rho})
         lines = (tmp_path / "m" / "manifest.txt").read_text().splitlines(True)
         assert lines[-1].startswith("model I=")
         assert "".join(lines[:-1]) == (tmp_path / "plain" / "manifest.txt").read_text()
@@ -342,7 +342,7 @@ class TestFieldsIO:
                                       ("c0=1", "c0=-1"), (" kappa=1", "")])
     def test_malformed_model_line_rejected(self, tmp_path, params, edit):
         gr = small_grid(n_t=5, n_s=7)
-        write_fields(tmp_path, gr, {"rho": np.zeros((5, 7, 3))}, model=params)
+        store_fields(tmp_path, gr, {"rho": np.zeros((5, 7, 3))}, model=params)
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(manifest.read_text().replace(*edit))
         with pytest.raises(ConfigError):
@@ -351,25 +351,25 @@ class TestFieldsIO:
     def test_merge_keeps_fields_and_model(self, rng, tmp_path, params):
         gr = small_grid(n_t=5, n_s=7)
         rho = rng.normal(size=(5, 7, 3))
-        write_fields(tmp_path, gr, {"rho": rho}, model=params)
+        store_fields(tmp_path, gr, {"rho": rho}, model=params)
         before = (tmp_path / "manifest.txt").read_text().splitlines(True)
         lam = rng.normal(size=(5, 7, 3, 3))
-        write_fields(tmp_path, gr, {"Lambda": lam}, merge=True)
+        store_fields(tmp_path, gr, {"Lambda": lam}, merge=True)
         after = (tmp_path / "manifest.txt").read_text().splitlines(True)
         assert after[0] == before[0] and after[2:] == before[1:]
         assert after[1].startswith("field name=Lambda ")
-        _, back = read_fields(tmp_path)
+        _, back = load_fields(tmp_path, ("rho", "Lambda"))
         assert np.array_equal(back["rho"], rho)
         assert np.array_equal(back["Lambda"], lam)
         other = small_grid(n_t=5, n_s=8)
         with pytest.raises(ConfigError, match="another grid"):
-            write_fields(tmp_path, other, {"Lambda": rng.normal(size=(5, 8, 3, 3))},
+            store_fields(tmp_path, other, {"Lambda": rng.normal(size=(5, 8, 3, 3))},
                          merge=True)
 
     def test_initial_slice_round_trip(self, rng, tmp_path, params):
         gr = small_grid(n_s=9, n_t=5)
         state = sim.presets("helix", gr, params)
-        path = write_initial_slice(tmp_path / "init.csv", state)
+        path = write_init_file(tmp_path / "init.csv", state)
         back = read_initial_slice(path, gr.n_s)
         for name in sim.COMPONENTS:
             assert np.array_equal(getattr(back, name), getattr(state, name))

@@ -19,15 +19,16 @@ def field_of(gr, fn):
 class TestGrid2:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
-            g.Grid2(n_t=2, n_s=8, dt=0.1, ds=0.1)
+            g.Grid2(n_t=2, n_s=8, dt=0.1, ds=0.1, bc_s=g.PERIODIC)
 
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
-            g.Grid2(n_t=4, n_s=4, dt=-0.1, ds=0.1)
+            g.Grid2(n_t=4, n_s=4, dt=-0.1, ds=0.1, bc_s=g.PERIODIC)
 
     def test_memory_guard(self):
         with pytest.raises(ValueError):
-            g.Grid2(n_t=10 ** 5, n_s=10 ** 4, dt=0.1, ds=0.1)
+            g.Grid2(n_t=10 ** 5, n_s=10 ** 4, dt=0.1, ds=0.1,
+                    bc_s=g.PERIODIC)
 
     def test_length(self):
         assert small_grid(n_s=32, bc=g.PERIODIC, length=2.0).length_s == pytest.approx(2.0)

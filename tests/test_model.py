@@ -6,7 +6,8 @@ import pytest
 from strand_reduce import model, so3
 from strand_reduce import reduction as red
 from strand_reduce.errors import NotAntisymmetricError
-from tests.conftest import random_stage1_point, small_grid, smooth_stage1_section
+from tests.conftest import (potential_off, random_stage1_point, small_grid,
+                            smooth_stage1_section)
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -32,7 +33,7 @@ class TestModelParams:
                               np.eye(3), np.eye(3), 1.0, 1.0)
 
     def test_zero_potential_matrices_allowed(self):
-        p = model.free_params()
+        p = potential_off(model.default_params())
         assert model.potential_E(E1, E3, 2.0, p) == 0.0
 
     def test_rejects_negative_kappa(self):
@@ -94,7 +95,7 @@ class TestLagrangians:
         assert model.lagrangian_stage1(pt, params) == pytest.approx(0.0, abs=1e-15)
 
     def test_unreduced_pure_translation(self):
-        p = model.free_params(identity_params())
+        p = potential_off(identity_params())
         pt = model.UnreducedPoint(
             r=np.zeros(3), r_s=np.zeros(3), r_t=E1,
             Lambda=np.eye(3), Lambda_s=np.zeros((3, 3)), Lambda_t=np.zeros((3, 3)),
@@ -102,7 +103,7 @@ class TestLagrangians:
         assert model.lagrangian_unreduced(pt, p) == pytest.approx(0.5, abs=1e-15)
 
     def test_stage1_spec_value(self):
-        p = model.free_params(identity_params())
+        p = potential_off(identity_params())
         pt = model.Stage1Point(rho=E1, rho_t=np.zeros(3), theta_s=np.zeros(3),
                                theta_t=np.zeros(3), Omega=np.zeros(3), omega=E3)
         # 0.5 |e3 x e1|^2 + 0.5 + 0.5
@@ -140,7 +141,7 @@ class TestLagrangians:
             assert abs(L0 - L1) <= 1e-12 * (1.0 + abs(L0))
 
     def test_kinetic_positivity(self, rng):
-        p = model.free_params(identity_params())
+        p = potential_off(identity_params())
         for _ in range(200):
             pt = random_stage1_point(rng, scale=2.0)
             assert model.lagrangian_stage1(pt, p) >= 0.0
@@ -156,7 +157,7 @@ class TestFiberDerivatives:
             assert np.allclose(getattr(d, name), 0.0, atol=1e-15)
 
     def test_spec_omega_value(self):
-        p = model.free_params(identity_params())
+        p = potential_off(identity_params())
         pt = model.Stage1Point(rho=E1, rho_t=np.zeros(3), theta_s=np.zeros(3),
                                theta_t=np.zeros(3), Omega=np.zeros(3), omega=E3)
         d = model.fiber_derivatives_stage1(pt, p)

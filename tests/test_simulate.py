@@ -10,6 +10,7 @@ from strand_reduce import reduction as red
 from strand_reduce import simulate as sim
 from strand_reduce import so3
 from strand_reduce.errors import (BlowupError, ConfigError, UnknownPresetError)
+from tests.conftest import potential_off
 
 
 def make_grid(n_s=32, n_t=40, T=0.1, L=1.0, bc=g.PERIODIC):
@@ -110,7 +111,8 @@ class TestRhs:
         # the equations of the kernel's docstring, one slice-kernel stencil
         # call per field and np.cross, summed in the order written: equal to
         # the last bit
-        p = model.free_params() if free else model.default_params()
+        p = model.default_params()
+        p = potential_off(p) if free else p
         I, K = p.inertia_body, p.inertia_rotor
         I_inv, K_inv = np.linalg.inv(I), np.linalg.inv(K)
         ds = 1.0 / n_s

@@ -23,10 +23,9 @@ from strand_reduce import simulate as sim
 from strand_reduce import so3
 from strand_reduce.cli import main
 from strand_reduce.config import load_config
-from strand_reduce.fields_io import (format_report, write_fields, write_steps,
-                                     write_totals)
+from strand_reduce.fields_io import format_report, write_steps, write_totals
 from strand_reduce.simulate import residual_norms, run_summary
-from tests.conftest import small_grid, smooth_stage1_section
+from tests.conftest import small_grid, smooth_stage1_section, store_fields
 
 N_T = 23
 # owned levels per window on N_T levels: every 4 (tail 3), every 5 (tail 3),
@@ -335,7 +334,7 @@ class TestStreamedStoredRun:
         Lambda0 = so3.exp_so3(np.array([0.1, -0.2, 0.3]))
         Lam = red.reconstruct_rotation(s1.grid, s1.Omega, s1.omega, Lambda0,
                                        tol=10.0)
-        write_fields(tmp_path / "want", s1.grid, {"Lambda": Lam})
+        store_fields(tmp_path / "want", s1.grid, {"Lambda": Lam})
         patch_windows(monkeypatch, s1.grid, split)
         assert main(["reconstruct", "--in", str(run), "--tol", "10",
                      "--lambda0", " ".join(map("{:.17g}".format,
@@ -360,7 +359,7 @@ class TestStreamedSimulate:
         assert len(list(cfg.grid.windows())) == 1
         whole = sim.run(cfg)
         want, got = tmp_path / "want", tmp_path / "got"
-        write_fields(want, cfg.grid, {name: getattr(whole.section, name)
+        store_fields(want, cfg.grid, {name: getattr(whole.section, name)
                                       for name in sim.FIELDS}, model=cfg.params)
         write_steps(want, whole.steps)
         patch_windows(monkeypatch, cfg.grid, split)
