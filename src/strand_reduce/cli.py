@@ -85,11 +85,12 @@ def cmd_simulate(args):
         results = [checks.info(k, v) for k, v in out.summary.items()]
         p = cfg.params
         mat = lambda M: " ".join("%.17g" % x for x in np.asarray(M).ravel())
+        start = "init=file" if cfg.preset is None else f"preset={cfg.preset}"
         preamble = [f"config {args.config}", grid_line(cfg.grid),
                     f"inertia I={mat(p.inertia_body)} K={mat(p.inertia_rotor)}",
                     f"potential C={mat(p.pot_C)} D={mat(p.pot_D)} "
                     f"kappa={p.pot_kappa:.17g} c0={p.pot_c0:.17g}",
-                    f"scheme {cfg.scheme} preset={cfg.preset}"]
+                    f"scheme {cfg.scheme} {start}"]
         text = write_report(f"{args.out}/report.txt", "simulate", results,
                             preamble)
     # wall times by phase, kept apart from the deterministic outputs; the

@@ -166,10 +166,7 @@ def parse_config(text, source="<config>", base_dir="."):
         raise ConfigError(str(exc), key="inertia/potential") from None
 
     init = sections["init"]
-    if ("preset" in init) == ("file" in init):
-        raise ConfigError("give exactly one of init.preset or init.file",
-                          key="init")
-    preset = init["preset"][0].lower() if "preset" in init else "static"
+    preset = init["preset"][0].lower() if "preset" in init else None
     state = None
     if "file" in init:
         path = init["file"][0]

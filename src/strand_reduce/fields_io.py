@@ -321,25 +321,21 @@ class FieldWriter:
 
 
 def _write_stream(path, head, chunks=()):
-    """Write text ``head`` then byte ``chunks``; sha256 hex of all written."""
-    h = hashlib.sha256()
+    """Write text ``head`` then byte ``chunks``."""
     with open(path, "wb") as fh:
-        for data in itertools.chain((head.encode(),), chunks):
-            h.update(data)
-            fh.write(data)
-    return h.hexdigest()
+        fh.write(head.encode())
+        fh.writelines(chunks)
 
 
 def write_csv(path, head, table):
     """CSV of a 2-D table under the text ``head``, every cell ``'%.17g' % cell``.
 
-    Integer-valued cells below 10^17 print as ``%d`` would.  Returns the
-    sha256 hex of the bytes written.
+    Integer-valued cells below 10^17 print as ``%d`` would.
     """
     table = np.asarray(table, dtype=float)
     sep = _seps(table.shape[1])
     rows = _CHUNK // table.shape[1]
-    return _write_stream(path, head, (
+    _write_stream(path, head, (
         _join([_slots(table[i:i + rows], sep)]) for i in range(0, len(table), rows)))
 
 

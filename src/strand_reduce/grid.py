@@ -364,14 +364,15 @@ def by_window(grid, evaluate):
 
     ``evaluate(window)`` returns a tuple of arrays over the levels the
     window owns (axis 0): per-level reductions (:func:`level_sums`,
-    :func:`level_max`) or totals, never a per-node array.  The evaluators
-    take their time stencils on the levels the window reads and evaluate
-    everything else on the owned levels only, so each level is evaluated
-    once.  The parts are copied into ``(n_t, ...)`` arrays, returned in the
-    same order, for :func:`l2_sq` and :func:`max_sq` to reduce (a later
-    window may return a leading part, leaving the rest unset).  Only one
-    window of the evaluated fields is alive at a time.  Non-finite input
-    yields non-finite values, not numpy warnings: the callers report them.
+    :func:`level_max`) or totals, or the levels of a whole field
+    (:func:`reduction.reconstruct_rotation`).  The evaluators take their
+    time stencils on the levels the window reads and evaluate everything
+    else on the owned levels only, so each level is evaluated once.  The
+    parts are copied into ``(n_t, ...)`` arrays, returned in the same order,
+    for :func:`l2_sq` and :func:`max_sq` to reduce (a later window may
+    return a leading part, leaving the rest unset).  Only one window of the
+    evaluated fields is alive at a time.  Non-finite input yields non-finite
+    values, not numpy warnings: the callers report them.
     """
     out = None
     with np.errstate(invalid="ignore", over="ignore"):

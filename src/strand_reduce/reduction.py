@@ -80,12 +80,12 @@ def _log_rate(Lam, h, periodic, axis):
 
     Interior nodes use (log(L_i^T L_{i+1}) - log(L_i^T L_{i-1})) / (2h); this
     keeps the result exactly in the Lie algebra and is second order.
-    Non-periodic edges use the one-sided second-order combination
-    (4 log(L_0^T L_1) - log(L_0^T L_2)) / (2h) and its mirror.
+    Non-periodic edges apply the stencil's one-sided rows
+    (:func:`grid._edges`) to the logs relative to the edge node,
+    log(L_0^T L_k) and log(L_{n-1}^T L_{n-1-k}), which are 0 at k = 0.
     """
     Lam = np.moveaxis(np.asarray(Lam, dtype=float), axis, 0)
     LamT = _transpose(Lam)
-    n = Lam.shape[0]
     if periodic:
         fwd = log_so3(LamT @ np.roll(Lam, -1, axis=0))
         bwd = log_so3(LamT @ np.roll(Lam, 1, axis=0))
@@ -95,10 +95,13 @@ def _log_rate(Lam, h, periodic, axis):
         fwd = log_so3(LamT[:-1] @ Lam[1:])    # log(L_i^T L_{i+1}), i = 0..n-2
         bwd = log_so3(LamT[1:] @ Lam[:-1])    # log(L_i^T L_{i-1}), i = 1..n-1
         out[1:-1] = (fwd[1:] - bwd[:-1]) / (2.0 * h)
-        psi2_lo = log_so3(LamT[0] @ Lam[2])
-        psi2_hi = log_so3(LamT[n - 1] @ Lam[n - 3])
-        out[0] = (4.0 * fwd[0] - psi2_lo) / (2.0 * h)
-        out[n - 1] = -(4.0 * bwd[n - 2] - psi2_hi) / (2.0 * h)
+        # each edge's three logs in the stencil's order; low edge in column 0
+        rel = np.zeros((3, 2) + out.shape[1:])
+        rel[1:, 0] = fwd[0], log_so3(LamT[0] @ Lam[2])
+        rel[:2, 1] = log_so3(LamT[-1] @ Lam[-3]), bwd[-1]
+        num = np.empty_like(rel)
+        g._edges(rel, num)
+        out[0], out[-1] = num[0, 0] / (2.0 * h), num[2, 1] / (2.0 * h)
     return np.moveaxis(out, 0, axis)
 
 
@@ -274,27 +277,24 @@ def stream_rotation(grid, Omega, omega, Lambda0, tol, sink):
                tol, lambda w, L: sink(w.own, {"Lambda": L[w.inner]}) or ())
 
 
-def reconstruct_rotation(grid, Omega, omega, Lambda0, tol, sweep="st"):
-    """Integrate a flat (Omega, omega) pair back to a rotation field.
+def reconstruct_rotation(grid, Omega, omega, Lambda0, tol):
+    """Integrate a flat (Omega, omega) pair back to a rotation field: the
+    sweep of :func:`rotation_levels` in one :func:`gated_pass` (``tol`` as in
+    :func:`flatness_gate`), its windows stitched into ``(n_t, n_s, 3, 3)``.
 
-    The pair must pass :func:`flatness_gate` with ``tol`` (None, the default
-    of ``noether``, asks only for a finite residual).
-
-    ``sweep="st"`` is :func:`rotation_levels` on the whole grid: the t = 0
-    row from Omega, then every s-column forward in time with omega;
-    ``sweep="ts"`` is the transposed order (used to expose the
-    path-independence defect).  The result is one representative of the
-    reconstruction family, selected by ``Lambda0`` (seeded with its polar
-    factor, so every node is a rotation); any other member differs by a
-    constant left rotation.
+    The result is one representative of the reconstruction family, selected
+    by ``Lambda0`` (seeded with its polar factor, so every node is a
+    rotation); any other member differs by a constant left rotation.
     """
-    Omega = np.asarray(Omega, float)
-    omega = np.asarray(omega, float)
-    flatness_gate(flatness_max(grid, Omega, omega), tol)
-    if sweep == "st":
-        return rotation_levels(grid, Omega, omega, Lambda0)[0:grid.n_t]
-    if sweep != "ts":
-        raise ValueError(f"unknown sweep order '{sweep}'")
+    Lam, = gated_pass(grid, Omega, omega,
+                      rotation_levels(grid, Omega, omega, Lambda0), tol,
+                      lambda w, L: (L[w.inner],))
+    return Lam
+
+
+def _reconstruct_ts(grid, Omega, omega, Lambda0):
+    """The transposed sweep order, ungated: the s = 0 column from omega, then
+    every level along s with Omega."""
     n_t, n_s = grid.n_t, grid.n_s
     Lam = np.empty((n_t, n_s, 3, 3))
     Lam[0, 0] = reorthonormalize(Lambda0)
@@ -308,26 +308,24 @@ def reconstruct_rotation(grid, Omega, omega, Lambda0, tol, sweep="st"):
 
 
 def path_independence_defect(grid, Omega, omega, Lambda0, tol):
-    """Max rotation angle between the two sweep orders of the reconstruction."""
-    a_first = reconstruct_rotation(grid, Omega, omega, Lambda0, tol, sweep="st")
-    b_first = reconstruct_rotation(grid, Omega, omega, Lambda0, tol, sweep="ts")
-    rel = _transpose(a_first) @ b_first
+    """Max rotation angle between :func:`reconstruct_rotation` (gated with
+    ``tol``) and the transposed sweep order."""
+    rel = (_transpose(reconstruct_rotation(grid, Omega, omega, Lambda0, tol))
+           @ _reconstruct_ts(grid, Omega, omega, Lambda0))
     return float(np.max(rotation_angle(rel)))
 
 
 def reconstruct_theta(grid, a, b, theta0, tol):
     """Path integral of the rotor gradient pair from the origin corner.
 
-    Requires the rotor flatness residual d_t(a) - d_s(b) below ``tol`` (a NaN
-    residual fails).
+    The rotor flatness residual d_t(a) - d_s(b) must pass
+    :func:`flatness_gate` with ``tol``.
     Trapezoid rule along the t = 0 row, then along every column.
     """
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    defect = g.norm_max(flatness_residual_rotor(grid, a, b))
-    if not defect <= tol:
-        raise NotFlatError(
-            f"rotor flatness residual {defect:.3e} exceeds tolerance {tol:.3e}")
+    defect = g.node_sq(flatness_residual_rotor(grid, a, b))
+    flatness_gate(g.max_sq(*g.level_max(defect)), tol)
     theta = np.empty((grid.n_t, grid.n_s, 3))
     theta[0, 0] = np.asarray(theta0, dtype=float)
     row = grid.ds * 0.5 * (a[0, :-1] + a[0, 1:])

@@ -101,21 +101,28 @@ def stage1_residuals(s1, p, keep=slice(None)):
     return stage2_residuals(at_levels(project_stage2(s1), keep), p)
 
 
+def _unreduced_slots(u):
+    """The density's slots (r_t, c, theta_s, theta_t, Omega, omega) of the
+    full section ``u``, from the grid stencils, and ``Lambda^T d_s Lambda``,
+    ``Lambda^T d_t Lambda``, whose antisymmetric parts are the rates."""
+    gr = u.grid
+    Lam = np.asarray(u.Lambda, float)
+    LamT = np.swapaxes(Lam, -1, -2)
+    r = np.asarray(u.r, float)
+    M_s, M_t = LamT @ g.d_s(gr, Lam), LamT @ g.d_t(gr, Lam)
+    return (g.d_t(gr, r), _dot(r, r), g.d_s(gr, u.theta), g.d_t(gr, u.theta),
+            vee_skew(M_s), vee_skew(M_t)), M_s, M_t
+
+
 def discrete_action(section, p):
     """Discrete action: nodal Lagrangian density summed times ds dt.
 
-    Derivative fields come from the grid stencils; rotation rates of a full
-    section are read from the antisymmetric part of ``Lambda^T d Lambda``.
+    Derivative fields come from the grid stencils; a full section's are
+    :func:`_unreduced_slots`.
     """
     gr = section.grid
     if hasattr(section, "Lambda"):
-        Lam = np.asarray(section.Lambda, float)
-        LamT = np.swapaxes(Lam, -1, -2)
-        r = np.asarray(section.r, float)
-        dens = model.density(g.d_t(gr, r), _dot(r, r),
-                             g.d_s(gr, section.theta), g.d_t(gr, section.theta),
-                             vee_skew(LamT @ g.d_s(gr, Lam)),
-                             vee_skew(LamT @ g.d_t(gr, Lam)), p)
+        dens = model.density(*_unreduced_slots(section)[0], p)
     else:
         dens = model.lagrangian_stage1(project_stage2(section), p)
     return float(np.sum(dens) * gr.ds * gr.dt)
@@ -218,15 +225,10 @@ def el_unreduced_residual(u_sec, p):
     Lam = np.asarray(u_sec.Lambda, float)
     LamT = np.swapaxes(Lam, -1, -2)
     r = np.asarray(u_sec.r, float)
-    M_t = LamT @ g.d_t(gr, Lam)
-    M_s = LamT @ g.d_s(gr, Lam)
-    # gradient of the density in its own slots (r_t, c, theta_s, theta_t,
-    # Omega, omega)
+    slots, M_s, M_t = _unreduced_slots(u_sec)
+    # gradient of the density in its own slots
     g_r_t, g_c, g_theta_s, g_theta_t, g_Omega, g_omega = \
-        model.density_derivatives(g.d_t(gr, r), _dot(r, r),
-                                  g.d_s(gr, u_sec.theta),
-                                  g.d_t(gr, u_sec.theta),
-                                  vee_skew(M_s), vee_skew(M_t), p)
+        model.density_derivatives(*slots, p)
 
     res_r = -2.0 * g_c[..., None] * r - g.d_t_adjoint(gr, g_r_t)
     res_theta = -(g.d_t_adjoint(gr, g_theta_t) + g.d_s_adjoint(gr, g_theta_s))

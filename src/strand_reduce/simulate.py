@@ -84,10 +84,13 @@ class SimConfig:
     grid: g.Grid2
     params: ModelParams
     scheme: str = "rk4"
-    preset: str = "static"
-    init: StateSlice = None   # overrides preset when given
+    preset: str = None
+    init: StateSlice = None
 
     def validate(self):
+        if (self.preset is None) == (self.init is None):
+            raise ConfigError("give exactly one of init.preset or init.file",
+                              key="init")
         if self.scheme not in ("rk4", "midpoint"):
             raise ConfigError(f"unknown scheme '{self.scheme}'", key="scheme.name")
         limit = cfl_limit(self.params, self.grid.ds)

@@ -83,6 +83,19 @@ class TestSimulate:
                                    "write_s"]
         assert all(v >= 0.0 for v in timings.values())
 
+    @pytest.mark.parametrize("init, start", [
+        ("file = init.csv", "init=file"),
+        ("preset = twistpulse", "preset=twistpulse")], ids=["file", "preset"])
+    def test_report_names_the_initial_state(self, small_inputs, tmp_path,
+                                            capsys, init, start):
+        shutil.copy(small_inputs / "init.csv", tmp_path / "init.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text((small_inputs / "run.cfg").read_text()
+                       .replace("file = init.csv", init))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert f"\nscheme rk4 {start}\n" in (out / "report.txt").read_text()
+
     def test_timings_are_sums_over_the_windows(self, monkeypatch, tmp_path,
                                                config_file, capsys):
         # march, summary and write take turns window by window; each phase's
@@ -1043,6 +1056,23 @@ class TestModuleEntry:
                 names.discard(stmt.name)
             unused -= names
         assert sorted(unused) == []
+
+    def test_option_count_is_pinned(self):
+        # defaulted parameters plus dataclass field defaults in src/: an
+        # option comes back only with an edit of this number
+        count = 0
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                    count += len(node.args.defaults) + sum(
+                        d is not None for d in node.args.kw_defaults)
+                elif isinstance(node, ast.ClassDef) and any(
+                        "dataclass" in ast.unparse(d)
+                        for d in node.decorator_list):
+                    count += sum(isinstance(stmt, ast.AnnAssign)
+                                 and stmt.value is not None
+                                 for stmt in node.body)
+        assert count == 32
 
     def test_python_m_help(self):
         proc = subprocess.run([sys.executable, "-m", "strand_reduce", "--help"],

@@ -13,6 +13,13 @@ E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
 
 
+def sweep_order(sweep, gr, Omega, omega, Lambda0, tol):
+    """reconstruct_rotation ("st"), or the ungated t-then-s sweep ("ts")."""
+    if sweep == "st":
+        return red.reconstruct_rotation(gr, Omega, omega, Lambda0, tol)
+    return red._reconstruct_ts(gr, Omega, omega, Lambda0)
+
+
 def synthetic_unreduced(gr):
     Lam, Omega, omega, _ = flat_pair(gr)
     t = gr.t_coords()[:, None]
@@ -64,6 +71,22 @@ class TestProjectStage1:
                             g.norm_max(s1.omega - omega)))
         assert 3.0 < errs[0] / errs[1] < 5.0
         assert 3.0 < errs[1] / errs[2] < 5.0
+
+    def test_edge_rows_follow_the_stencil_closure(self, monkeypatch):
+        # rotations about one axis have exact logs, so with any closure the
+        # projected rate is d_s of the angle; a projection with a closure of
+        # its own misses the patched one by 0.12 in the edge rows
+        monkeypatch.setattr(g, "_EDGE", (-2.0, 2.0, 0.0))
+        gr = small_grid(n_t=5, n_s=9, bc=g.CLAMPED)
+        s = gr.s_coords()
+        angle = np.broadcast_to(np.sin(3.0 * s) + s * s, (gr.n_t, gr.n_s))
+        axis = np.array([0.6, 0.0, 0.8])
+        Lam = so3.exp_so3(angle[..., None] * axis)
+        u = red.UnreducedSection(grid=gr, r=gr.zeros(), Lambda=Lam,
+                                 theta=gr.zeros())
+        Omega = red.project_stage1(u).Omega
+        want = g.d_s(gr, angle)[..., None] * axis
+        assert np.max(np.abs(Omega - want)) <= 1e-12
 
     def test_half_turn_neighbors_rejected(self):
         from strand_reduce.errors import NearAnglePiError
@@ -246,8 +269,19 @@ class TestReconstructRotation:
         rates = {name: np.zeros((gr.n_t, gr.n_s, 3)) for name in ("Omega", "omega")}
         rates[field][4, 5, 0] = 1e6
         with pytest.raises(NearAnglePiError, match=" at level 4, node 5$"):
-            red.reconstruct_rotation(gr, rates["Omega"], rates["omega"],
-                                     np.eye(3), tol=None, sweep=sweep)
+            sweep_order(sweep, gr, rates["Omega"], rates["omega"], np.eye(3),
+                        None)
+
+    def test_failed_gate_wins_over_a_coarse_step(self):
+        # non-flat and too coarse for the sweep: the gate is reported
+        from strand_reduce.errors import NearAnglePiError
+        gr = small_grid(n_t=8, n_s=8)
+        W = np.broadcast_to(200.0 * E1, (gr.n_t, gr.n_s, 3)).copy()
+        w = np.broadcast_to(100.0 * E2, (gr.n_t, gr.n_s, 3)).copy()
+        with pytest.raises(NearAnglePiError):
+            red.rotation_levels(gr, W, w, np.eye(3))[0:gr.n_t]
+        with pytest.raises(NotFlatError, match="exceeds tolerance"):
+            red.reconstruct_rotation(gr, W, w, np.eye(3), tol=1e-3)
 
     def test_path_independence_defect(self):
         gr = small_grid(n_t=32, n_s=32)
@@ -314,6 +348,14 @@ class TestReconstructTheta:
         with pytest.raises(NotFlatError, match="nan"):
             red.reconstruct_theta(gr, a, np.zeros_like(a), np.zeros(3), tol=1e-6)
 
+    def test_failed_gate_names_level_and_node(self):
+        # d_t(a) of one bump at level 4 is +-1/(2 dt) on levels 3 and 5
+        gr = small_grid(n_t=8, n_s=8)
+        a = np.zeros((gr.n_t, gr.n_s, 3))
+        a[4, 3, 1] = 1.0
+        with pytest.raises(NotFlatError, match=" at level 3, node 3$"):
+            red.reconstruct_theta(gr, a, np.zeros_like(a), np.zeros(3), tol=1e-6)
+
 
 def svd_sweep_reconstruction(gr, Omega, omega, Lambda0, sweep):
     """reconstruct_rotation's two sweep orders with an SVD polar factor."""
@@ -340,7 +382,6 @@ def test_reconstruction_matches_svd_sweep(rng, sweep):
     gr = small_grid(n_t=24, n_s=40, bc=g.CLAMPED)
     _, Omega, omega, _ = flat_pair(gr)
     Lambda0 = so3.random_rotation(rng)
-    Lam = red.reconstruct_rotation(gr, Omega, omega, Lambda0, tol=1e-2,
-                                   sweep=sweep)
+    Lam = sweep_order(sweep, gr, Omega, omega, Lambda0, 1e-2)
     want = svd_sweep_reconstruction(gr, Omega, omega, Lambda0, sweep)
     assert np.allclose(Lam, want, rtol=0.0, atol=1e-13)

@@ -269,6 +269,16 @@ class TestRun:
         with pytest.raises(ConfigError):
             sim.run(sim.SimConfig(grid=gr, params=params, preset="static"))
 
+    @pytest.mark.parametrize("preset, init", [(None, None),
+                                              ("static", "static")],
+                             ids=["neither", "both"])
+    def test_exactly_one_initial_state(self, params, preset, init):
+        gr = make_grid()
+        state = init and sim.presets(init, gr, params)
+        with pytest.raises(ConfigError, match="exactly one"):
+            sim.run(sim.SimConfig(grid=gr, params=params, preset=preset,
+                                  init=state))
+
     def test_bad_scheme(self, params):
         gr = make_grid()
         with pytest.raises(ConfigError):
