@@ -111,12 +111,11 @@ def check_invariance():
     worst_proj = 0.0
     for _ in range(n):
         pt = _random_point(rng)
-        lifted = model.lift_stage1(pt, so3.random_rotation(rng),
-                                   r_s=rng.normal(size=3))
+        lifted = model.lift_stage1(pt, so3.random_rotation(rng))
         L = model.lagrangian_unreduced(lifted, params)
         G = so3.random_rotation(rng)
         moved = dataclasses.replace(
-            lifted, r=G @ lifted.r, r_s=G @ lifted.r_s, r_t=G @ lifted.r_t,
+            lifted, r=G @ lifted.r, r_t=G @ lifted.r_t,
             Lambda=G @ lifted.Lambda, Lambda_s=G @ lifted.Lambda_s,
             Lambda_t=G @ lifted.Lambda_t)
         worst_inv = max(worst_inv,
@@ -391,19 +390,18 @@ def noether_report(s1, Lam, params, tol=None):
         # the owned levels and one more on each side, within the window
         lo, hi = max(w.inner.start - 1, 0), min(w.inner.stop + 1, len(L))
         own, ext = slice(w.inner.start - lo, w.inner.stop - lo), slice(lo, hi)
-        f = red.at_levels(red.project_stage2(red.window_view(s1, w)), ext)
+        f = red.at_levels(red.project_stage2(red.at_levels(s1, w.read)), ext)
         d = model.fiber_derivatives_stage1(f, params)
         f_own, d_own = red.at_levels(f, own), red.at_levels(d, own)
         L_own = L[w.inner]
         vertical = rs._rot(L_own, rs.stage2_residuals(f_own, params).vertical)
         identity = g.node_sq(noether.drift_residual(L_own, f_own, d_own, params)
                              - vertical)
-        rot = noether.rotor_current(w.grid, d)
-        so3c = noether.so3_current(w.grid, L[ext], d)
+        rot = noether.rotor_current(gr, d)
+        so3c = noether.so3_current(gr, L[ext], d)
         # the rotation field may carry loop holonomy, in which case the
         # spatial current jumps at the seam; differentiate it on the cut
-        so3c_cut = dataclasses.replace(
-            so3c, grid=dataclasses.replace(w.grid, bc_s=g.CLAMPED))
+        so3c_cut = dataclasses.replace(so3c, grid=cut)
         return (noether.totals_over_time(rot, own),
                 noether.totals_over_time(so3c, own),
                 g.level_sums(g.node_sq(noether.divergence(rot, own)), nodes),

@@ -27,7 +27,7 @@ from .fields_io import (FieldWriter, format_report, grid_line, listed_fields,
 from .model import default_params
 from .reduction import Stage1Section
 from .residuals import Stage1Residuals
-from .simulate import SimConfig, residual_norms, stream
+from .simulate import FIELDS, SimConfig, residual_norms, stream
 from .so3 import reorthonormalize
 
 EXIT_OK = 0
@@ -62,8 +62,7 @@ def _check_tol(tol):
 def _stored_section(indir):
     """The stored stage-1 section, as level sources, and its model."""
     params = read_model(indir)
-    with open_fields(indir, names=("rho", "theta", "Omega", "omega")) as (
-            gr, fields):
+    with open_fields(indir, names=FIELDS) as (gr, fields):
         yield Stage1Section(grid=gr, **fields), params
 
 

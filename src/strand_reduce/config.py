@@ -90,6 +90,8 @@ def _as_float(item, key, positive=False, nonnegative=False):
         x = float(value)
     except ValueError:
         raise ConfigError("not a number", key=key, line=lineno) from None
+    if not np.isfinite(x):
+        raise ConfigError("must be finite", key=key, line=lineno)
     if positive and not x > 0.0:
         raise ConfigError("must be > 0", key=key, line=lineno)
     if nonnegative and not x >= 0.0:

@@ -473,7 +473,8 @@ def read_levels(fh, path, grid, kind, read, held):
     try:
         data = _loadtxt(fh, usecols=usecols, max_rows=count)
     except ValueError as exc:
-        raise _bad_line(path, first, count, usecols, exc) from None
+        raise ConfigError(_bad_line(path, first, count, usecols,
+                                    exc)) from None
     if data.shape[0] != count:
         raise ConfigError(f"{path} has blank or comment lines among its "
                           f"{grid.n_t * grid.n_s} rows")
@@ -481,17 +482,18 @@ def read_levels(fh, path, grid, kind, read, held):
 
 
 def _bad_line(path, first, count, usecols, exc):
-    """ConfigError at the file line of the first malformed row among the
-    ``count`` rows from row ``first`` (0-based, after the header)."""
+    """The message naming the file line of the first malformed one of the
+    ``count`` lines (all when None) from line ``first`` (0-based, after the
+    header); numpy's ``exc`` when none fails alone."""
+    stop = None if count is None else 1 + first + count
     with open(path, errors="replace") as fh:
-        for k, line in enumerate(itertools.islice(fh, 1 + first,
-                                                  1 + first + count)):
+        for k, line in enumerate(itertools.islice(fh, 1 + first, stop)):
             try:
                 _loadtxt([line], usecols=usecols)
             except ValueError as one:
-                return ConfigError(f"{path} line {2 + first + k}: "
-                                   + re.sub(r" at row \d+", "", str(one)))
-    return ConfigError(f"{path}: {exc}")
+                return (f"{path} line {2 + first + k}: "
+                        + re.sub(r" at row \d+", "", str(one)))
+    return f"{path}: {exc}"
 
 
 @contextlib.contextmanager
@@ -540,8 +542,12 @@ def _loadtxt(source, **kwargs):
 def read_initial_slice(path, n_s):
     try:
         data = _loadtxt(path, skiprows=1)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         raise ConfigError(f"initial state file {path}: {exc}",
+                          key="init.file") from None
+    except ValueError as exc:
+        raise ConfigError("initial state file "
+                          + _bad_line(path, 0, None, None, exc),
                           key="init.file") from None
     if data.shape != (n_s, 1 + 3 * len(COMPONENTS)):
         raise ConfigError(

@@ -6,7 +6,6 @@ axis 1 over arclength nodes, trailing axes over components (none for scalars,
 what the CSV writer serializes, so it is fixed.
 """
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,13 +42,12 @@ GATHER_MAX_VALUES = 1536
 class Window:
     """A run of time levels with a halo of ``WINDOW_HALO`` on each inner side.
 
-    ``grid`` spans the levels ``read`` of the whole grid.  Fields built from
-    them by the stencils equal the whole-grid ones, bit for bit, on the
-    levels the window owns: ``own`` in whole-grid rows, ``inner`` in rows of
-    the window.
+    Fields built by the stencils from the levels ``read`` of the whole grid
+    equal the whole-grid ones, bit for bit, on the levels the window owns:
+    ``own`` in whole-grid rows, ``inner`` in rows of the window.  The
+    stencils take the whole grid, whose ``n_t`` none of them reads.
     """
 
-    grid: "Grid2"
     read: slice
     own: slice
     inner: slice
@@ -149,8 +147,7 @@ class Grid2:
         while lo < self.n_t:
             hi = lo + step if self.n_t - (lo + step) >= 2 else self.n_t
             a, b = max(0, lo - WINDOW_HALO), min(self.n_t, hi + WINDOW_HALO)
-            yield Window(dataclasses.replace(self, n_t=b - a), slice(a, b),
-                         slice(lo, hi), slice(lo - a, hi - a))
+            yield Window(slice(a, b), slice(lo, hi), slice(lo - a, hi - a))
             lo = hi
 
     def refined(self):

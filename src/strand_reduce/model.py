@@ -131,7 +131,6 @@ class UnreducedPoint:
     """
 
     r: np.ndarray
-    r_s: np.ndarray
     r_t: np.ndarray
     Lambda: np.ndarray
     Lambda_s: np.ndarray
@@ -281,19 +280,15 @@ def lagrangian_unreduced(pt, p):
                    pt.theta_s, pt.theta_t, Omega, omega, p)
 
 
-def lift_stage1(pt, Lam, r_s=None):
+def lift_stage1(pt, Lam):
     """Unreduced point over a given rotation reproducing a stage-1 point.
 
     Uses r = Lam rho, Lambda_s = Lam hat(Omega), Lambda_t = Lam hat(omega),
-    r_t = Lam (rho_t + omega x rho); ``r_s`` is free (unused by the
-    Lagrangian) and defaults to zero.
+    r_t = Lam (rho_t + omega x rho).
     """
     Lam = np.asarray(Lam, dtype=float)
-    if r_s is None:
-        r_s = np.zeros(3)
     return UnreducedPoint(
         r=Lam @ pt.rho,
-        r_s=r_s,
         r_t=Lam @ (pt.rho_t + cross(pt.omega, pt.rho)),
         Lambda=Lam,
         Lambda_s=Lam @ hat(pt.Omega),

@@ -151,17 +151,11 @@ def at_levels(record, rows):
         for f in dataclasses.fields(record) if f.name != "grid"})
 
 
-def window_view(section, window):
-    """The section on the levels ``window`` reads, on the window's grid."""
-    return dataclasses.replace(at_levels(section, window.read),
-                               grid=window.grid)
-
-
-def flatness_level_max(window, Omega, omega, nodes=None):
+def flatness_level_max(grid, window, Omega, omega, nodes=None):
     """:func:`grid.level_max` of the squared :func:`flatness_residual_rotation`
-    over the ``nodes`` (all when None) of every level ``window`` owns;
-    ``Omega`` and ``omega`` hold the levels it reads."""
-    flat = flatness_residual_rotation(window.grid, Omega, omega, window.inner)
+    over the ``nodes`` (all when None) of every level ``window`` of ``grid``
+    owns; ``Omega`` and ``omega`` hold the levels it reads."""
+    flat = flatness_residual_rotation(grid, Omega, omega, window.inner)
     return g.level_max(g.node_sq(flat), nodes)
 
 
@@ -169,7 +163,7 @@ def flatness_max(grid, Omega, omega):
     """Max norm of :func:`flatness_residual_rotation`, window by window, as a
     :class:`grid.Peak`: the value and the level and node where it is reached."""
     return g.max_sq(*g.by_window(grid, lambda w: flatness_level_max(
-        w, Omega[w.read], omega[w.read])))
+        grid, w, Omega[w.read], omega[w.read])))
 
 
 def flatness_gate(peak, tol):
@@ -251,7 +245,7 @@ def gated_pass(grid, Omega, omega, Lam, tol, evaluate):
     errors = []
 
     def window(w):
-        flat = flatness_level_max(w, Omega[w.read], omega[w.read])
+        flat = flatness_level_max(grid, w, Omega[w.read], omega[w.read])
         if not errors:
             try:
                 L = Lam[w.read]

@@ -41,7 +41,7 @@ import numpy as np
 from . import grid as g
 from . import model
 from .model import _dot
-from .reduction import Stage1Section, at_levels, project_stage2
+from .reduction import Stage1Section, project_stage2
 from .so3 import cross, hat, vee_skew
 
 
@@ -94,11 +94,11 @@ def stage2_residuals(s2, p):
     return Stage1Residuals(gr, *res)
 
 
-def stage1_residuals(s1, p, keep=slice(None)):
-    """Residuals of the once-reduced equations on the levels ``keep`` of the
-    section's: :func:`stage2_residuals` of its
-    :func:`reduction.project_stage2` (a = d_s theta, b = d_t theta)."""
-    return stage2_residuals(at_levels(project_stage2(s1), keep), p)
+def stage1_residuals(s1, p):
+    """Residuals of the once-reduced equations: :func:`stage2_residuals` of
+    the section's :func:`reduction.project_stage2` (a = d_s theta,
+    b = d_t theta)."""
+    return stage2_residuals(project_stage2(s1), p)
 
 
 def _unreduced_slots(u):

@@ -35,8 +35,9 @@ import numpy as np
 from . import grid as g
 from .errors import BlowupError, ConfigError, UnknownPresetError
 from .model import COMPONENTS, ModelParams, rates
-from .reduction import Stage1Section, flatness_level_max, window_view
-from .residuals import Stage1Residuals, stage1_residuals
+from .reduction import (Stage1Section, at_levels, flatness_level_max,
+                        project_stage2)
+from .residuals import Stage1Residuals, stage2_residuals
 
 BLOWUP_GUARD = 1e8
 
@@ -281,20 +282,20 @@ def residual_norms(section, p):
     """Interior L2 norms of the stage-1 residuals and the masked flatness max.
 
     Keyed as in the run summary, evaluated window by window into per-level
-    sums and maxima.  The stage-2 residuals are the same kernel
-    (:func:`residuals.stage2_residuals`) on the section's twice-reduced
-    projection.
+    sums and maxima.  Each window takes the stage-1 residuals' kernel,
+    :func:`residuals.stage2_residuals`, on the levels it owns of its
+    twice-reduced projection.
     """
     gr = section.grid
     names = Stage1Residuals._fields
     levels, nodes = gr.interior(2)
 
     def evaluate(w):
-        s = window_view(section, w)
-        res = stage1_residuals(s, p, w.inner)
+        s = at_levels(section, w.read)
+        res = stage2_residuals(at_levels(project_stage2(s), w.inner), p)
         return (*(g.level_sums(g.node_sq(getattr(res, name)), nodes)
                   for name in names),
-                *flatness_level_max(w, s.Omega, s.omega, nodes))
+                *flatness_level_max(gr, w, s.Omega, s.omega, nodes))
 
     *sums, flat, flat_node = g.by_window(gr, evaluate)
     return {**{f"residual_{name}_l2": g.l2_sq(gr, q, levels)

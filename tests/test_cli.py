@@ -230,7 +230,9 @@ class TestMalformedInputs:
         cfg.write_text(CONFIG.replace("length = 1.0", "length = inf"))
         err = self.assert_config_exit(["simulate", "--config", str(cfg),
                                        "--out", str(tmp_path / "o")], capsys)
-        assert "[grid]" in err
+        line = CONFIG.splitlines().index("length = 1.0") + 1
+        assert err == (f"config error: must be finite [grid.length] "
+                       f"(line {line})\n")
 
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
@@ -295,12 +297,10 @@ class TestMalformedInputs:
                                        "--out", str(tmp_path / "o")], capsys)
         assert "init_bad.csv" in err and "[init.file]" in err
 
-    @pytest.mark.parametrize("value, gap", [("nan", ""), ("inf", ""),
-                                            ("nan", "# note\n\n")])
-    def test_nonfinite_init_cell(self, small_inputs, tmp_path, capsys, value,
-                                 gap):
-        # before the march, so that it is not reported as a blow-up at step 0;
-        # blank and comment lines among the rows do not shift the line named
+    def init_cell_error(self, small_inputs, tmp_path, capsys, value, gap):
+        """The init file of ``small_inputs`` with cell u2 of node 3 (file
+        line 5) set to ``value``, after the lines ``gap``: its path and the
+        error ``simulate`` prints for it."""
         for name in ("run.cfg", "init.csv"):
             shutil.copy(small_inputs / name, tmp_path / name)
         init = tmp_path / "init.csv"
@@ -310,11 +310,31 @@ class TestMalformedInputs:
         row[5] = value
         lines[4] = gap + ",".join(row)
         init.write_text("".join(lines))
-        err = self.assert_config_exit(["simulate", "--config",
-                                       str(tmp_path / "run.cfg"), "--out",
-                                       str(tmp_path / "o")], capsys)
+        return init, self.assert_config_exit(
+            ["simulate", "--config", str(tmp_path / "run.cfg"), "--out",
+             str(tmp_path / "o")], capsys)
+
+    @pytest.mark.parametrize("value, gap", [("nan", ""), ("inf", ""),
+                                            ("nan", "# note\n\n")])
+    def test_nonfinite_init_cell(self, small_inputs, tmp_path, capsys, value,
+                                 gap):
+        # before the march, so that it is not reported as a blow-up at step 0;
+        # blank and comment lines among the rows do not shift the line named
+        init, err = self.init_cell_error(small_inputs, tmp_path, capsys, value,
+                                         gap)
         assert err == (f"config error: initial state file {init} line "
                        f"{5 + gap.count(chr(10))}: u2 is {value} [init.file]\n")
+
+    @pytest.mark.parametrize("gap", ["", "# note\n\n"])
+    def test_malformed_init_cell_names_its_line(self, small_inputs, tmp_path,
+                                                capsys, gap):
+        # the file line, not numpy's row among the data rows
+        init, err = self.init_cell_error(small_inputs, tmp_path, capsys, "abc",
+                                         gap)
+        head = (f"config error: initial state file {init} line "
+                f"{5 + gap.count(chr(10))}: ")
+        assert err.startswith(head) and err.endswith(" [init.file]\n")
+        assert "'abc'" in err and " row " not in err
 
     @pytest.mark.parametrize("command, name, shape", [
         ("residuals", "rho", ()), ("noether", "rho", ()),
@@ -537,15 +557,15 @@ class TestResiduals:
         # window evaluates the residuals on the levels it owns
         monkeypatch.setattr(g, "WINDOW_NODES", 8 * 16)
         calls = []
-        evaluate = rs.stage1_residuals
+        evaluate = rs.stage2_residuals
 
-        def counted(s, p, keep=slice(None)):
-            res = evaluate(s, p, keep)
+        def counted(s, p):
+            res = evaluate(s, p)
             calls.append(len(res.vertical))
             return res
 
         for module in (rs, sim):
-            monkeypatch.setattr(module, "stage1_residuals", counted)
+            monkeypatch.setattr(module, "stage2_residuals", counted)
         assert main(["residuals", "--preset", "twistpulse", "--n-s", "16",
                      "--n-t", "40", "--duration", "0.1"]) == 0
         windows = list(g.Grid2.uniform(40, 16, 0.1, 1.0, g.PERIODIC).windows())
@@ -709,11 +729,12 @@ class TestNoether:
         calls = []
         build = red.project_stage2
         monkeypatch.setattr(red, "project_stage2",
-                            lambda s: calls.append(s.grid.n_t) or build(s))
+                            lambda s: calls.append(len(s.rho)) or build(s))
         assert main(["noether", "--in", str(out), "--out",
                      str(tmp_path / "tot")]) == 0
         windows = list(g.Grid2.uniform(40, 32, 0.1, 1.0, g.PERIODIC).windows())
-        assert calls == [w.grid.n_t for w in windows] and len(calls) == 5
+        assert calls == [w.read.stop - w.read.start for w in windows]
+        assert len(calls) == 5
 
     def test_one_flatness_pass(self, tmp_path, config_file, monkeypatch):
         # the default --tol and the reconstruction gate share one windowed
@@ -724,11 +745,12 @@ class TestNoether:
         calls = []
         flat = red.flatness_residual_rotation
         monkeypatch.setattr(red, "flatness_residual_rotation",
-                            lambda gr, *rates: calls.append(gr.n_t)
-                            or flat(gr, *rates))
+                            lambda gr, Omega, *rest: calls.append(len(Omega))
+                            or flat(gr, Omega, *rest))
         assert main(["noether", "--in", str(out)]) == 0
         windows = list(g.Grid2.uniform(40, 32, 0.1, 1.0, g.PERIODIC).windows())
-        assert calls == [w.grid.n_t for w in windows] and len(calls) == 5
+        assert calls == [w.read.stop - w.read.start for w in windows]
+        assert len(calls) == 5
 
     def test_nan_cell_exits_3(self, tmp_path, config_file):
         # a fresh process, so that a numpy RuntimeWarning would reach stderr
@@ -1072,7 +1094,7 @@ class TestModuleEntry:
                     count += sum(isinstance(stmt, ast.AnnAssign)
                                  and stmt.value is not None
                                  for stmt in node.body)
-        assert count == 32
+        assert count == 30
 
     def test_python_m_help(self):
         proc = subprocess.run([sys.executable, "-m", "strand_reduce", "--help"],

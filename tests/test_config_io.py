@@ -70,6 +70,17 @@ class TestConfig:
             parse_config(bad)
         assert "potential.kappa" in str(err.value)
 
+    @pytest.mark.parametrize("line, key", [
+        ("kappa = 1.0", "potential.kappa"), ("c0 = 1.0", "potential.c0"),
+        ("duration = 0.1", "grid.duration"), ("length = 1.0", "grid.length")])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_number_names_key_and_line(self, line, key, value):
+        bad = GOOD.replace(line, line.split("=")[0] + "= " + value)
+        lineno = GOOD.splitlines().index(line) + 1
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert str(err.value) == f"must be finite [{key}] (line {lineno})"
+
     def test_unknown_key_with_line(self):
         bad = GOOD + "\n[scheme]\ncolor = blue\n"
         with pytest.raises(ConfigError) as err:

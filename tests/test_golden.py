@@ -1,9 +1,10 @@
-"""Golden runs: the full manifest sha256 of three stored runs, and the
-``residuals --in`` report of the first.
+"""Golden runs: the manifest and ``diagnostics.csv`` sha256 of three stored
+runs, and the ``residuals --in`` report of the first.
 
 The manifest lists the sha256 of every field CSV and the model line, so its
-own hash pins every byte a run writes.  A change that moves any of these
-values must say why in CHANGES.md and update them here.
+own hash pins every field byte a run writes; the diagnostics hash pins the
+march's per-step ``max_state`` and rotor totals.  A change that moves any of
+these values must say why in CHANGES.md and update them here.
 """
 
 import hashlib
@@ -47,6 +48,15 @@ GOLDEN = {
         "db8edb1d683e07b49ea96f85054f74095801fba4c275dfea1b861879fb637433",
 }
 
+DIAGNOSTICS = {
+    ("periodic", "twistpulse", "rk4"):
+        "c51ee0522e28aebb5507860653f2777beb39e52cd62a09073d8b660b9ac725da",
+    ("clamped", "helix", "rk4"):
+        "394608af93d57fd193a2b2429c554b4116533ad080ad969a2ccb17799c369e32",
+    ("periodic", "rigidbody", "midpoint"):
+        "022c425f63d9cd09e68e8675c2d42732908a23f1b214956b6016c2866b33683f",
+}
+
 README_RESIDUALS = """\
 residuals
 stage1_vertical_l2 0.00021679658507229582 - PASS
@@ -69,6 +79,8 @@ def test_manifest_sha256(tmp_path, capsys, case):
     out = simulate(tmp_path, *case)
     digest = hashlib.sha256((out / "manifest.txt").read_bytes()).hexdigest()
     assert digest == GOLDEN[case]
+    steps = hashlib.sha256((out / "diagnostics.csv").read_bytes()).hexdigest()
+    assert steps == DIAGNOSTICS[case]
     if case == ("periodic", "twistpulse", "rk4"):
         capsys.readouterr()
         assert main(["residuals", "--in", str(out)]) == 0

@@ -97,7 +97,7 @@ class TestLagrangians:
     def test_unreduced_pure_translation(self):
         p = potential_off(identity_params())
         pt = model.UnreducedPoint(
-            r=np.zeros(3), r_s=np.zeros(3), r_t=E1,
+            r=np.zeros(3), r_t=E1,
             Lambda=np.eye(3), Lambda_s=np.zeros((3, 3)), Lambda_t=np.zeros((3, 3)),
             theta_s=np.zeros(3), theta_t=np.zeros(3))
         assert model.lagrangian_unreduced(pt, p) == pytest.approx(0.5, abs=1e-15)
@@ -111,7 +111,7 @@ class TestLagrangians:
 
     def test_unreduced_tangency_enforced(self, params):
         pt = model.UnreducedPoint(
-            r=E1, r_s=np.zeros(3), r_t=np.zeros(3),
+            r=E1, r_t=np.zeros(3),
             Lambda=np.eye(3), Lambda_s=np.eye(3), Lambda_t=np.zeros((3, 3)),
             theta_s=np.zeros(3), theta_t=np.zeros(3))
         with pytest.raises(NotAntisymmetricError):
@@ -121,7 +121,7 @@ class TestLagrangians:
         for _ in range(100):
             pt = random_stage1_point(rng)
             Lam = so3.random_rotation(rng)
-            lifted = model.lift_stage1(pt, Lam, r_s=rng.normal(size=3))
+            lifted = model.lift_stage1(pt, Lam)
             l1 = model.lagrangian_stage1(pt, params)
             L = model.lagrangian_unreduced(lifted, params)
             assert abs(l1 - L) <= 1e-12 * (1.0 + abs(L))
@@ -129,11 +129,10 @@ class TestLagrangians:
     def test_invariance(self, rng, params):
         for _ in range(100):
             pt = random_stage1_point(rng)
-            lifted = model.lift_stage1(pt, so3.random_rotation(rng),
-                                       r_s=rng.normal(size=3))
+            lifted = model.lift_stage1(pt, so3.random_rotation(rng))
             G = so3.random_rotation(rng)
             moved = dataclasses.replace(
-                lifted, r=G @ lifted.r, r_s=G @ lifted.r_s, r_t=G @ lifted.r_t,
+                lifted, r=G @ lifted.r, r_t=G @ lifted.r_t,
                 Lambda=G @ lifted.Lambda, Lambda_s=G @ lifted.Lambda_s,
                 Lambda_t=G @ lifted.Lambda_t)
             L0 = model.lagrangian_unreduced(lifted, params)

@@ -136,7 +136,7 @@ class TestPartition:
             assert 2 <= len(own) <= step + 1
             assert w.read == slice(max(0, own[0] - g.WINDOW_HALO),
                                    min(gr.n_t, own[-1] + 1 + g.WINDOW_HALO))
-            assert w.grid == dataclasses.replace(gr, n_t=w.read.stop - w.read.start)
+            assert w.read.stop - w.read.start <= 2 * len(own)
             assert range(w.read.start, w.read.stop)[w.inner] == own
         assert owned == list(range(n_t))
 
@@ -155,7 +155,7 @@ class TestBitwiseEqualToWholeGrid:
         s1 = section(bc)
         whole = red.project_stage2(s1)
         for w in patch_windows(monkeypatch, s1.grid, split):
-            part = red.project_stage2(red.window_view(s1, w))
+            part = red.project_stage2(red.at_levels(s1, w.read))
             for field in dataclasses.fields(part):
                 if field.name == "grid":
                     continue
@@ -262,7 +262,7 @@ class TestLevelsPerWindow:
     def test_residual_norms(self, monkeypatch, split, bc, params):
         s1 = section(bc)
         n = len(patch_windows(monkeypatch, s1.grid, split))
-        residual = count_rows(monkeypatch, rs, "stage2_residuals")
+        residual = count_rows(monkeypatch, sim, "stage2_residuals")
         residual_norms(s1, params)
         assert len(residual) == n
         assert sum(residual) == N_T
@@ -422,7 +422,7 @@ class TestWindowedMaxPropagatesNan:
         levels, nodes = gr.interior(2)
         levels[10:15] = False
         peak = g.max_sq(*g.by_window(gr, lambda w: red.flatness_level_max(
-            w, Omega[w.read], omega[w.read], nodes)), levels)
+            gr, w, Omega[w.read], omega[w.read], nodes)), levels)
         assert np.isfinite(peak.value)
         assert peak.value == g.norm_max(
             red.flatness_residual_rotation(gr, Omega, omega),
