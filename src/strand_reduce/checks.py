@@ -166,7 +166,7 @@ def check_stages():
     for _ in range(n):
         s1 = random_smooth_section(gr, rng)
         d = model.fiber_derivatives_stage1(red.project_stage2(s1), params)
-        vertical = noether.divergence(noether.rotor_current(gr, d))
+        vertical = noether.divergence(gr, d.dl_dtheta_s, d.dl_dtheta_t)
         worst = max(worst, g.norm_max(
             rs.stage1_residuals(s1, params).horizontal_theta - vertical, mask))
     return [_result("stage_equivalence_max_abs_diff", worst, tol)]
@@ -397,15 +397,15 @@ def noether_report(s1, Lam, params, tol=None):
         vertical = rs._rot(L_own, rs.stage2_residuals(f_own, params).vertical)
         identity = g.node_sq(noether.drift_residual(L_own, f_own, d_own, params)
                              - vertical)
-        rot = noether.rotor_current(gr, d)
-        so3c = noether.so3_current(gr, L[ext], d)
+        rot = d.dl_dtheta_s, d.dl_dtheta_t
+        so3c = noether.so3_current(L[ext], d)
         # the rotation field may carry loop holonomy, in which case the
         # spatial current jumps at the seam; differentiate it on the cut
-        so3c_cut = dataclasses.replace(so3c, grid=cut)
-        return (noether.totals_over_time(rot, own),
-                noether.totals_over_time(so3c, own),
-                g.level_sums(g.node_sq(noether.divergence(rot, own)), nodes),
-                g.level_sums(g.node_sq(noether.divergence(so3c_cut, own)),
+        return (g.integrate_s(gr, rot[1][own]),
+                g.integrate_s(gr, so3c[1][own]),
+                g.level_sums(g.node_sq(noether.divergence(gr, *rot, own)),
+                             nodes),
+                g.level_sums(g.node_sq(noether.divergence(cut, *so3c, own)),
                              cut_nodes),
                 *g.level_max(identity))
 

@@ -99,13 +99,13 @@ def _as_float(item, key, positive=False, nonnegative=False):
     return x
 
 
-def _as_int(item, key, minimum=None):
+def _as_int(item, key, minimum):
     value, lineno = item
     try:
         n = int(value)
     except ValueError:
         raise ConfigError("not an integer", key=key, line=lineno) from None
-    if minimum is not None and n < minimum:
+    if n < minimum:
         raise ConfigError(f"must be >= {minimum}", key=key, line=lineno)
     return n
 
@@ -117,13 +117,17 @@ def _as_matrix(item, key):
         if parts and parts[0] == "diag":
             if len(parts) != 4:
                 raise ValueError
-            return np.diag([float(p) for p in parts[1:]])
-        if len(parts) != 9:
+            m = np.diag([float(p) for p in parts[1:]])
+        elif len(parts) != 9:
             raise ValueError
-        return np.array([float(p) for p in parts]).reshape(3, 3)
+        else:
+            m = np.array([float(p) for p in parts]).reshape(3, 3)
     except ValueError:
         raise ConfigError("expected 'diag a b c' or nine reals row-major",
                           key=key, line=lineno) from None
+    if not np.isfinite(m).all():
+        raise ConfigError("must be finite", key=key, line=lineno)
+    return m
 
 
 def parse_config(text, source="<config>", base_dir="."):

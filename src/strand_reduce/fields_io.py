@@ -34,7 +34,7 @@ import numpy as np
 from . import grid as g
 from .errors import ConfigError
 from .model import ModelParams
-from .simulate import COMPONENTS, FIELDS, StateSlice
+from .simulate import COMPONENTS, FIELDS
 
 FMT = "%.17g"
 
@@ -481,18 +481,34 @@ def read_levels(fh, path, grid, kind, read, held):
     return data.reshape((read.stop - lo, grid.n_s) + _SHAPES[kind])
 
 
+def _data_lines(path):
+    """(file line, text) of each line after the header that ``np.loadtxt``
+    reads as a row: not blank and not only a comment."""
+    with open(path, errors="replace") as fh:
+        fh.readline()
+        for line, text in enumerate(fh, 2):
+            if text.split("#")[0].strip():
+                yield line, text
+
+
 def _bad_line(path, first, count, usecols, exc):
     """The message naming the file line of the first malformed one of the
-    ``count`` lines (all when None) from line ``first`` (0-based, after the
-    header); numpy's ``exc`` when none fails alone."""
-    stop = None if count is None else 1 + first + count
-    with open(path, errors="replace") as fh:
-        for k, line in enumerate(itertools.islice(fh, 1 + first, stop)):
-            try:
-                _loadtxt([line], usecols=usecols)
-            except ValueError as one:
-                return (f"{path} line {2 + first + k}: "
-                        + re.sub(r" at row \d+", "", str(one)))
+    ``count`` rows (all when None) from row ``first`` (0-based): one that
+    does not parse alone or, when every column is read (``usecols`` None),
+    has another number of cells than the first; numpy's ``exc`` when none
+    is."""
+    stop = None if count is None else first + count
+    head = None          # the first row's line and cell count
+    for line, text in itertools.islice(_data_lines(path), first, stop):
+        try:
+            cells = _loadtxt([text], usecols=usecols).shape[1]
+        except ValueError as one:
+            return (f"{path} line {line}: "
+                    + re.sub(r" at row \d+", "", str(one)))
+        head = head or (line, cells)
+        if usecols is None and cells != head[1]:
+            return (f"{path} line {line}: {cells} cells, where line "
+                    f"{head[0]} has {head[1]}")
     return f"{path}: {exc}"
 
 
@@ -555,19 +571,18 @@ def read_initial_slice(path, n_s):
             f"expected ({n_s}, {1 + 3 * len(COMPONENTS)})", key="init.file")
     if not np.isfinite(data[:, 1:]).all():
         row, col = np.argwhere(~np.isfinite(data[:, 1:]))[0]
-        with open(path) as fh:   # the rows loadtxt read: not blank or comment
-            lines = (k for k, text in enumerate(fh, 1)
-                     if k > 1 and text.split("#")[0].strip())
-            line = next(itertools.islice(lines, row, None))
+        line, _ = next(itertools.islice(_data_lines(path), row, None))
         raise ConfigError(
             f"initial state file {path} line {line}: "
             f"{COMPONENTS[col // 3]}{col % 3 + 1} is {data[row, 1 + col]}",
             key="init.file")
-    return StateSlice(**{name: data[:, 1 + 3 * i:4 + 3 * i]
-                         for i, name in enumerate(COMPONENTS)})
+    # rows are nodes, the value columns COMPONENTS' rows in order; C order,
+    # which the rates' in-place products need
+    return np.ascontiguousarray(
+        data[:, 1:].reshape(n_s, len(COMPONENTS), 3).transpose(1, 0, 2))
 
 
-def format_report(title, checks, preamble=()):
+def format_report(title, checks, preamble):
     """Plain-text report: one ``name value tolerance verdict`` line per check."""
     lines = [title]
     lines.extend(preamble)
@@ -578,7 +593,7 @@ def format_report(title, checks, preamble=()):
     return "\n".join(lines) + "\n"
 
 
-def write_report(path, title, checks, preamble=()):
+def write_report(path, title, checks, preamble):
     text = format_report(title, checks, preamble)
     _write_stream(path, text)
     return text

@@ -23,7 +23,7 @@ the reduced equations.
 
 This module is the only place the density, E, its derivatives, the fiber
 derivatives and the balance laws are written down (``density``,
-``potential_E``, ``dE``, ``density_derivatives``,
+``potential_E``, ``dE``, ``rotor_momentum``, ``density_derivatives``,
 ``fiber_derivatives_stage1``, ``rates``).  All of them act on single
 points and on whole (..., 3) fields alike; the residuals, currents and the
 time stepper call them rather than restating the formulas.
@@ -168,17 +168,23 @@ def density(v, c, a, b, Omega, omega, p):
     or spatial ``r_t``; only its length enters), ``c = <rho, rho> = <r, r>``
     and ``(a, b)`` are the rotor rates (theta_s, theta_t).
     """
-    wk = omega + b
     return (0.5 * _dot(v, v)
             + 0.5 * _dot(omega, omega @ p.inertia_body.T)
-            + 0.5 * _dot(wk, wk @ p.inertia_rotor.T)
+            + 0.5 * _dot(omega + b, rotor_momentum(omega, b, p))
             - potential_E(Omega, a, c, p))
+
+
+def rotor_momentum(omega, b, p):
+    """The rotor momentum K (omega + b), b the rotor rate theta_t: the
+    t-component of the rotor-shift current, whose s-integral the march
+    records as the rotor total."""
+    return (omega + b) @ p.inertia_rotor.T
 
 
 def density_derivatives(v, c, a, b, Omega, omega, p):
     """Partial derivatives of :func:`density` in its six slots, in order."""
     E_Omega, E_a, E_c = dE(Omega, a, c, p)
-    Kwk = (omega + b) @ p.inertia_rotor.T
+    Kwk = rotor_momentum(omega, b, p)
     return v, -E_c, -E_a, Kwk, -E_Omega, omega @ p.inertia_body.T + Kwk
 
 

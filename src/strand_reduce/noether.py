@@ -9,53 +9,31 @@ error) on periodic strands.
 
 The currents are exactly the fiber derivatives of the stage-1 Lagrangian,
 so every evaluator takes the record ``d`` of
-:func:`model.fiber_derivatives_stage1` and none restates them.
+:func:`model.fiber_derivatives_stage1` and none restates them: the rotor
+current is ``(d.dl_dtheta_s, d.dl_dtheta_t)`` as it stands, and a current is
+its pair of arrays, differentiated on the grid it is passed with.
 """
-
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import grid as g
 from .so3 import cross
 from .residuals import _rot
 
 
-@dataclass
-class CurrentPair:
-    """The two components of a TX-valued current density over the grid."""
-
-    grid: g.Grid2
-    J_s: np.ndarray
-    J_t: np.ndarray
-
-
-def so3_current(grid, Lam, d):
-    """Spatial angular-momentum current densities from the fiber record ``d``.
+def so3_current(Lam, d):
+    """Spatial angular-momentum current densities ``(J_s, J_t)`` from the
+    fiber record ``d``.
 
     ``Lam`` must be a rotation field consistent with the section that ``d``
     was taken from (a projection pair); the body-frame fiber derivatives are
     pushed to the spatial frame by it.
     """
-    return CurrentPair(grid=grid, J_s=_rot(Lam, d.dl_dOmega),
-                       J_t=_rot(Lam, d.dl_domega))
+    return _rot(Lam, d.dl_dOmega), _rot(Lam, d.dl_domega)
 
 
-def rotor_current(grid, d):
-    """Rotor-shift current (-D a, K (omega + b)) from the fiber record ``d``."""
-    return CurrentPair(grid=grid, J_s=d.dl_dtheta_s, J_t=d.dl_dtheta_t)
-
-
-def divergence(c, keep=slice(None)):
-    """Stencil divergence d_s(J_s) + d_t(J_t) of a current pair on the
-    levels ``keep`` of its own (d_t reads them all)."""
-    return g.d_s(c.grid, c.J_s[keep]) + g.d_t(c.grid, c.J_t)[keep]
-
-
-def totals_over_time(c, keep=slice(None)):
-    """s-integral of J_t at every time level (of ``keep``): the conserved
-    totals."""
-    return g.integrate_s(c.grid, c.J_t[keep])
+def divergence(grid, J_s, J_t, keep=slice(None)):
+    """Stencil divergence d_s(J_s) + d_t(J_t) of a current on ``grid``, on
+    the levels ``keep`` of its own (d_t reads them all)."""
+    return g.d_s(grid, J_s[keep]) + g.d_t(grid, J_t)[keep]
 
 
 def drift_residual(Lam, f, d, p):

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import grid as g
 from .errors import BlowupError, ConfigError, UnknownPresetError
-from .model import COMPONENTS, ModelParams, rates
+from .model import COMPONENTS, ModelParams, rates, rotor_momentum
 from .reduction import (Stage1Section, at_levels, flatness_level_max,
                         project_stage2)
 from .residuals import Stage1Residuals, stage2_residuals
@@ -44,26 +44,6 @@ BLOWUP_GUARD = 1e8
 # The output fields, a stage-1 section, and their rows of the packed state.
 FIELDS = ("rho", "theta", "Omega", "omega")
 _FIELD_ROWS = np.array([COMPONENTS.index(name) for name in FIELDS])
-
-
-@dataclass
-class StateSlice:
-    """State of all arclength nodes at one time level; arrays are (n_s, 3)."""
-
-    rho: np.ndarray
-    u: np.ndarray
-    theta: np.ndarray
-    a: np.ndarray
-    v: np.ndarray
-    Omega: np.ndarray
-    omega: np.ndarray
-
-    def pack(self):
-        return np.stack([getattr(self, name) for name in COMPONENTS])
-
-    @classmethod
-    def unpack(cls, y):
-        return cls(**{name: y[i] for i, name in enumerate(COMPONENTS)})
 
 
 def cfl_limit(params, ds):
@@ -86,7 +66,7 @@ class SimConfig:
     params: ModelParams
     scheme: str = "rk4"
     preset: str = None
-    init: StateSlice = None
+    init: np.ndarray = None   # packed state, (7, n_s, 3) in COMPONENTS order
 
     def validate(self):
         if (self.preset is None) == (self.init is None):
@@ -102,43 +82,45 @@ class SimConfig:
 
 
 def presets(name, grid, params):
-    """Built-in initial states on a grid."""
+    """Built-in initial states on a grid, packed ``(7, n_s, 3)`` in
+    ``COMPONENTS`` order."""
     n_s = grid.n_s
     s = grid.s_coords()
     L = grid.length_s
     root_c0 = np.sqrt(params.pot_c0)
     # every component not set below starts at zero
-    st = StateSlice(*(np.zeros((n_s, 3)) for _ in COMPONENTS))
+    y = np.zeros((len(COMPONENTS), n_s, 3))
+    rho, u, _, _, v, Omega, omega = y
     name = name.lower()
     if name in ("static", "twistpulse"):
-        st.rho[:, 0] = root_c0
+        rho[:, 0] = root_c0
     if name == "static":
-        return st
+        return y
     if name == "rigidbody":
         # s-independent data: the strand moves as one rigid body with rotors.
-        st.rho = np.tile(root_c0 * np.array([0.48, 0.60, 0.64]), (n_s, 1))
-        st.u = np.tile([0.05, -0.02, 0.10], (n_s, 1))
-        st.v = np.tile([-0.10, 0.25, 0.15], (n_s, 1))
-        st.omega = np.tile([0.40, -0.30, 0.20], (n_s, 1))
-        return st
+        rho[:] = root_c0 * np.array([0.48, 0.60, 0.64])
+        u[:] = [0.05, -0.02, 0.10]
+        v[:] = [-0.10, 0.25, 0.15]
+        omega[:] = [0.40, -0.30, 0.20]
+        return y
     if name == "twistpulse":
         sigma = L / 10.0
         center = L / 2.0
-        bump = st.Omega[:, 2]
+        bump = Omega[:, 2]
         if grid.periodic_s:
             # Summing periodic images keeps the profile smooth across the seam.
             for k in (-2, -1, 0, 1, 2):
                 bump += np.exp(-0.5 * ((s - center + k * L) / sigma) ** 2)
         else:
             bump[:] = np.exp(-0.5 * ((s - center) / sigma) ** 2)
-        return st
+        return y
     if name == "helix":
         # Circular centerline with the frame rotating once about e3 over [0, L].
-        st.rho = root_c0 * np.stack([np.cos(2 * np.pi * s / L),
+        rho[:] = root_c0 * np.stack([np.cos(2 * np.pi * s / L),
                                      np.sin(2 * np.pi * s / L),
                                      np.zeros(n_s)], axis=-1)
-        st.Omega[:, 2] = 2 * np.pi / L
-        return st
+        Omega[:, 2] = 2 * np.pi / L
+        return y
     raise UnknownPresetError(name)
 
 
@@ -160,7 +142,7 @@ class RunResult:
     section: Stage1Section   # whole fields (:func:`run`), or None (:func:`stream`)
     steps: np.ndarray        # per-step rows: step, t, max|state|, rotor total (3)
     summary: dict
-    final_state: StateSlice
+    final_state: np.ndarray  # packed state at the last level
     seconds: dict            # wall s: march, summary, sink
 
 
@@ -180,13 +162,13 @@ class _March:
     def __init__(self, cfg, sink):
         cfg.validate()
         gr, p = cfg.grid, cfg.params
-        state = cfg.init if cfg.init is not None else presets(cfg.preset, gr, p)
-        self.y = state.pack()
+        self.y = (cfg.init.copy() if cfg.init is not None
+                  else presets(cfg.preset, gr, p))
         if self.y.shape != (len(COMPONENTS), gr.n_s, 3):
             raise ConfigError("initial state does not match the grid", key="init")
         self.f = rates(p, gr.ds, gr.periodic_s)
         self.step = _step_rk4 if cfg.scheme == "rk4" else _step_midpoint
-        self.grid, self.K, self.sink = gr, p.inertia_rotor, sink
+        self.grid, self.params, self.sink = gr, p, sink
         self.rows = np.empty((gr.n_t, 6))
         self.lo = self.done = 0         # the levels of the kept history
         self.hist = None
@@ -227,7 +209,8 @@ class _March:
         rows[:, 0] = np.arange(lo, stop)
         rows[:, 1] = rows[:, 0] * gr.dt
         rows[:, 2] = worst
-        rows[:, 3:] = g.integrate_s(gr, (hist[:, 6] + hist[:, 4]) @ self.K.T)
+        rows[:, 3:] = g.integrate_s(gr, rotor_momentum(hist[:, 6], hist[:, 4],
+                                                      self.params))
         self.y, self.lo, self.done, self.hist = y, lo, stop, hist
         t1 = time.perf_counter()
         self.seconds["march"] += t1 - t0
@@ -260,7 +243,7 @@ def stream(cfg, sink):
                - spent["sink"],
                "sink": spent["sink"]}
     return RunResult(section=None, steps=march.rows, summary=summary,
-                     final_state=StateSlice.unpack(march.y), seconds=seconds)
+                     final_state=march.y, seconds=seconds)
 
 
 def run(cfg):

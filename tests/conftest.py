@@ -50,10 +50,10 @@ def load_fields(indir, names):
 
 
 def write_init_file(path, state):
-    """A state slice as an ``init.file`` CSV: header, then one row per node,
-    its index and the 21 values in ``model.COMPONENTS`` order."""
-    values = np.concatenate([getattr(state, name) for name in model.COMPONENTS],
-                            axis=1)
+    """A packed state, ``(7, n_s, 3)``, as an ``init.file`` CSV: header, then
+    one row per node, its index and the 21 values in ``model.COMPONENTS``
+    order."""
+    values = np.concatenate(state, axis=1)
     head = ",".join(f"{name}{k + 1}" for name in model.COMPONENTS
                     for k in range(3))
     write_csv(path, f"s_index,{head}\n",

@@ -170,7 +170,7 @@ def _rigid_body_oracle(params, state0, h, steps):
     def shift(y, c, k):
         return [[p + c * q for p, q in zip(a, b)] for a, b in zip(y, k)]
 
-    y = [getattr(state0, name)[0].tolist()
+    y = [state0[model.COMPONENTS.index(name), 0].tolist()
          for name in ("rho", "u", "theta", "v", "omega")]
     for _ in range(steps):
         k1 = f(y)
@@ -194,7 +194,7 @@ def test_criterion_8_rigid_body_limit(report):
                                      pot_D=zero, pot_kappa=kappa)
         gr = g.Grid2(n_t=n_t, n_s=4, dt=1e-3, ds=0.25, bc_s=g.PERIODIC)
         state0 = sim.presets("rigidbody", gr, params)
-        state0.rho *= scale
+        state0[model.COMPONENTS.index("rho")] *= scale
         out = sim.run(sim.SimConfig(grid=gr, params=params, init=state0))
         rho, _u, theta, _v, om = _rigid_body_oracle(params, state0, gr.dt,
                                                     gr.n_t - 1)

@@ -96,6 +96,24 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert f"\nscheme rk4 {start}\n" in (out / "report.txt").read_text()
 
+    def test_init_file_run_equals_its_preset_run(self, small_inputs,
+                                                 tmp_path, capsys):
+        # small_inputs' init.csv is the twist pulse written out, and %.17g
+        # reads back exactly: the march from the file is the preset's, to
+        # the bytes of every field CSV, which the manifest hashes
+        shutil.copy(small_inputs / "init.csv", tmp_path / "init.csv")
+        text = (small_inputs / "run.cfg").read_text()
+        manifests = []
+        for name, init in (("file", "file = init.csv"),
+                           ("preset", "preset = twistpulse")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text.replace("file = init.csv", init))
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            manifests.append((out / "manifest.txt").read_bytes())
+        assert manifests[0] == manifests[1]
+
     def test_timings_are_sums_over_the_windows(self, monkeypatch, tmp_path,
                                                config_file, capsys):
         # march, summary and write take turns window by window; each phase's
@@ -328,13 +346,16 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("gap", ["", "# note\n\n"])
     def test_malformed_init_cell_names_its_line(self, small_inputs, tmp_path,
                                                 capsys, gap):
-        # the file line, not numpy's row among the data rows
-        init, err = self.init_cell_error(small_inputs, tmp_path, capsys, "abc",
-                                         gap)
-        head = (f"config error: initial state file {init} line "
-                f"{5 + gap.count(chr(10))}: ")
-        assert err.startswith(head) and err.endswith(" [init.file]\n")
-        assert "'abc'" in err and " row " not in err
+        # the file line, not numpy's row among the data rows, also for a
+        # row that parses alone but has one cell too many
+        for value, says in (("abc", "'abc'"),
+                            ("0,0", "23 cells, where line 2 has 22")):
+            init, err = self.init_cell_error(small_inputs, tmp_path, capsys,
+                                             value, gap)
+            head = (f"config error: initial state file {init} line "
+                    f"{5 + gap.count(chr(10))}: ")
+            assert err.startswith(head) and err.endswith(" [init.file]\n")
+            assert says in err and " row " not in err
 
     @pytest.mark.parametrize("command, name, shape", [
         ("residuals", "rho", ()), ("noether", "rho", ()),
@@ -1094,7 +1115,7 @@ class TestModuleEntry:
                     count += sum(isinstance(stmt, ast.AnnAssign)
                                  and stmt.value is not None
                                  for stmt in node.body)
-        assert count == 30
+        assert count == 26
 
     def test_python_m_help(self):
         proc = subprocess.run([sys.executable, "-m", "strand_reduce", "--help"],

@@ -72,10 +72,15 @@ class TestConfig:
 
     @pytest.mark.parametrize("line, key", [
         ("kappa = 1.0", "potential.kappa"), ("c0 = 1.0", "potential.c0"),
-        ("duration = 0.1", "grid.duration"), ("length = 1.0", "grid.length")])
+        ("duration = 0.1", "grid.duration"), ("length = 1.0", "grid.length"),
+        ("I = diag 1.8 1.4 1.1", "inertia.I"),
+        ("K = 0.9 0.1 0 0.1 0.7 0.05 0 0.05 0.5", "inertia.K"),
+        ("C = diag 1 0.8 0.6", "potential.C"),
+        ("D = diag 0.7 0.5 0.4", "potential.D")])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_number_names_key_and_line(self, line, key, value):
-        bad = GOOD.replace(line, line.split("=")[0] + "= " + value)
+        # the line's last number, the whole value of a scalar key
+        bad = GOOD.replace(line, line.rpartition(" ")[0] + " " + value)
         lineno = GOOD.splitlines().index(line) + 1
         with pytest.raises(ConfigError) as err:
             parse_config(bad)
@@ -106,8 +111,10 @@ class TestConfig:
 
     def test_non_finite_matrix_rejected(self):
         bad = GOOD.replace("C = diag 1 0.8 0.6", "C = diag nan 0.8 0.6")
-        with pytest.raises(ConfigError, match="pot_C must be finite"):
+        lineno = GOOD.splitlines().index("C = diag 1 0.8 0.6") + 1
+        with pytest.raises(ConfigError) as err:
             parse_config(bad)
+        assert str(err.value) == f"must be finite [potential.C] (line {lineno})"
 
     def test_cfl_guard_rejected(self):
         bad = GOOD.replace("n_t = 20", "n_t = 3")  # dt = 0.05 > guard
@@ -120,8 +127,8 @@ class TestConfig:
         write_init_file(tmp_path / "init.csv", state)
         text = GOOD.replace("preset = twistpulse", "file = init.csv")
         cfg = parse_config(text, base_dir=str(tmp_path))
-        assert np.allclose(cfg.init.rho, state.rho)
-        assert np.allclose(cfg.init.omega, state.omega)
+        assert np.allclose(cfg.init[0], state[0])      # rho
+        assert np.allclose(cfg.init[6], state[6])      # omega
 
     def test_init_file_missing(self):
         text = GOOD.replace("preset = twistpulse", "file = nope.csv")
@@ -225,15 +232,14 @@ class TestFieldsIO:
         assert (tmp_path / "diagnostics.csv").read_bytes() == want.encode()
 
     def test_initial_slice_bytes_match_per_value_reference(self, rng, tmp_path):
-        state = sim.StateSlice(**{name: rng.normal(size=(6, 3))
-                                  for name in sim.COMPONENTS})
-        state.theta[2] = (np.nan, -0.0, 1e-310)
+        state = rng.normal(size=(len(sim.COMPONENTS), 6, 3))
+        state[2, 2] = (np.nan, -0.0, 1e-310)          # theta of node 2
         write_init_file(tmp_path / "init.csv", state)
         want = "s_index," + ",".join(f"{name}{k + 1}" for name in sim.COMPONENTS
                                      for k in range(3)) + "\n"
         for j in range(6):
-            want += f"{j}," + ",".join("%.17g" % getattr(state, name)[j, k]
-                                       for name in sim.COMPONENTS
+            want += f"{j}," + ",".join("%.17g" % state[i, j, k]
+                                       for i in range(len(sim.COMPONENTS))
                                        for k in range(3)) + "\n"
         assert (tmp_path / "init.csv").read_bytes() == want.encode()
 
@@ -382,8 +388,9 @@ class TestFieldsIO:
         state = sim.presets("helix", gr, params)
         path = write_init_file(tmp_path / "init.csv", state)
         back = read_initial_slice(path, gr.n_s)
-        for name in sim.COMPONENTS:
-            assert np.array_equal(getattr(back, name), getattr(state, name))
+        assert np.array_equal(back, state)
+        # the march's rates write into C-ordered rows
+        assert back.flags.c_contiguous
 
 
 def assert_kernel_matches_percent(x, sep):

@@ -36,19 +36,20 @@ class TestCurrents:
         gr = small_grid()
         sec = static_section(gr, params)
         _, d = bundle(sec, params)
-        cur = noether.so3_current(gr, identity_field(gr), d)
-        assert g.norm_max(cur.J_s) == 0.0 and g.norm_max(cur.J_t) == 0.0
-        rot = noether.rotor_current(gr, d)
-        assert g.norm_max(rot.J_s) == 0.0 and g.norm_max(rot.J_t) == 0.0
+        J_s, J_t = noether.so3_current(identity_field(gr), d)
+        assert g.norm_max(J_s) == 0.0 and g.norm_max(J_t) == 0.0
+        # the rotor current is the record's rotor slots
+        assert g.norm_max(d.dl_dtheta_s) == 0.0
+        assert g.norm_max(d.dl_dtheta_t) == 0.0
 
     def test_identity_rotation_gives_body_frame(self, params):
         gr = small_grid(n_t=8, n_s=8)
         sec = smooth_stage1_section(gr)
         f, d = bundle(sec, params)
-        cur = noether.so3_current(gr, identity_field(gr), d)
+        J_s, _ = noether.so3_current(identity_field(gr), d)
         want_s = -model.dE(f.Omega, f.theta_s, np.sum(f.rho * f.rho, -1),
                            params)[0]
-        assert np.allclose(cur.J_s, want_s, atol=1e-15)
+        assert np.allclose(J_s, want_s, atol=1e-15)
 
     def test_rotor_current_values(self):
         p = model.ModelParams(np.eye(3), np.eye(3), np.eye(3), np.eye(3),
@@ -60,9 +61,8 @@ class TestCurrents:
         # a stage-2 point: (theta_s, theta_t) hold the rotor rates (a, b)
         d = model.fiber_derivatives_stage1(model.Stage1Point(
             rho=z, rho_t=z, theta_s=a, theta_t=z, Omega=z, omega=omega), p)
-        cur = noether.rotor_current(gr, d)
-        assert np.allclose(cur.J_t, E3, atol=1e-15)   # K (omega + b)
-        assert np.allclose(cur.J_s, -E1, atol=1e-15)  # -D a
+        assert np.allclose(d.dl_dtheta_t, E3, atol=1e-15)   # K (omega + b)
+        assert np.allclose(d.dl_dtheta_s, -E1, atol=1e-15)  # -D a
 
     def test_so3_equivariance(self, rng, params):
         gr = small_grid(n_t=8, n_s=8)
@@ -70,28 +70,27 @@ class TestCurrents:
         Lam = random_rotation_field(gr, rng)
         G = so3.random_rotation(rng)
         _, d = bundle(sec, params)
-        a = noether.so3_current(gr, Lam, d)
-        b = noether.so3_current(gr, np.einsum("ij,tsjk->tsik", G, Lam), d)
-        assert np.allclose(b.J_s, np.einsum("ij,tsj->tsi", G, a.J_s), atol=1e-12)
-        assert np.allclose(b.J_t, np.einsum("ij,tsj->tsi", G, a.J_t), atol=1e-12)
+        a = noether.so3_current(Lam, d)
+        b = noether.so3_current(np.einsum("ij,tsjk->tsik", G, Lam), d)
+        for J_a, J_b in zip(a, b):     # J_s, then J_t
+            assert np.allclose(J_b, np.einsum("ij,tsj->tsi", G, J_a),
+                               atol=1e-12)
 
 
 class TestDivergence:
     def test_constant_current(self):
         gr = small_grid()
-        c = noether.CurrentPair(grid=gr,
-                                J_s=np.broadcast_to(E1, (gr.n_t, gr.n_s, 3)).copy(),
-                                J_t=np.broadcast_to(E3, (gr.n_t, gr.n_s, 3)).copy())
-        assert g.norm_max(noether.divergence(c)) == 0.0
+        J_s = np.broadcast_to(E1, (gr.n_t, gr.n_s, 3)).copy()
+        J_t = np.broadcast_to(E3, (gr.n_t, gr.n_s, 3)).copy()
+        assert g.norm_max(noether.divergence(gr, J_s, J_t)) == 0.0
 
     def test_affine_current(self):
         gr = small_grid(bc=g.CLAMPED)
         s = gr.s_coords()[None, :, None]
         J_s = np.concatenate([s, np.zeros_like(s), np.zeros_like(s)], axis=-1)
         J_s = np.broadcast_to(J_s, (gr.n_t, gr.n_s, 3)).copy()
-        c = noether.CurrentPair(grid=gr, J_s=J_s,
-                                J_t=np.zeros((gr.n_t, gr.n_s, 3)))
-        assert np.allclose(noether.divergence(c), E1, atol=1e-12)
+        J_t = np.zeros((gr.n_t, gr.n_s, 3))
+        assert np.allclose(noether.divergence(gr, J_s, J_t), E1, atol=1e-12)
 
     def test_rotor_divergence_decays_on_solutions(self, params):
         norms = []
@@ -101,7 +100,7 @@ class TestDivergence:
             out = sim.run(sim.SimConfig(grid=gr, params=params,
                                         preset="twistpulse"))
             _, d = bundle(out.section, params)
-            div = noether.divergence(noether.rotor_current(gr, d))
+            div = noether.divergence(gr, d.dl_dtheta_s, d.dl_dtheta_t)
             norms.append(g.norm_l2(gr, div, gr.interior_mask(2)))
         assert 3.0 < norms[0] / norms[1] < 5.0
 
@@ -151,8 +150,8 @@ class TestTotalsFile:
         # the report's totals are those of both currents on the run's own grid
         _, d = bundle(sec, params)
         assert np.array_equal(totals, np.hstack([
-            noether.totals_over_time(noether.rotor_current(gr, d)),
-            noether.totals_over_time(noether.so3_current(gr, Lam, d))]))
+            g.integrate_s(gr, d.dl_dtheta_t),
+            g.integrate_s(gr, noether.so3_current(Lam, d)[1])]))
         t = gr.t_coords()
         want = "t_index,t,rotor_1,rotor_2,rotor_3,so3_1,so3_2,so3_3\n"
         for i in range(gr.n_t):

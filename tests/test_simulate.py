@@ -32,14 +32,14 @@ class TestPresets:
     def test_static_is_equilibrium(self, params):
         gr = make_grid()
         state = sim.presets("static", gr, params)
-        rates = model.rates(params, gr.ds, True)(state.pack())
+        rates = model.rates(params, gr.ds, True)(state)
         assert np.max(np.abs(rates)) == 0.0
 
     def test_twistpulse_shape(self, params):
         gr = make_grid()
-        state = sim.presets("twistpulse", gr, params)
-        assert np.max(np.abs(state.omega)) == 0.0
-        bump = state.Omega[:, 2]
+        *_, Omega, omega = sim.presets("twistpulse", gr, params)
+        assert np.max(np.abs(omega)) == 0.0
+        bump = Omega[:, 2]
         assert bump.max() == pytest.approx(1.0, abs=1e-6)
         c = gr.n_s // 2
         assert np.argmax(bump) == c
@@ -50,18 +50,18 @@ class TestPresets:
         # uniformly rotating frame: the projected rate is machine-exact,
         # ahead of the O(ds^2) requirement
         gr = make_grid(n_s=32, n_t=8)
-        state = sim.presets("helix", gr, params)
+        rho0, *_, Omega0, _ = sim.presets("helix", gr, params)
         s = gr.s_coords()
         k = 2 * np.pi / gr.length_s
         Lam_row = so3.exp_so3(np.outer(k * s, [0, 0, 1.0]))
         Lam = np.broadcast_to(Lam_row, (gr.n_t, gr.n_s, 3, 3)).copy()
-        rho = np.broadcast_to(state.rho, (gr.n_t, gr.n_s, 3)).copy()
+        rho = np.broadcast_to(rho0, (gr.n_t, gr.n_s, 3)).copy()
         u = red.UnreducedSection(
             grid=gr, r=np.einsum("tsij,tsj->tsi", Lam, rho), Lambda=Lam,
             theta=np.zeros((gr.n_t, gr.n_s, 3)))
         proj = red.project_stage1(u)
         assert g.norm_max(proj.Omega
-                          - np.broadcast_to(state.Omega, proj.Omega.shape)) <= 1e-12
+                          - np.broadcast_to(Omega0, proj.Omega.shape)) <= 1e-12
         assert np.allclose(proj.rho, rho, atol=1e-12)
 
     def test_unknown_preset(self, params):
@@ -79,26 +79,26 @@ class TestRhs:
         smooth = lambda a, b, c: np.stack(
             [a * np.sin(k * s), b * np.cos(2 * k * s), c * np.sin(k * s + 0.4)],
             axis=-1)
-        state = sim.StateSlice(
-            rho=smooth(0.2, 0.1, 0.15) + [1.0, 0, 0], u=smooth(0.1, -0.2, 0.05),
-            theta=smooth(0.3, 0.2, 0.1), a=smooth(0.25, 0.15, -0.1),
-            v=smooth(-0.1, 0.3, 0.2), Omega=smooth(0.4, 0.2, 0.3),
-            omega=smooth(0.2, -0.3, 0.25))
-        r = sim.StateSlice.unpack(model.rates(params, gr.ds, True)(state.pack()))
+        state = np.stack([
+            smooth(0.2, 0.1, 0.15) + [1.0, 0, 0], smooth(0.1, -0.2, 0.05),
+            smooth(0.3, 0.2, 0.1), smooth(0.25, 0.15, -0.1),
+            smooth(-0.1, 0.3, 0.2), smooth(0.4, 0.2, 0.3),
+            smooth(0.2, -0.3, 0.25)])
+        _, r_u, _, _, r_v, _, r_omega = model.rates(params, gr.ds, True)(state)
         I = params.inertia_body
         K = params.inertia_rotor
         C, D = params.pot_C, params.pot_D
-        rho, u_, om, Om, v = state.rho, state.u, state.omega, state.Omega, state.v
+        rho, u_, _, a, v, Om, om = state
         E_c = 0.5 * params.pot_kappa * (np.sum(rho * rho, -1) - params.pot_c0)
         CW = Om @ C.T
-        vert = (np.cross(rho, r.u + 2 * np.cross(om, u_) + np.cross(r.omega, rho)
+        vert = (np.cross(rho, r_u + 2 * np.cross(om, u_) + np.cross(r_omega, rho)
                          + np.sum(om * rho, -1)[:, None] * om)
-                + r.omega @ (I + K).T + r.v @ K.T
+                + r_omega @ (I + K).T + r_v @ K.T
                 + np.cross(om, om @ (I + K).T + v @ K.T)
                 - g.d_s_slice(CW, gr.ds, True) - np.cross(Om, CW))
-        hor_rho = (np.cross(om, np.cross(rho, om) - 2 * u_) - r.u
-                   - np.cross(r.omega, rho) - 2 * E_c[:, None] * rho)
-        hor_theta = (r.omega + r.v) @ K.T - g.d_s_slice(state.a @ D.T, gr.ds, True)
+        hor_rho = (np.cross(om, np.cross(rho, om) - 2 * u_) - r_u
+                   - np.cross(r_omega, rho) - 2 * E_c[:, None] * rho)
+        hor_theta = (r_omega + r_v) @ K.T - g.d_s_slice(a @ D.T, gr.ds, True)
         assert np.max(np.abs(vert)) <= 1e-10
         assert np.max(np.abs(hor_rho)) <= 1e-10
         assert np.max(np.abs(hor_theta)) <= 1e-10
@@ -144,13 +144,13 @@ class TestRhs:
         # Omega_t equals d_s(omega) + Omega x omega by construction
         gr = make_grid()
         state = sim.presets("helix", gr, params)
-        state.omega = np.stack([np.sin(2 * np.pi * gr.s_coords()),
-                                np.cos(2 * np.pi * gr.s_coords()),
-                                0.2 * np.ones(gr.n_s)], axis=-1)
-        r = sim.StateSlice.unpack(model.rates(params, gr.ds, True)(state.pack()))
-        want = (g.d_s_slice(state.omega, gr.ds, True)
-                + np.cross(state.Omega, state.omega))
-        assert np.allclose(r.Omega, want, atol=1e-14)
+        *_, Omega, omega = state
+        omega[:] = np.stack([np.sin(2 * np.pi * gr.s_coords()),
+                             np.cos(2 * np.pi * gr.s_coords()),
+                             0.2 * np.ones(gr.n_s)], axis=-1)
+        r_Omega = model.rates(params, gr.ds, True)(state)[5]
+        want = g.d_s_slice(omega, gr.ds, True) + np.cross(Omega, omega)
+        assert np.allclose(r_Omega, want, atol=1e-14)
 
 
 class TestMarchCalls:
@@ -214,9 +214,9 @@ class TestRun:
         out = sim.run(cfg)
         I = params_free.inertia_body
         K = params_free.inertia_rotor
-        state0 = sim.presets("rigidbody", gr, params_free)
-        y0 = np.concatenate([state0.rho[0], state0.u[0], state0.theta[0],
-                             state0.v[0], state0.omega[0]])
+        rho0, u0, theta0, _, v0, _, omega0 = sim.presets("rigidbody", gr,
+                                                         params_free)
+        y0 = np.concatenate([rho0[0], u0[0], theta0[0], v0[0], omega0[0]])
 
         def f(y):
             rho, u, _theta, v, om = y.reshape(5, 3)
@@ -255,7 +255,7 @@ class TestRun:
     def test_blowup_guard(self, params):
         gr = make_grid(n_s=8, n_t=10)
         state = sim.presets("static", gr, params)
-        state.u = 1e9 * np.ones_like(state.u)
+        state[1] = 1e9                        # u
         cfg = sim.SimConfig(grid=gr, params=params, init=state)
         with pytest.raises(BlowupError) as err:
             sim.run(cfg)
@@ -291,7 +291,8 @@ class TestRun:
         gr = make_grid(n_s=24, n_t=51, T=0.2)
         out = sim.run(sim.SimConfig(grid=gr, params=params, preset="twistpulse"))
         want = g.d_s_slice(out.section.theta[-1], gr.ds, gr.periodic_s)
-        assert np.max(np.abs(want - out.final_state.a)) <= 1e-13
+        a = out.final_state[model.COMPONENTS.index("a")]
+        assert np.max(np.abs(want - a)) <= 1e-13
 
     def test_rotor_momentum_drift(self, params):
         gr = make_grid(n_s=32, n_t=101, T=0.25)
@@ -326,7 +327,7 @@ class TestBlockGuard:
         # past the guard at level 5 (2.25e7 per level at node 3)
         gr = g.Grid2(n_t=10, n_s=8, dt=0.25, ds=0.5, bc_s=g.PERIODIC)
         state = sim.presets("static", gr, params_free)
-        state.u[3, 0] = 9e7
+        state[1, 3, 0] = 9e7                  # u1 at node 3
         cfg = sim.SimConfig(grid=gr, params=params_free, init=state)
         got = self.blowup(cfg, block=True)
         assert got == self.blowup(cfg, block=False)
@@ -368,7 +369,7 @@ class TestBlockGuard:
 class TestNoRotorLimit:
     def reference(self, gr, params):
         """Independent integrator for the strand without rotors."""
-        state0 = sim.presets("twistpulse", gr, params)
+        rho, u, *_, Omega, omega = sim.presets("twistpulse", gr, params)
         I, C = params.inertia_body, params.pot_C
         I_inv = np.linalg.inv(I)
 
@@ -384,7 +385,7 @@ class TestNoRotorLimit:
             Om_t = g.d_s_slice(om, gr.ds, True) + np.cross(Om, om)
             return np.stack([u, u_t, Om_t, om_t])
 
-        y = np.stack([state0.rho, state0.u, state0.Omega, state0.omega])
+        y = np.stack([rho, u, Omega, omega])
         return rk4(y, gr.dt, f, gr.n_t - 1)
 
     def test_small_rotor_inertia_continuity(self, params):

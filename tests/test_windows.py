@@ -59,7 +59,7 @@ def whole_march(cfg):
     gr, p = cfg.grid, cfg.params
     rates = model.rates(p, gr.ds, gr.periodic_s)
     step = sim._step_rk4 if cfg.scheme == "rk4" else sim._step_midpoint
-    y = sim.presets(cfg.preset, gr, p).pack()
+    y = sim.presets(cfg.preset, gr, p)
     fields = {name: gr.zeros() for name in sim.FIELDS}
     rows = np.empty((gr.n_t, 6))
     for i in range(gr.n_t):
@@ -107,13 +107,14 @@ def whole_grid_noether_report(s1, Lam, params):
     balance = noether.drift_residual(Lam, f, d, params)
     cut = dataclasses.replace(gr, bc_s=g.CLAMPED)
     values, totals = {}, []
-    for name, cur, div_grid in (("rotor", noether.rotor_current(gr, d), gr),
-                                ("so3", noether.so3_current(gr, Lam, d), cut)):
-        tot = noether.totals_over_time(cur)
+    for name, (J_s, J_t), div_grid in (
+            ("rotor", (d.dl_dtheta_s, d.dl_dtheta_t), gr),
+            ("so3", noether.so3_current(Lam, d), cut)):
+        tot = g.integrate_s(gr, J_t)
         totals.append(tot)
         values[f"{name}_total_drift"] = float(
             np.max(np.linalg.norm(tot - tot[0], axis=-1)))
-        div = noether.divergence(dataclasses.replace(cur, grid=div_grid))
+        div = noether.divergence(div_grid, J_s, J_t)
         values[f"{name}_divergence_interior_l2"] = g.norm_l2(
             div_grid, div, div_grid.interior_mask(2))
     values["current_vertical_identity_max_err"] = g.norm_max(
@@ -383,7 +384,7 @@ class TestStreamedSimulate:
         for name in sim.FIELDS:
             assert getattr(out.section, name).tobytes() == fields[name].tobytes()
         assert out.steps.tobytes() == rows.tobytes()
-        assert out.final_state.pack().tobytes() == final.tobytes()
+        assert out.final_state.tobytes() == final.tobytes()
         # the sink sees each level once, in blocks no longer than a window
         blocks = []
         sim.stream(cfg, lambda levels, _: blocks.append(levels))
