@@ -173,22 +173,18 @@ def check_stages():
 
 
 def interior_variation(gr):
-    """Compactly supported smooth variation used by the variational check.
+    """Smooth variation used by the variational check, on a periodic loop.
 
-    The windows vanish quadratically at the boundary nodes (and are zeroed
+    The time window vanishes quadratically at the end levels (and is zeroed
     there outright); linear vanishing would degrade the observed order of
-    the gap to one near non-periodic edges.
+    the gap to one near the time edges.
     """
     t = gr.t_coords()
     s = gr.s_coords()
     T, L = gr.duration, gr.length_s
     wt = np.sin(np.pi * t / T) ** 2
     wt[0] = wt[-1] = 0.0
-    if gr.periodic_s:
-        ws = 1.2 + np.sin(2 * np.pi * s / L)
-    else:
-        ws = np.sin(np.pi * s / L) ** 2
-        ws[0] = ws[-1] = 0.0
+    ws = 1.2 + np.sin(2 * np.pi * s / L)
     w = (wt[:, None] * ws[None, :])[..., None]
     phase = (2 * np.pi * s / L)[None, :]
     mk = lambda *fs: w * np.stack(

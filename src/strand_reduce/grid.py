@@ -23,19 +23,26 @@ WINDOW_NODES = 2048
 # Only the time stencils read them; every pointwise term is evaluated on the
 # owned levels (and the currents on one level more, for d_t of J_t).
 WINDOW_HALO = 2
-# One-sided closure of the first derivative, times 2h: row 0 of the stencil
-# is a*f[0] + b*f[1] + c*f[2], row n-1 is -a*f[n-1] - b*f[n-2] - c*f[n-3].
-_EDGE = (-3.0, 4.0, -1.0)
 # Largest number of values for which :func:`_diff` gathers each node's two
 # neighbours instead of slicing the field.  The gather copies the field
 # twice but saves about five numpy calls, so it wins while the per-call cost
 # outweighs the arithmetic.  On one core of a 2-vCPU Xeon VM, periodic along
 # the node axis of (4, m, 3) stacks, it took 2.5 against 7.2 us at m = 8,
 # 7.3 against 9.9 us at m = 128 (1536 values) and 24.4 against 19.8 us at
-# m = 512; along the level axis the two were even at 2304 values.  Clamped,
-# both kernels write the same two edge rows, which cost about as much as the
-# rest at these sizes.
+# m = 512; along the level axis the two were even at 2304 values.
 GATHER_MAX_VALUES = 1536
+
+
+class Closure(NamedTuple):
+    """A non-periodic axis's difference stencil D and quadrature weights H,
+    chosen as one pair: D's rows 0 and n-1 times 2h, on nodes (0, 1, 2) and
+    (n-1, n-2, n-3), and H's end-node weight in units of h (None: periodic)."""
+
+    rows: tuple
+    weight: float
+
+
+ONE_SIDED = Closure(((-3.0, 4.0, -1.0), (3.0, -4.0, 1.0)), 0.5)
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,10 @@ class Grid2:
     @property
     def periodic_s(self):
         return self.bc_s == PERIODIC
+
+    @property
+    def closure_s(self):
+        return None if self.periodic_s else ONE_SIDED
 
     @property
     def length_s(self):
@@ -157,21 +168,21 @@ class Grid2:
         return Grid2(n_t, n_s, self.dt / 2.0, self.ds / 2.0, self.bc_s)
 
 
-def _diff(values, h, periodic, axis):
+def _diff(values, h, closure, axis):
     """Second-order first derivative along ``axis``.
 
     Centered in the interior, (f[j+1] - f[j-1]) / 2h; periodic wrap when
-    requested, otherwise the one-sided closure ``_EDGE`` at the two edges.
-    Fields of at most ``GATHER_MAX_VALUES`` values take the gather kernel,
-    larger ones the slice kernel.  Both write every numerator as the same
-    expression and divide it by 2h, so they agree bit for bit and the choice
-    moves only the time; that is why the cutoff is a module constant, set
-    from the measured crossover, and not an option.
+    ``closure`` is None, otherwise its rows (:class:`Closure`) at the two
+    edges.  Fields of at most ``GATHER_MAX_VALUES`` values take the gather
+    kernel, larger ones the slice kernel.  Both write every numerator as the
+    same expression and divide it by 2h, so they agree bit for bit and the
+    choice moves only the time; that is why the cutoff is a module constant,
+    set from the measured crossover, and not an option.
     """
     f = np.asarray(values, dtype=float)
     if f.size <= GATHER_MAX_VALUES:
-        return _diff_gather(f, h, periodic, axis)
-    return _diff_slices(f, h, periodic, axis)
+        return _diff_gather(f, h, closure, axis)
+    return _diff_slices(f, h, closure, axis)
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,19 +195,19 @@ def _neighbours(n):
     return nxt, prv
 
 
-def _diff_gather(f, h, periodic, axis):
+def _diff_gather(f, h, closure, axis):
     """Two ``take`` calls, one subtract and one divide, plus the two edge
-    rows when clamped (they overwrite the wrapped ones); the field is
+    rows of a closure (they overwrite the wrapped ones); the field is
     copied twice."""
     nxt, prv = _neighbours(f.shape[axis])
     out = np.subtract(f.take(nxt, axis), f.take(prv, axis))
-    if not periodic:
-        _edges(f.swapaxes(axis, 0), out.swapaxes(axis, 0))
+    if closure is not None:
+        _edges(f.swapaxes(axis, 0), out.swapaxes(axis, 0), closure)
     out /= 2.0 * h
     return out
 
 
-def _diff_slices(f, h, periodic, axis):
+def _diff_slices(f, h, closure, axis):
     """Every row's numerator is written into one output with ``axis``
     swapped to the front, then the whole output is divided by 2h in place:
     no full-size temporaries, about seven strided calls."""
@@ -204,87 +215,80 @@ def _diff_slices(f, h, periodic, axis):
     out = np.empty_like(f)
     n = f.shape[0]
     np.subtract(f[2:], f[:n - 2], out=out[1:n - 1])
-    if periodic:
+    if closure is None:
         # The modulo keeps size-1 and size-2 axes on the wrapped neighbours;
         # the ellipsis keeps a row of a 1-D field a view.
         np.subtract(f[1 % n], f[n - 1], out=out[0, ...])
         np.subtract(f[0], f[(n - 2) % n], out=out[n - 1, ...])
     else:
-        _edges(f, out)
+        _edges(f, out, closure)
     out /= 2.0 * h
     return out.swapaxes(0, axis)
 
 
-def _edges(f, out):
-    """The numerators of the one-sided rows 0 and n-1, ``f``'s axis 0 being
+def _edges(f, out, closure):
+    """The numerators of the closure's rows 0 and n-1, ``f``'s axis 0 being
     the derivative's."""
     n = f.shape[0]
-    a, b, c = _EDGE
-    out[0] = a * f[0] + b * f[1] + c * f[2]
-    out[n - 1] = -a * f[n - 1] - b * f[n - 2] - c * f[n - 3]
+    (a, b, c), (x, y, z) = closure.rows
+    out[0], out[n - 1] = (a * f[0] + b * f[1] + c * f[2],
+                          x * f[n - 1] + y * f[n - 2] + z * f[n - 3])
 
 
-def _diff_adjoint(values, h, periodic, axis):
-    """Exact transpose of :func:`_diff` (same h, policy and axis).
+def _diff_adjoint(values, h, closure, axis):
+    """Exact transpose of :func:`_diff` (same h, closure and axis).
 
     For the periodic centered stencil this is just the negative of
-    :func:`_diff`; with clamped edges the one-sided rows scatter back onto
-    their three source nodes.
+    :func:`_diff`; a closure's rows scatter back onto their source nodes.
     """
-    if periodic:
-        return -_diff(values, h, True, axis)
+    if closure is None:
+        return -_diff(values, h, None, axis)
     f = np.asarray(values, dtype=float).swapaxes(axis, 0)
     out = np.zeros_like(f)
     n = f.shape[0]
     # Interior rows j = 1..n-2 of the forward stencil: +1/(2h) at j+1, -1/(2h) at j-1.
     out[2:] += f[1:n - 1] / (2.0 * h)
     out[:n - 2] -= f[1:n - 1] / (2.0 * h)
-    # The one-sided rows 0 and n-1, in that order: _EDGE on columns 0, 1, 2
-    # and its negative on columns n-1, n-2, n-3.
-    for k, coef in enumerate(_EDGE):
-        out[k] += coef * f[0] / (2.0 * h)
-    for k, coef in enumerate(_EDGE):
-        out[n - 1 - k] += -coef * f[n - 1] / (2.0 * h)
+    # Rows 0 and n-1, in that order; row j's k-th entry is on node |j - k|.
+    for row, j in zip(closure.rows, (0, n - 1)):
+        for k, coef in enumerate(row):
+            out[abs(j - k)] += coef * f[j] / (2.0 * h)
     return out.swapaxes(0, axis)
 
 
 def d_s(grid, values):
-    """Derivative along arclength (axis 1) with the grid's boundary policy."""
-    return _diff(values, grid.ds, grid.periodic_s, axis=1)
+    """Derivative along arclength (axis 1) with the grid's closure."""
+    return _diff(values, grid.ds, grid.closure_s, axis=1)
 
 
 def d_t(grid, values):
-    """Derivative along time (axis 0); time edges always use one-sided stencils."""
-    return _diff(values, grid.dt, False, axis=0)
+    """Derivative along time (axis 0); time edges are always one-sided."""
+    return _diff(values, grid.dt, ONE_SIDED, axis=0)
 
 
 def d_s_adjoint(grid, values):
-    return _diff_adjoint(values, grid.ds, grid.periodic_s, axis=1)
+    return _diff_adjoint(values, grid.ds, grid.closure_s, axis=1)
 
 
 def d_t_adjoint(grid, values):
-    return _diff_adjoint(values, grid.dt, False, axis=0)
+    return _diff_adjoint(values, grid.dt, ONE_SIDED, axis=0)
 
 
-def d_s_slice(values, ds, periodic):
+def d_s_slice(values, ds, closure):
     """Arclength derivative of a time slice ``(n_s, 3)``, or of a stack of
     slices ``(..., n_s, 3)``: the s axis is the second to last."""
-    return _diff(values, ds, periodic, -2)
+    return _diff(values, ds, closure, -2)
 
 
 def integrate_s(grid, values):
-    """Line integral over s (axis 1) at every time level.
-
-    Trapezoid rule on clamped grids, the (exact for periodic integrands)
-    equal-weight rule on periodic ones.
-    """
+    """Line integral over s (axis 1) at every level, with H: weight 1 except
+    at the closure's two end nodes; all 1 on periodic grids, which is exact
+    for periodic integrands."""
     f = np.asarray(values, dtype=float)
-    # np.add.reduce is np.sum without its dispatch; the march calls this
-    # once per step.
-    if grid.periodic_s:
-        return grid.ds * np.add.reduce(f, 1)
     w = np.ones(grid.n_s)
-    w[0] = w[-1] = 0.5
+    w[[0, -1]] = 1.0 if grid.closure_s is None else grid.closure_s.weight
+    # np.add.reduce is np.sum without its dispatch; the march calls this
+    # once per marched block.
     return grid.ds * np.add.reduce(f * w.reshape((-1,) + (1,) * (f.ndim - 2)), 1)
 
 

@@ -195,7 +195,7 @@ COMPONENTS = ("rho", "u", "theta", "a", "v", "Omega", "omega")
 _CROSS_LEFT = np.array([5, 6, 0, 5])
 
 
-def rates(params, ds, periodic):
+def rates(params, ds, closure):
     """The time derivative ``f(y)`` of a packed state ``y``, (7, ..., n_s, 3)
     in ``COMPONENTS`` order: the balance laws solved for the accelerations.
 
@@ -215,7 +215,7 @@ def rates(params, ds, periodic):
     zero-curvature relations ``Omega_t = d_s(omega) + Omega x omega`` and
     ``a_t = d_s(v)``, and theta has rate v.  ``y`` may be one time slice
     (the march) or a block of levels (the residual evaluators); ``ds`` and
-    ``periodic`` are the arclength spacing and boundary policy.
+    ``closure`` are the arclength spacing and :class:`grid.Closure`.
 
     At small n_s numpy's per-call cost outweighs the algebra.  So the
     constants (the inverses of I and K, I + K, and the transposes the
@@ -238,7 +238,7 @@ def rates(params, ds, periodic):
         rho, u, _theta, a, v, Omega, omega = y
         CW, Da, E_c = dE(Omega, a, np.add.reduce(rho * rho, -1), params)
         ds_CW, ds_Da, ds_omega, ds_v = g.d_s_slice(
-            np.array([CW, Da, omega, v]), ds, periodic)
+            np.array([CW, Da, omega, v]), ds, closure)
         m = mul(omega, IK_T)
         m += mul(v, K_T)
         OxCW, wxm, rxw, Oxw = cross(y.take(_CROSS_LEFT, 0),

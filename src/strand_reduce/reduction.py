@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as g
-from .errors import NearAnglePiError, NotFlatError, TooFarFromGroupError
+from .errors import NearAnglePiError, NotFlatError
 from .so3 import cross, exp_so3, log_so3, reorthonormalize, rotation_angle
 
 
@@ -75,18 +75,18 @@ def _transpose(M):
     return np.swapaxes(M, -1, -2)
 
 
-def _log_rate(Lam, h, periodic, axis):
+def _log_rate(Lam, h, closure, axis):
     """Body-frame rotation rate along ``axis`` from averaged discrete logs.
 
     Interior nodes use (log(L_i^T L_{i+1}) - log(L_i^T L_{i-1})) / (2h); this
-    keeps the result exactly in the Lie algebra and is second order.
-    Non-periodic edges apply the stencil's one-sided rows
-    (:func:`grid._edges`) to the logs relative to the edge node,
-    log(L_0^T L_k) and log(L_{n-1}^T L_{n-1-k}), which are 0 at k = 0.
+    keeps the result exactly in the Lie algebra and is second order.  The
+    edges of a ``closure`` (None when periodic) apply its rows to the logs
+    relative to the edge node, log(L_0^T L_k) and log(L_{n-1}^T L_{n-1-k}),
+    which are 0 at k = 0.
     """
     Lam = np.moveaxis(np.asarray(Lam, dtype=float), axis, 0)
     LamT = _transpose(Lam)
-    if periodic:
+    if closure is None:
         fwd = log_so3(LamT @ np.roll(Lam, -1, axis=0))
         bwd = log_so3(LamT @ np.roll(Lam, 1, axis=0))
         out = (fwd - bwd) / (2.0 * h)
@@ -95,13 +95,13 @@ def _log_rate(Lam, h, periodic, axis):
         fwd = log_so3(LamT[:-1] @ Lam[1:])    # log(L_i^T L_{i+1}), i = 0..n-2
         bwd = log_so3(LamT[1:] @ Lam[:-1])    # log(L_i^T L_{i-1}), i = 1..n-1
         out[1:-1] = (fwd[1:] - bwd[:-1]) / (2.0 * h)
-        # each edge's three logs in the stencil's order; low edge in column 0
+        # each edge's three logs on the nodes of the closure's rows, low edge
+        # in column 0: rows 0 and 2 of their derivative are the edge rates
         rel = np.zeros((3, 2) + out.shape[1:])
         rel[1:, 0] = fwd[0], log_so3(LamT[0] @ Lam[2])
         rel[:2, 1] = log_so3(LamT[-1] @ Lam[-3]), bwd[-1]
-        num = np.empty_like(rel)
-        g._edges(rel, num)
-        out[0], out[-1] = num[0, 0] / (2.0 * h), num[2, 1] / (2.0 * h)
+        edge = g._diff(rel, h, closure, 0)
+        out[0], out[-1] = edge[0, 0], edge[2, 1]
     return np.moveaxis(out, 0, axis)
 
 
@@ -109,8 +109,8 @@ def project_stage1(u):
     """First projection: rho = Lambda^T r, theta copied, Omega/omega from logs."""
     gr = u.grid
     rho = np.einsum("...ji,...j->...i", u.Lambda, u.r)
-    Omega = _log_rate(u.Lambda, gr.ds, gr.periodic_s, axis=1)
-    omega = _log_rate(u.Lambda, gr.dt, False, axis=0)
+    Omega = _log_rate(u.Lambda, gr.ds, gr.closure_s, axis=1)
+    omega = _log_rate(u.Lambda, gr.dt, g.ONE_SIDED, axis=0)
     return Stage1Section(grid=gr, rho=rho, theta=np.array(u.theta, dtype=float),
                          Omega=Omega, omega=omega)
 
@@ -187,9 +187,9 @@ def flatness_residual_rotor(grid, a, b):
 
 
 def _sweep(Lam_prev, rate_mid, h, level, node):
-    """One reconstruction step onto ``level``, ``node``: midpoint exponential,
-    then reorthonormalize.  A row of steps passes None for the axis it runs
-    along; an angle of pi/2 or more names the largest step's index there."""
+    """One step onto ``level``, ``node``: times the midpoint exponential.  A
+    row of steps passes None for the axis it runs along; an angle of pi/2 or
+    more names the largest step's index there."""
     step = h * rate_mid
     angle = np.linalg.norm(step, axis=-1)
     k = int(np.argmax(angle))
@@ -198,7 +198,7 @@ def _sweep(Lam_prev, rate_mid, h, level, node):
             f"reconstruction step angle {angle.flat[k]:.3f} >= pi/2; grid too "
             f"coarse at level {k if level is None else level}, node "
             f"{k if node is None else node}")
-    return reorthonormalize(Lam_prev @ exp_so3(step))
+    return Lam_prev @ exp_so3(step)
 
 
 def rotation_levels(grid, Omega, omega, Lambda0):
@@ -249,7 +249,7 @@ def gated_pass(grid, Omega, omega, Lam, tol, evaluate):
         if not errors:
             try:
                 L = Lam[w.read]
-            except (NearAnglePiError, TooFarFromGroupError) as exc:
+            except NearAnglePiError as exc:
                 errors.append(exc)
             else:
                 return (*flat, *evaluate(w, L))
@@ -277,8 +277,8 @@ def reconstruct_rotation(grid, Omega, omega, Lambda0, tol):
     :func:`flatness_gate`), its windows stitched into ``(n_t, n_s, 3, 3)``.
 
     The result is one representative of the reconstruction family, selected
-    by ``Lambda0`` (seeded with its polar factor, so every node is a
-    rotation); any other member differs by a constant left rotation.
+    by ``Lambda0`` (seeded with its polar factor; every node is a rotation
+    to roundoff); any other member differs by a constant left rotation.
     """
     Lam, = gated_pass(grid, Omega, omega,
                       rotation_levels(grid, Omega, omega, Lambda0), tol,

@@ -77,7 +77,7 @@ def stage2_residuals(s2, p):
     are those of the section's arrays."""
     gr = s2.grid
     I, K = p.inertia_body, p.inertia_rotor
-    f = model.rates(p, gr.ds, gr.periodic_s)
+    f = model.rates(p, gr.ds, gr.closure_s)
     y = np.broadcast_arrays(s2.rho, s2.rho_t, s2.rho, s2.theta_s, s2.theta_t,
                             s2.Omega, s2.omega)
     A_fd = np.broadcast_arrays(s2.rho_tt, s2.omega_t, s2.theta_tt)

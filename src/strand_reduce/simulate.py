@@ -166,7 +166,7 @@ class _March:
                   else presets(cfg.preset, gr, p))
         if self.y.shape != (len(COMPONENTS), gr.n_s, 3):
             raise ConfigError("initial state does not match the grid", key="init")
-        self.f = rates(p, gr.ds, gr.periodic_s)
+        self.f = rates(p, gr.ds, gr.closure_s)
         self.step = _step_rk4 if cfg.scheme == "rk4" else _step_midpoint
         self.grid, self.params, self.sink = gr, p, sink
         self.rows = np.empty((gr.n_t, 6))

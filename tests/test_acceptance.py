@@ -213,6 +213,88 @@ def test_criterion_8_rigid_body_limit(report):
     assert ok
 
 
+def _stencil(n, h, periodic):
+    """d_s as an (n, n) matrix: centred, wrapped when periodic, else with the
+    one-sided second-order rows written out here, not read from ``grid``."""
+    D = np.zeros((n, n))
+    for j in range(n):
+        D[j, (j + 1) % n] += 1.0
+        D[j, (j - 1) % n] -= 1.0
+    if not periodic:
+        D[[0, -1]] = 0.0
+        D[0, :3] = -3.0, 4.0, -1.0
+        D[-1, -3:] = 1.0, -4.0, 3.0
+    return D / (2.0 * h)
+
+
+def _linear_rates(params, D):
+    """J, the rates of the ``model.rates`` docstring linearised at rest
+    (rho = sqrt(c0) e1, all else 0), on states flattened from (7, n_s, 3):
+
+        rho_t = u,  theta_t = v,  a_t = d_s v,  Omega_t = d_s omega,
+        omega_t = I^-1 (C d_s Omega - D d_s a),
+        v_t = K^-1 D d_s a - omega_t,
+        u_t = -2 kappa rho0 <rho0, rho> + rho0 x omega_t.
+    """
+    n = len(D)
+    I_inv = np.linalg.inv(params.inertia_body)
+    K_inv = np.linalg.inv(params.inertia_rotor)
+    r0 = np.array([np.sqrt(params.pot_c0), 0.0, 0.0])
+    r0x = np.array([[0.0, -r0[2], r0[1]], [r0[2], 0.0, -r0[0]],
+                    [-r0[1], r0[0], 0.0]])
+    rho, u, theta, a, v, Om, om = range(7)
+    pointwise, d_s = (lambda M: np.kron(np.eye(n), M),
+                      lambda M: np.kron(D, M))
+    B = {(rho, u): pointwise(np.eye(3)), (theta, v): pointwise(np.eye(3)),
+         (a, v): d_s(np.eye(3)), (Om, om): d_s(np.eye(3)),
+         (om, Om): d_s(I_inv @ params.pot_C),
+         (om, a): -d_s(I_inv @ params.pot_D),
+         (u, rho): pointwise(-2.0 * params.pot_kappa * np.outer(r0, r0))}
+    B[v, a] = d_s(K_inv @ params.pot_D) - B[om, a]
+    B[v, Om] = -B[om, Om]
+    B[u, Om], B[u, a] = pointwise(r0x) @ B[om, Om], pointwise(r0x) @ B[om, a]
+    m = 3 * n
+    J = np.zeros((7 * m, 7 * m))
+    for (i, k), block in B.items():
+        J[i * m:(i + 1) * m, k * m:(k + 1) * m] = block
+    return J
+
+
+def test_criterion_10_linear_waves(report):
+    # a perturbation eps z of the strand at rest follows the exact solution
+    # z(T) = expm(T J) z(0) of the linearised balance laws, up to O(eps) and
+    # RK4's error: an oracle for the terms that couple neighbouring nodes (d_s,
+    # C, D, the boundary rows) that does not call model.rates
+    from scipy.linalg import expm
+    params, eps = model.default_params(), 1e-7
+    errs = {}
+    for bc in (g.PERIODIC, g.CLAMPED):
+        gr = g.Grid2.uniform(201, 16, 1.0, 1.0, bc)
+        phase = 2.0 * np.pi * gr.s_coords() / gr.length_s
+        coef = np.random.default_rng(10).normal(size=(4, 4, 3))
+        z0 = np.zeros((len(model.COMPONENTS), gr.n_s, 3))
+        # smooth perturbations of rho, a, Omega and omega
+        z0[[0, 3, 5, 6]] = (np.cos(phase)[:, None] * coef[:, None, 0]
+                            + np.sin(phase)[:, None] * coef[:, None, 1]
+                            + np.cos(2.0 * phase)[:, None] * coef[:, None, 2]
+                            + np.sin(2.0 * phase)[:, None] * coef[:, None, 3])
+        rest = sim.presets("static", gr, params)
+        sec = sim.run(sim.SimConfig(grid=gr, params=params,
+                                    init=rest + eps * z0)).section
+        J = _linear_rates(params, _stencil(gr.n_s, gr.ds, gr.periodic_s))
+        zT = (expm(gr.duration * J) @ z0.ravel()).reshape(z0.shape)
+        errs[bc] = max(
+            float(np.max(np.abs((getattr(sec, name)[-1] - rest[k]) / eps
+                                - zT[k]))) for k, name in
+            ((0, "rho"), (2, "theta"), (5, "Omega"), (6, "omega"))
+        ) / float(np.max(np.abs(zT)))
+    ok = max(errs.values()) <= 1e-5
+    report(10, "linear-wave-oracle", ok,
+           ", ".join(f"{bc} {err:.1e}" for bc, err in errs.items())
+           + " max err relative to max|z(T)|, n_s=16 T=1 eps=1e-7, <= 1e-5")
+    assert ok
+
+
 CONFIG = """
 [grid]
 n_s = 32

@@ -134,16 +134,16 @@ class TestProperties:
         # from unit vectors, on every small size the closure rows overlap at
         h = 0.3
         for n in (3, 4, 5, 9):
-            for periodic in (True, False):
+            for closure in (None, g.ONE_SIDED):
                 for axis in (0, 1, -2):
                     shape = [2, 3, 2]
                     shape[axis] = n
                     units = np.eye(np.prod(shape)).reshape(-1, *shape)
-                    D = np.array([g._diff(e, h, periodic, axis).ravel()
+                    D = np.array([g._diff(e, h, closure, axis).ravel()
                                   for e in units]).T
-                    Dt = np.array([g._diff_adjoint(e, h, periodic, axis).ravel()
+                    Dt = np.array([g._diff_adjoint(e, h, closure, axis).ravel()
                                    for e in units]).T
-                    assert np.array_equal(D.T, Dt), (n, periodic, axis)
+                    assert np.array_equal(D.T, Dt), (n, closure, axis)
 
     def test_periodic_matches_roll_formula(self, rng):
         # both periodic stencil kernels against the np.roll formula, bit for
@@ -157,22 +157,22 @@ class TestProperties:
                     want = (np.roll(f, -1, axis=axis)
                             - np.roll(f, 1, axis=axis)) / (2.0 * h)
                     for kernel in (g._diff_gather, g._diff_slices):
-                        got = kernel(f, h, True, axis)
+                        got = kernel(f, h, None, axis)
                         assert bits(got) == bits(want), (kernel, shape, axis)
-                assert bits(g.d_s_slice(f, h, True)) == bits(want), shape
+                assert bits(g.d_s_slice(f, h, None)) == bits(want), shape
 
     def test_slice_derivative_of_a_stack(self, rng):
         f = rng.normal(size=(4, 9, 3))
-        for periodic in (True, False):
-            stacked = g.d_s_slice(f, 0.1, periodic)
+        for closure in (None, g.ONE_SIDED):
+            stacked = g.d_s_slice(f, 0.1, closure)
             for k in range(4):
-                assert np.array_equal(stacked[k], g.d_s_slice(f[k], 0.1, periodic))
+                assert np.array_equal(stacked[k], g.d_s_slice(f[k], 0.1, closure))
 
     def test_slice_derivative_matches_field_rows(self, rng):
         gr = small_grid()
         f = rng.normal(size=(gr.n_t, gr.n_s, 3))
         full = g.d_s(gr, f)
-        row = g.d_s_slice(f[4], gr.ds, gr.periodic_s)
+        row = g.d_s_slice(f[4], gr.ds, gr.closure_s)
         assert np.array_equal(full[4], row)
 
 
@@ -191,14 +191,15 @@ class TestStencilKernels:
     @pytest.mark.parametrize("trailing", ((), (3,), (3, 3)))
     def test_kernels_agree_bitwise(self, rng, periodic, trailing):
         width = int(np.prod(trailing, dtype=int))
+        closure = None if periodic else g.ONE_SIDED
         # one field well below the cutoff and one just above it
         for n in (5, g.GATHER_MAX_VALUES // (4 * width) + 1):
             f = self.field(rng, (4, n), trailing)
             for axis in (0, 1, -2):
                 with np.errstate(invalid="ignore"):
-                    want = g._diff_slices(f, 0.3, periodic, axis)
-                    got = g._diff_gather(f, 0.3, periodic, axis)
-                    chosen = g._diff(f, 0.3, periodic, axis)
+                    want = g._diff_slices(f, 0.3, closure, axis)
+                    got = g._diff_gather(f, 0.3, closure, axis)
+                    chosen = g._diff(f, 0.3, closure, axis)
                 assert bits(got) == bits(want), (n, axis)
                 assert bits(chosen) == bits(want), (n, axis)
                 assert np.isnan(want).any()
@@ -211,10 +212,10 @@ class TestStencilKernels:
                                 calls.append(name) or kernel(*args))
         n = g.GATHER_MAX_VALUES
         gr = g.Grid2(n_t=n // 12, n_s=4, dt=0.1, ds=0.1, bc_s=g.CLAMPED)
-        g._diff(rng.normal(size=n), 0.1, True, 0)
-        g.d_s_slice(rng.normal(size=(4, n // 12, 3)), 0.1, False)
+        g._diff(rng.normal(size=n), 0.1, None, 0)
+        g.d_s_slice(rng.normal(size=(4, n // 12, 3)), 0.1, g.ONE_SIDED)
         g.d_t(gr, rng.normal(size=(gr.n_t, gr.n_s, 3)))
-        g._diff(rng.normal(size=n + 1), 0.1, True, 0)
-        g.d_s_slice(rng.normal(size=(4, n // 12 + 1, 3)), 0.1, True)
+        g._diff(rng.normal(size=n + 1), 0.1, None, 0)
+        g.d_s_slice(rng.normal(size=(4, n // 12 + 1, 3)), 0.1, None)
         g.d_s(gr, rng.normal(size=(gr.n_t, gr.n_s + 1, 3)))
         assert calls == ["_diff_gather"] * 3 + ["_diff_slices"] * 3

@@ -32,7 +32,7 @@ class TestPresets:
     def test_static_is_equilibrium(self, params):
         gr = make_grid()
         state = sim.presets("static", gr, params)
-        rates = model.rates(params, gr.ds, True)(state)
+        rates = model.rates(params, gr.ds, None)(state)
         assert np.max(np.abs(rates)) == 0.0
 
     def test_twistpulse_shape(self, params):
@@ -84,7 +84,7 @@ class TestRhs:
             smooth(0.3, 0.2, 0.1), smooth(0.25, 0.15, -0.1),
             smooth(-0.1, 0.3, 0.2), smooth(0.4, 0.2, 0.3),
             smooth(0.2, -0.3, 0.25)])
-        _, r_u, _, _, r_v, _, r_omega = model.rates(params, gr.ds, True)(state)
+        _, r_u, _, _, r_v, _, r_omega = model.rates(params, gr.ds, None)(state)
         I = params.inertia_body
         K = params.inertia_rotor
         C, D = params.pot_C, params.pot_D
@@ -95,10 +95,10 @@ class TestRhs:
                          + np.sum(om * rho, -1)[:, None] * om)
                 + r_omega @ (I + K).T + r_v @ K.T
                 + np.cross(om, om @ (I + K).T + v @ K.T)
-                - g.d_s_slice(CW, gr.ds, True) - np.cross(Om, CW))
+                - g.d_s_slice(CW, gr.ds, None) - np.cross(Om, CW))
         hor_rho = (np.cross(om, np.cross(rho, om) - 2 * u_) - r_u
                    - np.cross(r_omega, rho) - 2 * E_c[:, None] * rho)
-        hor_theta = (r_omega + r_v) @ K.T - g.d_s_slice(a @ D.T, gr.ds, True)
+        hor_theta = (r_omega + r_v) @ K.T - g.d_s_slice(a @ D.T, gr.ds, None)
         assert np.max(np.abs(vert)) <= 1e-10
         assert np.max(np.abs(hor_rho)) <= 1e-10
         assert np.max(np.abs(hor_theta)) <= 1e-10
@@ -115,8 +115,8 @@ class TestRhs:
         p = potential_off(p) if free else p
         I, K = p.inertia_body, p.inertia_rotor
         I_inv, K_inv = np.linalg.inv(I), np.linalg.inv(K)
-        ds = 1.0 / n_s
-        d_s = lambda f: g._diff_slices(f, ds, periodic, -2)
+        ds, closure = 1.0 / n_s, None if periodic else g.ONE_SIDED
+        d_s = lambda f: g._diff_slices(f, ds, closure, -2)
         y = rng.normal(size=(len(model.COMPONENTS), n_s, 3))
         rho, u, _theta, a, v, Om, om = y
         CW, Da = Om @ p.pot_C.T, a @ p.pot_D.T
@@ -128,7 +128,7 @@ class TestRhs:
         u_t = F - np.cross(om_t, rho)
         Om_t = d_s(om) + np.cross(Om, om)
         want = np.stack([u, u_t, v, d_s(v), v_t, Om_t, om_t])
-        got = model.rates(p, ds, periodic)(y)
+        got = model.rates(p, ds, closure)(y)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("periodic", [True, False])
@@ -136,7 +136,7 @@ class TestRhs:
     def test_window_equals_its_levels(self, rng, params, periodic, n_s):
         # the residual evaluators call the kernel on a block of levels
         y = rng.normal(size=(len(model.COMPONENTS), 5, n_s, 3))
-        rates = model.rates(params, 1.0 / n_s, periodic)
+        rates = model.rates(params, 1.0 / n_s, None if periodic else g.ONE_SIDED)
         assert np.array_equal(rates(y), np.stack([rates(y[:, i])
                                                   for i in range(5)], 1))
 
@@ -148,8 +148,8 @@ class TestRhs:
         omega[:] = np.stack([np.sin(2 * np.pi * gr.s_coords()),
                              np.cos(2 * np.pi * gr.s_coords()),
                              0.2 * np.ones(gr.n_s)], axis=-1)
-        r_Omega = model.rates(params, gr.ds, True)(state)[5]
-        want = g.d_s_slice(omega, gr.ds, True) + np.cross(Omega, omega)
+        r_Omega = model.rates(params, gr.ds, None)(state)[5]
+        want = g.d_s_slice(omega, gr.ds, None) + np.cross(Omega, omega)
         assert np.allclose(r_Omega, want, atol=1e-14)
 
 
@@ -290,7 +290,7 @@ class TestRun:
         # the exact arclength derivative of theta
         gr = make_grid(n_s=24, n_t=51, T=0.2)
         out = sim.run(sim.SimConfig(grid=gr, params=params, preset="twistpulse"))
-        want = g.d_s_slice(out.section.theta[-1], gr.ds, gr.periodic_s)
+        want = g.d_s_slice(out.section.theta[-1], gr.ds, gr.closure_s)
         a = out.final_state[model.COMPONENTS.index("a")]
         assert np.max(np.abs(want - a)) <= 1e-13
 
@@ -376,13 +376,13 @@ class TestNoRotorLimit:
         def f(y):
             rho, u, Om, om = y
             CW = Om @ C.T
-            om_t = (g.d_s_slice(CW, gr.ds, True) + np.cross(Om, CW)
+            om_t = (g.d_s_slice(CW, gr.ds, None) + np.cross(Om, CW)
                     - np.cross(om, om @ I.T)) @ I_inv.T
             E_c = 0.5 * params.pot_kappa * (np.sum(rho * rho, -1)
                                             - params.pot_c0)
             F = np.cross(om, np.cross(rho, om) - 2 * u) - 2 * E_c[:, None] * rho
             u_t = F - np.cross(om_t, rho)
-            Om_t = g.d_s_slice(om, gr.ds, True) + np.cross(Om, om)
+            Om_t = g.d_s_slice(om, gr.ds, None) + np.cross(Om, om)
             return np.stack([u, u_t, Om_t, om_t])
 
         y = np.stack([rho, u, Omega, omega])

@@ -57,7 +57,7 @@ def whole_march(cfg):
     """The fields, per-step rows and final state of the march as one loop
     over whole fields, the way ``simulate`` ran before it streamed."""
     gr, p = cfg.grid, cfg.params
-    rates = model.rates(p, gr.ds, gr.periodic_s)
+    rates = model.rates(p, gr.ds, gr.closure_s)
     step = sim._step_rk4 if cfg.scheme == "rk4" else sim._step_midpoint
     y = sim.presets(cfg.preset, gr, p)
     fields = {name: gr.zeros() for name in sim.FIELDS}
