@@ -126,8 +126,7 @@ def cmd_reconstruct(args):
     except ValueError:
         raise ConfigError("--lambda0 needs 9 reals (row-major)") from None
     try:    # before the run is read; the sweep projects Lambda0 itself
-        with np.errstate(invalid="ignore"):     # an inf entry
-            reorthonormalize(Lambda0)
+        reorthonormalize(Lambda0)
     except TooFarFromGroupError as exc:
         raise ConfigError(f"--lambda0 {args.lambda0!r}: {exc}") from None
     _check_tol(args.tol)

@@ -76,7 +76,7 @@ def stage2_residuals(s2, p):
     ``rho`` stands in the theta row of y, which is not read.  The levels
     are those of the section's arrays."""
     gr = s2.grid
-    I, K = p.inertia_body, p.inertia_rotor
+    I = p.inertia_body
     f = model.rates(p, gr.ds, gr.closure_s)
     y = np.broadcast_arrays(s2.rho, s2.rho_t, s2.rho, s2.theta_s, s2.theta_t,
                             s2.Omega, s2.omega)
@@ -88,7 +88,7 @@ def stage2_residuals(s2, p):
         A = f(np.stack([q[c] for q in y]))
         d_rho, d_omega, d_theta = (q[c] - A[k] for q, k in zip(A_fd, (1, 6, 4)))
         h_rho = -d_rho - cross(d_omega, y[0][c])
-        h_theta = (d_omega + d_theta) @ K.T
+        h_theta = model.rotor_momentum(d_omega, d_theta, p)
         res[:, c] = (d_omega @ I.T + h_theta - cross(y[0][c], h_rho), h_rho,
                      h_theta)
     return Stage1Residuals(gr, *res)

@@ -24,14 +24,6 @@ MAX_LOG_ANGLE = np.pi - 1e-6
 # Frobenius trust radius of the polar projection.
 POLAR_TRUST_RADIUS = 0.1
 
-# Newton-Schulz polar iteration: step cap, and the orthogonality defect
-# below which one more step reaches roundoff.
-POLAR_MAX_STEPS = 8
-POLAR_SETTLED = 1e-8
-# An entry of M^T M - Id bounds its spectral norm, so a larger first defect
-# puts a singular value of M outside [0.9, 1.1]: beyond the trust radius.
-POLAR_FIRST_DEFECT = (1.0 + POLAR_TRUST_RADIUS) ** 2 - 1.0
-
 IDENTITY = np.eye(3)
 
 # Largest number of 3-vectors per operand for which :func:`cross` gathers
@@ -178,45 +170,27 @@ def rotation_angle(R):
 def reorthonormalize(M):
     """Nearest rotation matrix in the Frobenius sense (polar factor).
 
-    Newton-Schulz iteration ``R <- R (3 Id - R^T R) / 2``: it keeps the
-    singular vectors and drives every singular value in (0, sqrt 3) to 1
-    quadratically, so it needs one step for a product of rotations and at
-    most five within the trust radius (singular values in [0.9, 1.1]).
-    Raises :class:`TooFarFromGroupError` when the input is more than
-    ``POLAR_TRUST_RADIUS`` away from SO(3): when the first defect of ``M``
-    exceeds ``POLAR_FIRST_DEFECT`` (a singular value above sqrt 3 would
-    otherwise settle at -1), when the iteration does not settle, when the
-    polar factor is a reflection (``det M <= 0``), or when it lies too far
-    from ``M``.
+    The polar factor of ``M = U S V^T`` is ``U V^T`` (batched SVD).
+    Raises :class:`TooFarFromGroupError`, in this order, when ``M`` has a
+    non-finite entry, when the polar factor lies more than
+    ``POLAR_TRUST_RADIUS`` from ``M``, or when it is a reflection
+    (``det < 0``): the distance is read first, so ``-2 Id`` is too far
+    while ``-Id`` is a reflection.
     """
     M = np.asarray(M, dtype=float)
-    R = M
-    for step in range(POLAR_MAX_STEPS):
-        # a contiguous transpose makes the batched product ~2x faster
-        gram = np.ascontiguousarray(np.swapaxes(R, -1, -2)) @ R
-        defect = float(np.abs(gram - IDENTITY).max())
-        if step == 0 and defect > POLAR_FIRST_DEFECT:
-            raise TooFarFromGroupError(
-                f"distance to SO(3) exceeds trust radius {POLAR_TRUST_RADIUS} "
-                f"(orthogonality defect {defect:.3e})")
-        R = R @ (1.5 * IDENTITY - 0.5 * gram)
-        # the next defect is about 3/4 of this one squared: roundoff
-        if defect <= POLAR_SETTLED:
-            break
-    else:
-        raise TooFarFromGroupError(
-            f"polar iteration did not settle (orthogonality defect "
-            f"{defect:.3e}); input is beyond trust radius {POLAR_TRUST_RADIUS}")
-    # R is orthogonal now, with the sign of det M unless M is out of reach
-    if not np.all(np.linalg.det(R) > 0.0):
-        raise TooFarFromGroupError(
-            "det <= 0: the nearest orthogonal matrix is a reflection, beyond "
-            f"trust radius {POLAR_TRUST_RADIUS} of SO(3)")
+    if not np.isfinite(M).all():
+        raise TooFarFromGroupError("input is not finite")
+    U, _, Vt = np.linalg.svd(M)
+    R = U @ Vt
     worst = float(np.sqrt(((M - R) ** 2).sum(axis=(-2, -1)).max()))
-    if not worst <= POLAR_TRUST_RADIUS:
+    if worst > POLAR_TRUST_RADIUS:
         raise TooFarFromGroupError(
-            f"distance to SO(3) is {worst:.3e}, beyond trust radius "
-            f"{POLAR_TRUST_RADIUS}")
+            f"distance to SO(3) exceeds trust radius {POLAR_TRUST_RADIUS} "
+            f"(Frobenius distance {worst:.3e})")
+    if (np.linalg.det(R) < 0.0).any():
+        raise TooFarFromGroupError(
+            "det < 0: the nearest orthogonal matrix is a reflection, beyond "
+            f"trust radius {POLAR_TRUST_RADIUS} of SO(3)")
     return R
 
 

@@ -682,8 +682,8 @@ class TestReconstruct:
     @pytest.mark.parametrize("lambda0, says", [
         ("2 0 0 0 2 0 0 0 2", "distance to SO(3) exceeds trust radius"),
         ("-1 0 0 0 1 0 0 0 1", "reflection"),
-        ("nan 0 0 0 1 0 0 0 1", "did not settle"),
-        ("1 0 0 0 1 0 0 0 inf", "did not settle")],
+        ("nan 0 0 0 1 0 0 0 1", "not finite"),
+        ("1 0 0 0 1 0 0 0 inf", "not finite")],
         ids=["scaled", "reflection", "nan", "inf"])
     def test_lambda0_checked_before_the_run_is_read(self, tmp_path, capsys,
                                                     lambda0, says):
