@@ -932,6 +932,61 @@ class TestLastWindow:
                        "float64, column 6.\n")
 
 
+def rewrite_line(run, fname, line, edit):
+    """Replace file line ``line`` of a field CSV by ``edit(bytes)`` and
+    re-hash the manifest."""
+    path = run / fname
+    data = path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_bytes(b"".join(lines))
+    manifest = run / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(
+        hashlib.sha256(data).hexdigest(),
+        hashlib.sha256(path.read_bytes()).hexdigest()))
+
+
+class TestStoredFieldText:
+    """A stored field is ASCII, each row with the header's cell count; a
+    byte or a row that is not makes every stored-run command exit 2 with
+    one line naming the file line."""
+
+    COMMANDS = (["residuals"], ["noether"], ["reconstruct", "--tol", "1"])
+
+    @pytest.fixture
+    def run(self, tmp_path, stored_run):
+        def copy(n_t, n_s):
+            stored, _ = stored_run(small_grid(n_t=n_t, n_s=n_s, bc=g.CLAMPED))
+            return Path(shutil.copytree(stored, tmp_path / "run"))
+        return copy
+
+    def assert_exit_2(self, run, capsys, message):
+        for command, *options in self.COMMANDS:
+            assert main([command, "--in", str(run), *options]) == 2
+            assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    # line 3 lies in the first 8 KiB a text-mode read decodes at once, line
+    # 600 of 641 far past it, where numpy's parse meets the byte
+    @pytest.mark.parametrize("n_t, n_s, line", [(12, 8, 3), (40, 16, 600)])
+    def test_byte_not_ascii(self, run, capsys, n_t, n_s, line):
+        run = run(n_t, n_s)
+        rewrite_line(run, "Omega.csv", line,
+                     lambda text: text[:1] + b"\xff" + text[2:])
+        self.assert_exit_2(run, capsys, f"{run / 'Omega.csv'} line {line}: "
+                           "byte 0xff is not ASCII")
+
+    # the parse reads only the value columns, so it cannot see an extra cell
+    @pytest.mark.parametrize("edit, cells", [
+        (lambda text: text[:-1] + b",1.0\n", 8),
+        (lambda text: text.rsplit(b",", 1)[0] + b"\n", 6),
+    ], ids=["extra", "missing"])
+    def test_cell_count(self, run, capsys, edit, cells):
+        run = run(40, 16)
+        rewrite_line(run, "omega.csv", 301, edit)
+        self.assert_exit_2(run, capsys, f"{run / 'omega.csv'} line 301: "
+                           f"{cells} cells, where the header has 7")
+
+
 class TestManifestPaths:
     """A manifest names files in its own run directory, each field once."""
 
