@@ -191,8 +191,13 @@ def parse_config(text, source="<config>", base_dir="."):
 
 def load_config(path):
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode()
+    except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: byte "
+                          f"{data[exc.start]:#04x} is not UTF-8",
+                          line=data.count(b"\n", 0, exc.start) + 1) from None
     return parse_config(text, source=path, base_dir=os.path.dirname(path) or ".")

@@ -25,6 +25,7 @@ import contextlib
 import functools
 import hashlib
 import itertools
+import math
 import os
 import re
 import warnings
@@ -38,11 +39,11 @@ from .simulate import COMPONENTS, FIELDS
 
 FMT = "%.17g"
 
-_KINDS = {(): "scalar", (3,): "vec3", (3, 3): "rot3"}
-_SHAPES = {kind: shape for shape, kind in _KINDS.items()}
-_WIDTH = {"scalar": 1, "vec3": 3, "rot3": 9}
-_HEADER = {kind: "t_index,s_index,t,s," + ",".join(f"c{k + 1}" for k in range(w))
-           + "\n" for kind, w in _WIDTH.items()}
+_SHAPES = {"scalar": (), "vec3": (3,), "rot3": (3, 3)}
+_KINDS = {shape: kind for kind, shape in _SHAPES.items()}
+_HEADER = {kind: "t_index,s_index,t,s," + ",".join(
+    f"c{k + 1}" for k in range(math.prod(shape))) + "\n"
+    for kind, shape in _SHAPES.items()}
 
 # Tokens of the manifest's ``model`` line and the ModelParams fields they hold.
 _MODEL_TOKENS = (("I", "inertia_body"), ("K", "inertia_rotor"),
@@ -293,7 +294,7 @@ class FieldWriter:
             if (part is None or (part.kind, part.levels) != (kind, levels.start)
                     or values.shape[:2] != (len(i_col), n_s)):
                 raise ValueError(f"field '{name}' does not match the grid")
-            width = _WIDTH[kind]
+            width = math.prod(_SHAPES[kind])
             values = values.reshape(values.shape[:2] + (width,))
             sep = _seps(width)
             nodes = min(n_s, _CHUNK // width)
@@ -367,12 +368,12 @@ def _read_manifest(indir):
     if not os.path.exists(manifest):
         raise ConfigError(f"no manifest.txt in {indir}")
     grid, entries, model_kv = None, {}, None
-    with open(manifest) as fh:
+    with open(manifest, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
             try:
+                parts = _ascii(line).split()
+                if not parts:
+                    continue
                 kv = dict(p.split("=", 1) for p in parts[1:])
                 if parts[0] == "grid":
                     grid = g.Grid2(n_t=int(kv["n_t"]), n_s=int(kv["n_s"]),
@@ -422,13 +423,12 @@ def read_model(indir):
 def verify_fields(indir, names):
     """Grid and ``{name: (path, kind)}`` of stored fields, checked before use.
 
-    One streamed pass per file checks it against its manifest sha256, its
-    header against its kind and, after the header, that it is ASCII and
-    that its row and cell counts fit the grid.  A mismatch, a missing file,
-    a malformed manifest or a section field (``simulate.FIELDS``) not of
-    kind vec3 raises ConfigError, which names the file line of the first
-    byte that is not ASCII or the first row of another cell count.  Only
-    the fields in ``names`` are checked and returned.
+    One streamed pass per file checks its manifest sha256, its header, its
+    row count, and that it is ASCII with the header's cell count in every
+    row, which :func:`_bad_line` names the line of when not.  A mismatch, a
+    missing file, a malformed manifest or a section field
+    (``simulate.FIELDS``) not of kind vec3 raises ConfigError.  Only the
+    fields in ``names`` are checked and returned.
     """
     grid, entries, _ = _read_manifest(indir)
     rows = grid.n_t * grid.n_s
@@ -445,12 +445,10 @@ def verify_fields(indir, names):
             with open(path, "rb") as fh:
                 head = fh.readline(len(header))
                 h, lines, commas, last = hashlib.sha256(head), 0, 0, b"\n"
-                alien = None        # (file line, byte) of the first non-ASCII
+                is_ascii = True
                 for block in iter(lambda: fh.read(1 << 20), b""):
                     h.update(block)
-                    if alien is None and not block.isascii():
-                        at = re.search(rb"[\x80-\xff]", block).start()
-                        alien = 2 + lines + block.count(b"\n", 0, at), block[at]
+                    is_ascii = is_ascii and block.isascii()
                     # numpy counts a byte 4-5 times faster than bytes.count
                     a = np.frombuffer(block, np.uint8)
                     lines += np.count_nonzero(a == _NEWLINE)
@@ -464,16 +462,15 @@ def verify_fields(indir, names):
         if head != header:
             raise ConfigError(f"{path}: header does not match "
                               f"kind={kind} in manifest.txt")
-        if alien:
-            raise ConfigError(f"{path} line {alien[0]}: byte {alien[1]:#04x} "
-                              "is not ASCII")
         lines += last != b"\n"      # a last line without its newline
         if lines != rows:
             raise ConfigError(f"{path} has {lines} rows, expected "
                               f"{rows} (n_t={grid.n_t} x n_s={grid.n_s})")
         cells = header.count(b",") + 1
-        if commas != rows * (cells - 1):
-            _check_cells(path, cells)
+        if not is_ascii or commas != rows * (cells - 1):
+            bad = _bad_line(path, cells, 0, None)
+            if bad:     # None for blank or comment lines: the parse names them
+                raise ConfigError(bad)
         out[name] = (path, kind)
     missing = set(names) - set(out)
     if missing:
@@ -482,66 +479,55 @@ def verify_fields(indir, names):
 
 
 def read_levels(fh, path, grid, kind, read, held):
-    """The levels of ``read`` after ``held`` (:class:`grid.Levels`), parsed
-    from ``fh``, the open field file at the first of them.
-
-    Only the value columns are parsed.  A malformed row raises ConfigError
-    naming its line in the file.
-    """
+    """The levels of ``read`` after ``held`` (:class:`grid.Levels`): their
+    value columns, parsed from ``fh``, the open field file at the first of
+    them.  A malformed row raises ConfigError naming its file line."""
     lo = read.start + len(held)
     first, count = lo * grid.n_s, (read.stop - lo) * grid.n_s
-    usecols = range(4, 4 + _WIDTH[kind])
+    width = math.prod(_SHAPES[kind])
     try:
-        data = _loadtxt(fh, usecols=usecols, max_rows=count)
+        data = _loadtxt(fh, usecols=range(4, 4 + width), max_rows=count)
     except ValueError as exc:
-        raise ConfigError(_bad_line(path, first, count, usecols,
-                                    exc)) from None
+        raise ConfigError(_bad_line(path, 4 + width, first, count)
+                          or f"{path}: {exc}") from None
     if data.shape[0] != count:
         raise ConfigError(f"{path} has blank or comment lines among its "
                           f"{grid.n_t * grid.n_s} rows")
     return data.reshape((read.stop - lo, grid.n_s) + _SHAPES[kind])
 
 
-def _data_lines(path):
-    """(file line, text) of each line after the header that ``np.loadtxt``
-    reads as a row: not blank and not only a comment."""
-    with open(path, errors="replace") as fh:
+def _ascii(text):
+    """Bytes ``text`` as str; ValueError naming its first byte not ASCII."""
+    try:
+        return text.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"byte {text[exc.start]:#04x} is not ASCII") from None
+
+
+def _bad_line(path, cells, first, count):
+    """The message naming the file line of the first fault among data rows
+    ``first`` .. ``first + count`` (0-based; all when ``count`` is None):
+    a byte not ASCII (also on a blank or comment line), a cell count other
+    than ``cells``, a line that does not parse alone.  None when none is."""
+    stop, row = math.inf if count is None else first + count, 0
+    with open(path, "rb") as fh:
         fh.readline()
-        for line, text in enumerate(fh, 2):
-            if text.split("#")[0].strip():
-                yield line, text
-
-
-def _check_cells(path, cells):
-    """ConfigError naming the first data line of another cell count than
-    ``cells``; none when only blank or comment lines hold the other commas,
-    which the parse reports."""
-    for line, text in _data_lines(path):
-        found = text.count(",") + 1
-        if found != cells:
-            raise ConfigError(f"{path} line {line}: {found} cells, where "
-                              f"the header has {cells}")
-
-
-def _bad_line(path, first, count, usecols, exc):
-    """The message naming the file line of the first malformed one of the
-    ``count`` rows (all when None) from row ``first`` (0-based): one that
-    does not parse alone or, when every column is read (``usecols`` None),
-    has another number of cells than the first; numpy's ``exc`` when none
-    is."""
-    stop = None if count is None else first + count
-    head = None          # the first row's line and cell count
-    for line, text in itertools.islice(_data_lines(path), first, stop):
-        try:
-            cells = _loadtxt([text], usecols=usecols).shape[1]
-        except ValueError as one:
-            return (f"{path} line {line}: "
-                    + re.sub(r" at row \d+", "", str(one)))
-        head = head or (line, cells)
-        if usecols is None and cells != head[1]:
-            return (f"{path} line {line}: {cells} cells, where line "
-                    f"{head[0]} has {head[1]}")
-    return f"{path}: {exc}"
+        for line, raw in enumerate(fh, 2):
+            try:
+                text = _ascii(raw).split("#")[0].strip()
+                row += bool(text)
+                if row > stop:
+                    return None
+                if not text or row <= first:
+                    continue
+                if text.count(",") + 1 != cells:
+                    raise ValueError(f"{text.count(',') + 1} cells, where "
+                                     f"the header has {cells}")
+                _loadtxt([text])
+            except ValueError as exc:
+                return (f"{path} line {line}: "
+                        + re.sub(r" at row \d+", "", str(exc)))
+    return None
 
 
 @contextlib.contextmanager
@@ -588,24 +574,26 @@ def _loadtxt(source, **kwargs):
 
 
 def read_initial_slice(path, n_s):
+    cells = 1 + 3 * len(COMPONENTS)
     try:
         data = _loadtxt(path, skiprows=1)
     except OSError as exc:
         raise ConfigError(f"initial state file {path}: {exc}",
                           key="init.file") from None
     except ValueError as exc:
-        raise ConfigError("initial state file "
-                          + _bad_line(path, 0, None, None, exc),
-                          key="init.file") from None
-    if data.shape != (n_s, 1 + 3 * len(COMPONENTS)):
-        raise ConfigError(
-            f"initial state file {path} has shape {data.shape}, "
-            f"expected ({n_s}, {1 + 3 * len(COMPONENTS)})", key="init.file")
+        raise ConfigError("initial state file " + (
+            _bad_line(path, cells, 0, None) or f"{path}: {exc}"),
+            key="init.file") from None
+    if data.shape != (n_s, cells):
+        raise ConfigError(f"initial state file {path} has shape {data.shape}"
+                          f", expected ({n_s}, {cells})", key="init.file")
     if not np.isfinite(data[:, 1:]).all():
         row, col = np.argwhere(~np.isfinite(data[:, 1:]))[0]
-        line, _ = next(itertools.islice(_data_lines(path), row, None))
+        with open(path, errors="replace") as fh:    # the rows' file lines
+            lines = [n for n, text in enumerate(fh, 1)
+                     if n > 1 and text.split("#")[0].strip()]
         raise ConfigError(
-            f"initial state file {path} line {line}: "
+            f"initial state file {path} line {lines[row]}: "
             f"{COMPONENTS[col // 3]}{col % 3 + 1} is {data[row, 1 + col]}",
             key="init.file")
     # rows are nodes, the value columns COMPONENTS' rows in order; C order,

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import re
 import time
 
 import numpy as np
@@ -41,6 +43,20 @@ def store_fields(outdir, gr, fields, **writer):
     """
     with FieldWriter(outdir, gr, **writer) as out:
         out.write(slice(0, gr.n_t), fields)
+
+
+def rewrite_field(run, fname, edit):
+    """Replace the lines of field file ``fname`` of the stored run ``run``
+    by ``edit(lines)`` (bytes, with their ends) and re-hash it on its own
+    manifest line only: two fields may hold the same bytes."""
+    path = run / fname
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(edit(lines)))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest = run / "manifest.txt"
+    manifest.write_text(re.sub(rf"(?m)^(field .* file={re.escape(fname)} .*"
+                               r"sha256=)\w+", rf"\g<1>{digest}",
+                               manifest.read_text()))
 
 
 def load_fields(indir, names):

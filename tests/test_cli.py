@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import hashlib
 import inspect
 import io
 import json
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 
 from strand_reduce import checks
 from strand_reduce import cli
+from strand_reduce import fields_io
 from strand_reduce import grid as g
 from strand_reduce import model
 from strand_reduce import reduction as red
@@ -28,8 +28,8 @@ from strand_reduce.cli import main
 from strand_reduce.config import parse_config
 from strand_reduce.fields_io import read_model
 from strand_reduce.simulate import presets
-from tests.conftest import (load_fields, small_grid, store_fields,
-                            write_init_file)
+from tests.conftest import (load_fields, rewrite_field, small_grid,
+                            store_fields, write_init_file)
 from tests.test_windows import patch_windows
 
 CONFIG = """
@@ -259,6 +259,24 @@ class TestMalformedInputs:
                                        "--out", str(tmp_path / "o")], capsys)
         assert "cannot read config file" in err
 
+    def test_config_byte_not_utf8_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(CONFIG.replace("[inertia]", "[inertia]  # caf\xff")
+                        .encode("latin-1"))
+        err = self.assert_config_exit(["simulate", "--config", str(cfg),
+                                       "--out", str(tmp_path / "o")], capsys)
+        line = CONFIG.splitlines().index("[inertia]") + 1
+        assert err == (f"config error: cannot read config file {cfg}: byte "
+                       f"0xff is not UTF-8 (line {line})\n")
+
+    def test_config_utf8_comment_accepted(self, tmp_path):
+        cfg = tmp_path / "utf8.cfg"
+        cfg.write_text(CONFIG.replace("[inertia]", "[inertia]  # café"),
+                       encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(cfg), "--out",
+                         str(tmp_path / "o")]) == 0
+
     def test_grid_over_memory_guard(self, tmp_path, capsys):
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(CONFIG.replace("n_s = 32", "n_s = 100000")
@@ -283,7 +301,7 @@ class TestMalformedInputs:
         # the manifest is rewritten to match, so the row count is what fails
         out = tmp_path / "out"
         main(["simulate", "--config", str(config_file), "--out", str(out)])
-        rewrite_rehashed(out, "Omega.csv", lambda lines: lines[:-7])
+        rewrite_field(out, "Omega.csv", lambda lines: lines[:-7])
         capsys.readouterr()
         err = self.assert_config_exit(["residuals", "--in", str(out)], capsys)
         assert "Omega.csv" in err
@@ -295,7 +313,7 @@ class TestMalformedInputs:
         out = tmp_path / "out"
         with contextlib.redirect_stdout(io.StringIO()):
             main(["simulate", "--config", str(config_file), "--out", str(out)])
-        rewrite_rehashed(out, "rho.csv", lambda lines: lines[:1])
+        rewrite_field(out, "rho.csv", lambda lines: lines[:1])
         proc = subprocess.run([sys.executable, "-m", "strand_reduce", "residuals",
                                "--in", str(out)], capture_output=True, text=True)
         assert proc.returncode == 2
@@ -349,13 +367,39 @@ class TestMalformedInputs:
         # the file line, not numpy's row among the data rows, also for a
         # row that parses alone but has one cell too many
         for value, says in (("abc", "'abc'"),
-                            ("0,0", "23 cells, where line 2 has 22")):
+                            ("0,0", "23 cells, where the header has 22")):
             init, err = self.init_cell_error(small_inputs, tmp_path, capsys,
                                              value, gap)
             head = (f"config error: initial state file {init} line "
                     f"{5 + gap.count(chr(10))}: ")
             assert err.startswith(head) and err.endswith(" [init.file]\n")
             assert says in err and " row " not in err
+
+    def init_with_line(self, small_inputs, tmp_path, text):
+        """Copies of ``small_inputs``' files with the bytes ``text`` as file
+        line 3 of init.csv, and the ``simulate`` command line for them."""
+        for name in ("run.cfg", "init.csv"):
+            shutil.copy(small_inputs / name, tmp_path / name)
+        init = tmp_path / "init.csv"
+        lines = init.read_bytes().splitlines(keepends=True)
+        init.write_bytes(b"".join(lines[:2] + [text] + lines[2:]))
+        return init, ["simulate", "--config", str(tmp_path / "run.cfg"),
+                      "--out", str(tmp_path / "o")]
+
+    def test_init_comment_not_utf8_names_its_line(self, small_inputs,
+                                                  tmp_path, capsys):
+        # numpy's codec error names a position in a block, not a line
+        init, argv = self.init_with_line(small_inputs, tmp_path,
+                                         b"# caf\xff note\n")
+        assert self.assert_config_exit(argv, capsys) == (
+            f"config error: initial state file {init} line 3: byte 0xff is "
+            "not ASCII [init.file]\n")
+
+    def test_init_utf8_comment_accepted(self, small_inputs, tmp_path):
+        _, argv = self.init_with_line(small_inputs, tmp_path,
+                                      "# café\n".encode())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
 
     @pytest.mark.parametrize("command, name, shape", [
         ("residuals", "rho", ()), ("noether", "rho", ()),
@@ -409,28 +453,12 @@ def small_run(tmp_path_factory):
     return root / "out"
 
 
-def rewrite_rehashed(run, fname, edit):
-    """Replace a field file's lines by ``edit(lines)`` and re-hash the manifest."""
-    path = run / fname
-    old = hashlib.sha256(path.read_bytes()).hexdigest()
-    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
-    manifest = run / "manifest.txt"
-    manifest.write_text(manifest.read_text().replace(
-        old, hashlib.sha256(path.read_bytes()).hexdigest()))
-
-
 def nonfinite_run(tmp_path, config_file, value):
     """A stored run of ``config_file`` with ``value`` in one Omega.csv cell."""
     out = tmp_path / "out"
     with contextlib.redirect_stdout(io.StringIO()):
         main(["simulate", "--config", str(config_file), "--out", str(out)])
-
-    def edit(lines):
-        row = lines[1 + 20 * 32 + 9].split(",")
-        row[5] = value
-        lines[1 + 20 * 32 + 9] = ",".join(row)
-        return lines
-    rewrite_rehashed(out, "Omega.csv", edit)
+    set_cell(out, "Omega.csv", 20, 9, 1, value)
     return out
 
 
@@ -801,11 +829,11 @@ def set_cell(run, fname, level, node, component, text):
     n_s = int(re.search(r"n_s=(\d+)", (run / "manifest.txt").read_text())[1])
 
     def edit(lines):
-        row = lines[1 + level * n_s + node].rstrip("\n").split(",")
-        row[4 + component] = text
-        lines[1 + level * n_s + node] = ",".join(row) + "\n"
+        row = lines[1 + level * n_s + node].rstrip(b"\n").split(b",")
+        row[4 + component] = text.encode()
+        lines[1 + level * n_s + node] = b",".join(row) + b"\n"
         return lines
-    rewrite_rehashed(run, fname, edit)
+    rewrite_field(run, fname, edit)
 
 
 class TestNotFlatSaysWhere:
@@ -934,22 +962,39 @@ class TestLastWindow:
 
 def rewrite_line(run, fname, line, edit):
     """Replace file line ``line`` of a field CSV by ``edit(bytes)`` and
-    re-hash the manifest."""
-    path = run / fname
-    data = path.read_bytes()
-    lines = data.splitlines(keepends=True)
-    lines[line - 1] = edit(lines[line - 1])
-    path.write_bytes(b"".join(lines))
-    manifest = run / "manifest.txt"
-    manifest.write_text(manifest.read_text().replace(
-        hashlib.sha256(data).hexdigest(),
-        hashlib.sha256(path.read_bytes()).hexdigest()))
+    re-hash it."""
+    rewrite_field(run, fname, lambda lines: lines[:line - 1]
+                  + [edit(lines[line - 1])] + lines[line:])
+
+
+@pytest.fixture(scope="module")
+def helix_run(tmp_path_factory):
+    """``helix_run(n_t, n_s)``: a clamped helix run stored by ``simulate``,
+    written once per module; its theta.csv and omega.csv hold the same
+    bytes.  Tests that edit a run copy it first."""
+    runs = {}
+
+    def get(n_t, n_s):
+        if (n_t, n_s) not in runs:
+            root = tmp_path_factory.mktemp("helix_run")
+            cfg = root / "run.cfg"
+            cfg.write_text(CONFIG.replace("n_s = 32", f"n_s = {n_s}")
+                           .replace("n_t = 40", f"n_t = {n_t}")
+                           .replace("periodic", "clamped")
+                           .replace("twistpulse", "helix"))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["simulate", "--config", str(cfg), "--out",
+                             str(root / "out")]) == 0
+            runs[n_t, n_s] = root / "out"
+        return runs[n_t, n_s]
+
+    return get
 
 
 class TestStoredFieldText:
-    """A stored field is ASCII, each row with the header's cell count; a
-    byte or a row that is not makes every stored-run command exit 2 with
-    one line naming the file line."""
+    """A stored field is ASCII, each row with the header's cell count, and
+    so is its manifest; a byte or a row that is not makes every stored-run
+    command exit 2 with one line naming the file line."""
 
     COMMANDS = (["residuals"], ["noether"], ["reconstruct", "--tol", "1"])
 
@@ -985,6 +1030,41 @@ class TestStoredFieldText:
         rewrite_line(run, "omega.csv", 301, edit)
         self.assert_exit_2(run, capsys, f"{run / 'omega.csv'} line 301: "
                            f"{cells} cells, where the header has 7")
+
+    def test_clean_run_never_scans(self, helix_run, monkeypatch, capsys):
+        def scan(*args):
+            raise AssertionError(f"scanned a sound file: {args}")
+        monkeypatch.setattr(fields_io, "_bad_line", scan)
+        for command, *options in self.COMMANDS:
+            assert main([command, "--in", str(helix_run(40, 16)),
+                         *options]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_edit_of_a_field_sharing_its_digest(self, helix_run, tmp_path,
+                                                capsys):
+        # omega.csv holds theta.csv's bytes, so re-hashing the edit must
+        # change omega's manifest line alone
+        run = Path(shutil.copytree(helix_run(40, 16), tmp_path / "run"))
+        assert ((run / "theta.csv").read_bytes()
+                == (run / "omega.csv").read_bytes())
+        set_cell(run, "omega.csv", 18, 5, 1, "x")
+        self.assert_exit_2(run, capsys, f"{run / 'omega.csv'} line "
+                           f"{2 + 18 * 16 + 5}: could not convert string 'x' "
+                           "to float64, column 6.")
+
+    # the manifest is read in binary: a byte that is not UTF-8 raised
+    # UnicodeDecodeError from the line iterator, a traceback
+    @pytest.mark.parametrize("edit, line", [
+        (lambda data: data + b"# caf\xff\n", 7),
+        (lambda data: data.replace(b" bc=", b" bc=\xff"), 1),
+    ], ids=["comment", "grid"])
+    def test_manifest_byte_not_ascii(self, helix_run, tmp_path, capsys, edit,
+                                     line):
+        run = Path(shutil.copytree(helix_run(12, 8), tmp_path / "run"))
+        manifest = run / "manifest.txt"
+        manifest.write_bytes(edit(manifest.read_bytes()))
+        self.assert_exit_2(run, capsys, f"malformed manifest in {run}: byte "
+                           f"0xff is not ASCII (line {line})")
 
 
 class TestManifestPaths:

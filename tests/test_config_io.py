@@ -12,8 +12,8 @@ from strand_reduce import simulate as sim
 from strand_reduce.config import parse_config
 from strand_reduce.errors import ConfigError
 from strand_reduce.fields_io import read_initial_slice, read_model, write_steps
-from tests.conftest import (load_fields, small_grid, store_fields,
-                            write_init_file)
+from tests.conftest import (load_fields, rewrite_field, small_grid,
+                            store_fields, write_init_file)
 
 GOOD = """
 [grid]
@@ -298,19 +298,15 @@ class TestFieldsIO:
     def test_malformed_stored_run_rejected(self, rng, tmp_path, edit):
         gr = small_grid(n_t=5, n_s=7)
         store_fields(tmp_path, gr, {"rho": rng.normal(size=(5, 7, 3))})
+        if edit == "csv_cell":
+            rewrite_field(tmp_path, "rho.csv", lambda lines: lines[:3] + [
+                lines[3].rsplit(b",", 1)[0] + b",x\n"] + lines[4:])
         manifest = tmp_path / "manifest.txt"
         text = manifest.read_text()
         if edit == "grid_value":
             text = text.replace("n_s=7", "n_s=seven")
         elif edit == "field_kind":
             text = text.replace("kind=vec3", "kind=tensor")
-        else:
-            csv = tmp_path / "rho.csv"
-            old = hashlib.sha256(csv.read_bytes()).hexdigest()
-            lines = csv.read_text().splitlines(keepends=True)
-            lines[3] = lines[3].rsplit(",", 1)[0] + ",x\n"
-            csv.write_text("".join(lines))
-            text = text.replace(old, hashlib.sha256(csv.read_bytes()).hexdigest())
         manifest.write_text(text)
         with pytest.raises(ConfigError):
             load_fields(tmp_path, ("rho",))
@@ -322,13 +318,8 @@ class TestFieldsIO:
         # is missing
         gr = small_grid(n_t=5, n_s=7)
         store_fields(tmp_path, gr, {"rho": rng.normal(size=(5, 7, 3))})
-        csv = tmp_path / "rho.csv"
-        old = hashlib.sha256(csv.read_bytes()).hexdigest()
-        lines = csv.read_text().splitlines(keepends=True)
-        csv.write_text("".join(lines[:3] + [line] + lines[4:]))
-        manifest = tmp_path / "manifest.txt"
-        manifest.write_text(manifest.read_text().replace(
-            old, hashlib.sha256(csv.read_bytes()).hexdigest()))
+        rewrite_field(tmp_path, "rho.csv",
+                      lambda lines: lines[:3] + [line.encode()] + lines[4:])
         with pytest.raises(ConfigError, match="blank or comment lines"):
             load_fields(tmp_path, ("rho",))
 
