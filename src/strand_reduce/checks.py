@@ -6,7 +6,6 @@ bands are constants, so the CLI and the acceptance tests run the same checks.
 """
 
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,16 +16,8 @@ from . import reduction as red
 from . import residuals as rs
 from . import so3
 from .errors import NotFlatError
+from .fields_io import CheckResult, _result, info
 from .simulate import SimConfig, run, stream
-
-
-@dataclass
-class CheckResult:
-    name: str
-    value: float
-    tol: float          # None for informational rows
-    passed: bool
-
 
 # Both observed-order fits pass within this band around the scheme's order 2.
 ORDER_BAND = (1.7, 2.3)
@@ -35,15 +26,6 @@ RATIO_BAND = (3.0, 5.0)
 # A lift's unreduced residual norm over its projection's stage-1 norm.
 REDUCTION_BAND = (0.25, 4.0)
 _SEED = 20260810
-
-
-def _result(name, value, tol):
-    return CheckResult(name, float(value), float(tol), bool(value <= tol))
-
-
-def info(name, value):
-    """An informational row: it passes when its value is finite."""
-    return CheckResult(name, float(value), None, bool(np.isfinite(value)))
 
 
 def _band_result(name, value, band):
@@ -362,67 +344,10 @@ def convergence_table(preset, grids):
                   for key in _RESIDUALS + ("flatness",)]
 
 
-def noether_report(s1, Lam, params, tol=None):
-    """Current totals drift, divergence norms, and the divergence identity.
-
-    Returns the check rows and the ``(n_t, 6)`` rotor|so3 totals they measure,
-    integrated over the run's own grid (the whole loop when periodic).  One
-    :func:`reduction.gated_pass` applies the flatness gate to ``s1`` with
-    ``tol`` and reads ``Lam`` (a whole field or level source) a window at a
-    time.  Each window takes one :func:`reduction.project_stage2` of the
-    section, which carries its jet, and returns per-level vectors only, so
-    nothing the pass keeps is O(n_t n_s).  The residual, the drift and the
-    identity are evaluated on the levels the window owns; the fiber
-    derivatives and the currents also on the level beyond each inner side,
-    which d_t of J_t reads.  The SO(3) divergence is summed over the
-    interior nodes of the cut (clamped) grid.
-    """
-    gr = s1.grid
-    cut = dataclasses.replace(gr, bc_s=g.CLAMPED)
-    levels, nodes = gr.interior(2)
-    cut_nodes = cut.interior(2)[1]
-
-    def evaluate(w, L):
-        # the owned levels and one more on each side, within the window
-        lo, hi = max(w.inner.start - 1, 0), min(w.inner.stop + 1, len(L))
-        own, ext = slice(w.inner.start - lo, w.inner.stop - lo), slice(lo, hi)
-        f = red.at_levels(red.project_stage2(red.at_levels(s1, w.read)), ext)
-        d = model.fiber_derivatives_stage1(f, params)
-        f_own, d_own = red.at_levels(f, own), red.at_levels(d, own)
-        L_own = L[w.inner]
-        vertical = rs._rot(L_own, rs.stage2_residuals(f_own, params).vertical)
-        identity = g.node_sq(noether.drift_residual(L_own, f_own, d_own, params)
-                             - vertical)
-        rot = d.dl_dtheta_s, d.dl_dtheta_t
-        so3c = noether.so3_current(L[ext], d)
-        # the rotation field may carry loop holonomy, in which case the
-        # spatial current jumps at the seam; differentiate it on the cut
-        return (g.integrate_s(gr, rot[1][own]),
-                g.integrate_s(gr, so3c[1][own]),
-                g.level_sums(g.node_sq(noether.divergence(gr, *rot, own)),
-                             nodes),
-                g.level_sums(g.node_sq(noether.divergence(cut, *so3c, own)),
-                             cut_nodes),
-                *g.level_max(identity))
-
-    rotor_tot, so3_tot, rotor_div, so3_div, identity, identity_node = \
-        red.gated_pass(gr, s1.Omega, s1.omega, Lam, tol, evaluate)
-    out = []
-    for name, tot, div, div_grid in (("rotor", rotor_tot, rotor_div, gr),
-                                     ("so3", so3_tot, so3_div, cut)):
-        out.append(info(f"{name}_total_drift",
-                        np.max(np.linalg.norm(tot - tot[0], axis=-1))))
-        out.append(info(f"{name}_divergence_interior_l2",
-                        g.l2_sq(div_grid, div, levels)))
-    out.append(_result("current_vertical_identity_max_err",
-                       g.max_sq(identity, identity_node).value, 1e-12))
-    return out, np.hstack([rotor_tot, so3_tot])
-
-
 def check_noether():
     """Noether conservation on the twist pulse at 64x50 and 128x100, T = 0.125.
 
-    :func:`noether_report` per level.  Each total drifts at most
+    :func:`noether.noether_report` per level.  Each total drifts at most
     (dt^2 + ds^2) T, falling by a factor in ``RATIO_BAND``.  T keeps the
     pulse clear of the seam, where its loop rotation leaks the spatial total.
     """
@@ -431,7 +356,7 @@ def check_noether():
     for n_s, n_t in ((64, 50), (128, 100)):
         sec = _twist_run(n_t, n_s, duration).section
         Lam = red.rotation_levels(sec.grid, sec.Omega, sec.omega, np.eye(3))
-        rows, _ = noether_report(sec, Lam, model.default_params())
+        rows, _ = noether.noether_report(sec, Lam, model.default_params())
         bound = (sec.grid.dt ** 2 + sec.grid.ds ** 2) * duration
         drifts.append({})
         for row in rows:

@@ -8,26 +8,22 @@ verification check failed, 5 solution blow-up.
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 import time
 
 import numpy as np
 
-from . import checks
 from . import grid as g
 from . import reduction as red
-from .config import load_config
 from .errors import (BlowupError, ConfigError, NotFlatError, StrandError,
                      TooFarFromGroupError)
-from .fields_io import (FieldWriter, format_report, grid_line, listed_fields,
-                        open_fields, read_model, write_report, write_steps,
-                        write_totals)
+from .fields_io import (FieldWriter, format_report, grid_line, info,
+                        listed_fields, open_fields, read_model, write_report,
+                        write_steps, write_totals)
 from .model import default_params
-from .reduction import Stage1Section
-from .residuals import Stage1Residuals
-from .simulate import FIELDS, SimConfig, residual_norms, stream
+from .reduction import FIELDS, Stage1Section
+from .residuals import Stage1Residuals, residual_norms
 from .so3 import reorthonormalize
 
 EXIT_OK = 0
@@ -72,6 +68,9 @@ def _print_checks(title, results, preamble=()):
 
 
 def cmd_simulate(args):
+    import json
+    from .config import load_config
+    from .simulate import stream
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     t_parse = time.perf_counter() - t0
@@ -81,7 +80,7 @@ def cmd_simulate(args):
         out = stream(cfg, fields.write)
         t_write = time.perf_counter()
         write_steps(args.out, out.steps)
-        results = [checks.info(k, v) for k, v in out.summary.items()]
+        results = [info(k, v) for k, v in out.summary.items()]
         p = cfg.params
         mat = lambda M: " ".join("%.17g" % x for x in np.asarray(M).ravel())
         start = "init=file" if cfg.preset is None else f"preset={cfg.preset}"
@@ -111,13 +110,14 @@ def cmd_residuals(args):
         with _stored_section(args.indir) as (sec, params):
             summary = residual_norms(sec, params)
     else:
+        from .simulate import SimConfig, stream
         cfg = SimConfig(grid=_grid(args, args.n_t, args.n_s),
                         params=default_params(), preset=args.preset)
         summary = stream(cfg, None).summary
     return _print_checks("residuals", [
-        *(checks.info(f"stage1_{key}_l2", summary[f"residual_{key}_l2"])
+        *(info(f"stage1_{key}_l2", summary[f"residual_{key}_l2"])
           for key in Stage1Residuals._fields),
-        checks.info("flatness_rotation_max", summary["flatness_rotation_max"])])
+        info("flatness_rotation_max", summary["flatness_rotation_max"])])
 
 
 def cmd_reconstruct(args):
@@ -149,24 +149,33 @@ def cmd_reconstruct(args):
 
 
 def cmd_noether(args):
+    from .noether import noether_report
     _check_tol(args.tol)
     with _stored_section(args.indir) as (sec, params):
         Lam = red.rotation_levels(sec.grid, sec.Omega, sec.omega, np.eye(3))
-        results, totals = checks.noether_report(sec, Lam, params, tol=args.tol)
+        results, totals = noether_report(sec, Lam, params, tol=args.tol)
     if args.out:
         path = write_totals(args.out, sec.grid, totals)
         sys.stdout.write(f"totals written to {path}\n")
     return _print_checks("noether", results)
 
 
+def _checks():
+    """The verification harness.  Like every module that only some commands
+    run, it is imported when one of them runs (here a suite), so that each
+    process pays for its own run path only."""
+    from . import checks
+    return checks
+
+
 CHECK_SUITES = {
-    "derivatives": checks.check_derivatives,
-    "invariance": checks.check_invariance,
-    "stages": checks.check_stages,
-    "variational": checks.check_variational,
-    "reduction": checks.check_reduction,
-    "roundtrip": checks.check_roundtrip,
-    "noether": checks.check_noether,
+    "derivatives": lambda: _checks().check_derivatives(),
+    "invariance": lambda: _checks().check_invariance(),
+    "stages": lambda: _checks().check_stages(),
+    "variational": lambda: _checks().check_variational(),
+    "reduction": lambda: _checks().check_reduction(),
+    "roundtrip": lambda: _checks().check_roundtrip(),
+    "noether": lambda: _checks().check_noether(),
 }
 
 
@@ -178,6 +187,7 @@ def cmd_convergence(args):
     if args.levels < 2:
         raise ConfigError(f"--levels must be at least 2, got {args.levels}")
     base = _grid(args, args.base_n_t, args.base_n_s)
+    from . import checks
     try:
         grids = checks.ladder(base, args.levels)
     except ValueError as exc:

@@ -29,13 +29,14 @@ import math
 import os
 import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as g
 from .errors import ConfigError
-from .model import ModelParams
-from .simulate import COMPONENTS, FIELDS
+from .model import COMPONENTS, ModelParams
+from .reduction import FIELDS
 
 FMT = "%.17g"
 
@@ -427,7 +428,7 @@ def verify_fields(indir, names):
     row count, and that it is ASCII with the header's cell count in every
     row, which :func:`_bad_line` names the line of when not.  A mismatch, a
     missing file, a malformed manifest or a section field
-    (``simulate.FIELDS``) not of kind vec3 raises ConfigError.  Only the
+    (``reduction.FIELDS``) not of kind vec3 raises ConfigError.  Only the
     fields in ``names`` are checked and returned.
     """
     grid, entries, _ = _read_manifest(indir)
@@ -498,36 +499,47 @@ def read_levels(fh, path, grid, kind, read, held):
 
 def _ascii(text):
     """Bytes ``text`` as str; ValueError naming its first byte not ASCII."""
-    try:
-        return text.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"byte {text[exc.start]:#04x} is not ASCII") from None
+    if not text.isascii():
+        raise ValueError(_not_ascii(text))
+    return text.decode()
+
+
+def _not_ascii(text):
+    return f"byte {next(b for b in text if b > 127):#04x} is not ASCII"
 
 
 def _bad_line(path, cells, first, count):
     """The message naming the file line of the first fault among data rows
     ``first`` .. ``first + count`` (0-based; all when ``count`` is None):
-    a byte not ASCII (also on a blank or comment line), a cell count other
-    than ``cells``, a line that does not parse alone.  None when none is."""
-    stop, row = math.inf if count is None else first + count, 0
+    a byte not ASCII, a cell count other than ``cells``, a line that does
+    not parse alone.  A comment (also on a blank line) that is UTF-8 but
+    not ASCII, which numpy's parse of an init file reads, is named only
+    when no line has another fault.  None when none is."""
+    stop, row, late = math.inf if count is None else first + count, 0, None
     with open(path, "rb") as fh:
         fh.readline()
         for line, raw in enumerate(fh, 2):
             try:
-                text = _ascii(raw).split("#")[0].strip()
+                text, _, note = raw.partition(b"#")
+                text = _ascii(text).strip()
+                if not note.isascii():
+                    note.decode()
+                    late = late or f"{path} line {line}: {_not_ascii(note)}"
                 row += bool(text)
                 if row > stop:
-                    return None
+                    return late
                 if not text or row <= first:
                     continue
                 if text.count(",") + 1 != cells:
                     raise ValueError(f"{text.count(',') + 1} cells, where "
                                      f"the header has {cells}")
                 _loadtxt([text])
+            except UnicodeDecodeError as exc:   # a comment not UTF-8
+                return f"{path} line {line}: {_not_ascii(note[exc.start:])}"
             except ValueError as exc:
                 return (f"{path} line {line}: "
                         + re.sub(r" at row \d+", "", str(exc)))
-    return None
+    return late
 
 
 @contextlib.contextmanager
@@ -600,6 +612,23 @@ def read_initial_slice(path, n_s):
     # which the rates' in-place products need
     return np.ascontiguousarray(
         data[:, 1:].reshape(n_s, len(COMPONENTS), 3).transpose(1, 0, 2))
+
+
+@dataclass
+class CheckResult:
+    name: str
+    value: float
+    tol: float          # None for informational rows
+    passed: bool
+
+
+def _result(name, value, tol):
+    return CheckResult(name, float(value), float(tol), bool(value <= tol))
+
+
+def info(name, value):
+    """An informational row: it passes when its value is finite."""
+    return CheckResult(name, float(value), None, bool(np.isfinite(value)))
 
 
 def format_report(title, checks, preamble):

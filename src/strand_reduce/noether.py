@@ -14,9 +14,16 @@ current is ``(d.dl_dtheta_s, d.dl_dtheta_t)`` as it stands, and a current is
 its pair of arrays, differentiated on the grid it is passed with.
 """
 
+import dataclasses
+
+import numpy as np
+
 from . import grid as g
+from . import model
+from . import reduction as red
+from . import residuals as rs
+from .fields_io import _result, info
 from .so3 import cross
-from .residuals import _rot
 
 
 def so3_current(Lam, d):
@@ -27,7 +34,7 @@ def so3_current(Lam, d):
     was taken from (a projection pair); the body-frame fiber derivatives are
     pushed to the spatial frame by it.
     """
-    return _rot(Lam, d.dl_dOmega), _rot(Lam, d.dl_domega)
+    return rs._rot(Lam, d.dl_dOmega), rs._rot(Lam, d.dl_domega)
 
 
 def divergence(grid, J_s, J_t, keep=slice(None)):
@@ -69,4 +76,61 @@ def drift_residual(Lam, f, d, p):
             + f.omega_t @ (p.inertia_body + p.inertia_rotor).T
             + f.theta_tt @ p.inertia_rotor.T)
     cov_div = g.d_s(f.grid, N) + cross(f.Omega, N) + dM_t + cross(f.omega, M)
-    return _rot(Lam, cov_div)
+    return rs._rot(Lam, cov_div)
+
+
+def noether_report(s1, Lam, params, tol=None):
+    """Current totals drift, divergence norms, and the divergence identity.
+
+    Returns the check rows and the ``(n_t, 6)`` rotor|so3 totals they measure,
+    integrated over the run's own grid (the whole loop when periodic).  One
+    :func:`reduction.gated_pass` applies the flatness gate to ``s1`` with
+    ``tol`` and reads ``Lam`` (a whole field or level source) a window at a
+    time.  Each window takes one :func:`reduction.project_stage2` of the
+    section, which carries its jet, and returns per-level vectors only, so
+    nothing the pass keeps is O(n_t n_s).  The residual, the drift and the
+    identity are evaluated on the levels the window owns; the fiber
+    derivatives and the currents also on the level beyond each inner side,
+    which d_t of J_t reads.  The SO(3) divergence is summed over the
+    interior nodes of the cut (clamped) grid.
+    """
+    gr = s1.grid
+    cut = dataclasses.replace(gr, bc_s=g.CLAMPED)
+    levels, nodes = gr.interior(2)
+    cut_nodes = cut.interior(2)[1]
+
+    def evaluate(w, L):
+        # the owned levels and one more on each side, within the window
+        lo, hi = max(w.inner.start - 1, 0), min(w.inner.stop + 1, len(L))
+        own, ext = slice(w.inner.start - lo, w.inner.stop - lo), slice(lo, hi)
+        f = red.at_levels(red.project_stage2(red.at_levels(s1, w.read)), ext)
+        d = model.fiber_derivatives_stage1(f, params)
+        f_own, d_own = red.at_levels(f, own), red.at_levels(d, own)
+        L_own = L[w.inner]
+        vertical = rs._rot(L_own, rs.stage2_residuals(f_own, params).vertical)
+        identity = g.node_sq(drift_residual(L_own, f_own, d_own, params)
+                             - vertical)
+        rot = d.dl_dtheta_s, d.dl_dtheta_t
+        so3c = so3_current(L[ext], d)
+        # the rotation field may carry loop holonomy, in which case the
+        # spatial current jumps at the seam; differentiate it on the cut
+        return (g.integrate_s(gr, rot[1][own]),
+                g.integrate_s(gr, so3c[1][own]),
+                g.level_sums(g.node_sq(divergence(gr, *rot, own)),
+                             nodes),
+                g.level_sums(g.node_sq(divergence(cut, *so3c, own)),
+                             cut_nodes),
+                *g.level_max(identity))
+
+    rotor_tot, so3_tot, rotor_div, so3_div, identity, identity_node = \
+        red.gated_pass(gr, s1.Omega, s1.omega, Lam, tol, evaluate)
+    out = []
+    for name, tot, div, div_grid in (("rotor", rotor_tot, rotor_div, gr),
+                                     ("so3", so3_tot, so3_div, cut)):
+        out.append(info(f"{name}_total_drift",
+                        np.max(np.linalg.norm(tot - tot[0], axis=-1))))
+        out.append(info(f"{name}_divergence_interior_l2",
+                        g.l2_sq(div_grid, div, levels)))
+    out.append(_result("current_vertical_identity_max_err",
+                       g.max_sq(identity, identity_node).value, 1e-12))
+    return out, np.hstack([rotor_tot, so3_tot])

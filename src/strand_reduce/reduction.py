@@ -49,6 +49,9 @@ class Stage1Section:
     omega: np.ndarray
 
 
+FIELDS = ("rho", "theta", "Omega", "omega")     # as a stored run holds them
+
+
 @dataclass
 class Stage2Section:
     """Twice-reduced fields and their jet: rotor angles survive only through
@@ -186,19 +189,22 @@ def flatness_residual_rotor(grid, a, b):
     return g.d_t(grid, a) - g.d_s(grid, b)
 
 
-def _sweep(Lam_prev, rate_mid, h, level, node):
-    """One step onto ``level``, ``node``: times the midpoint exponential.  A
-    row of steps passes None for the axis it runs along; an angle of pi/2 or
-    more names the largest step's index there."""
+def _steps(rate_mid, h, at):
+    """The midpoint exponentials of a sweep, ``exp_so3(h * rate_mid)`` in one
+    call: ``rate_mid`` is ``(steps, row, 3)``, axis 0 in sweep order.  An
+    angle of pi/2 or more raises for the first step that has one, its level
+    and node ``at(k, m)`` for step ``k`` and the index ``m`` of the largest
+    angle in its row."""
     step = h * rate_mid
-    angle = np.linalg.norm(step, axis=-1)
-    k = int(np.argmax(angle))
-    if angle.flat[k] >= np.pi / 2.0:
+    peak, m = g.level_max(np.linalg.norm(step, axis=-1))
+    bad = np.flatnonzero(peak >= np.pi / 2.0)
+    if len(bad):
+        k = bad[0]
+        level, node = at(k, m[k])
         raise NearAnglePiError(
-            f"reconstruction step angle {angle.flat[k]:.3f} >= pi/2; grid too "
-            f"coarse at level {k if level is None else level}, node "
-            f"{k if node is None else node}")
-    return Lam_prev @ exp_so3(step)
+            f"reconstruction step angle {peak[k]:.3f} >= pi/2; grid too "
+            f"coarse at level {level}, node {node}")
+    return exp_so3(step)
 
 
 def rotation_levels(grid, Omega, omega, Lambda0):
@@ -212,21 +218,23 @@ def rotation_levels(grid, Omega, omega, Lambda0):
     """
     def produce(read, held):
         lo = read.start + len(held)
-        om = omega[read]
         out = np.empty((read.stop - lo, grid.n_s, 3, 3))
         if lo == 0:
             W = Omega[read][0]
+            E = _steps(0.5 * (W[:-1] + W[1:])[:, None], grid.ds,
+                       lambda k, m: (0, k + 1))
             prev = out[0]
             prev[0] = reorthonormalize(Lambda0)
             for j in range(grid.n_s - 1):
-                prev[j + 1] = _sweep(prev[j], 0.5 * (W[j] + W[j + 1]), grid.ds,
-                                     0, j + 1)
+                prev[j + 1] = prev[j] @ E[j, 0]
         else:
             prev = held[-1]
-        for i in range(max(lo, 1), read.stop):
-            k = i - read.start
-            prev = out[i - lo] = _sweep(prev, 0.5 * (om[k - 1] + om[k]),
-                                        grid.dt, i, None)
+        first = max(lo, 1)      # the first level stepped onto
+        om = omega[read][first - 1 - read.start:]
+        E = _steps(0.5 * (om[:-1] + om[1:]), grid.dt,
+                   lambda k, m: (first + k, m))
+        for i in range(first, read.stop):
+            prev = out[i - lo] = prev @ E[i - first]
         return out
 
     return g.Levels(grid.n_t, produce)
@@ -289,15 +297,16 @@ def reconstruct_rotation(grid, Omega, omega, Lambda0, tol):
 def _reconstruct_ts(grid, Omega, omega, Lambda0):
     """The transposed sweep order, ungated: the s = 0 column from omega, then
     every level along s with Omega."""
-    n_t, n_s = grid.n_t, grid.n_s
-    Lam = np.empty((n_t, n_s, 3, 3))
+    Lam = np.empty((grid.n_t, grid.n_s, 3, 3))
     Lam[0, 0] = reorthonormalize(Lambda0)
-    for i in range(n_t - 1):
-        mid = 0.5 * (omega[i, 0] + omega[i + 1, 0])
-        Lam[i + 1, 0] = _sweep(Lam[i, 0], mid, grid.dt, i + 1, 0)
-    for j in range(n_s - 1):
-        mid = 0.5 * (Omega[:, j] + Omega[:, j + 1])
-        Lam[:, j + 1] = _sweep(Lam[:, j], mid, grid.ds, None, j + 1)
+    E = _steps(0.5 * (omega[:-1, 0] + omega[1:, 0])[:, None], grid.dt,
+               lambda k, m: (k + 1, 0))
+    for i in range(grid.n_t - 1):
+        Lam[i + 1, 0] = Lam[i, 0] @ E[i, 0]
+    E = _steps(0.5 * np.swapaxes(Omega[:, :-1] + Omega[:, 1:], 0, 1), grid.ds,
+               lambda k, m: (m, k + 1))
+    for j in range(grid.n_s - 1):
+        Lam[:, j + 1] = Lam[:, j] @ E[j]
     return Lam
 
 

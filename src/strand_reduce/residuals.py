@@ -41,7 +41,8 @@ import numpy as np
 from . import grid as g
 from . import model
 from .model import _dot
-from .reduction import Stage1Section, project_stage2
+from .reduction import (Stage1Section, at_levels, flatness_level_max,
+                        project_stage2)
 from .so3 import cross, hat, vee_skew
 
 
@@ -99,6 +100,31 @@ def stage1_residuals(s1, p):
     the section's :func:`reduction.project_stage2` (a = d_s theta,
     b = d_t theta)."""
     return stage2_residuals(project_stage2(s1), p)
+
+
+def residual_norms(section, p):
+    """Interior L2 norms of the stage-1 residuals and the masked flatness max.
+
+    Keyed as in the run summary, evaluated window by window into per-level
+    sums and maxima.  Each window takes the stage-1 residuals' kernel,
+    :func:`stage2_residuals`, on the levels it owns of its twice-reduced
+    projection.
+    """
+    gr = section.grid
+    names = Stage1Residuals._fields
+    levels, nodes = gr.interior(2)
+
+    def evaluate(w):
+        s = at_levels(section, w.read)
+        res = stage2_residuals(at_levels(project_stage2(s), w.inner), p)
+        return (*(g.level_sums(g.node_sq(getattr(res, name)), nodes)
+                  for name in names),
+                *flatness_level_max(gr, w, s.Omega, s.omega, nodes))
+
+    *sums, flat, flat_node = g.by_window(gr, evaluate)
+    return {**{f"residual_{name}_l2": g.l2_sq(gr, q, levels)
+               for name, q in zip(names, sums)},
+            "flatness_rotation_max": g.max_sq(flat, flat_node, levels).value}
 
 
 def _unreduced_slots(u):

@@ -17,7 +17,7 @@ feed back into the dynamics.
 The march runs a window at a time.  It is the source of the output fields'
 levels (one :class:`grid.Levels` each) and marches only as far as the
 window that reads them: :func:`stream` runs the summary's one window pass
-(:func:`residual_norms`, through :func:`grid.by_window`) on those sources and
+(:func:`residuals.residual_norms`, through :func:`grid.by_window`) on those sources and
 hands each newly marched block of levels once to a sink, which for
 ``simulate`` is the CSV writer, so no whole field is held.  The march steps
 a block into one history of packed states, then checks the blow-up guard
@@ -35,14 +35,12 @@ import numpy as np
 from . import grid as g
 from .errors import BlowupError, ConfigError, UnknownPresetError
 from .model import COMPONENTS, ModelParams, rates, rotor_momentum
-from .reduction import (Stage1Section, at_levels, flatness_level_max,
-                        project_stage2)
-from .residuals import Stage1Residuals, stage2_residuals
+from .reduction import FIELDS, Stage1Section
+from .residuals import residual_norms
 
 BLOWUP_GUARD = 1e8
 
-# The output fields, a stage-1 section, and their rows of the packed state.
-FIELDS = ("rho", "theta", "Omega", "omega")
+# The rows of the output fields (a stage-1 section) in the packed state.
 _FIELD_ROWS = np.array([COMPONENTS.index(name) for name in FIELDS])
 
 
@@ -261,33 +259,9 @@ def run(cfg):
     return replace(out, section=Stage1Section(grid=cfg.grid, **whole))
 
 
-def residual_norms(section, p):
-    """Interior L2 norms of the stage-1 residuals and the masked flatness max.
-
-    Keyed as in the run summary, evaluated window by window into per-level
-    sums and maxima.  Each window takes the stage-1 residuals' kernel,
-    :func:`residuals.stage2_residuals`, on the levels it owns of its
-    twice-reduced projection.
-    """
-    gr = section.grid
-    names = Stage1Residuals._fields
-    levels, nodes = gr.interior(2)
-
-    def evaluate(w):
-        s = at_levels(section, w.read)
-        res = stage2_residuals(at_levels(project_stage2(s), w.inner), p)
-        return (*(g.level_sums(g.node_sq(getattr(res, name)), nodes)
-                  for name in names),
-                *flatness_level_max(gr, w, s.Omega, s.omega, nodes))
-
-    *sums, flat, flat_node = g.by_window(gr, evaluate)
-    return {**{f"residual_{name}_l2": g.l2_sq(gr, q, levels)
-               for name, q in zip(names, sums)},
-            "flatness_rotation_max": g.max_sq(flat, flat_node, levels).value}
-
-
 def run_summary(section, p, rows):
-    """Post-hoc diagnostics: :func:`residual_norms` and the rotor total drift.
+    """Post-hoc diagnostics: :func:`residuals.residual_norms` and the rotor
+    total drift.
 
     ``rows`` is read after the window pass, so a march that the pass reads
     (:func:`stream`) has filled it by then.

@@ -395,6 +395,27 @@ class TestMalformedInputs:
             f"config error: initial state file {init} line 3: byte 0xff is "
             "not ASCII [init.file]\n")
 
+    def test_init_utf8_comment_before_a_bad_cell(self, small_inputs, tmp_path,
+                                                 capsys):
+        # numpy's parse reads the comment: the line it cannot use is named
+        init, argv = self.init_with_line(small_inputs, tmp_path,
+                                         "# café\n".encode())
+        lines = init.read_bytes().splitlines(keepends=True)
+        lines[5] = b"x," + lines[5].split(b",", 1)[1]      # file line 6
+        init.write_bytes(b"".join(lines))
+        err = self.assert_config_exit(argv, capsys)
+        assert err.startswith(f"config error: initial state file {init} "
+                              "line 6: ") and "'x'" in err, err
+
+    def test_init_comment_names_the_byte_not_utf8(self, small_inputs,
+                                                  tmp_path, capsys):
+        # not the UTF-8 bytes before it, which the parse would read
+        init, argv = self.init_with_line(small_inputs, tmp_path,
+                                         "# café ".encode() + b"\xff\n")
+        assert self.assert_config_exit(argv, capsys) == (
+            f"config error: initial state file {init} line 3: byte 0xff is "
+            "not ASCII [init.file]\n")
+
     def test_init_utf8_comment_accepted(self, small_inputs, tmp_path):
         _, argv = self.init_with_line(small_inputs, tmp_path,
                                       "# café\n".encode())
@@ -613,8 +634,7 @@ class TestResiduals:
             calls.append(len(res.vertical))
             return res
 
-        for module in (rs, sim):
-            monkeypatch.setattr(module, "stage2_residuals", counted)
+        monkeypatch.setattr(rs, "stage2_residuals", counted)
         assert main(["residuals", "--preset", "twistpulse", "--n-s", "16",
                      "--n-t", "40", "--duration", "0.1"]) == 0
         windows = list(g.Grid2.uniform(40, 16, 0.1, 1.0, g.PERIODIC).windows())
@@ -1251,6 +1271,37 @@ class TestModuleEntry:
                                  and stmt.value is not None
                                  for stmt in node.body)
         assert count == 26
+
+    OFF_PATH = ("strand_reduce.checks", "strand_reduce.config",
+                "strand_reduce.noether", "strand_reduce.simulate")
+
+    def loaded_after(self, *commands):
+        """The modules of ``OFF_PATH`` that a fresh process has loaded after
+        importing the cli and running ``commands`` through main."""
+        script = ("import contextlib, io, sys\n"
+                  "import strand_reduce.cli as cli\n"
+                  f"for argv in {commands!r}:\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        assert cli.main(argv) == 0, argv\n"
+                  f"print(sorted(set({self.OFF_PATH!r}) & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return ast.literal_eval(proc.stdout)
+
+    def test_cli_import_loads_no_partial_run_path(self):
+        assert self.loaded_after() == []
+
+    def test_benchmark_commands_never_load_the_checks(self, small_run,
+                                                      tmp_path):
+        # the stored-run commands load the Noether report only; simulate
+        # loads the config reader and the march
+        stored = [["residuals", "--in", str(small_run)],
+                  ["noether", "--in", str(small_run)]]
+        assert self.loaded_after(*stored) == ["strand_reduce.noether"]
+        assert self.loaded_after(*stored, [
+            "simulate", "--config", str(small_run.parent / "run.cfg"),
+            "--out", str(tmp_path / "out")]) == list(self.OFF_PATH[1:])
 
     def test_python_m_help(self):
         proc = subprocess.run([sys.executable, "-m", "strand_reduce", "--help"],

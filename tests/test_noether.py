@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from strand_reduce import checks
 from strand_reduce import grid as g
 from strand_reduce import model
 from strand_reduce import noether
@@ -145,7 +144,7 @@ class TestTotalsFile:
         gr = small_grid(n_t=8, n_s=8)
         sec = smooth_stage1_section(gr)
         Lam = random_rotation_field(gr, rng)
-        _, totals = checks.noether_report(sec, Lam, params)
+        _, totals = noether.noether_report(sec, Lam, params)
         path = write_totals(tmp_path / "out", gr, totals)
         # the report's totals are those of both currents on the run's own grid
         _, d = bundle(sec, params)

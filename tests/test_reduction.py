@@ -296,6 +296,27 @@ class TestReconstructRotation:
             sweep_order(sweep, gr, rates["Omega"], rates["omega"], np.eye(3),
                         None)
 
+    def test_coarse_step_message_names_the_first_step(self):
+        # in sweep order: along s on level 0, then level by level, where a
+        # row's largest angle names the node; a later, larger step does not
+        from strand_reduce.errors import NearAnglePiError
+        gr = small_grid(n_t=8, n_s=8)
+        for field, cells, where in (
+                ("Omega", ((0, 2, 2.0), (0, 3, 2.0), (0, 6, 3.0), (0, 7, 3.0)),
+                 "2.000 >= pi/2; grid too coarse at level 0, node 3"),
+                ("omega", ((2, 5, 2.0), (3, 5, 2.0), (2, 6, 2.5), (3, 6, 2.5),
+                           (5, 1, 3.0), (6, 1, 3.0)),
+                 "2.500 >= pi/2; grid too coarse at level 3, node 6")):
+            rates = {name: np.zeros((gr.n_t, gr.n_s, 3))
+                     for name in ("Omega", "omega")}
+            h = gr.ds if field == "Omega" else gr.dt
+            for i, j, angle in cells:
+                rates[field][i, j, 1] = angle / h
+            with pytest.raises(NearAnglePiError) as exc:
+                red.rotation_levels(gr, rates["Omega"], rates["omega"],
+                                    np.eye(3))[0:gr.n_t]
+            assert str(exc.value) == f"reconstruction step angle {where}"
+
     def test_failed_gate_wins_over_a_coarse_step(self):
         # non-flat and too coarse for the sweep: the gate is reported
         from strand_reduce.errors import NearAnglePiError

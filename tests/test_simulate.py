@@ -7,6 +7,7 @@ from strand_reduce import checks
 from strand_reduce import grid as g
 from strand_reduce import model
 from strand_reduce import reduction as red
+from strand_reduce import residuals as rs
 from strand_reduce import simulate as sim
 from strand_reduce import so3
 from strand_reduce.errors import (BlowupError, ConfigError, UnknownPresetError)
@@ -193,8 +194,8 @@ class TestRun:
         coarse = red.Stage1Section(
             grid=dataclasses.replace(gr, n_t=81, dt=2.0 * gr.dt),
             **{name: getattr(sec, name)[::2] for name in sim.FIELDS})
-        fine = sim.residual_norms(sec, params)
-        for name, value in sim.residual_norms(coarse, params).items():
+        fine = rs.residual_norms(sec, params)
+        for name, value in rs.residual_norms(coarse, params).items():
             ratio = value / fine[name]
             assert checks.RATIO_BAND[0] <= ratio <= checks.RATIO_BAND[1], (
                 name, ratio)

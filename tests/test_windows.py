@@ -23,8 +23,10 @@ from strand_reduce import simulate as sim
 from strand_reduce import so3
 from strand_reduce.cli import main
 from strand_reduce.config import load_config
-from strand_reduce.fields_io import format_report, write_steps, write_totals
-from strand_reduce.simulate import residual_norms, run_summary
+from strand_reduce.fields_io import (format_report, info, write_steps,
+                                     write_totals)
+from strand_reduce.residuals import residual_norms
+from strand_reduce.simulate import run_summary
 from tests.conftest import small_grid, smooth_stage1_section, store_fields
 
 N_T = 23
@@ -184,7 +186,7 @@ class TestBitwiseEqualToWholeGrid:
         Lam = rotation_field(s1)
         want, want_totals = whole_grid_noether_report(s1, Lam, params)
         patch_windows(monkeypatch, s1.grid, split)
-        rows, totals = checks.noether_report(s1, Lam, params)
+        rows, totals = noether.noether_report(s1, Lam, params)
         assert {c.name: c.value for c in rows} == want
         assert [c.name for c in rows] == list(want)
         assert totals.shape == want_totals.shape
@@ -219,7 +221,7 @@ class TestStencilsPerWindow:
         s1 = section(bc)
         n = len(patch_windows(monkeypatch, s1.grid, 5))
         calls = count_stencils(monkeypatch)
-        checks.noether_report(s1, rotation_field(s1), params)
+        noether.noether_report(s1, rotation_field(s1), params)
         assert calls == {"d_t": 8 * n, "d_s": 5 * n}
 
     def test_residual_norms(self, monkeypatch, bc, params):
@@ -255,7 +257,7 @@ class TestLevelsPerWindow:
         n = len(patch_windows(monkeypatch, s1.grid, split))
         residual = count_rows(monkeypatch, rs, "stage2_residuals")
         fiber = count_rows(monkeypatch, model, "fiber_derivatives_stage1")
-        checks.noether_report(s1, rotation_field(s1), params)
+        noether.noether_report(s1, rotation_field(s1), params)
         assert len(residual) == len(fiber) == n
         assert sum(residual) == N_T
         assert sum(fiber) <= N_T + 2 * (n - 1)
@@ -263,7 +265,7 @@ class TestLevelsPerWindow:
     def test_residual_norms(self, monkeypatch, split, bc, params):
         s1 = section(bc)
         n = len(patch_windows(monkeypatch, s1.grid, split))
-        residual = count_rows(monkeypatch, sim, "stage2_residuals")
+        residual = count_rows(monkeypatch, rs, "stage2_residuals")
         residual_norms(s1, params)
         assert len(residual) == n
         assert sum(residual) == N_T
@@ -370,7 +372,7 @@ class TestStreamedSimulate:
             assert (got / name).read_bytes() == (want / name).read_bytes()
         report = (got / "report.txt").read_text()
         assert report == format_report(
-            "simulate", [checks.info(k, v) for k, v in whole.summary.items()],
+            "simulate", [info(k, v) for k, v in whole.summary.items()],
             report.splitlines()[1:6])
         assert capsys.readouterr().out == report
 
@@ -455,7 +457,7 @@ class TestPeakMemory:
     def test_noether_report(self, big, params):
         # 0.26 times the inputs while by_window stitched per-node squares
         s1, Lam, inputs = big
-        peak = self.traced_peak(lambda: checks.noether_report(s1, Lam, params))
+        peak = self.traced_peak(lambda: noether.noether_report(s1, Lam, params))
         assert peak < 0.2 * inputs
 
     def test_residual_report(self, big, params):
