@@ -16,7 +16,7 @@ from . import reduction as red
 from . import residuals as rs
 from . import so3
 from .errors import NotFlatError
-from .fields_io import CheckResult, _result, info
+from .fields_io import CheckResult, bounded, info
 from .simulate import SimConfig, run, stream
 
 # Both observed-order fits pass within this band around the scheme's order 2.
@@ -80,8 +80,8 @@ def check_derivatives():
         fd = (model.potential_E(W, a, c + step, params)
               - model.potential_E(W, a, c - step, params)) / (2 * step)
         worst_dE = max(worst_dE, abs(fd - dc) / (1.0 + abs(dc)))
-    return [_result("fiber_derivative_max_rel_err", worst, tol),
-            _result("potential_derivative_max_rel_err", worst_dE, tol)]
+    return [bounded("fiber_derivative_max_rel_err", worst, tol),
+            bounded("potential_derivative_max_rel_err", worst_dE, tol)]
 
 
 def check_invariance():
@@ -106,8 +106,8 @@ def check_invariance():
         worst_proj = max(worst_proj,
                          abs(model.lagrangian_stage1(pt, params) - L)
                          / (1.0 + abs(L)))
-    return [_result("lagrangian_invariance_max_rel_err", worst_inv, tol),
-            _result("lagrangian_projection_max_rel_err", worst_proj, tol)]
+    return [bounded("lagrangian_invariance_max_rel_err", worst_inv, tol),
+            bounded("lagrangian_projection_max_rel_err", worst_proj, tol)]
 
 
 def random_smooth_section(gr, rng):
@@ -151,7 +151,7 @@ def check_stages():
         vertical = noether.divergence(gr, d.dl_dtheta_s, d.dl_dtheta_t)
         worst = max(worst, g.norm_max(
             rs.stage1_residuals(s1, params).horizontal_theta - vertical, mask))
-    return [_result("stage_equivalence_max_abs_diff", worst, tol)]
+    return [bounded("stage_equivalence_max_abs_diff", worst, tol)]
 
 
 def interior_variation(gr):
@@ -298,7 +298,7 @@ def check_roundtrip():
     # gr is the finest level here
     bound = (path_factor * flats[-1] * duration
              + path_factor * (gr.ds ** 2 + gr.dt ** 2))
-    results.append(_result("path_independence_defect", defects[-1], bound))
+    results.append(bounded("path_independence_defect", defects[-1], bound))
     # non-flat input must be rejected
     gr = g.Grid2(n_t=8, n_s=8, dt=0.05, ds=0.125, bc_s=g.PERIODIC)
     W = np.broadcast_to([1.0, 0, 0], (8, 8, 3)).copy()
@@ -362,7 +362,7 @@ def check_noether():
         for row in rows:
             if row.name.endswith("_total_drift"):
                 drifts[-1][row.name] = row.value
-                row = _result(row.name, row.value, bound)
+                row = bounded(row.name, row.value, bound)
             results.append(dataclasses.replace(row, name=f"{row.name}_n{n_s}"))
     return results + [
         _band_result(f"{name}_ratio_64_to_128", coarse / drifts[1][name],

@@ -160,10 +160,7 @@ def cmd_noether(args):
     return _print_checks("noether", results)
 
 
-def _checks():
-    """The verification harness.  Like every module that only some commands
-    run, it is imported when one of them runs (here a suite), so that each
-    process pays for its own run path only."""
+def _checks():     # imported when a suite runs, as only `check` needs it
     from . import checks
     return checks
 

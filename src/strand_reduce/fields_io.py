@@ -469,7 +469,7 @@ def verify_fields(indir, names):
                               f"{rows} (n_t={grid.n_t} x n_s={grid.n_s})")
         cells = header.count(b",") + 1
         if not is_ascii or commas != rows * (cells - 1):
-            bad = _bad_line(path, cells, 0, None)
+            bad = _bad_line(path, cells, 0, rows)
             if bad:     # None for blank or comment lines: the parse names them
                 raise ConfigError(bad)
         out[name] = (path, kind)
@@ -499,47 +499,42 @@ def read_levels(fh, path, grid, kind, read, held):
 
 def _ascii(text):
     """Bytes ``text`` as str; ValueError naming its first byte not ASCII."""
-    if not text.isascii():
-        raise ValueError(_not_ascii(text))
-    return text.decode()
-
-
-def _not_ascii(text):
-    return f"byte {next(b for b in text if b > 127):#04x} is not ASCII"
+    try:
+        return text.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"byte {text[exc.start]:#04x} is not ASCII") from None
 
 
 def _bad_line(path, cells, first, count):
     """The message naming the file line of the first fault among data rows
-    ``first`` .. ``first + count`` (0-based; all when ``count`` is None):
-    a byte not ASCII, a cell count other than ``cells``, a line that does
-    not parse alone.  A comment (also on a blank line) that is UTF-8 but
-    not ASCII, which numpy's parse of an init file reads, is named only
-    when no line has another fault.  None when none is."""
-    stop, row, late = math.inf if count is None else first + count, 0, None
+    ``first`` .. ``first + count`` (0-based; all, of an init file, when
+    ``count`` is None): a byte not ASCII (a comment's too, but one in an
+    init file, which numpy parses, need only be UTF-8), a cell count other
+    than ``cells``, a line that does not parse alone.  None when none is."""
+    stop, row = math.inf if count is None else first + count, 0
     with open(path, "rb") as fh:
         fh.readline()
         for line, raw in enumerate(fh, 2):
             try:
                 text, _, note = raw.partition(b"#")
                 text = _ascii(text).strip()
-                if not note.isascii():
-                    note.decode()
-                    late = late or f"{path} line {line}: {_not_ascii(note)}"
+                note.decode("ascii" if count is not None else "utf-8")
                 row += bool(text)
                 if row > stop:
-                    return late
+                    return None
                 if not text or row <= first:
                     continue
                 if text.count(",") + 1 != cells:
                     raise ValueError(f"{text.count(',') + 1} cells, where "
                                      f"the header has {cells}")
                 _loadtxt([text])
-            except UnicodeDecodeError as exc:   # a comment not UTF-8
-                return f"{path} line {line}: {_not_ascii(note[exc.start:])}"
+            except UnicodeDecodeError as exc:   # a comment's byte
+                return (f"{path} line {line}: byte {note[exc.start]:#04x} "
+                        "is not ASCII")
             except ValueError as exc:
                 return (f"{path} line {line}: "
                         + re.sub(r" at row \d+", "", str(exc)))
-    return late
+    return None
 
 
 @contextlib.contextmanager
@@ -622,7 +617,8 @@ class CheckResult:
     passed: bool
 
 
-def _result(name, value, tol):
+def bounded(name, value, tol):
+    """A row that passes when its value is at most ``tol``."""
     return CheckResult(name, float(value), float(tol), bool(value <= tol))
 
 

@@ -22,7 +22,7 @@ from . import grid as g
 from . import model
 from . import reduction as red
 from . import residuals as rs
-from .fields_io import _result, info
+from .fields_io import bounded, info
 from .so3 import cross
 
 
@@ -116,10 +116,8 @@ def noether_report(s1, Lam, params, tol=None):
         # spatial current jumps at the seam; differentiate it on the cut
         return (g.integrate_s(gr, rot[1][own]),
                 g.integrate_s(gr, so3c[1][own]),
-                g.level_sums(g.node_sq(divergence(gr, *rot, own)),
-                             nodes),
-                g.level_sums(g.node_sq(divergence(cut, *so3c, own)),
-                             cut_nodes),
+                g.level_sums(g.node_sq(divergence(gr, *rot, own)), nodes),
+                g.level_sums(g.node_sq(divergence(cut, *so3c, own)), cut_nodes),
                 *g.level_max(identity))
 
     rotor_tot, so3_tot, rotor_div, so3_div, identity, identity_node = \
@@ -131,6 +129,6 @@ def noether_report(s1, Lam, params, tol=None):
                         np.max(np.linalg.norm(tot - tot[0], axis=-1))))
         out.append(info(f"{name}_divergence_interior_l2",
                         g.l2_sq(div_grid, div, levels)))
-    out.append(_result("current_vertical_identity_max_err",
+    out.append(bounded("current_vertical_identity_max_err",
                        g.max_sq(identity, identity_node).value, 1e-12))
     return out, np.hstack([rotor_tot, so3_tot])

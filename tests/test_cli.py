@@ -1040,6 +1040,16 @@ class TestStoredFieldText:
         self.assert_exit_2(run, capsys, f"{run / 'Omega.csv'} line {line}: "
                            "byte 0xff is not ASCII")
 
+    def test_comment_byte_named_before_a_later_fault(self, run, capsys):
+        # a field file is ASCII throughout: unlike in an init file, a UTF-8
+        # comment is itself the first fault
+        run = run(12, 8)
+        rewrite_field(run, "Omega.csv", lambda lines: lines[:2] + [
+            lines[2][:-1] + "# café\n".encode()] + lines[3:5]
+            + [b"x" + lines[5][1:]] + lines[6:])
+        self.assert_exit_2(run, capsys, f"{run / 'Omega.csv'} line 3: "
+                           "byte 0xc3 is not ASCII")
+
     # the parse reads only the value columns, so it cannot see an extra cell
     @pytest.mark.parametrize("edit, cells", [
         (lambda text: text[:-1] + b",1.0\n", 8),
@@ -1155,7 +1165,8 @@ class TestCheckAndConvergence:
 
     def test_suites_take_no_options(self):
         # one setting per suite: `check` and the acceptance tests run it alike
-        for suite in cli.CHECK_SUITES.values():
+        for name in cli.CHECK_SUITES:
+            suite = getattr(checks, f"check_{name}")
             assert not inspect.signature(suite).parameters, suite.__name__
 
     def test_failed_check_exits_4(self, capsys):
