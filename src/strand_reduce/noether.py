@@ -91,13 +91,14 @@ def noether_report(s1, Lam, params, tol=None):
     nothing the pass keeps is O(n_t n_s).  The residual, the drift and the
     identity are evaluated on the levels the window owns; the fiber
     derivatives and the currents also on the level beyond each inner side,
-    which d_t of J_t reads.  The SO(3) divergence is summed over the
-    interior nodes of the cut (clamped) grid.
+    which d_t of J_t reads.  The rotor divergence is summed over every node,
+    the SO(3) one over the interior nodes of the cut (clamped) grid: at the
+    cut's rim it is the one-sided s stencil's error, not the time error.
     """
     gr = s1.grid
     cut = dataclasses.replace(gr, bc_s=g.CLAMPED)
-    levels, nodes = gr.interior(2)
-    cut_nodes = cut.interior(2)[1]
+    levels = gr.interior(2)[0]  # time rim: the jet's d_t d_t is first order
+    cut_nodes = cut.interior(2)[1]  # the cut's rim: the s stencil's error
 
     def evaluate(w, L):
         # the owned levels and one more on each side, within the window
@@ -116,7 +117,7 @@ def noether_report(s1, Lam, params, tol=None):
         # spatial current jumps at the seam; differentiate it on the cut
         return (g.integrate_s(gr, rot[1][own]),
                 g.integrate_s(gr, so3c[1][own]),
-                g.level_sums(g.node_sq(divergence(gr, *rot, own)), nodes),
+                g.level_sums(g.node_sq(divergence(gr, *rot, own))),
                 g.level_sums(g.node_sq(divergence(cut, *so3c, own)), cut_nodes),
                 *g.level_max(identity))
 

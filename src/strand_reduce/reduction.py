@@ -154,12 +154,12 @@ def at_levels(record, rows):
         for f in dataclasses.fields(record) if f.name != "grid"})
 
 
-def flatness_level_max(grid, window, Omega, omega, nodes=None):
+def flatness_level_max(grid, window, Omega, omega):
     """:func:`grid.level_max` of the squared :func:`flatness_residual_rotation`
-    over the ``nodes`` (all when None) of every level ``window`` of ``grid``
-    owns; ``Omega`` and ``omega`` hold the levels it reads."""
+    over every node of every level ``window`` of ``grid`` owns; ``Omega`` and
+    ``omega`` hold the levels it reads."""
     flat = flatness_residual_rotation(grid, Omega, omega, window.inner)
-    return g.level_max(g.node_sq(flat), nodes)
+    return g.level_max(g.node_sq(flat))
 
 
 def flatness_max(grid, Omega, omega):

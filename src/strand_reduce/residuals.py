@@ -53,10 +53,9 @@ def _rot(R, f):
 
 @dataclass
 class Stage1Residuals:
-    """The three residual fields, named in ``_fields``.
-
-    Nodes within two layers of a non-periodic edge were produced by
-    one-sided stencils; the reports mask them with ``interior_mask(2)``.
+    """The three residual fields, named in ``_fields``.  On a marched run
+    each is the time stencil's error at every node, the s rim included: the
+    evaluator takes the march's own s closure.
     """
 
     grid: g.Grid2
@@ -103,23 +102,22 @@ def stage1_residuals(s1, p):
 
 
 def residual_norms(section, p):
-    """Interior L2 norms of the stage-1 residuals and the masked flatness max.
+    """L2 norms of the stage-1 residuals and the flatness max over every node
+    of the interior levels, keyed as in the run summary.
 
-    Keyed as in the run summary, evaluated window by window into per-level
-    sums and maxima.  Each window takes the stage-1 residuals' kernel,
-    :func:`stage2_residuals`, on the levels it owns of its twice-reduced
-    projection.
+    They are evaluated window by window into per-level sums and maxima: each
+    window takes the stage-1 residuals' kernel, :func:`stage2_residuals`, on
+    the levels it owns of its twice-reduced projection.
     """
     gr = section.grid
     names = Stage1Residuals._fields
-    levels, nodes = gr.interior(2)
+    levels = gr.interior(2)[0]  # time rim: the jet's d_t d_t is first order
 
     def evaluate(w):
         s = at_levels(section, w.read)
         res = stage2_residuals(at_levels(project_stage2(s), w.inner), p)
-        return (*(g.level_sums(g.node_sq(getattr(res, name)), nodes)
-                  for name in names),
-                *flatness_level_max(gr, w, s.Omega, s.omega, nodes))
+        return (*(g.level_sums(g.node_sq(getattr(res, n))) for n in names),
+                *flatness_level_max(gr, w, s.Omega, s.omega))
 
     *sums, flat, flat_node = g.by_window(gr, evaluate)
     return {**{f"residual_{name}_l2": g.l2_sq(gr, q, levels)

@@ -226,10 +226,10 @@ def stream(cfg, sink):
     levels is handed once to ``sink(levels, {name: block})`` (``levels`` a
     slice of the grid's levels; no sink when None), so no whole field is
     held.  Returns a :class:`RunResult` without a section: per-step
-    diagnostics, the post-hoc summary (interior residual norms, flatness
-    defect, drift of the conserved rotor total), the final state and the
-    wall seconds spent marching, summarising and in the sink.  Raises
-    :class:`BlowupError` when any state norm exceeds the guard.
+    diagnostics, the post-hoc summary (residual norms over the interior
+    levels, flatness defect, drift of the conserved rotor total), the final
+    state and the wall seconds spent marching, summarising and in the sink.
+    Raises :class:`BlowupError` when any state norm exceeds the guard.
     """
     t0 = time.perf_counter()
     march = _March(cfg, sink)

@@ -641,6 +641,25 @@ class TestResiduals:
         assert calls == [w.own.stop - w.own.start for w in windows]
         assert len(calls) == 5
 
+    def test_damaged_end_node_shows(self, tmp_path, capsys):
+        # a clamped strand's end nodes are read like any other node
+        cfg = tmp_path / "clamped.cfg"
+        cfg.write_text(CONFIG.replace("n_s = 32", "n_s = 16")
+                       .replace("bc = periodic", "bc = clamped"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["residuals", "--in", str(out)]) == 0
+        clean = capsys.readouterr().out
+        set_cell(out, "Omega.csv", 20, 0, 1, "1000")
+        # no verdict yet: every row still passes when finite
+        assert main(["residuals", "--in", str(out)]) == 0
+        damaged = capsys.readouterr().out
+        assert damaged != clean
+        got, was = report_values(damaged), report_values(clean)
+        for name in ("stage1_vertical_l2", "flatness_rotation_max"):
+            assert got[name] > 1e3 * was[name]
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_cell_exits_4(self, tmp_path, config_file, value):
         # a fresh process, so that a numpy RuntimeWarning would reach stderr
@@ -1226,12 +1245,13 @@ class TestCheckAndConvergence:
         for row, out in zip(rows, outs):
             sec = out.section
             res = rs.stage1_residuals(sec, params)
-            want = {name: g.norm_l2(sec.grid, getattr(res, name),
-                                    sec.grid.interior_mask(2))
+            # every node of the interior levels
+            mask = sec.grid.interior(2)[0][:, None]
+            want = {name: g.norm_l2(sec.grid, getattr(res, name), mask)
                     for name in res._fields}
             want["flatness"] = g.norm_max(
                 red.flatness_residual_rotation(sec.grid, sec.Omega, sec.omega),
-                sec.grid.interior_mask(2))
+                mask)
             assert row == {"n_s": sec.grid.n_s, "n_t": sec.grid.n_t, **want}
         if bc == g.PERIODIC:
             # periodic levels keep n_s = base 2^k and the fit h = length / n_s,
@@ -1281,7 +1301,7 @@ class TestModuleEntry:
                     count += sum(isinstance(stmt, ast.AnnAssign)
                                  and stmt.value is not None
                                  for stmt in node.body)
-        assert count == 26
+        assert count == 25
 
     OFF_PATH = ("strand_reduce.checks", "strand_reduce.config",
                 "strand_reduce.noether", "strand_reduce.simulate")

@@ -1,5 +1,6 @@
 """Golden runs: the manifest and ``diagnostics.csv`` sha256 of four stored
-runs, and the ``residuals --in`` report of the two twist pulses.
+runs, the ``residuals --in`` report of the two twist pulses and the
+``noether --in`` report of the clamped one.
 
 The manifest lists the sha256 of every field CSV and the model line, so its
 own hash pins every field byte a run writes; the diagnostics hash pins the
@@ -74,10 +75,24 @@ flatness_rotation_max 0.00063055747792051904 - PASS
 """,
     ("clamped", "twistpulse", "rk4"): """\
 residuals
-stage1_vertical_l2 0.0001945996200528356 - PASS
-stage1_horizontal_rho_l2 0.00010988122369067461 - PASS
-stage1_horizontal_theta_l2 0.00020532886592992914 - PASS
+stage1_vertical_l2 0.00019918479137746793 - PASS
+stage1_horizontal_rho_l2 0.00011253110713526818 - PASS
+stage1_horizontal_theta_l2 0.0002102240089498186 - PASS
 flatness_rotation_max 0.00062194186324076239 - PASS
+""",
+}
+
+# The rotor divergence reads every node of the interior levels, as the
+# residuals do (it is the horizontal_theta residual on a marched run); the
+# SO(3) divergence keeps the cut grid's interior nodes.
+NOETHER = {
+    ("clamped", "twistpulse", "rk4"): """\
+noether
+rotor_total_drift 9.48669037775512e-06 - PASS
+rotor_divergence_interior_l2 0.00021022400894981144 - PASS
+so3_total_drift 0.00015547046862200936 - PASS
+so3_divergence_interior_l2 0.00019588706347631766 - PASS
+current_vertical_identity_max_err 1.5575023135127546e-15 9.9999999999999998e-13 PASS
 """,
 }
 
@@ -97,7 +112,8 @@ def test_manifest_sha256(tmp_path, capsys, case):
     assert digest == GOLDEN[case]
     steps = hashlib.sha256((out / "diagnostics.csv").read_bytes()).hexdigest()
     assert steps == DIAGNOSTICS[case]
-    if case in RESIDUALS:
-        capsys.readouterr()
-        assert main(["residuals", "--in", str(out)]) == 0
-        assert capsys.readouterr().out == RESIDUALS[case]
+    for command, golden in (("residuals", RESIDUALS), ("noether", NOETHER)):
+        if case in golden:
+            capsys.readouterr()
+            assert main([command, "--in", str(out)]) == 0
+            assert capsys.readouterr().out == golden[case]

@@ -93,7 +93,7 @@ def patch_windows(monkeypatch, gr, step):
 
 
 def whole_grid_residual_report(s1, params):
-    mask = s1.grid.interior_mask(2)
+    mask = s1.grid.interior(2)[0][:, None]    # every node of interior levels
     r = rs.stage1_residuals(s1, params)
     values = {f"residual_{name}_l2": g.norm_l2(s1.grid, getattr(r, name), mask)
               for name in r._fields}
@@ -109,16 +109,19 @@ def whole_grid_noether_report(s1, Lam, params):
     balance = noether.drift_residual(Lam, f, d, params)
     cut = dataclasses.replace(gr, bc_s=g.CLAMPED)
     values, totals = {}, []
-    for name, (J_s, J_t), div_grid in (
-            ("rotor", (d.dl_dtheta_s, d.dl_dtheta_t), gr),
-            ("so3", noether.so3_current(Lam, d), cut)):
+    # the rotor row reads every node of the interior levels, the so3 row only
+    # the cut's interior nodes
+    for name, (J_s, J_t), div_grid, mask in (
+            ("rotor", (d.dl_dtheta_s, d.dl_dtheta_t), gr,
+             gr.interior(2)[0][:, None]),
+            ("so3", noether.so3_current(Lam, d), cut, cut.interior_mask(2))):
         tot = g.integrate_s(gr, J_t)
         totals.append(tot)
         values[f"{name}_total_drift"] = float(
             np.max(np.linalg.norm(tot - tot[0], axis=-1)))
         div = noether.divergence(div_grid, J_s, J_t)
         values[f"{name}_divergence_interior_l2"] = g.norm_l2(
-            div_grid, div, div_grid.interior_mask(2))
+            div_grid, div, mask)
     values["current_vertical_identity_max_err"] = g.norm_max(
         balance - np.einsum("tsij,tsj->tsi", Lam,
                             rs.stage1_residuals(s1, params).vertical))
@@ -421,15 +424,14 @@ class TestWindowedMaxPropagatesNan:
         # d_t reaches the cell from level 11 first
         assert np.isnan(red.flatness_max(gr, Omega, omega).value)
         assert red.flatness_max(gr, Omega, omega)[1:] == (11, 6)
-        # masked out, the NaN nodes do not count, as with norm_max
-        levels, nodes = gr.interior(2)
+        # masked out, the NaN levels do not count, as with norm_max
+        levels = gr.interior(2)[0]
         levels[10:15] = False
         peak = g.max_sq(*g.by_window(gr, lambda w: red.flatness_level_max(
-            gr, w, Omega[w.read], omega[w.read], nodes)), levels)
+            gr, w, Omega[w.read], omega[w.read])), levels)
         assert np.isfinite(peak.value)
         assert peak.value == g.norm_max(
-            red.flatness_residual_rotation(gr, Omega, omega),
-            levels[:, None] & nodes)
+            red.flatness_residual_rotation(gr, Omega, omega), levels[:, None])
 
 
 class TestPeakMemory:
