@@ -21,7 +21,7 @@ from .errors import (BlowupError, ConfigError, NotFlatError, StrandError,
 from .fields_io import (FieldWriter, format_report, grid_line, info,
                         listed_fields, open_fields, read_model, write_report,
                         write_steps, write_totals)
-from .model import default_params
+from .model import PARAMS, default_params
 from .reduction import FIELDS, Stage1Section
 from .residuals import Stage1Residuals, residual_norms
 from .so3 import reorthonormalize
@@ -81,13 +81,13 @@ def cmd_simulate(args):
         t_write = time.perf_counter()
         write_steps(args.out, out.steps)
         results = [info(k, v) for k, v in out.summary.items()]
-        p = cfg.params
-        mat = lambda M: " ".join("%.17g" % x for x in np.asarray(M).ravel())
+        lines = {section: section for section, _, _, _ in PARAMS}
+        for section, token, field, _ in PARAMS:    # "inertia I=... K=..."
+            lines[section] += f" {token}=" + " ".join(
+                "%.17g" % x for x in np.ravel(getattr(cfg.params, field)))
         start = "init=file" if cfg.preset is None else f"preset={cfg.preset}"
-        preamble = [f"config {args.config}", grid_line(cfg.grid),
-                    f"inertia I={mat(p.inertia_body)} K={mat(p.inertia_rotor)}",
-                    f"potential C={mat(p.pot_C)} D={mat(p.pot_D)} "
-                    f"kappa={p.pot_kappa:.17g} c0={p.pot_c0:.17g}",
+        preamble = [f"config {os.path.basename(args.config)}",
+                    grid_line(cfg.grid), *lines.values(),
                     f"scheme {cfg.scheme} {start}"]
         text = write_report(f"{args.out}/report.txt", "simulate", results,
                             preamble)
@@ -190,11 +190,9 @@ def cmd_convergence(args):
     except ValueError as exc:
         raise ConfigError(f"convergence ladder: {exc}") from None
     rows, results = checks.convergence_table(args.preset, grids)
-    preamble = [
-        "level n_s=%d n_t=%d vertical=%.6e horizontal_rho=%.6e "
-        "horizontal_theta=%.6e flatness=%.6e"
-        % (row["n_s"], row["n_t"], row["vertical"], row["horizontal_rho"],
-           row["horizontal_theta"], row["flatness"]) for row in rows]
+    preamble = ["level " + " ".join(
+        f"{key}={x:d}" if isinstance(x, int) else f"{key}={x:.6e}"
+        for key, x in row.items()) for row in rows]
     return _print_checks("convergence", results, preamble)
 
 

@@ -26,7 +26,8 @@ The file format is INI-like sections of ``key = value`` pairs:
     name = rk4
 
 Every key outside [scheme] is mandatory; unknown sections or keys are
-errors, reported with their line number.
+errors, reported with their line number, and so is a model parameter that
+``model.check_param`` rejects.
 """
 
 import os
@@ -36,13 +37,13 @@ import numpy as np
 from .errors import ConfigError
 from .fields_io import read_initial_slice
 from .grid import CLAMPED, PERIODIC, Grid2
-from .model import ModelParams
+from .model import PARAMS, ModelParams, check_param
 from .simulate import SimConfig
 
 _SCHEMA = {
     "grid": {"n_s", "n_t", "length", "duration", "bc"},
-    "inertia": {"I", "K"},
-    "potential": {"C", "D", "kappa", "c0"},
+    **{section: {t for s, t, _, _ in PARAMS if s == section}
+       for section, _, _, _ in PARAMS},
     "init": {"preset", "file"},
     "scheme": {"name"},
 }
@@ -84,18 +85,30 @@ def _need(sections, section, key, source):
                           key=f"{section}.{key}") from None
 
 
-def _as_float(item, key, positive=False, nonnegative=False):
+def _as_value(item, key, shape):
+    """The value written for ``key``, of ``shape``: one real, or a 3x3
+    matrix as 'diag a b c' or nine reals row-major.  Only the syntax is
+    checked here."""
     value, lineno = item
+    parts = value.split()
     try:
-        x = float(value)
+        if not shape:
+            return float(value)
+        if parts and parts[0] == "diag" and len(parts) == 4:
+            return np.diag([float(p) for p in parts[1:]])
+        return np.array([float(p) for p in parts]).reshape(shape)
     except ValueError:
-        raise ConfigError("not a number", key=key, line=lineno) from None
+        raise ConfigError("expected 'diag a b c' or nine reals row-major"
+                          if shape else "not a number",
+                          key=key, line=lineno) from None
+
+
+def _as_positive(item, key):
+    x = _as_value(item, key, ())
     if not np.isfinite(x):
-        raise ConfigError("must be finite", key=key, line=lineno)
-    if positive and not x > 0.0:
-        raise ConfigError("must be > 0", key=key, line=lineno)
-    if nonnegative and not x >= 0.0:
-        raise ConfigError("must be >= 0", key=key, line=lineno)
+        raise ConfigError("must be finite", key=key, line=item[1])
+    if not x > 0.0:
+        raise ConfigError("must be > 0", key=key, line=item[1])
     return x
 
 
@@ -110,39 +123,19 @@ def _as_int(item, key, minimum):
     return n
 
 
-def _as_matrix(item, key):
-    value, lineno = item
-    parts = value.split()
-    try:
-        if parts and parts[0] == "diag":
-            if len(parts) != 4:
-                raise ValueError
-            m = np.diag([float(p) for p in parts[1:]])
-        elif len(parts) != 9:
-            raise ValueError
-        else:
-            m = np.array([float(p) for p in parts]).reshape(3, 3)
-    except ValueError:
-        raise ConfigError("expected 'diag a b c' or nine reals row-major",
-                          key=key, line=lineno) from None
-    if not np.isfinite(m).all():
-        raise ConfigError("must be finite", key=key, line=lineno)
-    return m
-
-
 def parse_config(text, source="<config>", base_dir="."):
     """Parse configuration text into a validated :class:`SimConfig`."""
     sections = _parse_sections(text, source)
-    for name in ("grid", "inertia", "potential", "init"):
-        if name not in sections:
+    for name in _SCHEMA:
+        if name != "scheme" and name not in sections:
             raise ConfigError(f"missing section [{name}] in {source}", key=name)
 
     n_s = _as_int(_need(sections, "grid", "n_s", source), "grid.n_s", minimum=3)
     n_t = _as_int(_need(sections, "grid", "n_t", source), "grid.n_t", minimum=3)
-    length = _as_float(_need(sections, "grid", "length", source),
-                       "grid.length", positive=True)
-    duration = _as_float(_need(sections, "grid", "duration", source),
-                         "grid.duration", positive=True)
+    length = _as_positive(_need(sections, "grid", "length", source),
+                          "grid.length")
+    duration = _as_positive(_need(sections, "grid", "duration", source),
+                            "grid.duration")
     bc_raw, bc_line = _need(sections, "grid", "bc", source)
     bc = bc_raw.lower()
     if bc not in (PERIODIC, CLAMPED):
@@ -153,23 +146,15 @@ def parse_config(text, source="<config>", base_dir="."):
     except ValueError as exc:
         raise ConfigError(str(exc), key="grid") from None
 
-    try:
-        params = ModelParams(
-            inertia_body=_as_matrix(_need(sections, "inertia", "I", source),
-                                    "inertia.I"),
-            inertia_rotor=_as_matrix(_need(sections, "inertia", "K", source),
-                                     "inertia.K"),
-            pot_C=_as_matrix(_need(sections, "potential", "C", source),
-                             "potential.C"),
-            pot_D=_as_matrix(_need(sections, "potential", "D", source),
-                             "potential.D"),
-            pot_kappa=_as_float(_need(sections, "potential", "kappa", source),
-                                "potential.kappa", nonnegative=True),
-            pot_c0=_as_float(_need(sections, "potential", "c0", source),
-                             "potential.c0", positive=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="inertia/potential") from None
+    values = {}
+    for section, token, field, shape in PARAMS:
+        key = f"{section}.{token}"
+        item = _need(sections, section, token, source)
+        try:
+            values[field] = check_param(field, _as_value(item, key, shape))
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=key, line=item[1]) from None
+    params = ModelParams(**values)
 
     init = sections["init"]
     preset = init["preset"][0].lower() if "preset" in init else None

@@ -48,11 +48,3 @@ class ConfigError(StrandError):
         super().__init__(message + loc)
         self.key = key
         self.line = line
-
-
-class UnknownPresetError(ConfigError):
-    """Requested initial-condition preset does not exist."""
-
-    def __init__(self, name):
-        super().__init__(f"unknown preset '{name}'", key="init.preset")
-        self.name = name

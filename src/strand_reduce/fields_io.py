@@ -35,7 +35,7 @@ import numpy as np
 
 from . import grid as g
 from .errors import ConfigError
-from .model import COMPONENTS, ModelParams
+from .model import COMPONENTS, PARAMS, ModelParams
 from .reduction import FIELDS
 
 FMT = "%.17g"
@@ -45,11 +45,6 @@ _KINDS = {shape: kind for kind, shape in _SHAPES.items()}
 _HEADER = {kind: "t_index,s_index,t,s," + ",".join(
     f"c{k + 1}" for k in range(math.prod(shape))) + "\n"
     for kind, shape in _SHAPES.items()}
-
-# Tokens of the manifest's ``model`` line and the ModelParams fields they hold.
-_MODEL_TOKENS = (("I", "inertia_body"), ("K", "inertia_rotor"),
-                 ("C", "pot_C"), ("D", "pot_D"),
-                 ("kappa", "pot_kappa"), ("c0", "pot_c0"))
 
 _CHUNK = 4096                 # values per kernel call
 # values per byte gather within a call: a 4096-value call traced 1.07 MB of
@@ -267,7 +262,7 @@ class FieldWriter:
                                   f"grid ({old_grid}); not merging")
         if model is not None:
             self.model_kv = {token: ",".join(FMT % x for x in np.ravel(
-                getattr(model, attr)).tolist()) for token, attr in _MODEL_TOKENS}
+                getattr(model, field)).tolist()) for _, token, field, _ in PARAMS}
         self.outdir, self.grid = outdir, grid
         self._parts = {}
         # Row prefixes "<i>,j,<t>,s_j," as slots: per level and per node.
@@ -413,10 +408,9 @@ def read_model(indir):
         raise ConfigError(f"manifest in {indir} has no model line; the run's "
                           "model is unknown (rerun simulate)")
     try:
-        mats = {attr: np.array([float(x) for x in kv[token].split(",")])
-                .reshape(3, 3) for token, attr in _MODEL_TOKENS[:4]}
-        return ModelParams(**mats, pot_kappa=float(kv["kappa"]),
-                           pot_c0=float(kv["c0"]))
+        return ModelParams(**{
+            field: np.array([float(x) for x in kv[token].split(",")])
+            .reshape(shape) for _, token, field, shape in PARAMS})
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"malformed model line in {indir}: {exc}") from None
 

@@ -39,28 +39,57 @@ from .so3 import cross, hat, vee
 
 _SYM_TOL = 1e-12
 
+# The model's parameters, one row each: config section, config and manifest
+# token, ModelParams field, shape.  The config reader, the manifest and the
+# report read their names from here.
+PARAMS = (("inertia", "I", "inertia_body", (3, 3)),
+          ("inertia", "K", "inertia_rotor", (3, 3)),
+          ("potential", "C", "pot_C", (3, 3)),
+          ("potential", "D", "pot_D", (3, 3)),
+          ("potential", "kappa", "pot_kappa", ()),
+          ("potential", "c0", "pot_c0", ()))
+_SHAPE = {field: shape for _, _, field, shape in PARAMS}
 
-def _check_symmetric(M, name):
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3):
-        raise ValueError(f"{name} must be a 3x3 matrix")
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} must be finite")
-    defect = float(np.max(np.abs(M - M.T)))
+
+def check_param(name, value):
+    """``value`` as the ModelParams field ``name`` holds it: a float array of
+    its shape in ``PARAMS``, or a float.
+
+    Every entry must be finite.  A matrix must be symmetric; I and K
+    positive definite (Cholesky), C and D only positive semidefinite, so
+    that the potential can be switched off (C = D = 0, kappa = 0).  kappa
+    must be >= 0 and c0 > 0.  A ValueError says what is wrong, without the
+    name.
+    """
+    shape = _SHAPE[name]
+    x = np.asarray(value, dtype=float)
+    if x.shape != shape:
+        raise ValueError("must be a 3x3 matrix" if shape else "must be a number")
+    if not np.isfinite(x).all():
+        raise ValueError("must be finite")
+    if not shape:
+        if name == "pot_c0" and not x > 0.0:
+            raise ValueError("must be > 0")
+        if not x >= 0.0:
+            raise ValueError("must be >= 0")
+        return float(x)
+    defect = float(np.max(np.abs(x - x.T)))
     if defect > _SYM_TOL:
-        raise ValueError(f"{name} symmetry defect {defect:.3e} exceeds {_SYM_TOL}")
-    return M
+        raise ValueError(f"symmetry defect {defect:.3e} exceeds {_SYM_TOL}")
+    if name in ("inertia_body", "inertia_rotor"):
+        try:
+            np.linalg.cholesky(x)
+        except np.linalg.LinAlgError:
+            raise ValueError("must be positive definite") from None
+    elif float(np.min(np.linalg.eigvalsh(x))) < -1e-12:
+        raise ValueError("must be positive semidefinite")
+    return x
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Inertia tensors and potential-energy parameters.
-
-    ``inertia_body`` and ``inertia_rotor`` must be symmetric positive
-    definite (checked by Cholesky).  The potential matrices only need to be
-    symmetric positive semidefinite so that the potential can be switched
-    off entirely (C = D = 0, kappa = 0).
-    """
+    """Inertia tensors and potential-energy parameters, in ``PARAMS`` order,
+    each checked by :func:`check_param` (a ValueError names the field)."""
 
     inertia_body: np.ndarray
     inertia_rotor: np.ndarray
@@ -70,24 +99,12 @@ class ModelParams:
     pot_c0: float
 
     def __post_init__(self):
-        object.__setattr__(self, "inertia_body",
-                           _check_symmetric(self.inertia_body, "inertia_body"))
-        object.__setattr__(self, "inertia_rotor",
-                           _check_symmetric(self.inertia_rotor, "inertia_rotor"))
-        object.__setattr__(self, "pot_C", _check_symmetric(self.pot_C, "pot_C"))
-        object.__setattr__(self, "pot_D", _check_symmetric(self.pot_D, "pot_D"))
-        for name in ("inertia_body", "inertia_rotor"):
+        for _, _, name, _ in PARAMS:
             try:
-                np.linalg.cholesky(getattr(self, name))
-            except np.linalg.LinAlgError:
-                raise ValueError(f"{name} must be positive definite") from None
-        for name in ("pot_C", "pot_D"):
-            if float(np.min(np.linalg.eigvalsh(getattr(self, name)))) < -1e-12:
-                raise ValueError(f"{name} must be positive semidefinite")
-        if not (np.isfinite(self.pot_kappa) and self.pot_kappa >= 0.0):
-            raise ValueError("pot_kappa must be >= 0")
-        if not (np.isfinite(self.pot_c0) and self.pot_c0 > 0.0):
-            raise ValueError("pot_c0 must be > 0")
+                value = check_param(name, getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
+            object.__setattr__(self, name, value)
 
 
 def default_params():

@@ -82,27 +82,27 @@ def _log_rate(Lam, h, closure, axis):
     """Body-frame rotation rate along ``axis`` from averaged discrete logs.
 
     Interior nodes use (log(L_i^T L_{i+1}) - log(L_i^T L_{i-1})) / (2h); this
-    keeps the result exactly in the Lie algebra and is second order.  The
-    edges of a ``closure`` (None when periodic) apply its rows to the logs
-    relative to the edge node, log(L_0^T L_k) and log(L_{n-1}^T L_{n-1-k}),
-    which are 0 at k = 0.
+    keeps the result exactly in the Lie algebra and is second order.  One
+    log is taken per neighbour pair: log(L_i^T L_{i-1}) is
+    -log(L_{i-1}^T L_i) bit for bit, as ``log_so3`` of a transpose is the
+    exact negative.  The edges of a ``closure`` (None when periodic) apply
+    its rows to the logs relative to the edge node, log(L_0^T L_k) and
+    log(L_{n-1}^T L_{n-1-k}), which are 0 at k = 0.
     """
     Lam = np.moveaxis(np.asarray(Lam, dtype=float), axis, 0)
     LamT = _transpose(Lam)
     if closure is None:
         fwd = log_so3(LamT @ np.roll(Lam, -1, axis=0))
-        bwd = log_so3(LamT @ np.roll(Lam, 1, axis=0))
-        out = (fwd - bwd) / (2.0 * h)
+        out = (fwd + np.roll(fwd, 1, axis=0)) / (2.0 * h)
     else:
         out = np.empty(Lam.shape[:-2] + (3,))
         fwd = log_so3(LamT[:-1] @ Lam[1:])    # log(L_i^T L_{i+1}), i = 0..n-2
-        bwd = log_so3(LamT[1:] @ Lam[:-1])    # log(L_i^T L_{i-1}), i = 1..n-1
-        out[1:-1] = (fwd[1:] - bwd[:-1]) / (2.0 * h)
+        out[1:-1] = (fwd[1:] + fwd[:-1]) / (2.0 * h)
         # each edge's three logs on the nodes of the closure's rows, low edge
         # in column 0: rows 0 and 2 of their derivative are the edge rates
         rel = np.zeros((3, 2) + out.shape[1:])
         rel[1:, 0] = fwd[0], log_so3(LamT[0] @ Lam[2])
-        rel[:2, 1] = log_so3(LamT[-1] @ Lam[-3]), bwd[-1]
+        rel[:2, 1] = log_so3(LamT[-1] @ Lam[-3]), -fwd[-1]
         edge = g._diff(rel, h, closure, 0)
         out[0], out[-1] = edge[0, 0], edge[2, 1]
     return np.moveaxis(out, 0, axis)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import grid as g
-from .errors import BlowupError, ConfigError, UnknownPresetError
+from .errors import BlowupError, ConfigError
 from .model import COMPONENTS, ModelParams, rates, rotor_momentum
 from .reduction import FIELDS, Stage1Section
 from .residuals import residual_norms
@@ -119,7 +119,7 @@ def presets(name, grid, params):
                                      np.zeros(n_s)], axis=-1)
         Omega[:, 2] = 2 * np.pi / L
         return y
-    raise UnknownPresetError(name)
+    raise ConfigError(f"unknown preset '{name}'", key="init.preset")
 
 
 def _step_rk4(y, h, f):

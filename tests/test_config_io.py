@@ -87,6 +87,36 @@ class TestConfig:
             parse_config(bad)
         assert str(err.value) == f"must be finite [{key}] (line {lineno})"
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("kappa = 1.0", "kappa = 1.0\nkappa = 2.0",
+         "duplicate key in <config> [potential.kappa] (line {line})"),
+        ("[init]\npreset = twistpulse", "",
+         "missing section [init] in <config> [init]"),
+        ("n_s = 16", "n_s = 2.5", "not an integer [grid.n_s] (line {line})"),
+        ("n_t = 20", "n_t = 2", "must be >= 3 [grid.n_t] (line {line})"),
+        ("length = 1.0", "length = 0", "must be > 0 [grid.length] (line {line})"),
+        ("c0 = 1.0", "c0 = 0", "must be > 0 [potential.c0] (line {line})"),
+        ("kappa = 1.0", "kappa = -1",
+         "must be >= 0 [potential.kappa] (line {line})"),
+        ("I = diag 1.8 1.4 1.1", "I = 1 0.5 0 0 1 0 0 0 1",
+         "symmetry defect 5.000e-01 exceeds 1e-12 [inertia.I] (line {line})"),
+        ("K = 0.9 0.1 0 0.1 0.7 0.05 0 0.05 0.5", "K = diag 1 -1 1",
+         "must be positive definite [inertia.K] (line {line})"),
+        ("C = diag 1 0.8 0.6", "C = diag 1 -0.8 0.6",
+         "must be positive semidefinite [potential.C] (line {line})"),
+        ("I = diag 1.8 1.4 1.1", "I = 1 0 0 0 1 0 0 0",
+         "expected 'diag a b c' or nine reals row-major [inertia.I] "
+         "(line {line})")],
+        ids=["duplicate", "no_init", "n_s", "n_t", "length", "c0", "kappa",
+             "asymmetric_I", "indefinite_K", "indefinite_C", "short_I"])
+    def test_fault_names_key_and_line(self, old, new, message):
+        # the line is that of the last line of the edit
+        bad = GOOD.replace(old, new)
+        line = bad.splitlines().index(new.splitlines()[-1]) + 1 if new else None
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert str(err.value) == message.format(line=line)
+
     def test_unknown_key_with_line(self):
         bad = GOOD + "\n[scheme]\ncolor = blue\n"
         with pytest.raises(ConfigError) as err:

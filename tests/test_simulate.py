@@ -10,7 +10,7 @@ from strand_reduce import reduction as red
 from strand_reduce import residuals as rs
 from strand_reduce import simulate as sim
 from strand_reduce import so3
-from strand_reduce.errors import (BlowupError, ConfigError, UnknownPresetError)
+from strand_reduce.errors import BlowupError, ConfigError
 from tests.conftest import potential_off
 
 
@@ -66,7 +66,7 @@ class TestPresets:
         assert np.allclose(proj.rho, rho, atol=1e-12)
 
     def test_unknown_preset(self, params):
-        with pytest.raises(UnknownPresetError):
+        with pytest.raises(ConfigError, match="unknown preset"):
             sim.presets("vortex", make_grid(), params)
 
 

@@ -175,6 +175,17 @@ class TestLog:
             back = so3.log_so3(so3.exp_so3(v))
             assert np.linalg.norm(back - v) <= 1e-9 * angle + 1e-15
 
+    def test_log_of_transpose_is_exact_negative(self, rng):
+        # reduction._log_rate takes one log per neighbour pair: it reads
+        # log(L_i^T L_{i-1}) as -log(L_{i-1}^T L_i), bit for bit
+        axes = rng.normal(size=(500, 3))
+        angles = np.concatenate([rng.uniform(0.0, np.pi - 0.1, size=496),
+                                 [0.0, 1e-9, 1e-5, np.pi - 0.1]])
+        R = so3.exp_so3(angles[:, None] * axes
+                        / np.linalg.norm(axes, axis=1, keepdims=True))
+        assert np.array_equal(so3.log_so3(np.swapaxes(R, -1, -2)),
+                              -so3.log_so3(R))
+
     def test_exp_log_identity_on_rotations(self, rng):
         for _ in range(30):
             R = so3.random_rotation(rng)
