@@ -179,7 +179,10 @@ def interior_variation(gr):
 
 
 def _ls_order(hs, errs):
-    """Least-squares slope of log(err) against log(h)."""
+    """Least-squares slope of log(err) against log(h); nan, which no band
+    holds, unless every err is positive (an exact or too short run)."""
+    if not all(e > 0.0 for e in errs):
+        return float("nan")
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
 

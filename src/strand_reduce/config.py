@@ -22,12 +22,13 @@ The file format is INI-like sections of ``key = value`` pairs:
     [init]
     preset = twistpulse          # or: file = initial.csv
 
-    [scheme]                     # optional; default rk4
+    [scheme]                     # optional; rk4, the only scheme
     name = rk4
 
 Every key outside [scheme] is mandatory; unknown sections or keys are
-errors, reported with their line number, and so is a model parameter that
-``model.check_param`` rejects.
+errors, reported with their line number, and so are a model parameter that
+``model.check_param`` rejects, a preset outside ``simulate.PRESETS`` and a
+scheme other than rk4 (the march's only scheme; names match in any case).
 """
 
 import os
@@ -38,7 +39,7 @@ from .errors import ConfigError
 from .fields_io import read_initial_slice
 from .grid import CLAMPED, PERIODIC, Grid2
 from .model import PARAMS, ModelParams, check_param
-from .simulate import SimConfig
+from .simulate import PRESETS, SimConfig
 
 _SCHEMA = {
     "grid": {"n_s", "n_t", "length", "duration", "bc"},
@@ -157,7 +158,12 @@ def parse_config(text, source="<config>", base_dir="."):
     params = ModelParams(**values)
 
     init = sections["init"]
-    preset = init["preset"][0].lower() if "preset" in init else None
+    preset = None
+    if "preset" in init:
+        preset = init["preset"][0].lower()
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset '{preset}'", key="init.preset",
+                              line=init["preset"][1])
     state = None
     if "file" in init:
         path = init["file"][0]
@@ -165,11 +171,12 @@ def parse_config(text, source="<config>", base_dir="."):
             path = os.path.join(base_dir, path)
         state = read_initial_slice(path, n_s)
 
-    scheme = sections.get("scheme", {})
-    name = scheme.get("name", ("rk4", None))[0].lower()
+    scheme, line = sections.get("scheme", {}).get("name", ("rk4", None))
+    if scheme.lower() != "rk4":
+        raise ConfigError(f"scheme must be 'rk4', not '{scheme}'",
+                          key="scheme.name", line=line)
 
-    cfg = SimConfig(grid=grid, params=params, scheme=name, preset=preset,
-                    init=state)
+    cfg = SimConfig(grid=grid, params=params, preset=preset, init=state)
     cfg.validate()
     return cfg
 

@@ -6,9 +6,9 @@ Omega, omega).  Their rates are :func:`model.rates`, the balance laws
 solved for the accelerations by exact linear elimination, with Omega and a
 advanced by the zero-curvature relations, so no rotation matrices are
 carried during the march; ``Lambda`` is reconstructed post hoc when a full
-section is wanted.  The march (RK4 or explicit midpoint) prepares those
-rates once and evaluates them as one stacked kernel per call on an
-(n_s, 3) slice per component.
+section is wanted.  The march, classical RK4, prepares those rates once
+and evaluates them as one stacked kernel per call on an (n_s, 3) slice per
+component.
 
 theta itself is carried alongside (rate v) purely so the output is a
 complete stage-1 section (``FIELDS``: rho, theta, Omega, omega); it does not
@@ -45,7 +45,8 @@ _FIELD_ROWS = np.array([COMPONENTS.index(name) for name in FIELDS])
 
 
 def cfl_limit(params, ds):
-    """Conservative step bound 0.5 min(1, 1/sqrt(max stiffness)) ds.
+    """RK4's step guard, the conservative bound 0.5 min(1, 1/sqrt(max
+    stiffness)) ds.
 
     The stiffness scale is the largest eigenvalue among C, D and kappa*c0.
     This is an engineering guard, validated empirically by the blow-up
@@ -62,7 +63,6 @@ def cfl_limit(params, ds):
 class SimConfig:
     grid: g.Grid2
     params: ModelParams
-    scheme: str = "rk4"
     preset: str = None
     init: np.ndarray = None   # packed state, (7, n_s, 3) in COMPONENTS order
 
@@ -70,8 +70,6 @@ class SimConfig:
         if (self.preset is None) == (self.init is None):
             raise ConfigError("give exactly one of init.preset or init.file",
                               key="init")
-        if self.scheme not in ("rk4", "midpoint"):
-            raise ConfigError(f"unknown scheme '{self.scheme}'", key="scheme.name")
         limit = cfl_limit(self.params, self.grid.ds)
         if self.grid.dt > limit:
             raise ConfigError(
@@ -79,9 +77,16 @@ class SimConfig:
                 key="grid")
 
 
+# The names of the built-in initial states, matched in any case.
+PRESETS = ("static", "rigidbody", "twistpulse", "helix")
+
+
 def presets(name, grid, params):
     """Built-in initial states on a grid, packed ``(7, n_s, 3)`` in
     ``COMPONENTS`` order."""
+    name = name.lower()
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset '{name}'", key="init.preset")
     n_s = grid.n_s
     s = grid.s_coords()
     L = grid.length_s
@@ -89,7 +94,6 @@ def presets(name, grid, params):
     # every component not set below starts at zero
     y = np.zeros((len(COMPONENTS), n_s, 3))
     rho, u, _, _, v, Omega, omega = y
-    name = name.lower()
     if name in ("static", "twistpulse"):
         rho[:, 0] = root_c0
     if name == "static":
@@ -112,14 +116,12 @@ def presets(name, grid, params):
         else:
             bump[:] = np.exp(-0.5 * ((s - center) / sigma) ** 2)
         return y
-    if name == "helix":
-        # Circular centerline with the frame rotating once about e3 over [0, L].
-        rho[:] = root_c0 * np.stack([np.cos(2 * np.pi * s / L),
-                                     np.sin(2 * np.pi * s / L),
-                                     np.zeros(n_s)], axis=-1)
-        Omega[:, 2] = 2 * np.pi / L
-        return y
-    raise ConfigError(f"unknown preset '{name}'", key="init.preset")
+    # helix: a circular centerline, the frame turning once about e3 over [0, L]
+    rho[:] = root_c0 * np.stack([np.cos(2 * np.pi * s / L),
+                                 np.sin(2 * np.pi * s / L),
+                                 np.zeros(n_s)], axis=-1)
+    Omega[:, 2] = 2 * np.pi / L
+    return y
 
 
 def _step_rk4(y, h, f):
@@ -128,11 +130,6 @@ def _step_rk4(y, h, f):
     k3 = f(y + 0.5 * h * k2)
     k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _step_midpoint(y, h, f):
-    k1 = f(y)
-    return y + h * f(y + 0.5 * h * k1)
 
 
 @dataclass
@@ -165,7 +162,6 @@ class _March:
         if self.y.shape != (len(COMPONENTS), gr.n_s, 3):
             raise ConfigError("initial state does not match the grid", key="init")
         self.f = rates(p, gr.ds, gr.closure_s)
-        self.step = _step_rk4 if cfg.scheme == "rk4" else _step_midpoint
         self.grid, self.params, self.sink = gr, p, sink
         self.rows = np.empty((gr.n_t, 6))
         self.lo = self.done = 0         # the levels of the kept history
@@ -192,7 +188,7 @@ class _March:
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(lo, stop):
                 if i:
-                    y = self.step(y, gr.dt, self.f)
+                    y = _step_rk4(y, gr.dt, self.f)
                 hist[i - lo] = y
             # max |y| of each level without a block-sized temporary; abs
             # makes a level of zeros +0.0, as np.abs(y).max() does

@@ -13,10 +13,11 @@ import time
 import numpy as np
 import pytest
 
+from strand_reduce import checks
 from strand_reduce import grid as g
 from strand_reduce import model
 from strand_reduce import simulate as sim
-from strand_reduce.cli import CHECK_SUITES, main
+from strand_reduce.cli import main
 
 
 @pytest.fixture
@@ -35,7 +36,7 @@ def report(capfd):
 
 def test_criterion_1_fiber_derivatives(report):
     t0 = time.perf_counter()
-    results = CHECK_SUITES["derivatives"]()
+    results = checks.check_derivatives()
     elapsed = time.perf_counter() - t0
     assert [r.tol for r in results] == [1e-7, 1e-7]
     ok = all(r.passed for r in results) and elapsed < 1.0
@@ -46,7 +47,7 @@ def test_criterion_1_fiber_derivatives(report):
 
 
 def test_criterion_2_invariance(report):
-    results = CHECK_SUITES["invariance"]()
+    results = checks.check_invariance()
     assert [r.tol for r in results] == [1e-12, 1e-12]
     ok = all(r.passed for r in results)
     report(2, "lagrangian-invariance-and-projection", ok,
@@ -55,7 +56,7 @@ def test_criterion_2_invariance(report):
 
 
 def test_criterion_3_stage_equivalence(report):
-    results = CHECK_SUITES["stages"]()
+    results = checks.check_stages()
     assert [r.tol for r in results] == [1e-12]
     ok = all(r.passed for r in results)
     report(3, "stage-equivalence", ok,
@@ -65,7 +66,7 @@ def test_criterion_3_stage_equivalence(report):
 
 def test_criterion_4_variational_consistency(report):
     t0 = time.perf_counter()
-    results = CHECK_SUITES["variational"]()
+    results = checks.check_variational()
     elapsed = time.perf_counter() - t0
     order = results[0].value
     gaps = {r.name: r.value for r in results[1:]}
@@ -83,7 +84,7 @@ def test_criterion_4_variational_consistency(report):
 
 
 def test_criterion_5_reduction_equivalence(report):
-    results = CHECK_SUITES["reduction"]()
+    results = checks.check_reduction()
     byname = {r.name: r.value for r in results}
     ratios = [byname[f"{a}_over_{b}_n{n}"] for n in (64, 128)
               for a, b in (("res_r", "horizontal_rho"),
@@ -103,7 +104,7 @@ def test_criterion_5_reduction_equivalence(report):
 
 
 def test_criterion_6_reconstruction(report):
-    results = CHECK_SUITES["roundtrip"]()
+    results = checks.check_roundtrip()
     ok = all(r.passed for r in results)
     byname = {r.name: r.value for r in results}
     ratios = [byname[f"{kind}_error_ratio_{n}_to_{2 * n}"]
@@ -118,7 +119,7 @@ def test_criterion_6_reconstruction(report):
 
 
 def test_criterion_7_noether_conservation(report):
-    results = CHECK_SUITES["noether"]()
+    results = checks.check_noether()
     byname = {r.name: r.value for r in results}
     # the twist pulse at T = 0.125 on the unit periodic loop
     drift_ok = all(byname[f"{name}_total_drift_n{n_s}"]

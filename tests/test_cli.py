@@ -30,6 +30,7 @@ from strand_reduce.fields_io import read_model
 from strand_reduce.simulate import presets
 from tests.conftest import (load_fields, rewrite_field, small_grid,
                             store_fields, write_init_file)
+from tests.test_golden import README_CONFIG
 from tests.test_windows import patch_windows
 
 CONFIG = """
@@ -202,6 +203,23 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "new")]) == 5
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("name = rk4", "name = midpoint",
+         "scheme must be 'rk4', not 'midpoint' [scheme.name] (line 22)"),
+        ("preset = twistpulse", "preset = vortex",
+         "unknown preset 'vortex' [init.preset] (line 19)")],
+        ids=["midpoint", "preset"])
+    def test_config_fault_exits_2_before_any_output(self, tmp_path, capsys,
+                                                     old, new, message):
+        # the README config; RK4 is the march's only scheme
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(README_CONFIG.format(bc="periodic", preset="twistpulse",
+                                            scheme="rk4").replace(old, new))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not out.exists()
 
     def test_overflow_within_one_step_exits_5(self, tmp_path):
         # level 0 is finite and far below the guard, but with I = 1e-300 the
@@ -1207,6 +1225,18 @@ class TestCheckAndConvergence:
         assert main(["convergence", "--levels", "2", "--base-n-s", "8",
                      "--base-n-t", "11", "--duration", "0.05"]) == 4
 
+    @pytest.mark.parametrize("args", [
+        ["--preset", "static", "--base-n-t", "11", "--duration", "0.05"],
+        ["--base-n-t", "3", "--duration", "0.01"]], ids=["exact", "n_t3"])
+    def test_zero_norm_fails_without_a_warning(self, capsys, args):
+        # an exact run's norms are 0, as are those of a level with no
+        # interior levels: no order is fitted, so no log of 0 is taken
+        assert main(["convergence", "--levels", "2", "--base-n-s", "8",
+                     *args]) == 4
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.count(" nan - FAIL\n") == 4
+
     def test_unknown_preset_exits_2(self, capsys):
         assert main(["residuals", "--preset", "vortex", "--n-s", "8",
                      "--n-t", "8", "--duration", "0.01"]) == 2
@@ -1298,6 +1328,8 @@ class TestModuleEntry:
             if isinstance(stmt, defs):
                 names.discard(stmt.name)
             unused -= names
+        # `check` calls each suite by its name in CHECK_SUITES
+        unused -= {f"check_{name}" for name in cli.CHECK_SUITES}
         assert sorted(unused) == []
 
     def test_option_count_is_pinned(self):
@@ -1315,7 +1347,7 @@ class TestModuleEntry:
                     count += sum(isinstance(stmt, ast.AnnAssign)
                                  and stmt.value is not None
                                  for stmt in node.body)
-        assert count == 23
+        assert count == 22
 
     OFF_PATH = ("strand_reduce.checks", "strand_reduce.config",
                 "strand_reduce.noether", "strand_reduce.simulate")

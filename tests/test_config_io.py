@@ -45,7 +45,6 @@ class TestConfig:
         assert cfg.grid.bc_s == g.PERIODIC
         assert cfg.grid.ds == pytest.approx(1.0 / 16)
         assert cfg.grid.dt == pytest.approx(0.1 / 19)
-        assert cfg.scheme == "rk4"  # default
         assert np.allclose(cfg.params.inertia_body, np.diag([1.8, 1.4, 1.1]))
         assert cfg.params.inertia_rotor[0, 1] == pytest.approx(0.1)
 
@@ -53,9 +52,29 @@ class TestConfig:
         cfg = parse_config(GOOD.replace("bc = periodic", "bc = clamped"))
         assert cfg.grid.ds == pytest.approx(1.0 / 15)
 
+    @pytest.mark.parametrize("scheme", ["", "\n[scheme]\nname = rk4\n",
+                                        "\n[scheme]\nname = RK4\n"],
+                             ids=["omitted", "rk4", "RK4"])
+    def test_rk4_is_the_scheme(self, scheme):
+        assert parse_config(GOOD + scheme).preset == "twistpulse"
+
     def test_scheme_section(self):
-        cfg = parse_config(GOOD + "\n[scheme]\nname = midpoint\n")
-        assert cfg.scheme == "midpoint"
+        # RK4 is the march's only scheme: explicit midpoint lets every mode
+        # of the wave block grow
+        bad = GOOD + "\n[scheme]\nname = midpoint\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        line = bad.splitlines().index("name = midpoint") + 1
+        assert str(err.value) == (f"scheme must be 'rk4', not 'midpoint' "
+                                  f"[scheme.name] (line {line})")
+
+    def test_bad_scheme(self):
+        bad = GOOD + "\n[scheme]\nname = Euler\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        line = bad.splitlines().index("name = Euler") + 1
+        assert str(err.value) == (f"scheme must be 'rk4', not 'Euler' "
+                                  f"[scheme.name] (line {line})")
 
     def test_reortho_every_rejected(self):
         bad = GOOD + "\n[scheme]\nname = rk4\nreortho_every = 4\n"
@@ -106,9 +125,12 @@ class TestConfig:
          "must be positive semidefinite [potential.C] (line {line})"),
         ("I = diag 1.8 1.4 1.1", "I = 1 0 0 0 1 0 0 0",
          "expected 'diag a b c' or nine reals row-major [inertia.I] "
-         "(line {line})")],
+         "(line {line})"),
+        ("preset = twistpulse", "preset = Vortex",
+         "unknown preset 'vortex' [init.preset] (line {line})")],
         ids=["duplicate", "no_init", "n_s", "n_t", "length", "c0", "kappa",
-             "asymmetric_I", "indefinite_K", "indefinite_C", "short_I"])
+             "asymmetric_I", "indefinite_K", "indefinite_C", "short_I",
+             "preset"])
     def test_fault_names_key_and_line(self, old, new, message):
         # the line is that of the last line of the edit
         bad = GOOD.replace(old, new)

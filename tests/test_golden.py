@@ -50,8 +50,8 @@ GOLDEN = {
         "acf6031e54f219c0964dee82a76cd420565fdfea157e8f3893f8081b48d23ed9",
     ("clamped", "twistpulse", "rk4"):
         "0c869a362780df3c1cd2a24a419f8a037d09a4ef9a704d41354fe18154d5b032",
-    ("periodic", "rigidbody", "midpoint"):
-        "db8edb1d683e07b49ea96f85054f74095801fba4c275dfea1b861879fb637433",
+    ("periodic", "rigidbody", "rk4"):
+        "9135c5607be3e8da8cbc642abadf81108f9d58e7d5b525507ac3f022c683fee6",
 }
 
 DIAGNOSTICS = {
@@ -61,8 +61,8 @@ DIAGNOSTICS = {
         "394608af93d57fd193a2b2429c554b4116533ad080ad969a2ccb17799c369e32",
     ("clamped", "twistpulse", "rk4"):
         "1f6a185ff59eb518c2a8fae2a89048fb3928ac13d438241568e34874534ab4c5",
-    ("periodic", "rigidbody", "midpoint"):
-        "022c425f63d9cd09e68e8675c2d42732908a23f1b214956b6016c2866b33683f",
+    ("periodic", "rigidbody", "rk4"):
+        "16338c040a17f52b3fecc5766c32807d3bb25a2b73551d2bea63b5ddf084c5fd",
 }
 
 RESIDUALS = {

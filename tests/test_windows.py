@@ -60,7 +60,6 @@ def whole_march(cfg):
     over whole fields, the way ``simulate`` ran before it streamed."""
     gr, p = cfg.grid, cfg.params
     rates = model.rates(p, gr.ds, gr.closure_s)
-    step = sim._step_rk4 if cfg.scheme == "rk4" else sim._step_midpoint
     y = sim.presets(cfg.preset, gr, p)
     fields = {name: gr.zeros() for name in sim.FIELDS}
     rows = np.empty((gr.n_t, 6))
@@ -71,7 +70,7 @@ def whole_march(cfg):
                                      @ p.inertia_rotor.T)
         rows[i] = (i, i * gr.dt, float(np.abs(y).max()), *rotor_total)
         if i < gr.n_t - 1:
-            y = step(y, gr.dt, rates)
+            y = sim._step_rk4(y, gr.dt, rates)
     return fields, rows, y
 
 
