@@ -5,16 +5,4 @@ Submodules are imported explicitly (``from strand_reduce import so3, grid,
 ...``); nothing heavy is pulled in at package import time.
 """
 
-import os
-
-# STRAND_THREADS caps the data-parallel width of the array backend.  It has
-# to be translated into the BLAS/OpenMP variables before numpy is imported
-# anywhere in the process, which is why it lives at the package root.
-_threads = os.environ.get("STRAND_THREADS", "")
-if _threads.isdigit() and int(_threads) > 0:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-del os, _threads
-
 __version__ = "0.1.0"

@@ -38,11 +38,14 @@ def _add_grid_options(sp):
     """The extent and boundary options; each command adds its node counts."""
     sp.add_argument("--length", type=float, default=1.0)
     sp.add_argument("--duration", type=float, default=0.5)
-    sp.add_argument("--bc", choices=(g.PERIODIC, g.CLAMPED), default=g.PERIODIC)
+    sp.add_argument("--bc", choices=g.BOUNDARIES, default=g.PERIODIC)
 
 
 def _grid(args, n_t, n_s):
-    """The uniform grid of the grid options; Grid2 checks the numbers."""
+    """A known ``--preset``'s uniform grid; Grid2 checks the numbers."""
+    from .simulate import PRESETS
+    if args.preset.lower() not in PRESETS:
+        raise ConfigError(f"unknown preset '{args.preset}'", key="--preset")
     try:
         return g.Grid2.uniform(n_t, n_s, args.duration, args.length, args.bc)
     except ValueError as exc:

@@ -27,8 +27,8 @@ The file format is INI-like sections of ``key = value`` pairs:
 
 Every key outside [scheme] is mandatory; unknown sections or keys are
 errors, reported with their line number, and so are a model parameter that
-``model.check_param`` rejects, a preset outside ``simulate.PRESETS`` and a
-scheme other than rk4 (the march's only scheme; names match in any case).
+``model.check_param`` rejects, a name outside ``grid.BOUNDARIES`` or
+``simulate.PRESETS`` and a scheme other than rk4 (names match in any case).
 """
 
 import os
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields_io import read_initial_slice
-from .grid import CLAMPED, PERIODIC, Grid2
+from .grid import BOUNDARIES, Grid2
 from .model import PARAMS, ModelParams, check_param
 from .simulate import PRESETS, SimConfig
 
@@ -137,13 +137,12 @@ def parse_config(text, source="<config>", base_dir="."):
                           "grid.length")
     duration = _as_positive(_need(sections, "grid", "duration", source),
                             "grid.duration")
-    bc_raw, bc_line = _need(sections, "grid", "bc", source)
-    bc = bc_raw.lower()
-    if bc not in (PERIODIC, CLAMPED):
-        raise ConfigError("bc must be 'periodic' or 'clamped'",
+    bc, bc_line = _need(sections, "grid", "bc", source)
+    if bc.lower() not in BOUNDARIES:
+        raise ConfigError("bc must be " + " or ".join(map(repr, BOUNDARIES)),
                           key="grid.bc", line=bc_line)
     try:
-        grid = Grid2.uniform(n_t, n_s, duration, length, bc)
+        grid = Grid2.uniform(n_t, n_s, duration, length, bc.lower())
     except ValueError as exc:
         raise ConfigError(str(exc), key="grid") from None
 

@@ -30,21 +30,13 @@ class BlowupError(StrandError):
     def __init__(self, step, norm, field, node):
         super().__init__(f"solution norm {norm:.3e} exceeded guard at step "
                          f"{step} (field {field}, node {node})")
-        self.step = step
-        self.norm = norm
-        self.field = field
-        self.node = node
+        self.step, self.norm, self.field, self.node = step, norm, field, node
 
 
 class ConfigError(StrandError):
-    """Bad configuration file or inconsistent run setup."""
+    """Bad configuration file or inconsistent run setup; the message ends
+    with the config key ``[key]`` and its ``(line N)`` where they are known."""
 
     def __init__(self, message, key=None, line=None):
-        loc = ""
-        if key is not None:
-            loc += f" [{key}]"
-        if line is not None:
-            loc += f" (line {line})"
-        super().__init__(message + loc)
-        self.key = key
-        self.line = line
+        super().__init__(message + (f" [{key}]" if key is not None else "")
+                         + (f" (line {line})" if line is not None else ""))

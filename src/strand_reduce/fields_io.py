@@ -254,15 +254,13 @@ class FieldWriter:
     """
 
     def __init__(self, outdir, grid, model=None, merge=False):
-        self.entries, self.model_kv = {}, None
+        self.entries, self.model = {}, model
         if merge and os.path.exists(os.path.join(outdir, "manifest.txt")):
-            old_grid, self.entries, self.model_kv = _read_manifest(outdir)
+            old_grid, self.entries, old_model = _read_manifest(outdir)
             if old_grid != grid:
                 raise ConfigError(f"manifest.txt in {outdir} is for another "
                                   f"grid ({old_grid}); not merging")
-        if model is not None:
-            self.model_kv = {token: ",".join(FMT % x for x in np.ravel(
-                getattr(model, field)).tolist()) for _, token, field, _ in PARAMS}
+            self.model = model or old_model
         self.outdir, self.grid = outdir, grid
         self._parts = {}
         # Row prefixes "<i>,j,<t>,s_j," as slots: per level and per node.
@@ -313,7 +311,7 @@ class FieldWriter:
                 os.replace(part.path + ".part", part.path)
                 self.entries[name] = (os.path.basename(part.path), part.kind,
                                       part.sha256.hexdigest())
-            _write_manifest(self.outdir, self.grid, self.entries, self.model_kv)
+            _write_manifest(self.outdir, self.grid, self.entries, self.model)
             return
         for part in self._parts.values():
             os.remove(part.path + ".part")
@@ -343,56 +341,77 @@ def write_csv(path, head, table):
         _join([_slots(table[i:i + rows], sep)]) for i in range(0, len(table), rows)))
 
 
+# The manifest's grammar, which its writer follows and its reader checks:
+# each line kind's keys, each once and in this order.  A run has one grid
+# line, a field line per field and at most one model line.
+_MANIFEST = {"grid": ("n_t", "n_s", "dt", "ds", "bc"),
+             "field": ("name", "file", "kind", "sha256"),
+             "model": tuple(token for _, token, _, _ in PARAMS)}
+
+
+def _line(kind, values):
+    """The manifest line of ``kind`` with ``values`` in its keys' order."""
+    return " ".join([kind, *map("{}={}".format, _MANIFEST[kind], values)])
+
+
 def grid_line(grid):
     """The ``grid n_t=… n_s=… dt=… ds=… bc=…`` line of manifest and report."""
-    return (f"grid n_t={grid.n_t} n_s={grid.n_s} dt={FMT % grid.dt} "
-            f"ds={FMT % grid.ds} bc={grid.bc_s}")
+    return _line("grid", (grid.n_t, grid.n_s, FMT % grid.dt, FMT % grid.ds,
+                          grid.bc_s))
 
 
-def _write_manifest(outdir, grid, entries, model_kv):
-    lines = [grid_line(grid)]
-    lines += [f"field name={name} file={fname} kind={kind} sha256={digest}"
-              for name, (fname, kind, digest) in sorted(entries.items())]
-    if model_kv is not None:
-        lines.append("model " + " ".join(f"{k}={v}" for k, v in model_kv.items()))
+def _write_manifest(outdir, grid, entries, model):
+    lines = [grid_line(grid)] + [_line("field", (name, *entry))
+                                 for name, entry in sorted(entries.items())]
+    if model is not None:
+        lines.append(_line("model", (",".join(FMT % x for x in np.ravel(
+            getattr(model, field)).tolist()) for _, _, field, _ in PARAMS)))
     _write_stream(os.path.join(outdir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
 def _read_manifest(indir):
-    """Grid, ``{name: (file, kind, sha256)}`` and model tokens (or None)."""
+    """Grid, ``{name: (file, kind, sha256)}`` and :class:`ModelParams` (None
+    without a model line), each line read by the grammar ``_MANIFEST``."""
     manifest = os.path.join(indir, "manifest.txt")
     if not os.path.exists(manifest):
         raise ConfigError(f"no manifest.txt in {indir}")
-    grid, entries, model_kv = None, {}, None
+    grid, entries, model = None, {}, None
     with open(manifest, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                parts = _ascii(line).split()
-                if not parts:
-                    continue
-                kv = dict(p.split("=", 1) for p in parts[1:])
-                if parts[0] == "grid":
-                    grid = g.Grid2(n_t=int(kv["n_t"]), n_s=int(kv["n_s"]),
-                                   dt=float(kv["dt"]), ds=float(kv["ds"]),
-                                   bc_s=kv["bc"])
-                elif parts[0] == "field":
-                    if kv["kind"] not in _SHAPES:
-                        raise ValueError(f"unknown kind '{kv['kind']}'")
-                    if kv["name"] in entries:
-                        raise ValueError(f"field '{kv['name']}' listed twice")
-                    if (kv["file"] in ("", ".", "..")
-                            or os.path.basename(kv["file"]) != kv["file"]):
-                        raise ValueError(f"file '{kv['file']}' is not a file "
+                kind, *tokens = _ascii(line).split() or [""]
+                values = [token.partition("=")[2] for token in tokens]
+                if kind not in _MANIFEST:
+                    raise ValueError(f"unknown line kind '{kind}'")
+                if (len(values) != len(_MANIFEST[kind])
+                        or _line(kind, values) != " ".join([kind, *tokens])):
+                    raise ValueError(
+                        f"expected '{_line(kind, itertools.repeat('...'))}'")
+                if kind == "grid" and grid is None:
+                    n_t, n_s, dt, ds, bc = values
+                    grid = g.Grid2(int(n_t), int(n_s), float(dt), float(ds), bc)
+                elif kind == "model" and model is None:
+                    model = ModelParams(**{field: np.array(
+                        value.split(","), dtype=float).reshape(shape) for
+                        (_, _, field, shape), value in zip(PARAMS, values)})
+                elif kind != "field":
+                    raise ValueError(f"a second {kind} line")
+                else:
+                    name, fname, fkind, _ = values
+                    if fkind not in _SHAPES:
+                        raise ValueError(f"unknown kind '{fkind}'")
+                    if name in entries:
+                        raise ValueError(f"field '{name}' listed twice")
+                    if fname in ("", ".", "..") or os.path.basename(fname) != fname:
+                        raise ValueError(f"file '{fname}' is not a file "
                                          "name in the run directory")
-                    entries[kv["name"]] = (kv["file"], kv["kind"], kv["sha256"])
-                elif parts[0] == "model":
-                    model_kv = kv
-            except (KeyError, ValueError) as exc:
+                    entries[name] = tuple(values[1:])
+            except ValueError as exc:
                 raise ConfigError(f"malformed manifest in {indir}: {exc}",
                                   line=lineno) from None
     if grid is None:
         raise ConfigError(f"manifest in {indir} has no grid line")
-    return grid, entries, model_kv
+    return grid, entries, model
 
 
 def listed_fields(indir):
@@ -403,16 +422,11 @@ def listed_fields(indir):
 
 def read_model(indir):
     """The :class:`ModelParams` recorded on the manifest's ``model`` line."""
-    _, _, kv = _read_manifest(indir)
-    if kv is None:
+    model = _read_manifest(indir)[2]
+    if model is None:
         raise ConfigError(f"manifest in {indir} has no model line; the run's "
                           "model is unknown (rerun simulate)")
-    try:
-        return ModelParams(**{
-            field: np.array([float(x) for x in kv[token].split(",")])
-            .reshape(shape) for _, token, field, shape in PARAMS})
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed model line in {indir}: {exc}") from None
+    return model
 
 
 def verify_fields(indir, names):

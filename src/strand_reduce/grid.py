@@ -44,6 +44,9 @@ class Closure(NamedTuple):
 
 ONE_SIDED = Closure(((-3.0, 4.0, -1.0), (3.0, -4.0, 1.0)), 0.5)
 
+# The s axis's boundary policies by name and their closures (None: periodic).
+BOUNDARIES = {PERIODIC: None, CLAMPED: ONE_SIDED}
+
 
 @dataclass(frozen=True)
 class Window:
@@ -85,7 +88,7 @@ class Grid2:
             raise ValueError("dt must be finite and positive")
         if not (np.isfinite(self.ds) and self.ds > 0.0):
             raise ValueError("ds must be finite and positive")
-        if self.bc_s not in (PERIODIC, CLAMPED):
+        if self.bc_s not in BOUNDARIES:
             raise ValueError(f"unknown boundary policy '{self.bc_s}'")
 
     @classmethod
@@ -98,11 +101,11 @@ class Grid2:
 
     @property
     def periodic_s(self):
-        return self.bc_s == PERIODIC
+        return self.closure_s is None
 
     @property
     def closure_s(self):
-        return None if self.periodic_s else ONE_SIDED
+        return BOUNDARIES[self.bc_s]
 
     @property
     def length_s(self):
@@ -343,8 +346,8 @@ def max_sq(peak, node, levels=None):
     return Peak(float(np.sqrt(peak[level])), level, int(node[level]))
 
 
-def norm_l2(grid, values, mask=None):
-    """Grid L2 norm ``sqrt(sum |f|^2 ds dt)``, optionally masked.
+def norm_l2(grid, values, mask):
+    """Grid L2 norm ``sqrt(sum |f|^2 ds dt)``, masked as in :func:`level_sums`.
 
     Reduced level by level (:func:`level_sums`, :func:`l2_sq`), as the
     window reports are, so the two agree bit for bit.

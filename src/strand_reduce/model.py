@@ -354,7 +354,7 @@ def fiber_derivatives_stage1(pt, p):
     )
 
 
-def fd_fiber_derivative(fn, pt, slot, step=1e-6, p=None):
+def fd_fiber_derivative(fn, pt, slot, step, p):
     """Central finite difference of ``fn(pt, p)`` in one named slot.
 
     Oracle for the analytic fiber derivatives; ``step`` must lie in

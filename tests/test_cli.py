@@ -208,8 +208,10 @@ class TestSimulate:
         ("name = rk4", "name = midpoint",
          "scheme must be 'rk4', not 'midpoint' [scheme.name] (line 22)"),
         ("preset = twistpulse", "preset = vortex",
-         "unknown preset 'vortex' [init.preset] (line 19)")],
-        ids=["midpoint", "preset"])
+         "unknown preset 'vortex' [init.preset] (line 19)"),
+        ("bc = periodic", "bc = free",
+         "bc must be 'periodic' or 'clamped' [grid.bc] (line 6)")],
+        ids=["midpoint", "preset", "bc"])
     def test_config_fault_exits_2_before_any_output(self, tmp_path, capsys,
                                                      old, new, message):
         # the README config; RK4 is the march's only scheme
@@ -721,14 +723,16 @@ class TestReconstruct:
         capsys.readouterr()
         assert main(["residuals", "--in", str(out)]) == 0
         before = capsys.readouterr().out
+        model_line = (out / "manifest.txt").read_text().splitlines()[-1]
         assert main(["reconstruct", "--in", str(out), "--tol", "1e-2"]) == 0
         lines = (out / "manifest.txt").read_text().splitlines()
         assert [ln.split()[1] for ln in lines if ln.startswith("field ")] == [
             "name=Lambda", "name=Omega", "name=omega", "name=rho", "name=theta"]
-        assert lines[-1].startswith("model ")
+        assert lines[-1] == model_line
         capsys.readouterr()
         assert main(["residuals", "--in", str(out)]) == 0
         assert capsys.readouterr().out == before
+        assert main(["noether", "--in", str(out)]) == 0
 
     def test_out_into_another_run_exits_2(self, tmp_path, config_file,
                                           capsys):
@@ -1191,6 +1195,53 @@ class TestManifestPaths:
         self.assert_manifest_error(run, capsys, "field 'rho' listed twice", 6)
 
 
+class TestManifestGrammar:
+    """A manifest holds what its writer writes: one grid line, a field line
+    per field and at most one model line, each with its keys once and in
+    order.  Any other line makes every stored-run command exit 2 naming it,
+    before any report row, so no line can replace the one before it."""
+
+    # lines of the 8x8 run: 1 grid, 2-5 the fields Omega, omega, rho,
+    # theta, 6 the model
+    EDITS = {
+        "second_grid": (lambda ls: ls[:1] + [re.sub(r"dt=\S+", "dt=0.5", ls[0])]
+                        + ls[1:], 2, "a second grid line"),
+        "repeated_key": (lambda ls: [ls[0] + " dt=0.5"] + ls[1:], 1,
+                         "expected 'grid n_t=... n_s=... dt=... ds=... "
+                         "bc=...'"),
+        "second_model": (lambda ls: ls + ls[5:], 7, "a second model line"),
+        "no_sha256": (lambda ls: ls[:1] + [ls[1].rsplit(" ", 1)[0]] + ls[2:],
+                      2, "expected 'field name=... file=... kind=... "
+                      "sha256=...'"),
+        "extra_key": (lambda ls: ls[:2] + [ls[2] + " step=1"] + ls[3:], 3,
+                      "expected 'field name=... file=... kind=... "
+                      "sha256=...'"),
+        "unknown_kind": (lambda ls: ls + ["format version=2"], 7,
+                         "unknown line kind 'format'"),
+        "blank_line": (lambda ls: ls[:1] + [""] + ls[1:], 2,
+                       "unknown line kind ''"),
+        "unknown_bc": (lambda ls: [ls[0].replace("bc=periodic", "bc=free")]
+                       + ls[1:], 1, "unknown boundary policy 'free'"),
+    }
+
+    @pytest.mark.parametrize("command", [
+        ["residuals"], ["noether"], ["reconstruct", "--tol", "1"]],
+        ids=["residuals", "noether", "reconstruct"])
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_other_lines_exit_2(self, tmp_path, stored_run, capsys, command,
+                                edit):
+        stored, _ = stored_run(small_grid(n_t=8, n_s=8))
+        run = Path(shutil.copytree(stored, tmp_path / "run"))
+        manifest = run / "manifest.txt"
+        change, line, message = self.EDITS[edit]
+        manifest.write_text("\n".join(change(
+            manifest.read_text().splitlines())) + "\n")
+        assert main([command[0], "--in", str(run), *command[1:]]) == 2
+        assert capsys.readouterr() == ("", f"config error: malformed manifest"
+                                       f" in {run}: {message} (line {line})\n")
+        assert not (run / "Lambda.csv").exists()
+
+
 class TestCheckAndConvergence:
     def test_check_exit_codes(self, capsys):
         assert main(["check", "stages"]) == 0
@@ -1237,9 +1288,23 @@ class TestCheckAndConvergence:
         assert err == ""
         assert out.count(" nan - FAIL\n") == 4
 
+    # neither command reads a config file, so the error names the flag, as a
+    # config file's names [init.preset] and its line
     def test_unknown_preset_exits_2(self, capsys):
         assert main(["residuals", "--preset", "vortex", "--n-s", "8",
                      "--n-t", "8", "--duration", "0.01"]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: unknown preset 'vortex' [--preset]\n")
+
+    def test_convergence_unknown_preset_exits_2(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(checks, "stream", lambda cfg, sink: calls.append(cfg))
+        assert main(["convergence", "--preset", "vortex", "--levels", "2",
+                     "--base-n-s", "8", "--base-n-t", "11",
+                     "--duration", "0.05"]) == 2
+        assert calls == []
+        assert capsys.readouterr() == (
+            "", "config error: unknown preset 'vortex' [--preset]\n")
 
     def test_convergence_small(self, capsys):
         assert main(["convergence", "--levels", "2", "--base-n-s", "32",
@@ -1334,20 +1399,30 @@ class TestModuleEntry:
 
     def test_option_count_is_pinned(self):
         # defaulted parameters plus dataclass field defaults in src/: an
-        # option comes back only with an edit of this number
-        count = 0
-        for path in Path(cli.__file__).parent.glob("*.py"):
+        # option comes back only with an edit of this number, and a failure
+        # lists every option counted, so the one added or removed shows
+        options = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-                    count += len(node.args.defaults) + sum(
-                        d is not None for d in node.args.kw_defaults)
+                    args = node.args.posonlyargs + node.args.args
+                    named = args[len(args) - len(node.args.defaults):] + [
+                        arg for arg, d in zip(node.args.kwonlyargs,
+                                              node.args.kw_defaults)
+                        if d is not None]
+                    options += [(path.name, arg.lineno,
+                                 f"{getattr(node, 'name', 'lambda')}({arg.arg})")
+                                for arg in named]
                 elif isinstance(node, ast.ClassDef) and any(
                         "dataclass" in ast.unparse(d)
                         for d in node.decorator_list):
-                    count += sum(isinstance(stmt, ast.AnnAssign)
-                                 and stmt.value is not None
-                                 for stmt in node.body)
-        assert count == 22
+                    options += [(path.name, stmt.lineno,
+                                 f"{node.name}.{stmt.target.id}")
+                                for stmt in node.body
+                                if isinstance(stmt, ast.AnnAssign)
+                                and stmt.value is not None]
+        assert len(options) == 19, "\n".join(
+            f"{name}:{line} {option}" for name, line, option in options)
 
     OFF_PATH = ("strand_reduce.checks", "strand_reduce.config",
                 "strand_reduce.noether", "strand_reduce.simulate")
@@ -1391,13 +1466,13 @@ class TestModuleEntry:
                               capture_output=True, text=True)
         assert proc.returncode == 2
 
-    def test_thread_cap_env(self, tmp_path):
-        env = {k: v for k, v in os.environ.items()
-               if not k.endswith("_NUM_THREADS")}
-        env["STRAND_THREADS"] = "1"
+    def test_import_leaves_environ_unchanged(self):
+        # the thread caps are the standard variables, set by whoever runs
+        # the package; importing it reads and sets none
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import strand_reduce, os; print(os.environ['OMP_NUM_THREADS'])"],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "1"
+             "import os; before = dict(os.environ); import strand_reduce, "
+             "strand_reduce.cli; print(dict(os.environ) == before)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"

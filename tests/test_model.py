@@ -208,7 +208,7 @@ class TestFdOracle:
         def q(point, _p):
             return 0.5 * point.omega @ (M @ point.omega)
 
-        fd = model.fd_fiber_derivative(q, pt, "omega", 1e-5)
+        fd = model.fd_fiber_derivative(q, pt, "omega", 1e-5, None)
         assert np.allclose(fd, M @ v, atol=1e-10)
 
     def test_zero_point(self, params):

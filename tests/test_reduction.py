@@ -73,13 +73,15 @@ class TestProjectStage1:
         assert 3.0 < errs[1] / errs[2] < 5.0
 
     def test_edge_rows_follow_the_stencil_closure(self, monkeypatch):
-        # one patch of the closure record moves every stencil that reads it:
-        # the derivatives; the projection, whose rates are the derivatives
+        # one patch of the closure record (time's, and clamped s's in the
+        # boundary table) moves every stencil that reads it: the
+        # derivatives; the projection, whose rates are the derivatives
         # of the angle since rotations about one axis have exact logs (rows
         # of its own would miss the patched ones by 0.1 at the edges); the
         # adjoints, still the dense transposes; and the weights of integrate_s
-        monkeypatch.setattr(g, "ONE_SIDED", g.Closure(
-            ((-2.0, 2.0, 0.0), (2.0, -2.0, 0.0)), 0.25))
+        closure = g.Closure(((-2.0, 2.0, 0.0), (2.0, -2.0, 0.0)), 0.25)
+        monkeypatch.setattr(g, "ONE_SIDED", closure)
+        monkeypatch.setitem(g.BOUNDARIES, g.CLAMPED, closure)
         gr = small_grid(n_t=9, n_s=9, bc=g.CLAMPED)
         t, s = np.meshgrid(gr.t_coords(), gr.s_coords(), indexing="ij")
         angle = np.sin(3.0 * s) + s * s + np.cos(5.0 * t) * s
