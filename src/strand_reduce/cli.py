@@ -18,9 +18,9 @@ from . import grid as g
 from . import reduction as red
 from .errors import (BlowupError, ConfigError, NotFlatError, StrandError,
                      TooFarFromGroupError)
-from .fields_io import (FieldWriter, format_report, grid_line, info,
-                        listed_fields, open_fields, read_model, write_report,
-                        write_steps, write_totals)
+from .fields_io import (FieldWriter, Run, format_report, grid_line, info,
+                        open_fields, read_run, write_report, write_steps,
+                        write_totals)
 from .model import PARAMS, default_params
 from .reduction import FIELDS, Stage1Section
 from .residuals import Stage1Residuals, residual_norms
@@ -59,10 +59,14 @@ def _check_tol(tol):
 
 @contextlib.contextmanager
 def _stored_section(indir):
-    """The stored stage-1 section, as level sources, and its model."""
-    params = read_model(indir)
-    with open_fields(indir, names=FIELDS) as (gr, fields):
-        yield Stage1Section(grid=gr, **fields), params
+    """The stored stage-1 section, as level sources, and its model; the
+    manifest is read once, and a run without a model line refused first."""
+    run = read_run(indir)
+    if run.model is None:
+        raise ConfigError(f"manifest in {indir} has no model line; the run's "
+                          "model is unknown (rerun simulate)")
+    with open_fields(run, FIELDS) as fields:
+        yield Stage1Section(grid=run.grid, **fields), run.model
 
 
 def _print_checks(title, results, preamble=()):
@@ -79,7 +83,7 @@ def cmd_simulate(args):
     t_parse = time.perf_counter() - t0
     # the march writes the field CSVs as it goes; they replace those in
     # --out, and the manifest is written, only once the run is through
-    with FieldWriter(args.out, cfg.grid, model=cfg.params) as fields:
+    with FieldWriter(Run(args.out, cfg.grid, {}, cfg.params)) as fields:
         out = stream(cfg, fields.write)
         t_write = time.perf_counter()
         write_steps(args.out, out.steps)
@@ -135,18 +139,20 @@ def cmd_reconstruct(args):
     _check_tol(args.tol)
     outdir = args.out or args.indir
     # writing into the input run adds Lambda to its manifest; writing over
-    # another run's manifest would drop its fields, so that is refused
+    # another run's manifest would drop its fields, so that is refused first
     same = os.path.realpath(outdir) == os.path.realpath(args.indir)
-    others = [] if same else sorted(set(listed_fields(outdir)) - {"Lambda"})
+    listed = not same and os.path.exists(os.path.join(outdir, "manifest.txt"))
+    others = sorted(set(read_run(outdir).entries) - {"Lambda"}) if listed else []
     if others:
         raise ConfigError(f"{os.path.join(outdir, 'manifest.txt')} lists the "
                           f"fields {others} of another run; not overwriting it")
+    run = read_run(args.indir)
     # one window pass gates, sweeps and writes Lambda; a failed gate or
     # sweep leaves outdir as it was
-    with open_fields(args.indir, names=("Omega", "omega")) as (gr, fields), \
-            FieldWriter(outdir, gr, merge=same) as out:
-        red.stream_rotation(gr, fields["Omega"], fields["omega"], Lambda0,
-                            args.tol, out.write)
+    with open_fields(run, ("Omega", "omega")) as fields, \
+            FieldWriter(run if same else Run(outdir, run.grid, {}, None)) as out:
+        red.stream_rotation(run.grid, fields["Omega"], fields["omega"],
+                            Lambda0, args.tol, out.write)
     sys.stdout.write(f"reconstructed Lambda written to {outdir}/Lambda.csv\n")
     return EXIT_OK
 

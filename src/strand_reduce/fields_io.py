@@ -5,11 +5,13 @@ significant digits (lossless for doubles), LF line endings.  A manifest file
 records the grid metadata, a sha256 checksum per field file, hashed from the
 bytes as they are written (so any change in any value changes the manifest)
 and, for simulated runs, the model the fields were computed with.  The
-writer (:class:`FieldWriter`) takes each field a block of time levels at a
-time, under a temporary name that replaces the file only when every field
-is complete; the manifest is written last.  A reader checks every file it
-uses against the manifest first, then parses its time levels as they are
-asked for (:func:`open_fields`).
+manifest is read once, into a :class:`Run` (:func:`read_run`), which the
+readers and the writer share.  The writer (:class:`FieldWriter`) takes
+each field a block of time levels at a time, under a temporary name that
+replaces the file only when every field is complete; the manifest is
+written last, from the run's record.  A reader checks every file it uses
+against the record first, before any value is parsed, then parses its
+time levels as they are asked for (:func:`open_fields`).
 
 Every CSV cell is the exact text of ``'%.17g' % x``, produced in blocks by
 one array kernel (:func:`_slots`).  It computes N = |x| 10^(16-k),
@@ -243,25 +245,16 @@ class FieldWriter:
     ``write(levels, {name: block})`` appends the levels ``levels`` (a slice
     of the grid's levels) of each named field; a field's blocks follow one
     another in time order up to its last level.  The bytes are hashed as
-    they are written, to ``<name>.csv.part`` in ``outdir``.  When the
-    ``with`` block exits cleanly, every file replaces its ``<name>.csv`` and
-    the manifest is written last; when it raises, the temporary files are
-    removed and ``outdir`` keeps what it held.  ``model`` (a
-    :class:`ModelParams`) is recorded on the manifest's ``model`` line.
-    With ``merge``, an existing manifest in ``outdir`` keeps its other field
-    lines and its model line; it must describe the same grid, else
-    ConfigError.
+    they are written, to ``<name>.csv.part`` in the directory of ``run``
+    (a :class:`Run`).  When the ``with`` block exits cleanly, every file
+    replaces its ``<name>.csv``, its entry is added to ``run``, and the
+    manifest is written last from ``run``: its other field lines and its
+    model line are kept.  When it raises, the temporary files are removed
+    and the directory keeps what it held.
     """
 
-    def __init__(self, outdir, grid, model=None, merge=False):
-        self.entries, self.model = {}, model
-        if merge and os.path.exists(os.path.join(outdir, "manifest.txt")):
-            old_grid, self.entries, old_model = _read_manifest(outdir)
-            if old_grid != grid:
-                raise ConfigError(f"manifest.txt in {outdir} is for another "
-                                  f"grid ({old_grid}); not merging")
-            self.model = model or old_model
-        self.outdir, self.grid = outdir, grid
+    def __init__(self, run):
+        self.run, grid = run, run.grid
         self._parts = {}
         # Row prefixes "<i>,j,<t>,s_j," as slots: per level and per node.
         self._prefix = (_column(np.arange(grid.n_t, dtype=float)),
@@ -270,20 +263,20 @@ class FieldWriter:
                         _column(grid.s_coords()))
 
     def __enter__(self):
-        self._made = not os.path.isdir(self.outdir)
-        os.makedirs(self.outdir, exist_ok=True)
+        self._made = not os.path.isdir(self.run.indir)
+        os.makedirs(self.run.indir, exist_ok=True)
         return self
 
     def write(self, levels, blocks):
         i_col, t_col, j_col, s_col = self._prefix
         i_col, t_col = i_col[levels], t_col[levels]
-        n_s = self.grid.n_s
+        n_s = self.run.grid.n_s
         for name, values in blocks.items():
             values = np.asarray(values, dtype=float)
             kind = _KINDS.get(values.shape[2:])
             if name not in self._parts and kind and levels.start == 0:
                 self._parts[name] = _Part(
-                    os.path.join(self.outdir, f"{name}.csv"), kind)
+                    os.path.join(self.run.indir, f"{name}.csv"), kind)
             part = self._parts.get(name)
             if (part is None or (part.kind, part.levels) != (kind, levels.start)
                     or values.shape[:2] != (len(i_col), n_s)):
@@ -302,24 +295,25 @@ class FieldWriter:
             part.levels = levels.stop
 
     def __exit__(self, exc_type, *exc):
+        run = self.run
         for part in self._parts.values():
             part.fh.close()
         short = sorted(name for name, part in self._parts.items()
-                       if part.levels != self.grid.n_t)
+                       if part.levels != run.grid.n_t)
         if exc_type is None and not short:
             for name, part in sorted(self._parts.items()):
                 os.replace(part.path + ".part", part.path)
-                self.entries[name] = (os.path.basename(part.path), part.kind,
-                                      part.sha256.hexdigest())
-            _write_manifest(self.outdir, self.grid, self.entries, self.model)
+                run.entries[name] = (os.path.basename(part.path), part.kind,
+                                     part.sha256.hexdigest())
+            _write_manifest(run)
             return
         for part in self._parts.values():
             os.remove(part.path + ".part")
         if self._made:
             with contextlib.suppress(OSError):
-                os.rmdir(self.outdir)
+                os.rmdir(run.indir)
         if exc_type is None:
-            raise ValueError(f"fields {short} end before level {self.grid.n_t}")
+            raise ValueError(f"fields {short} end before level {run.grid.n_t}")
 
 
 def _write_stream(path, head, chunks=()):
@@ -360,18 +354,30 @@ def grid_line(grid):
                           grid.bc_s))
 
 
-def _write_manifest(outdir, grid, entries, model):
-    lines = [grid_line(grid)] + [_line("field", (name, *entry))
-                                 for name, entry in sorted(entries.items())]
-    if model is not None:
+@dataclass
+class Run:
+    """A run directory as its manifest lists it: the directory ``indir``,
+    its grid, ``{name: (file, kind, sha256)}`` and the :class:`ModelParams`
+    of its ``model`` line (None without one)."""
+    indir: str
+    grid: g.Grid2
+    entries: dict
+    model: ModelParams
+
+
+def _write_manifest(run):
+    lines = [grid_line(run.grid)] + [_line("field", (name, *entry))
+                                     for name, entry in sorted(run.entries.items())]
+    if run.model is not None:
         lines.append(_line("model", (",".join(FMT % x for x in np.ravel(
-            getattr(model, field)).tolist()) for _, _, field, _ in PARAMS)))
-    _write_stream(os.path.join(outdir, "manifest.txt"), "\n".join(lines) + "\n")
+            getattr(run.model, field)).tolist()) for _, _, field, _ in PARAMS)))
+    _write_stream(os.path.join(run.indir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
-def _read_manifest(indir):
-    """Grid, ``{name: (file, kind, sha256)}`` and :class:`ModelParams` (None
-    without a model line), each line read by the grammar ``_MANIFEST``."""
+def read_run(indir):
+    """The :class:`Run` in ``indir``, its manifest parsed once, each line
+    by the grammar ``_MANIFEST``; ConfigError when it is missing or
+    malformed."""
     manifest = os.path.join(indir, "manifest.txt")
     if not os.path.exists(manifest):
         raise ConfigError(f"no manifest.txt in {indir}")
@@ -411,41 +417,26 @@ def _read_manifest(indir):
                                   line=lineno) from None
     if grid is None:
         raise ConfigError(f"manifest in {indir} has no grid line")
-    return grid, entries, model
+    return Run(indir, grid, entries, model)
 
 
-def listed_fields(indir):
-    """The field names on ``indir``'s manifest; none when it has none."""
-    found = os.path.exists(os.path.join(indir, "manifest.txt"))
-    return list(_read_manifest(indir)[1]) if found else []
-
-
-def read_model(indir):
-    """The :class:`ModelParams` recorded on the manifest's ``model`` line."""
-    model = _read_manifest(indir)[2]
-    if model is None:
-        raise ConfigError(f"manifest in {indir} has no model line; the run's "
-                          "model is unknown (rerun simulate)")
-    return model
-
-
-def verify_fields(indir, names):
-    """Grid and ``{name: (path, kind)}`` of stored fields, checked before use.
+def verify_fields(run, names):
+    """``{name: (path, kind)}`` of the stored fields of ``run`` in ``names``,
+    checked before use.
 
     One streamed pass per file checks its manifest sha256, its header, its
     row count, and that it is ASCII with the header's cell count in every
     row, which :func:`_bad_line` names the line of when not.  A mismatch, a
-    missing file, a malformed manifest or a section field
-    (``reduction.FIELDS``) not of kind vec3 raises ConfigError.  Only the
-    fields in ``names`` are checked and returned.
+    missing file or a section field (``reduction.FIELDS``) not of kind vec3
+    raises ConfigError.  Only the fields in ``names`` are checked.
     """
-    grid, entries, _ = _read_manifest(indir)
+    grid = run.grid
     rows = grid.n_t * grid.n_s
     out = {}
-    for name, (fname, kind, digest) in entries.items():
+    for name, (fname, kind, digest) in run.entries.items():
         if name not in names:
             continue
-        path = os.path.join(indir, fname)
+        path = os.path.join(run.indir, fname)
         if name in FIELDS and kind != "vec3":
             raise ConfigError(f"{path}: kind={kind} in manifest.txt, but "
                               f"field '{name}' is vec3")
@@ -483,8 +474,8 @@ def verify_fields(indir, names):
         out[name] = (path, kind)
     missing = set(names) - set(out)
     if missing:
-        raise ConfigError(f"fields {sorted(missing)} not found in {indir}")
-    return grid, out
+        raise ConfigError(f"fields {sorted(missing)} not found in {run.indir}")
+    return out
 
 
 def read_levels(fh, path, grid, kind, read, held):
@@ -546,22 +537,23 @@ def _bad_line(path, cells, first, count):
 
 
 @contextlib.contextmanager
-def open_fields(indir, names):
-    """Stored fields as :class:`grid.Levels`, parsed as they are read.
+def open_fields(run, names):
+    """The stored fields of ``run`` in ``names`` as :class:`grid.Levels`,
+    parsed as they are read.
 
-    Yields the grid and ``{name: levels}`` of the fields in ``names``;
-    :func:`verify_fields` checks each file before any value is parsed.  The
-    files stay open until the context exits.
+    Yields ``{name: levels}``; :func:`verify_fields` checks each file
+    before any value is parsed.  The files stay open until the context
+    exits.
     """
-    grid, listed = verify_fields(indir, names)
+    grid = run.grid
     with contextlib.ExitStack() as stack:
         streams = {}
-        for name, (path, kind) in listed.items():
+        for name, (path, kind) in verify_fields(run, names).items():
             fh = stack.enter_context(open(path))
             fh.readline()
             streams[name] = g.Levels(grid.n_t, functools.partial(
                 read_levels, fh, path, grid, kind))
-        yield grid, streams
+        yield streams
 
 
 def write_steps(outdir, rows):

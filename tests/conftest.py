@@ -8,7 +8,8 @@ import pytest
 
 from strand_reduce import grid as g
 from strand_reduce import model
-from strand_reduce.fields_io import FieldWriter, open_fields, write_csv
+from strand_reduce.fields_io import (FieldWriter, Run, open_fields, read_run,
+                                     write_csv)
 from strand_reduce.reduction import Stage1Section
 
 SESSION_T0 = time.monotonic()
@@ -36,12 +37,11 @@ def potential_off(base):
                                pot_D=np.zeros((3, 3)), pot_kappa=0.0)
 
 
-def store_fields(outdir, gr, fields, **writer):
-    """Write whole fields as one block of levels, then ``manifest.txt``.
-
-    ``writer`` passes :class:`FieldWriter`'s ``model`` and ``merge``.
-    """
-    with FieldWriter(outdir, gr, **writer) as out:
+def store_fields(outdir, gr, fields, model=None):
+    """Write whole fields as one block of levels, then ``manifest.txt``,
+    as a fresh :class:`Run` whose manifest lists only these fields and,
+    when ``model`` is given, its model line."""
+    with FieldWriter(Run(outdir, gr, {}, model)) as out:
         out.write(slice(0, gr.n_t), fields)
 
 
@@ -60,9 +60,13 @@ def rewrite_field(run, fname, edit):
 
 
 def load_fields(indir, names):
-    """Grid and the whole levels of the stored fields ``names``."""
-    with open_fields(indir, names) as (gr, streams):
-        return gr, {name: levels[0:gr.n_t] for name, levels in streams.items()}
+    """Grid and the whole levels of the stored fields ``names``: the
+    manifest is read once into a :class:`Run`, and each field is verified
+    before any value is parsed."""
+    run = read_run(indir)
+    with open_fields(run, names) as streams:
+        return run.grid, {name: levels[0:run.grid.n_t]
+                          for name, levels in streams.items()}
 
 
 def write_init_file(path, state):

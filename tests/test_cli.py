@@ -26,7 +26,7 @@ from strand_reduce import residuals as rs
 from strand_reduce import simulate as sim
 from strand_reduce.cli import main
 from strand_reduce.config import parse_config
-from strand_reduce.fields_io import read_model
+from strand_reduce.fields_io import read_run
 from strand_reduce.simulate import presets
 from tests.conftest import (load_fields, rewrite_field, small_grid,
                             store_fields, write_init_file)
@@ -465,7 +465,7 @@ class TestMalformedInputs:
         gr, fields = load_fields(small_run, sim.FIELDS)
         fields[name] = np.ones((gr.n_t, gr.n_s) + shape)
         run = tmp_path / "run"
-        store_fields(run, gr, fields, model=read_model(small_run))
+        store_fields(run, gr, fields, model=read_run(small_run).model)
         argv = [command, "--in", str(run)]
         if command == "reconstruct":
             argv += ["--tol", "0.1", "--out", str(tmp_path / "rec")]
@@ -482,20 +482,36 @@ class TestMalformedInputs:
         err = self.assert_config_exit(["residuals", "--in", str(out)], capsys)
         assert "theta.csv" in err
 
-    def test_manifest_without_model_line(self, tmp_path, config_file, capsys):
+    @pytest.mark.parametrize("deleted", [(), ("theta.csv",)],
+                             ids=["fields_intact", "theta_deleted"])
+    def test_manifest_without_model_line(self, tmp_path, config_file, capsys,
+                                         deleted):
         out = tmp_path / "out"
         main(["simulate", "--config", str(config_file), "--out", str(out)])
         manifest = out / "manifest.txt"
         lines = manifest.read_text().splitlines(keepends=True)
         assert lines[-1].startswith("model ")
         manifest.write_text("".join(lines[:-1]))
+        for name in deleted:
+            (out / name).unlink()
         capsys.readouterr()
+        # the model is checked before any field is verified, so the model
+        # line is named even when a field file is gone too
         for command in ("residuals", "noether"):
             err = self.assert_config_exit([command, "--in", str(out)], capsys)
-            assert "model line" in err
-        # reconstruct does not need the model
+            assert err == (f"config error: manifest in {out} has no model "
+                           "line; the run's model is unknown (rerun simulate)\n")
+        # reconstruct does not need the model, nor theta
         assert main(["reconstruct", "--in", str(out), "--tol", "0.1",
                      "--out", str(tmp_path / "rec")]) == 0
+        # another run as --out is refused before the input is read: this
+        # input has no manifest at all
+        err = self.assert_config_exit(
+            ["reconstruct", "--in", str(tmp_path / "none"), "--tol", "0.1",
+             "--out", str(out)], capsys)
+        assert err == (f"config error: {out / 'manifest.txt'} lists the fields "
+                       "['Omega', 'omega', 'rho', 'theta'] of another run; not "
+                       "overwriting it\n")
 
 
 @pytest.fixture(scope="module")
@@ -631,6 +647,42 @@ class TestStoredModel:
         assert main(["residuals", "--in", str(out)]) == 0
         got = report_values(capsys.readouterr().out)["stage1_vertical_l2"]
         assert abs(got - want) <= 1e-12 * want
+
+
+class TestManifestParses:
+    """Each stored-run command parses each run directory's manifest once."""
+
+    def parses(self, monkeypatch, argv):
+        """``{directory: count}`` of the manifests ``fields_io`` opened to
+        read while ``main(argv)`` ran: a count of parses whichever function
+        makes them."""
+        seen = []
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if os.path.basename(path) == "manifest.txt" and "r" in mode:
+                seen.append(os.path.dirname(path))
+            return open(path, mode, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(fields_io, "open", counting_open, raising=False)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        return {path: seen.count(path) for path in seen}
+
+    @pytest.mark.parametrize("command, parsed", [
+        ("residuals --in RUN", "RUN"), ("noether --in RUN", "RUN"),
+        ("reconstruct --in RUN --tol 1", "RUN"),
+        ("reconstruct --in RUN --tol 1 --out NEW", "RUN"),
+        ("reconstruct --in RUN --tol 1 --out OLD", "OLD RUN")],
+        ids=["residuals", "noether", "in_place", "new_out", "earlier_out"])
+    def test_one_parse_per_directory(self, small_run, tmp_path, monkeypatch,
+                                     command, parsed):
+        shutil.copytree(small_run, tmp_path / "RUN")
+        argv = [str(tmp_path / w) if w.isupper() else w for w in command.split()]
+        if "OLD" in command:    # an earlier reconstruct --out made OLD
+            self.parses(monkeypatch, argv)
+        assert self.parses(monkeypatch, argv) == {
+            str(tmp_path / name): 1 for name in parsed.split()}
 
 
 class TestResiduals:
@@ -1421,7 +1473,7 @@ class TestModuleEntry:
                                 for stmt in node.body
                                 if isinstance(stmt, ast.AnnAssign)
                                 and stmt.value is not None]
-        assert len(options) == 19, "\n".join(
+        assert len(options) == 17, "\n".join(
             f"{name}:{line} {option}" for name, line, option in options)
 
     OFF_PATH = ("strand_reduce.checks", "strand_reduce.config",

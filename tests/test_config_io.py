@@ -11,7 +11,8 @@ from strand_reduce import grid as g
 from strand_reduce import simulate as sim
 from strand_reduce.config import parse_config
 from strand_reduce.errors import ConfigError
-from strand_reduce.fields_io import read_initial_slice, read_model, write_steps
+from strand_reduce.fields_io import (Run, read_initial_slice, read_run,
+                                     write_steps)
 from tests.conftest import (load_fields, rewrite_field, small_grid,
                             store_fields, write_init_file)
 
@@ -320,7 +321,7 @@ class TestFieldsIO:
         store_fields(tmp_path, gr, {"rho": rho})
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with pytest.raises(ValueError):
-            with fields_io.FieldWriter(tmp_path, gr) as out:
+            with fields_io.FieldWriter(Run(tmp_path, gr, {}, None)) as out:
                 for a, b in blocks:
                     out.write(slice(a, b), {"rho": rho[a:b] + 1.0})
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -330,7 +331,7 @@ class TestFieldsIO:
         gr = small_grid(n_t=9, n_s=7)
         rho = rng.normal(size=(9, 7, 3))
         store_fields(tmp_path / "whole", gr, {"rho": rho})
-        with fields_io.FieldWriter(tmp_path / "blocks", gr) as out:
+        with fields_io.FieldWriter(Run(tmp_path / "blocks", gr, {}, None)) as out:
             for a, b in ((0, 1), (1, 5), (5, 6), (6, 9)):
                 out.write(slice(a, b), {"rho": rho[a:b]})
         lines = (tmp_path / "blocks" / "manifest.txt").read_text().splitlines()
@@ -387,7 +388,7 @@ class TestFieldsIO:
         gr = small_grid(n_t=5, n_s=7)
         rho = rng.normal(size=(5, 7, 3))
         store_fields(tmp_path / "m", gr, {"rho": rho}, model=params)
-        back = read_model(tmp_path / "m")
+        back = read_run(tmp_path / "m").model
         for name in ("inertia_body", "inertia_rotor", "pot_C", "pot_D",
                      "pot_kappa", "pot_c0"):
             assert np.array_equal(getattr(back, name), getattr(params, name))
@@ -396,8 +397,7 @@ class TestFieldsIO:
         lines = (tmp_path / "m" / "manifest.txt").read_text().splitlines(True)
         assert lines[-1].startswith("model I=")
         assert "".join(lines[:-1]) == (tmp_path / "plain" / "manifest.txt").read_text()
-        with pytest.raises(ConfigError, match="model line"):
-            read_model(tmp_path / "plain")
+        assert read_run(tmp_path / "plain").model is None
 
     @pytest.mark.parametrize("edit", [("I=", "I=x,"), ("C=1,", "C=nan,"),
                                       ("c0=1", "c0=-1"), (" kappa=1", "")])
@@ -407,25 +407,23 @@ class TestFieldsIO:
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(manifest.read_text().replace(*edit))
         with pytest.raises(ConfigError):
-            read_model(tmp_path)
+            read_run(tmp_path)
 
-    def test_merge_keeps_fields_and_model(self, rng, tmp_path, params):
+    def test_writing_with_a_runs_record_keeps_its_lines(self, rng, tmp_path,
+                                                         params):
         gr = small_grid(n_t=5, n_s=7)
         rho = rng.normal(size=(5, 7, 3))
         store_fields(tmp_path, gr, {"rho": rho}, model=params)
         before = (tmp_path / "manifest.txt").read_text().splitlines(True)
         lam = rng.normal(size=(5, 7, 3, 3))
-        store_fields(tmp_path, gr, {"Lambda": lam}, merge=True)
+        with fields_io.FieldWriter(read_run(tmp_path)) as out:
+            out.write(slice(0, gr.n_t), {"Lambda": lam})
         after = (tmp_path / "manifest.txt").read_text().splitlines(True)
         assert after[0] == before[0] and after[2:] == before[1:]
         assert after[1].startswith("field name=Lambda ")
         _, back = load_fields(tmp_path, ("rho", "Lambda"))
         assert np.array_equal(back["rho"], rho)
         assert np.array_equal(back["Lambda"], lam)
-        other = small_grid(n_t=5, n_s=8)
-        with pytest.raises(ConfigError, match="another grid"):
-            store_fields(tmp_path, other, {"Lambda": rng.normal(size=(5, 8, 3, 3))},
-                         merge=True)
 
     def test_initial_slice_round_trip(self, rng, tmp_path, params):
         gr = small_grid(n_s=9, n_t=5)

@@ -499,7 +499,8 @@ class TestPeakMemory:
         # 4x the levels add less than one (n_t, n_s) array of doubles to the
         # peak: nothing a command keeps is O(n_t n_s).  At n_s = 32 and 320
         # levels each stored field file is over the 1 MB block that
-        # verify_fields reads; the preset march needs no file.
+        # verify_fields reads, from the run's record, before any value is
+        # parsed; the preset march needs no file.
         peaks = []
         for n_t in (160, 640) if command == "residuals" else (320, 1280):
             gr = g.Grid2.uniform(n_t, 32, 0.5, 1.0, g.CLAMPED)
