@@ -42,14 +42,19 @@ def _add_grid_options(sp):
 
 
 def _grid(args, n_t, n_s):
-    """A known ``--preset``'s uniform grid; Grid2 checks the numbers."""
-    from .simulate import PRESETS
+    """A known ``--preset``'s uniform grid, its node counts in the options
+    ``n_t`` and ``n_s``; Grid2 checks the numbers, and the step guard names
+    the options that set dt."""
+    from .simulate import PRESETS, check_step
     if args.preset.lower() not in PRESETS:
         raise ConfigError(f"unknown preset '{args.preset}'", key="--preset")
     try:
-        return g.Grid2.uniform(n_t, n_s, args.duration, args.length, args.bc)
+        gr = g.Grid2.uniform(getattr(args, n_t), getattr(args, n_s),
+                             args.duration, args.length, args.bc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    check_step(gr, default_params(), f"--{n_t.replace('_', '-')}, --duration")
+    return gr
 
 
 def _check_tol(tol):
@@ -118,7 +123,7 @@ def cmd_residuals(args):
             summary = residual_norms(sec, params)
     else:
         from .simulate import SimConfig, stream
-        cfg = SimConfig(grid=_grid(args, args.n_t, args.n_s),
+        cfg = SimConfig(grid=_grid(args, "n_t", "n_s"),
                         params=default_params(), preset=args.preset)
         summary = stream(cfg, None).summary
     return _print_checks("residuals", [
@@ -183,7 +188,7 @@ def cmd_check(args):
 def cmd_convergence(args):
     if args.levels < 2:
         raise ConfigError(f"--levels must be at least 2, got {args.levels}")
-    base = _grid(args, args.base_n_t, args.base_n_s)
+    base = _grid(args, "base_n_t", "base_n_s")
     from . import checks
     try:
         grids = checks.ladder(base, args.levels)

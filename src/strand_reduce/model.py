@@ -29,7 +29,6 @@ points and on whole (..., 3) fields alike; the residuals, currents and the
 time stepper call them rather than restating the formulas.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,20 +353,14 @@ def fiber_derivatives_stage1(pt, p):
     )
 
 
-def fd_fiber_derivative(fn, pt, slot, step, p):
-    """Central finite difference of ``fn(pt, p)`` in one named slot.
-
-    Oracle for the analytic fiber derivatives; ``step`` must lie in
-    [1e-9, 1e-3].
-    """
-    if not 1e-9 <= step <= 1e-3:
-        raise ValueError("step outside [1e-9, 1e-3]")
-    base = np.asarray(getattr(pt, slot), dtype=float)
-    out = np.zeros_like(base)
-    for i in range(base.size):
-        bump = np.zeros_like(base)
-        bump.flat[i] = step
-        hi = dataclasses.replace(pt, **{slot: base + bump})
-        lo = dataclasses.replace(pt, **{slot: base - bump})
-        out.flat[i] = (fn(hi, p) - fn(lo, p)) / (2.0 * step)
+def central_difference(fn, x, step):
+    """``(fn(x + e) - fn(x - e)) / (2 step)`` for each entry ``e = step`` of
+    ``x``, an array or 0-d, in turn: the oracle of acceptance criteria 1
+    and 4."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e.flat[i] = step
+        out.flat[i] = (fn(x + e) - fn(x - e)) / (2.0 * step)
     return out

@@ -196,20 +196,21 @@ _ACTION_STEP = 1e-5   # the central difference of action_gradient_check
 
 
 def action_gradient_check(s1, var, p):
-    """Compare the finite-difference action derivative with the residual pairing.
+    """Compare the action's derivative along ``var`` with the residual pairing.
 
-    Returns ``(fd_derivative, residual_pairing)``.  The pairing signs are the
-    ones under which stationarity of the discrete action is equivalent to
-    vanishing residuals:
+    Returns ``(fd_derivative, residual_pairing)``, the first
+    :func:`model.central_difference` of ``eps -> S(s1 + eps var)`` at 0.
+    The pairing signs are the ones under which stationarity of the discrete
+    action is equivalent to vanishing residuals:
 
         dS . var = sum [ <horizontal_rho, delta_rho> - <vertical, eta>
                          - <horizontal_theta, delta_theta> ] ds dt + O(h^2).
     """
     var.validate(s1.grid)
     gr = s1.grid
-    s_hi = discrete_action(_perturbed(s1, var, +_ACTION_STEP), p)
-    s_lo = discrete_action(_perturbed(s1, var, -_ACTION_STEP), p)
-    fd = (s_hi - s_lo) / (2.0 * _ACTION_STEP)
+    fd = float(model.central_difference(
+        lambda eps: discrete_action(_perturbed(s1, var, eps), p), 0.0,
+        _ACTION_STEP))
     res = stage1_residuals(s1, p)
     pairing = float(np.sum(
         _dot(res.horizontal_rho, var.delta_rho)

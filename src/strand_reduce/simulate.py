@@ -44,9 +44,10 @@ BLOWUP_GUARD = 1e8
 _FIELD_ROWS = np.array([COMPONENTS.index(name) for name in FIELDS])
 
 
-def cfl_limit(params, ds):
-    """RK4's step guard, the conservative bound 0.5 min(1, 1/sqrt(max
-    stiffness)) ds.
+def check_step(grid, params, key):
+    """RK4's step guard: refuse a dt above the conservative bound 0.5 min(1,
+    1/sqrt(max stiffness)) ds, naming ``key``, the config section or the
+    command-line options that set dt.
 
     The stiffness scale is the largest eigenvalue among C, D and kappa*c0.
     This is an engineering guard, validated empirically by the blow-up
@@ -55,8 +56,10 @@ def cfl_limit(params, ds):
     stiff = max(float(np.max(np.linalg.eigvalsh(params.pot_C))),
                 float(np.max(np.linalg.eigvalsh(params.pot_D))),
                 params.pot_kappa * params.pot_c0)
-    factor = 1.0 if stiff <= 1.0 else 1.0 / np.sqrt(stiff)
-    return 0.5 * factor * ds
+    limit = 0.5 * (1.0 if stiff <= 1.0 else 1.0 / np.sqrt(stiff)) * grid.ds
+    if grid.dt > limit:
+        raise ConfigError(
+            f"dt = {grid.dt:.3e} exceeds the step guard {limit:.3e}", key=key)
 
 
 @dataclass
@@ -70,11 +73,7 @@ class SimConfig:
         if (self.preset is None) == (self.init is None):
             raise ConfigError("give exactly one of init.preset or init.file",
                               key="init")
-        limit = cfl_limit(self.params, self.grid.ds)
-        if self.grid.dt > limit:
-            raise ConfigError(
-                f"dt = {self.grid.dt:.3e} exceeds the step guard {limit:.3e}",
-                key="grid")
+        check_step(self.grid, self.params, "grid")
 
 
 # The names of the built-in initial states, matched in any case.

@@ -1358,6 +1358,29 @@ class TestCheckAndConvergence:
         assert capsys.readouterr() == (
             "", "config error: unknown preset 'vortex' [--preset]\n")
 
+    # the step guard, too, names the options that set dt, not [grid]
+    def test_step_guard_names_its_options(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(sim, "stream",
+                            lambda cfg, sink: calls.append(cfg))
+        assert main(["residuals", "--preset", "helix", "--n-s", "8",
+                     "--n-t", "5", "--duration", "1e308"]) == 2
+        assert calls == []
+        assert capsys.readouterr() == (
+            "", "config error: dt = 2.500e+307 exceeds the step guard "
+                "6.122e-02 [--n-t, --duration]\n")
+
+    def test_convergence_step_guard_names_its_options(self, monkeypatch,
+                                                      capsys):
+        calls = []
+        monkeypatch.setattr(checks, "stream", lambda cfg, sink: calls.append(cfg))
+        assert main(["convergence", "--levels", "2", "--base-n-s", "8",
+                     "--base-n-t", "3"]) == 2
+        assert calls == []
+        assert capsys.readouterr() == (
+            "", "config error: dt = 2.500e-01 exceeds the step guard "
+                "6.122e-02 [--base-n-t, --duration]\n")
+
     def test_convergence_small(self, capsys):
         assert main(["convergence", "--levels", "2", "--base-n-s", "32",
                      "--base-n-t", "41", "--duration", "0.2"]) == 0

@@ -172,7 +172,7 @@ class TestConfig:
 
     def test_cfl_guard_rejected(self):
         bad = GOOD.replace("n_t = 20", "n_t = 3")  # dt = 0.05 > guard
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"step guard .* \[grid\]$"):
             parse_config(bad)
 
     def test_init_file(self, tmp_path, params):
