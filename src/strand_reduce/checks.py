@@ -284,7 +284,8 @@ def check_roundtrip():
         s2 = red.project_stage2(s1)
         theta_errs.append(g.norm_max(red.reconstruct_theta(
             gr, s2.theta_s, s2.theta_t, theta[0, 0], tol=1.0) - theta))
-        flats.append(red.flatness_max(gr, Omega, omega).value)
+        flats.append(g.norm_max(
+            red.flatness_residual_rotation(gr, Omega, omega)))
         defects.append(red.path_independence_defect(gr, Omega, omega,
                                                     Lam0[0, 0], tol=1.0))
     results = []
@@ -353,8 +354,7 @@ def check_noether():
     results, drifts = [], []
     for n_s, n_t in ((64, 50), (128, 100)):
         sec = _twist_run(n_t, n_s, duration).section
-        Lam = red.rotation_levels(sec.grid, sec.Omega, sec.omega, np.eye(3))
-        rows, _ = noether.noether_report(sec, Lam, model.default_params())
+        rows, _ = noether.noether_report(sec, model.default_params())
         bound = (sec.grid.dt ** 2 + sec.grid.ds ** 2) * duration
         drifts.append({})
         for row in rows:

@@ -43,17 +43,20 @@ def _add_grid_options(sp):
 
 def _grid(args, n_t, n_s):
     """A known ``--preset``'s uniform grid, its node counts in the options
-    ``n_t`` and ``n_s``; Grid2 checks the numbers, and the step guard names
-    the options that set dt."""
+    ``n_t`` and ``n_s``; Grid2 checks the numbers, and its refusals and the
+    step guard name the options that set the values refused."""
     from .simulate import PRESETS, check_step
     if args.preset.lower() not in PRESETS:
         raise ConfigError(f"unknown preset '{args.preset}'", key="--preset")
+    options = {"n_t": "--" + n_t.replace("_", "-"), "dt": "--duration",
+               "n_s": "--" + n_s.replace("_", "-"), "ds": "--length"}
     try:
         gr = g.Grid2.uniform(getattr(args, n_t), getattr(args, n_s),
                              args.duration, args.length, args.bc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    check_step(gr, default_params(), f"--{n_t.replace('_', '-')}, --duration")
+    except g.GridError as exc:
+        raise ConfigError(str(exc), key=", ".join(
+            options[field] for field in exc.fields)) from None
+    check_step(gr, default_params(), f"{options['n_t']}, --duration")
     return gr
 
 
@@ -156,8 +159,9 @@ def cmd_reconstruct(args):
     # sweep leaves outdir as it was
     with open_fields(run, ("Omega", "omega")) as fields, \
             FieldWriter(run if same else Run(outdir, run.grid, {}, None)) as out:
-        red.stream_rotation(run.grid, fields["Omega"], fields["omega"],
-                            Lambda0, args.tol, out.write)
+        red.gated_pass(run.grid, fields["Omega"], fields["omega"], Lambda0,
+                       args.tol, lambda w, L: out.write(
+                           w.own, {"Lambda": L[w.inner]}) or ())
     sys.stdout.write(f"reconstructed Lambda written to {outdir}/Lambda.csv\n")
     return EXIT_OK
 
@@ -166,8 +170,7 @@ def cmd_noether(args):
     from .noether import noether_report
     _check_tol(args.tol)
     with _stored_section(args.indir) as (sec, params):
-        Lam = red.rotation_levels(sec.grid, sec.Omega, sec.omega, np.eye(3))
-        results, totals = noether_report(sec, Lam, params, tol=args.tol)
+        results, totals = noether_report(sec, params, tol=args.tol)
     if args.out:
         path = write_totals(args.out, sec.grid, totals)
         sys.stdout.write(f"totals written to {path}\n")

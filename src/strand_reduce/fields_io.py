@@ -42,7 +42,7 @@ from .reduction import FIELDS
 
 FMT = "%.17g"
 
-_SHAPES = {"scalar": (), "vec3": (3,), "rot3": (3, 3)}
+_SHAPES = {"vec3": (3,), "rot3": (3, 3)}
 _KINDS = {shape: kind for kind, shape in _SHAPES.items()}
 _HEADER = {kind: "t_index,s_index,t,s," + ",".join(
     f"c{k + 1}" for k in range(math.prod(shape))) + "\n"

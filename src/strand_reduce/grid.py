@@ -63,6 +63,14 @@ class Window:
     inner: slice
 
 
+class GridError(ValueError):
+    """A refused :class:`Grid2`; ``fields`` names the fields it refuses."""
+
+    def __init__(self, message, *fields):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class Grid2:
     """Uniform rectangular grid over (t, s).
@@ -80,16 +88,17 @@ class Grid2:
     bc_s: str
 
     def __post_init__(self):
-        if self.n_t < 3 or self.n_s < 3:
-            raise ValueError("grids need at least 3 nodes per direction")
+        few = [k for k in ("n_t", "n_s") if getattr(self, k) < 3]
+        if few:
+            raise GridError("grids need at least 3 nodes per direction", *few)
         if self.n_t * self.n_s > MAX_NODES:
-            raise ValueError("grid exceeds the memory guard of 1e8 nodes")
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError("dt must be finite and positive")
-        if not (np.isfinite(self.ds) and self.ds > 0.0):
-            raise ValueError("ds must be finite and positive")
+            raise GridError("grid exceeds the memory guard of 1e8 nodes",
+                            "n_t", "n_s")
+        for h in ("dt", "ds"):
+            if not (np.isfinite(getattr(self, h)) and getattr(self, h) > 0.0):
+                raise GridError(f"{h} must be finite and positive", h)
         if self.bc_s not in BOUNDARIES:
-            raise ValueError(f"unknown boundary policy '{self.bc_s}'")
+            raise GridError(f"unknown boundary policy '{self.bc_s}'", "bc_s")
 
     @classmethod
     def uniform(cls, n_t, n_s, duration, length, bc_s):

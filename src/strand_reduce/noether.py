@@ -79,17 +79,17 @@ def drift_residual(Lam, f, d, p):
     return rs._rot(Lam, cov_div)
 
 
-def noether_report(s1, Lam, params, tol=None):
+def noether_report(s1, params, tol=None):
     """Current totals drift, divergence norms, and the divergence identity.
 
     Returns the check rows and the ``(n_t, 6)`` rotor|so3 totals they measure,
     integrated over the run's own grid (the whole loop when periodic).  One
-    :func:`reduction.gated_pass` applies the flatness gate to ``s1`` with
-    ``tol`` and reads ``Lam`` (a whole field or level source) a window at a
-    time.  Each window takes one :func:`reduction.project_stage2` of the
-    section, which carries its jet, and returns per-level vectors only, so
-    nothing the pass keeps is O(n_t n_s).  The residual, the drift and the
-    identity are evaluated on the levels the window owns; the fiber
+    :func:`reduction.gated_pass` gates ``s1`` with ``tol`` and sweeps, from
+    the identity, the rotation field that pushes the SO(3) current to the
+    spatial frame.  Each window takes one :func:`reduction.project_stage2`
+    of the section, which carries its jet, and returns per-level vectors
+    only, so nothing the pass keeps is O(n_t n_s).  The residual, the drift
+    and the identity are evaluated on the levels the window owns; the fiber
     derivatives and the currents also on the level beyond each inner side,
     which d_t of J_t reads.  The rotor divergence is summed over every node,
     the SO(3) one over the interior nodes of the cut (clamped) grid: at the
@@ -122,7 +122,7 @@ def noether_report(s1, Lam, params, tol=None):
                 *g.level_max(identity))
 
     rotor_tot, so3_tot, rotor_div, so3_div, identity, identity_node = \
-        red.gated_pass(gr, s1.Omega, s1.omega, Lam, tol, evaluate)
+        red.gated_pass(gr, s1.Omega, s1.omega, np.eye(3), tol, evaluate)
     out = []
     for name, tot, div, div_grid in (("rotor", rotor_tot, rotor_div, gr),
                                      ("so3", so3_tot, so3_div, cut)):

@@ -162,13 +162,6 @@ def flatness_level_max(grid, window, Omega, omega):
     return g.level_max(g.node_sq(flat))
 
 
-def flatness_max(grid, Omega, omega):
-    """Max norm of :func:`flatness_residual_rotation`, window by window, as a
-    :class:`grid.Peak`: the value and the level and node where it is reached."""
-    return g.max_sq(*g.by_window(grid, lambda w: flatness_level_max(
-        grid, w, Omega[w.read], omega[w.read])))
-
-
 def flatness_gate(peak, tol):
     """The reconstruction gate on the flatness max norm, a :class:`grid.Peak`.
 
@@ -240,16 +233,18 @@ def rotation_levels(grid, Omega, omega, Lambda0):
     return g.Levels(grid.n_t, produce)
 
 
-def gated_pass(grid, Omega, omega, Lam, tol, evaluate):
-    """One window pass of ``evaluate(w, L)``, ``L = Lam[w.read]`` (a whole
-    rotation field or :func:`rotation_levels`), gated on flatness.
+def gated_pass(grid, Omega, omega, Lambda0, tol, evaluate):
+    """One window pass of the :func:`rotation_levels` sweep from
+    ``Lambda0``: ``evaluate(w, L)`` with ``L`` its levels ``w.read``.
 
-    Each window adds ``(Omega, omega)`` to the :func:`flatness_gate` max,
-    decided after the pass: a failed gate wins over a sweep error, which is
-    raised next, and after which ``evaluate`` is not called again.
+    Each window adds ``(Omega, omega)``, whole fields or level sources, to
+    the :func:`flatness_gate` max, decided after the pass: a failed gate
+    wins over a sweep error, which is raised next, and after which
+    ``evaluate`` is not called again; the caller discards what it wrote.
     ``evaluate`` returns vectors over the levels ``w`` owns; the pass
     returns them stitched over the grid (:func:`grid.by_window`).
     """
+    Lam = rotation_levels(grid, Omega, omega, Lambda0)
     errors = []
 
     def window(w):
@@ -270,26 +265,16 @@ def gated_pass(grid, Omega, omega, Lam, tol, evaluate):
     return out
 
 
-def stream_rotation(grid, Omega, omega, Lambda0, tol, sink):
-    """The reconstruction of :func:`rotation_levels` in one :func:`gated_pass`
-    over whole fields or level sources: each window hands the levels it owns
-    to ``sink(levels, {"Lambda": block})``.  When the gate or the sweep
-    fails, the caller discards what ``sink`` took."""
-    gated_pass(grid, Omega, omega, rotation_levels(grid, Omega, omega, Lambda0),
-               tol, lambda w, L: sink(w.own, {"Lambda": L[w.inner]}) or ())
-
-
 def reconstruct_rotation(grid, Omega, omega, Lambda0, tol):
-    """Integrate a flat (Omega, omega) pair back to a rotation field: the
-    sweep of :func:`rotation_levels` in one :func:`gated_pass` (``tol`` as in
-    :func:`flatness_gate`), its windows stitched into ``(n_t, n_s, 3, 3)``.
+    """Integrate a flat (Omega, omega) pair back to a rotation field: one
+    :func:`gated_pass` (``tol`` as in :func:`flatness_gate`) whose windows
+    are stitched into ``(n_t, n_s, 3, 3)``.
 
     The result is one representative of the reconstruction family, selected
     by ``Lambda0`` (seeded with its polar factor; every node is a rotation
     to roundoff); any other member differs by a constant left rotation.
     """
-    Lam, = gated_pass(grid, Omega, omega,
-                      rotation_levels(grid, Omega, omega, Lambda0), tol,
+    Lam, = gated_pass(grid, Omega, omega, Lambda0, tol,
                       lambda w, L: (L[w.inner],))
     return Lam
 

@@ -275,7 +275,7 @@ class TestMalformedInputs:
                          "--n-s", "8"]) == 2
             errs.append(capsys.readouterr().err)
         assert errs == ["config error: grids need at least 3 nodes per "
-                        "direction\n"] * 2
+                        "direction [--n-t]\n"] * 2
 
     def test_infinite_length(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"
@@ -457,7 +457,7 @@ class TestMalformedInputs:
             assert main(argv) == 0
 
     @pytest.mark.parametrize("command, name, shape", [
-        ("residuals", "rho", ()), ("noether", "rho", ()),
+        ("residuals", "rho", (3, 3)), ("noether", "rho", (3, 3)),
         ("reconstruct", "Omega", (3, 3))])
     def test_section_field_of_another_kind(self, small_run, tmp_path, capsys,
                                            command, name, shape):
@@ -470,8 +470,7 @@ class TestMalformedInputs:
         if command == "reconstruct":
             argv += ["--tol", "0.1", "--out", str(tmp_path / "rec")]
         err = self.assert_config_exit(argv, capsys)
-        kind = "scalar" if shape == () else "rot3"
-        assert err == (f"config error: {run / (name + '.csv')}: kind={kind} "
+        assert err == (f"config error: {run / (name + '.csv')}: kind=rot3 "
                        f"in manifest.txt, but field '{name}' is vec3\n")
 
     def test_missing_field_file(self, tmp_path, config_file, capsys):
@@ -629,6 +628,24 @@ class TestExitCodeContract:
                              "--out", str(root / "out")])
         assert code in (0, 2, 3, 4, 5)
         assert "Traceback" not in err.getvalue()
+
+
+class TestOutIsAFile:
+    """An ``--out`` that names an existing file is an io error, exit 1, and
+    the file is left as it was."""
+
+    @pytest.mark.parametrize("command", ["simulate", "noether", "reconstruct"])
+    def test_exit_1(self, tmp_path, small_run, config_file, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        argv = {"simulate": ["simulate", "--config", str(config_file)],
+                "noether": ["noether", "--in", str(small_run)],
+                "reconstruct": ["reconstruct", "--in", str(small_run),
+                                "--tol", "1"]}[command]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"io error: [Errno 17] File exists: '{out}'\n"
+        assert out.read_text() == "kept\n"
 
 
 def report_values(text):
@@ -1276,9 +1293,11 @@ class TestManifestGrammar:
                        + ls[1:], 1, "unknown boundary policy 'free'"),
     }
 
-    @pytest.mark.parametrize("command", [
+    COMMANDS = pytest.mark.parametrize("command", [
         ["residuals"], ["noether"], ["reconstruct", "--tol", "1"]],
         ids=["residuals", "noether", "reconstruct"])
+
+    @COMMANDS
     @pytest.mark.parametrize("edit", EDITS)
     def test_other_lines_exit_2(self, tmp_path, stored_run, capsys, command,
                                 edit):
@@ -1291,6 +1310,24 @@ class TestManifestGrammar:
         assert main([command[0], "--in", str(run), *command[1:]]) == 2
         assert capsys.readouterr() == ("", f"config error: malformed manifest"
                                        f" in {run}: {message} (line {line})\n")
+        assert not (run / "Lambda.csv").exists()
+
+    @COMMANDS
+    def test_no_grid_line_or_no_manifest(self, tmp_path, stored_run, capsys,
+                                         command):
+        stored, _ = stored_run(small_grid(n_t=8, n_s=8))
+        run = Path(shutil.copytree(stored, tmp_path / "run"))
+        manifest = run / "manifest.txt"
+        manifest.write_text("".join(
+            manifest.read_text().splitlines(keepends=True)[1:]))
+        argv = [command[0], "--in", str(run), *command[1:]]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: manifest in {run} has no grid line\n")
+        manifest.unlink()
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: no manifest.txt in {run}\n")
         assert not (run / "Lambda.csv").exists()
 
 
@@ -1380,6 +1417,36 @@ class TestCheckAndConvergence:
         assert capsys.readouterr() == (
             "", "config error: dt = 2.500e-01 exceeds the step guard "
                 "6.122e-02 [--base-n-t, --duration]\n")
+
+    # Grid2's refusals, too, name the options that set the values refused
+    @pytest.mark.parametrize("argv, err", [
+        ("residuals --preset static --n-s 8 --n-t 8 --length -1",
+         "ds must be finite and positive [--length]"),
+        ("residuals --preset static --n-s 8 --n-t 8 --duration 0",
+         "dt must be finite and positive [--duration]"),
+        ("residuals --preset static --n-s 2 --n-t 8",
+         "grids need at least 3 nodes per direction [--n-s]"),
+        ("residuals --preset static --n-s 10000 --n-t 100000",
+         "grid exceeds the memory guard of 1e8 nodes [--n-t, --n-s]"),
+        ("convergence --base-n-s 2",
+         "grids need at least 3 nodes per direction [--base-n-s]"),
+        ("convergence --base-n-s 2 --base-n-t 2", "grids need at least 3 "
+         "nodes per direction [--base-n-t, --base-n-s]"),
+        ("convergence --length nan",
+         "ds must be finite and positive [--length]"),
+        ("convergence --base-n-s 10000 --base-n-t 100000",
+         "grid exceeds the memory guard of 1e8 nodes [--base-n-t, "
+         "--base-n-s]"),
+    ])
+    def test_grid_refusal_names_its_options(self, monkeypatch, capsys, argv,
+                                            err):
+        calls = []
+        for module in (sim, checks):
+            monkeypatch.setattr(module, "stream",
+                                lambda cfg, sink: calls.append(cfg))
+        assert main(argv.split()) == 2
+        assert calls == []
+        assert capsys.readouterr() == ("", f"config error: {err}\n")
 
     def test_convergence_small(self, capsys):
         assert main(["convergence", "--levels", "2", "--base-n-s", "32",

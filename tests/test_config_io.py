@@ -200,8 +200,7 @@ class TestFieldsIO:
     def test_round_trip_bit_identical(self, rng, tmp_path):
         gr = small_grid(n_t=5, n_s=7)
         fields = {"rho": rng.normal(size=(5, 7, 3)),
-                  "Lambda": rng.normal(size=(5, 7, 3, 3)),
-                  "energy": rng.normal(size=(5, 7))}
+                  "Lambda": rng.normal(size=(5, 7, 3, 3))}
         store_fields(tmp_path, gr, fields)
         gr2, back = load_fields(tmp_path, tuple(fields))
         assert gr2 == gr
@@ -210,7 +209,7 @@ class TestFieldsIO:
         # second write of the read-back values is byte-identical
         d2 = tmp_path / "again"
         store_fields(d2, gr2, back)
-        for f in ("rho.csv", "Lambda.csv", "energy.csv", "manifest.txt"):
+        for f in ("rho.csv", "Lambda.csv", "manifest.txt"):
             assert (tmp_path / f).read_bytes() == (d2 / f).read_bytes()
 
     def test_small_zero_field_layout(self, tmp_path):
@@ -229,12 +228,11 @@ class TestFieldsIO:
         rho[0, 0] = (-0.0, 5e-324, 1e300)
         rho[2, 3] = (-1e300, -5e-324, 0.1)
         rho[1, 2] = (np.nan, np.inf, -np.inf)
-        energy = rho[..., 0].copy()
         Lambda = rng.normal(size=(3, 4, 3, 3))
         Lambda[1, 1, 2] = (np.inf, -0.0, np.nan)
-        store_fields(tmp_path, gr, {"rho": rho, "energy": energy, "Lambda": Lambda})
+        store_fields(tmp_path, gr, {"rho": rho, "Lambda": Lambda})
         t, s = gr.t_coords(), gr.s_coords()
-        for name, flat, width in (("rho", rho, 3), ("energy", energy[..., None], 1),
+        for name, flat, width in (("rho", rho, 3),
                                   ("Lambda", Lambda.reshape(3, 4, 9), 9)):
             want = "t_index,s_index,t,s," + ",".join(
                 f"c{k + 1}" for k in range(width)) + "\n"
@@ -252,7 +250,7 @@ class TestFieldsIO:
         for line in (tmp_path / "manifest.txt").read_text().splitlines()[1:]:
             kv = dict(p.split("=", 1) for p in line.split()[1:])
             digests[kv["file"]] = kv["sha256"]
-        assert sorted(digests) == ["Lambda.csv", "energy.csv", "rho.csv"]
+        assert sorted(digests) == ["Lambda.csv", "rho.csv"]
         for fname, digest in digests.items():
             assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() \
                 == digest, fname
@@ -260,7 +258,7 @@ class TestFieldsIO:
     def test_chunked_bytes_match_per_value_reference(self, rng, tmp_path):
         # a level wider than one kernel block (split by nodes) and a field of
         # many short levels (several levels per block)
-        for n_t, n_s, shape in ((3, 1500, (3, 3)), (700, 7, ())):
+        for n_t, n_s, shape in ((3, 1500, (3, 3)), (700, 7, (3,))):
             gr = g.Grid2(n_t=n_t, n_s=n_s, dt=0.01, ds=1.0 / n_s, bc_s=g.PERIODIC)
             values = rng.normal(size=(n_t, n_s) + shape) * 10.0 ** rng.integers(
                 -8, 8, size=(n_t, n_s) + shape)

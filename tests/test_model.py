@@ -36,6 +36,13 @@ class TestModelParams:
         p = potential_off(model.default_params())
         assert model.potential_E(E1, E3, 2.0, p) == 0.0
 
+    @pytest.mark.parametrize("field, value, says", [
+        ("inertia_body", np.eye(2), "must be a 3x3 matrix"),
+        ("pot_kappa", np.ones(3), "must be a number")])
+    def test_rejects_wrong_shape(self, field, value, says):
+        with pytest.raises(ValueError, match=f"{field} {says}"):
+            dataclasses.replace(model.default_params(), **{field: value})
+
     def test_rejects_negative_kappa(self):
         with pytest.raises(ValueError):
             model.ModelParams(np.eye(3), np.eye(3), np.eye(3), np.eye(3), -1.0, 1.0)
@@ -74,18 +81,14 @@ class TestPotential:
         for _ in range(20):
             W, a = rng.normal(size=(2, 3))
             c = float(rng.uniform(0.2, 3.0))
-            dW, da, dc = model.dE(W, a, c, params)
-            for i in range(3):
-                e = np.zeros(3); e[i] = step
-                fd = (model.potential_E(W + e, a, c, params)
-                      - model.potential_E(W - e, a, c, params)) / (2 * step)
-                assert fd == pytest.approx(dW[i], rel=1e-7, abs=1e-9)
-                fd = (model.potential_E(W, a + e, c, params)
-                      - model.potential_E(W, a - e, c, params)) / (2 * step)
-                assert fd == pytest.approx(da[i], rel=1e-7, abs=1e-9)
-            fd = (model.potential_E(W, a, c + step, params)
-                  - model.potential_E(W, a, c - step, params)) / (2 * step)
-            assert fd == pytest.approx(dc, rel=1e-7, abs=1e-9)
+            fd = (model.central_difference(
+                      lambda x: model.potential_E(x, a, c, params), W, step),
+                  model.central_difference(
+                      lambda x: model.potential_E(W, x, c, params), a, step),
+                  model.central_difference(
+                      lambda x: model.potential_E(W, a, x, params), c, step))
+            for have, want in zip(fd, model.dE(W, a, c, params)):
+                assert have == pytest.approx(want, rel=1e-7, abs=1e-9)
 
 
 class TestLagrangians:

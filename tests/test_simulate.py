@@ -271,6 +271,12 @@ class TestRun:
             sim.run(sim.SimConfig(grid=gr, params=params, preset=preset,
                                   init=state))
 
+    def test_initial_state_of_another_grid(self, params):
+        state = sim.presets("static", make_grid(n_s=16), params)
+        with pytest.raises(ConfigError, match="^initial state does not match "
+                           r"the grid \[init\]$"):
+            sim.run(sim.SimConfig(grid=make_grid(), params=params, init=state))
+
     def test_theta_consistent_with_a(self, params):
         # a and theta are advanced by the same linear stages, so a stays
         # the exact arclength derivative of theta

@@ -23,6 +23,7 @@ from strand_reduce import simulate as sim
 from strand_reduce import so3
 from strand_reduce.cli import main
 from strand_reduce.config import load_config
+from strand_reduce.errors import NotFlatError
 from strand_reduce.fields_io import (format_report, info, write_steps,
                                      write_totals)
 from strand_reduce.residuals import residual_norms
@@ -75,7 +76,9 @@ def whole_march(cfg):
 
 
 def rotation_field(s1):
-    return so3.exp_so3(0.7 * s1.theta + 0.2 * s1.rho)
+    """The rotation field the Noether report sweeps, from the identity."""
+    return red.reconstruct_rotation(s1.grid, s1.Omega, s1.omega, np.eye(3),
+                                    tol=None)
 
 
 @pytest.fixture(params=STEPS)
@@ -185,23 +188,32 @@ class TestBitwiseEqualToWholeGrid:
 
     def test_noether_report(self, monkeypatch, split, bc, params):
         s1 = section(bc)
-        Lam = rotation_field(s1)
-        want, want_totals = whole_grid_noether_report(s1, Lam, params)
+        want, want_totals = whole_grid_noether_report(s1, rotation_field(s1),
+                                                      params)
         patch_windows(monkeypatch, s1.grid, split)
-        rows, totals = noether.noether_report(s1, Lam, params)
+        rows, totals = noether.noether_report(s1, params)
         assert {c.name: c.value for c in rows} == want
         assert [c.name for c in rows] == list(want)
         assert totals.shape == want_totals.shape
         assert totals.tobytes() == want_totals.tobytes()
 
     def test_flatness_gate_value(self, monkeypatch, split, bc):
+        # the gate passes at the whole-grid max and fails just below it, so
+        # the windowed max is that value bit for bit
         s1 = section(bc)
         flat = red.flatness_residual_rotation(s1.grid, s1.Omega, s1.omega)
         level, node = np.unravel_index(np.argmax(g.node_sq(flat)),
                                        flat.shape[:2])
-        want = g.Peak(g.norm_max(flat), level, node)
+        value = g.norm_max(flat)
+        below = np.nextafter(value, 0.0)
         patch_windows(monkeypatch, s1.grid, split)
-        assert red.flatness_max(s1.grid, s1.Omega, s1.omega) == want
+        red.reconstruct_rotation(s1.grid, s1.Omega, s1.omega, np.eye(3), value)
+        with pytest.raises(NotFlatError) as exc:
+            red.reconstruct_rotation(s1.grid, s1.Omega, s1.omega, np.eye(3),
+                                     below)
+        assert str(exc.value) == (
+            f"flatness residual {value:.3e} exceeds tolerance {below:.3e} "
+            f"at level {level}, node {node}")
 
 
 def count_stencils(monkeypatch):
@@ -223,7 +235,7 @@ class TestStencilsPerWindow:
         s1 = section(bc)
         n = len(patch_windows(monkeypatch, s1.grid, 5))
         calls = count_stencils(monkeypatch)
-        noether.noether_report(s1, rotation_field(s1), params)
+        noether.noether_report(s1, params)
         assert calls == {"d_t": 8 * n, "d_s": 5 * n}
 
     def test_residual_norms(self, monkeypatch, bc, params):
@@ -259,7 +271,7 @@ class TestLevelsPerWindow:
         n = len(patch_windows(monkeypatch, s1.grid, split))
         residual = count_rows(monkeypatch, rs, "stage2_residuals")
         fiber = count_rows(monkeypatch, model, "fiber_derivatives_stage1")
-        noether.noether_report(s1, rotation_field(s1), params)
+        noether.noether_report(s1, params)
         assert len(residual) == len(fiber) == n
         assert sum(residual) == N_T
         assert sum(fiber) <= N_T + 2 * (n - 1)
@@ -317,9 +329,8 @@ class TestStreamedStoredRun:
     def test_noether(self, monkeypatch, capsys, tmp_path, stored_run, split,
                      bc, params):
         run, s1 = stored_run(section(bc).grid)
-        Lam = red.reconstruct_rotation(s1.grid, s1.Omega, s1.omega, np.eye(3),
-                                       tol=None)
-        want, want_totals = whole_grid_noether_report(s1, Lam, params)
+        want, want_totals = whole_grid_noether_report(s1, rotation_field(s1),
+                                                      params)
         patch_windows(monkeypatch, s1.grid, split)
         assert main(["noether", "--in", str(run), "--out",
                      str(tmp_path / "got")]) == 0
@@ -421,8 +432,10 @@ class TestWindowedMaxPropagatesNan:
         s1.Omega[12, 6, 1] = np.nan
         gr, Omega, omega = s1.grid, s1.Omega, s1.omega
         # d_t reaches the cell from level 11 first
-        assert np.isnan(red.flatness_max(gr, Omega, omega).value)
-        assert red.flatness_max(gr, Omega, omega)[1:] == (11, 6)
+        with pytest.raises(NotFlatError) as exc:
+            red.reconstruct_rotation(gr, Omega, omega, np.eye(3), tol=None)
+        assert str(exc.value) == ("flatness residual is not finite (nan) at "
+                                  "level 11, node 6")
         # masked out, the NaN levels do not count, as with norm_max
         levels = gr.interior(2)[0]
         levels[10:15] = False
@@ -441,10 +454,10 @@ class TestPeakMemory:
     def big(self):
         gr = g.Grid2.uniform(400, 256, 0.5, 1.0, g.CLAMPED)
         s1 = checks.random_smooth_section(gr, np.random.default_rng(7))
-        Lam = rotation_field(s1)
-        inputs = sum(a.nbytes for a in (s1.rho, s1.theta, s1.Omega, s1.omega,
-                                        Lam))
-        return s1, Lam, inputs
+        # the four fields and one rotation field, which the Noether report
+        # was once passed and now sweeps itself
+        inputs = sum(a.nbytes for a in (s1.rho, s1.theta, s1.Omega, s1.omega))
+        return s1, inputs + gr.n_t * gr.n_s * 9 * 8
 
     @staticmethod
     def traced_peak(fn):
@@ -457,13 +470,13 @@ class TestPeakMemory:
 
     def test_noether_report(self, big, params):
         # 0.26 times the inputs while by_window stitched per-node squares
-        s1, Lam, inputs = big
-        peak = self.traced_peak(lambda: noether.noether_report(s1, Lam, params))
+        s1, inputs = big
+        peak = self.traced_peak(lambda: noether.noether_report(s1, params))
         assert peak < 0.2 * inputs
 
     def test_residual_report(self, big, params):
         # 0.29 times the inputs while by_window stitched per-node squares
-        s1, _, inputs = big
+        s1, inputs = big
         peak = self.traced_peak(lambda: residual_norms(s1, params))
         assert peak < 0.2 * inputs
 
