@@ -41,6 +41,14 @@ def _add_grid_options(sp):
     sp.add_argument("--bc", choices=g.BOUNDARIES, default=g.PERIODIC)
 
 
+def _refused(exc, n_t, n_s, *more):
+    """The options ``more``, then those that set the Grid2 fields that
+    GridError ``exc`` refuses: the node counts' ``n_t``, ``n_s``, or extents'."""
+    names = {"n_t": n_t, "dt": "duration", "n_s": n_s, "ds": "length"}
+    return ", ".join("--" + name.replace("_", "-")
+                     for name in [*more, *map(names.get, exc.fields)])
+
+
 def _grid(args, n_t, n_s):
     """A known ``--preset``'s uniform grid, its node counts in the options
     ``n_t`` and ``n_s``; Grid2 checks the numbers, and its refusals and the
@@ -48,15 +56,12 @@ def _grid(args, n_t, n_s):
     from .simulate import PRESETS, check_step
     if args.preset.lower() not in PRESETS:
         raise ConfigError(f"unknown preset '{args.preset}'", key="--preset")
-    options = {"n_t": "--" + n_t.replace("_", "-"), "dt": "--duration",
-               "n_s": "--" + n_s.replace("_", "-"), "ds": "--length"}
     try:
         gr = g.Grid2.uniform(getattr(args, n_t), getattr(args, n_s),
                              args.duration, args.length, args.bc)
     except g.GridError as exc:
-        raise ConfigError(str(exc), key=", ".join(
-            options[field] for field in exc.fields)) from None
-    check_step(gr, default_params(), f"{options['n_t']}, --duration")
+        raise ConfigError(str(exc), key=_refused(exc, n_t, n_s)) from None
+    check_step(gr, default_params(), f"--{n_t.replace('_', '-')}, --duration")
     return gr
 
 
@@ -89,25 +94,24 @@ def cmd_simulate(args):
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     t_parse = time.perf_counter() - t0
-    # the march writes the field CSVs as it goes; they replace those in
-    # --out, and the manifest is written, only once the run is through
+    # the march hands the fields to the writer process as it goes; they replace
+    # those in --out only once the run is through, then the manifest; the
+    # diagnostics and report follow, so a failed writer leaves --out as it was
     with FieldWriter(Run(args.out, cfg.grid, {}, cfg.params)) as fields:
         out = stream(cfg, fields.write)
         t_write = time.perf_counter()
-        write_steps(args.out, out.steps)
-        results = [info(k, v) for k, v in out.summary.items()]
-        lines = {section: section for section, _, _, _ in PARAMS}
-        for section, token, field, _ in PARAMS:    # "inertia I=... K=..."
-            lines[section] += f" {token}=" + " ".join(
-                "%.17g" % x for x in np.ravel(getattr(cfg.params, field)))
-        start = "init=file" if cfg.preset is None else f"preset={cfg.preset}"
-        preamble = [f"config {os.path.basename(args.config)}",
-                    grid_line(cfg.grid), *lines.values(),
-                    f"scheme rk4 {start}"]
-        text = write_report(f"{args.out}/report.txt", "simulate", results,
-                            preamble)
-    # wall times by phase, kept apart from the deterministic outputs; the
-    # march, the summary and the writer take turns, window by window
+    write_steps(args.out, out.steps)
+    results = [info(k, v) for k, v in out.summary.items()]
+    lines = {section: section for section, _, _, _ in PARAMS}
+    for section, token, field, _ in PARAMS:    # "inertia I=... K=..."
+        lines[section] += f" {token}=" + " ".join(
+            "%.17g" % x for x in np.ravel(getattr(cfg.params, field)))
+    start = "init=file" if cfg.preset is None else f"preset={cfg.preset}"
+    preamble = [f"config {os.path.basename(args.config)}",
+                grid_line(cfg.grid), *lines.values(), f"scheme rk4 {start}"]
+    text = write_report(f"{args.out}/report.txt", "simulate", results, preamble)
+    # wall times by phase, kept apart from the deterministic outputs; write_s
+    # is the hand-over to the writer process, the wait for it and the files
     end = time.perf_counter()
     timings = {"parse_s": t_parse, "march_s": out.seconds["march"],
                "summary_s": out.seconds["summary"],
@@ -195,8 +199,9 @@ def cmd_convergence(args):
     from . import checks
     try:
         grids = checks.ladder(base, args.levels)
-    except ValueError as exc:
-        raise ConfigError(f"convergence ladder: {exc}") from None
+    except g.GridError as exc:
+        raise ConfigError(f"convergence ladder: {exc}", key=_refused(
+            exc, "base_n_t", "base_n_s", "levels")) from None
     rows, results = checks.convergence_table(args.preset, grids)
     preamble = ["level " + " ".join(
         f"{key}={x:d}" if isinstance(x, int) else f"{key}={x:.6e}"

@@ -6,12 +6,12 @@ records the grid metadata, a sha256 checksum per field file, hashed from the
 bytes as they are written (so any change in any value changes the manifest)
 and, for simulated runs, the model the fields were computed with.  The
 manifest is read once, into a :class:`Run` (:func:`read_run`), which the
-readers and the writer share.  The writer (:class:`FieldWriter`) takes
-each field a block of time levels at a time, under a temporary name that
-replaces the file only when every field is complete; the manifest is
-written last, from the run's record.  A reader checks every file it uses
-against the record first, before any value is parsed, then parses its
-time levels as they are asked for (:func:`open_fields`).
+readers and the writer share.  The writer (:class:`FieldWriter`) hands
+each field a block of levels at a time to a second process, which writes
+it under a temporary name that replaces the file only when every field is
+complete; the manifest is written last, from the run's record.  A reader
+checks every file it uses against the record first, before any value is
+parsed, then parses its levels as they are asked for (:func:`open_fields`).
 
 Every CSV cell is the exact text of ``'%.17g' % x``, produced in blocks by
 one array kernel (:func:`_slots`).  It computes N = |x| 10^(16-k),
@@ -29,6 +29,7 @@ import hashlib
 import itertools
 import math
 import os
+import pickle
 import re
 import warnings
 from dataclasses import dataclass
@@ -229,7 +230,7 @@ class _Part:
     """A field CSV written under a temporary name and hashed as written."""
 
     def __init__(self, path, kind):
-        self.path, self.kind, self.levels = path, kind, 0
+        self.path, self.kind = path, kind
         self.fh = open(path + ".part", "wb")
         self.sha256 = hashlib.sha256()
         self.write(_HEADER[kind].encode())
@@ -239,81 +240,146 @@ class _Part:
         self.fh.write(data)
 
 
+def _write_parts(run, src):
+    """The writer process's body: the block stream ``src`` (a binary file of
+    pickled ``(levels, {name: block})``, as :meth:`FieldWriter.write` sends,
+    then None) as ``<name>.csv.part`` files in the directory of ``run``, or
+    removes them and raises.  Returns ``{name: sha256}``."""
+    grid, parts = run.grid, {}
+    # Row prefixes "<i>,j,<t>,s_j," as slots: per level and per node.
+    i_col, t_col, j_col, s_col = map(_column, (
+        np.arange(grid.n_t, dtype=float), grid.t_coords(),
+        np.arange(grid.n_s, dtype=float), grid.s_coords()))
+    try:
+        while (message := pickle.load(src)) is not None:
+            levels, blocks = message
+            i_lv, t_lv = i_col[levels], t_col[levels]
+            for name, values in blocks.items():
+                if name not in parts:
+                    parts[name] = _Part(os.path.join(run.indir, f"{name}.csv"),
+                                        _KINDS[values.shape[2:]])
+                part = parts[name]
+                width = math.prod(_SHAPES[part.kind])
+                values = values.reshape(values.shape[:2] + (width,))
+                sep = _seps(width)
+                nodes = min(grid.n_s, _CHUNK // width)
+                per = _CHUNK // (nodes * width)
+                for i, j in itertools.product(range(0, len(values), per),
+                                              range(0, grid.n_s, nodes)):
+                    lv, nd = slice(i, i + per), slice(j, j + nodes)
+                    v = _slots(values[lv, nd], sep)
+                    part.write(_join([i_lv[lv, None], j_col[nd], t_lv[lv, None],
+                                      s_col[nd], v.reshape(v.shape[:2] + (-1,))]))
+    except BaseException:
+        for part in parts.values():
+            os.remove(part.path + ".part")
+        raise
+    finally:
+        for part in parts.values():
+            part.fh.close()
+    return {name: part.sha256.hexdigest() for name, part in parts.items()}
+
+
 class FieldWriter:
     """Field CSVs written a block of levels at a time, then ``manifest.txt``.
 
     ``write(levels, {name: block})`` appends the levels ``levels`` (a slice
     of the grid's levels) of each named field; a field's blocks follow one
-    another in time order up to its last level.  The bytes are hashed as
-    they are written, to ``<name>.csv.part`` in the directory of ``run``
-    (a :class:`Run`).  When the ``with`` block exits cleanly, every file
-    replaces its ``<name>.csv``, its entry is added to ``run``, and the
-    manifest is written last from ``run``: its other field lines and its
-    model line are kept.  When it raises, the temporary files are removed
-    and the directory keeps what it held.
+    another in time order up to its last level, or ValueError.  A process
+    forked on entry formats them beside the caller (:func:`_write_parts`)
+    in the directory of ``run`` (a :class:`Run`).  When the ``with`` block
+    and the writer end cleanly, every file replaces its ``<name>.csv``, its
+    entry is added to ``run``, and the manifest is written last from
+    ``run``: its other field lines and its model line are kept.  When
+    either raises, the directory keeps what it held.
     """
 
     def __init__(self, run):
-        self.run, grid = run, run.grid
-        self._parts = {}
-        # Row prefixes "<i>,j,<t>,s_j," as slots: per level and per node.
-        self._prefix = (_column(np.arange(grid.n_t, dtype=float)),
-                        _column(grid.t_coords()),
-                        _column(np.arange(grid.n_s, dtype=float)),
-                        _column(grid.s_coords()))
+        self.run, self._next = run, {}      # {name: (kind, next level)}
 
     def __enter__(self):
         self._made = not os.path.isdir(self.run.indir)
         os.makedirs(self.run.indir, exist_ok=True)
+        (src, pipe), (results, reply) = os.pipe(), os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns of a fork beside threads (numpy's BLAS
+                # pool); safe: the child runs no BLAS, only elementwise numpy
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) "
+                                        "is multi-threaded", DeprecationWarning)
+                self._pid = os.fork()
+        except BaseException:
+            for fd in (src, pipe, results, reply):
+                os.close(fd)
+            if self._made:
+                with contextlib.suppress(OSError):
+                    os.rmdir(self.run.indir)
+            raise
+        if self._pid == 0:
+            # never back to the caller's code, nor a flush of a file it
+            # inherited; a caller that dies closes the pipe: the stream ends
+            try:
+                os.close(pipe)
+                os.close(results)
+                src = os.fdopen(src, "rb")
+                try:
+                    out = _write_parts(self.run, src)
+                except BaseException as exc:
+                    out = exc
+                    while src.read(1 << 20):    # the caller's blocks to come
+                        pass
+                os.write(reply, pickle.dumps(out))
+            finally:
+                os._exit(0)
+        os.close(src)
+        os.close(reply)
+        # unbuffered: each block goes down the pipe as it is handed over
+        self._pipe, self._results = os.fdopen(pipe, "wb", buffering=0), results
         return self
 
     def write(self, levels, blocks):
-        i_col, t_col, j_col, s_col = self._prefix
-        i_col, t_col = i_col[levels], t_col[levels]
-        n_s = self.run.grid.n_s
+        shape = (len(range(self.run.grid.n_t)[levels]), self.run.grid.n_s)
+        blocks = {k: np.asarray(v, dtype=float) for k, v in blocks.items()}
         for name, values in blocks.items():
-            values = np.asarray(values, dtype=float)
             kind = _KINDS.get(values.shape[2:])
-            if name not in self._parts and kind and levels.start == 0:
-                self._parts[name] = _Part(
-                    os.path.join(self.run.indir, f"{name}.csv"), kind)
-            part = self._parts.get(name)
-            if (part is None or (part.kind, part.levels) != (kind, levels.start)
-                    or values.shape[:2] != (len(i_col), n_s)):
+            if (kind is None or values.shape[:2] != shape
+                    or self._next.get(name, (kind, 0)) != (kind, levels.start)):
                 raise ValueError(f"field '{name}' does not match the grid")
-            width = math.prod(_SHAPES[kind])
-            values = values.reshape(values.shape[:2] + (width,))
-            sep = _seps(width)
-            nodes = min(n_s, _CHUNK // width)
-            per = _CHUNK // (nodes * width)
-            for i, j in itertools.product(range(0, len(values), per),
-                                          range(0, n_s, nodes)):
-                lv, nd = slice(i, i + per), slice(j, j + nodes)
-                v = _slots(values[lv, nd], sep)
-                part.write(_join([i_col[lv, None], j_col[nd], t_col[lv, None],
-                                  s_col[nd], v.reshape(v.shape[:2] + (-1,))]))
-            part.levels = levels.stop
+            self._next[name] = (kind, levels.stop)
+        pickle.dump((levels, blocks), self._pipe, pickle.HIGHEST_PROTOCOL)
 
     def __exit__(self, exc_type, *exc):
         run = self.run
-        for part in self._parts.values():
-            part.fh.close()
-        short = sorted(name for name, part in self._parts.items()
-                       if part.levels != run.grid.n_t)
-        if exc_type is None and not short:
-            for name, part in sorted(self._parts.items()):
-                os.replace(part.path + ".part", part.path)
-                run.entries[name] = (os.path.basename(part.path), part.kind,
-                                     part.sha256.hexdigest())
+        short = sorted(name for name, (_, stop) in self._next.items()
+                       if stop != run.grid.n_t)
+        try:    # a writer gone without a reply breaks the pipe: raised below
+            with contextlib.suppress(BrokenPipeError), self._pipe:
+                if exc_type is None and not short:  # else: no end marker
+                    pickle.dump(None, self._pipe)
+        finally:
+            with os.fdopen(self._results, "rb") as fh:
+                reply = fh.read()
+            os.waitpid(self._pid, 0)
+        out = (ChildProcessError(f"field writer process {self._pid} ended "
+                                 "without a reply") if not reply
+               else ValueError(f"fields {short} end before level {run.grid.n_t}")
+               if short else pickle.loads(reply))
+        if exc_type is None and not isinstance(out, BaseException):
+            for name, digest in sorted(out.items()):
+                path = os.path.join(run.indir, f"{name}.csv")
+                os.replace(path + ".part", path)
+                run.entries[name] = (f"{name}.csv", self._next[name][0], digest)
             _write_manifest(run)
             return
-        for part in self._parts.values():
-            os.remove(part.path + ".part")
+        # the writer removes its own files, unless it was killed
+        for name in self._next:
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(run.indir, f"{name}.csv.part"))
         if self._made:
             with contextlib.suppress(OSError):
                 os.rmdir(run.indir)
-        if exc_type is None:
-            raise ValueError(f"fields {short} end before level {run.grid.n_t}")
+        if exc_type is None or not reply:
+            raise out
 
 
 def _write_stream(path, head, chunks=()):

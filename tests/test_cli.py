@@ -1,14 +1,18 @@
 import ast
 import contextlib
+import errno
 import inspect
 import io
 import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +135,8 @@ class TestSimulate:
 
     def test_timings_are_sums_over_the_windows(self, monkeypatch, tmp_path,
                                                config_file, capsys):
-        # march, summary and write take turns window by window; each phase's
+        # march and summary take turns window by window, and write_s is the
+        # hand-over to the writer process and the wait for it; each phase's
         # sum is positive and together they fit in the total
         patch_windows(monkeypatch, small_grid(n_t=40, n_s=32), 5)
         out = tmp_path / "out"
@@ -199,10 +204,12 @@ class TestSimulate:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("blow-up: ")
+        assert_no_child_left()
         # a new --out is not left behind either
         assert main(["simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "new")]) == 5
         assert not (tmp_path / "new").exists()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("old, new, message", [
         ("name = rk4", "name = midpoint",
@@ -646,6 +653,140 @@ class TestOutIsAFile:
         err = capsys.readouterr().err
         assert err == f"io error: [Errno 17] File exists: '{out}'\n"
         assert out.read_text() == "kept\n"
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def snapshot(directory):
+    """``{path: bytes}`` of a directory's files, None for its directories."""
+    return {p.relative_to(directory): None if p.is_dir() else p.read_bytes()
+            for p in directory.rglob("*")}
+
+
+class TestWriterProcess:
+    """The field CSVs are formatted by a forked writer process: no command
+    leaves it behind, and its failures keep the exit-code contract."""
+
+    def test_no_child_after_simulate(self, tmp_path, config_file, capsys):
+        assert main(["simulate", "--config", str(config_file),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command, part", [("simulate", "theta.csv.part"),
+                                               ("reconstruct", "Lambda.csv.part")])
+    def test_failed_write_exits_1(self, tmp_path, small_run, config_file,
+                                  capsys, command, part):
+        # a directory where the writer process opens a field's temporary
+        # file: its OSError reaches main as one io error line, after the
+        # march, and --out, another run, keeps what it held
+        out = tmp_path / "out"
+        other = tmp_path / "other.cfg"
+        other.write_text(CONFIG.replace("duration = 0.1", "duration = 0.05"))
+        argv = {"simulate": ["simulate", "--config", str(config_file)],
+                "reconstruct": ["reconstruct", "--in", str(small_run),
+                                "--tol", "1"]}[command] + ["--out", str(out)]
+        assert main(["simulate", "--config", str(other), "--out", str(out)]
+                    if command == "simulate" else argv) == 0
+        (out / part).mkdir()
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"io error: [Errno 21] Is a directory: '{out / part}'\n")
+        assert snapshot(out) == before
+        assert_no_child_left()
+
+    def test_writer_ends_when_its_caller_dies(self, tmp_path):
+        # a caller killed while the writer holds a temporary file: the pipe
+        # closes, and the writer reads the end of its stream, removes the
+        # file and exits
+        script = (
+            "import os, time\n"
+            "import numpy as np\n"
+            "from strand_reduce import grid as g\n"
+            "from strand_reduce.fields_io import FieldWriter, Run\n"
+            "gr = g.Grid2.uniform(5, 7, 0.5, 1.0, g.PERIODIC)\n"
+            f"with FieldWriter(Run({str(tmp_path)!r}, gr, {{}}, None)) as out:\n"
+            "    out.write(slice(0, 2), {'rho': np.zeros((2, 7, 3))})\n"
+            f"    while not os.path.exists({str(tmp_path / 'rho.csv.part')!r}):\n"
+            "        time.sleep(0.01)\n"
+            "    os.kill(os.getpid(), 9)\n")
+        proc = subprocess.run([sys.executable, "-c", script], timeout=60)
+        assert proc.returncode == -9
+        for _ in range(1000):
+            if not (tmp_path / "rho.csv.part").exists():
+                break
+            time.sleep(0.01)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("held", [True, False])
+    @pytest.mark.parametrize("stop", [2, 40])
+    def test_killed_writer_leaves_out_as_found(self, tmp_path, config_file,
+                                               capsys, held, stop):
+        # a writer process killed once it has made a temporary file, so it
+        # cannot remove it, with levels still to send (stop 2: the caller's
+        # next block breaks the pipe) or only the end of its stream (stop
+        # 40: the end does): the caller removes the file and raises an
+        # OSError (exit 1 in main); --out keeps what it held, a new one goes
+        out = tmp_path / "out"
+        if held:
+            assert main(["simulate", "--config", str(config_file),
+                         "--out", str(out)]) == 0
+        before = snapshot(out) if held else None
+        gr = small_grid(n_t=40, n_s=32)
+        with pytest.raises(ChildProcessError, match="without a reply"):
+            with fields_io.FieldWriter(fields_io.Run(str(out), gr, {},
+                                                     None)) as fields:
+                fields.write(slice(0, stop), {"rho": np.zeros((stop, gr.n_s, 3))})
+                for _ in range(1000):
+                    if (out / "rho.csv.part").exists():
+                        break
+                    time.sleep(0.01)
+                os.kill(fields._pid, signal.SIGKILL)
+                os.waitid(os.P_PID, fields._pid, os.WEXITED | os.WNOWAIT)
+                if stop < gr.n_t:
+                    fields.write(slice(stop, gr.n_t),
+                                 {"rho": np.zeros((gr.n_t - stop, gr.n_s, 3))})
+        assert (snapshot(out) == before) if held else not out.exists()
+        assert_no_child_left()
+
+    def test_fork_warning_of_a_threaded_caller(self, monkeypatch, tmp_path):
+        # Python 3.12+ warns in the caller, after the fork, when it has
+        # threads; the writer must not turn that warning into an error
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is "
+                              "multi-threaded, use of fork() may lead to "
+                              "deadlocks in the child.", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        gr = small_grid(n_t=4, n_s=5)
+        store_fields(str(tmp_path / "run"), gr, {"rho": np.ones((4, 5, 3))})
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "manifest.txt", "rho.csv"]
+        assert_no_child_left()
+
+    def test_failed_fork(self, monkeypatch, tmp_path):
+        # no writer process: the error reaches the caller, the pipes are
+        # closed and a new directory is removed
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = len(os.listdir("/dev/fd"))
+        with pytest.raises(BlockingIOError):
+            store_fields(str(tmp_path / "run"), small_grid(n_t=4, n_s=5),
+                         {"rho": np.ones((4, 5, 3))})
+        assert len(os.listdir("/dev/fd")) == fds
+        assert list(tmp_path.iterdir()) == []
 
 
 def report_values(text):
@@ -1478,7 +1619,7 @@ class TestCheckAndConvergence:
         assert calls == []
         assert capsys.readouterr().err.splitlines() == [
             "config error: convergence ladder: grid exceeds the memory guard "
-            "of 1e8 nodes"]
+            "of 1e8 nodes [--levels, --base-n-t, --base-n-s]"]
 
     def test_clamped_ladder_nests(self, monkeypatch):
         rows, _, outs = self._ladder(monkeypatch, 3, 11, 9, g.CLAMPED)

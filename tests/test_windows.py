@@ -8,12 +8,16 @@ partition allows.
 """
 
 import dataclasses
+import hashlib
+import io
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from strand_reduce import checks
+from strand_reduce import fields_io
 from strand_reduce import grid as g
 from strand_reduce import model
 from strand_reduce import noether
@@ -24,7 +28,7 @@ from strand_reduce import so3
 from strand_reduce.cli import main
 from strand_reduce.config import load_config
 from strand_reduce.errors import NotFlatError
-from strand_reduce.fields_io import (format_report, info, write_steps,
+from strand_reduce.fields_io import (Run, format_report, info, write_steps,
                                      write_totals)
 from strand_reduce.residuals import residual_norms
 from strand_reduce.simulate import run_summary
@@ -505,6 +509,29 @@ class TestPeakMemory:
         peak = self.traced_peak(lambda: main(argv[command]))
         assert capsys.readouterr().err == ""
         assert peak < 0.4 * fields
+
+    def test_writer_process(self, tmp_path):
+        # simulate's fields are formatted in the writer process, which
+        # test_march_command does not trace; its body, run here on the
+        # stream that FieldWriter.write sends for simulate's windows (8
+        # levels at n_s = 256), holds one block's text, not the fields
+        gr = g.Grid2.uniform(400, 256, 0.2, 1.0, g.PERIODIC)
+        rng = np.random.default_rng(11)
+        fields = {name: rng.normal(size=(gr.n_t, gr.n_s, 3)) for name in sim.FIELDS}
+        stream = io.BytesIO()
+        for lo in range(0, gr.n_t, 8):
+            levels = slice(lo, lo + 8)
+            pickle.dump((levels, {k: v[levels] for k, v in fields.items()}),
+                        stream, pickle.HIGHEST_PROTOCOL)
+        pickle.dump(None, stream)
+        stream.seek(0)
+        out = {}
+        peak = self.traced_peak(lambda: out.update(fields_io._write_parts(
+            Run(str(tmp_path), gr, {}, None), stream)))
+        assert peak < 0.4 * sum(a.nbytes for a in fields.values())
+        assert out == {name: hashlib.sha256((tmp_path / f"{name}.csv.part")
+                                            .read_bytes()).hexdigest()
+                       for name in sim.FIELDS}
 
     @pytest.mark.parametrize("command", ["residuals", "noether", "reconstruct"])
     def test_peak_does_not_grow_with_n_t(self, stored_run, tmp_path, capsys,
